@@ -15,7 +15,6 @@
 //	innetcc -exp fig5                 # one experiment
 //	innetcc -exp fig9 -accesses 300   # heavier per-node load
 //	innetcc -exp all -jobs 8          # 8 simulation workers
-//	innetcc -exp fig9 -shards 4       # split each simulation across 4 shards
 //	innetcc -exp all -cache .innetcc-cache
 //	innetcc -exp fig5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	innetcc -exp mcheck               # exhaustive model checking
@@ -96,7 +95,6 @@ func main() {
 	faults := flag.String("faults", "", "fault injection spec, e.g. \"drop=2000,timeout=20000,retries=4\" (see internal/fault; empty = off)")
 	watchdog := flag.Int64("watchdog", 0, "hang watchdog window in cycles: fail a run making no progress for this long (0 = off)")
 	retries := flag.Int("retries", 0, "re-run a transiently failed job (hang, retry budget) this many times with derived sub-seeds")
-	shards := flag.Int("shards", 0, "worker shards per simulation (0 = auto from cores and occupancy, 1 = serial); results are identical at any setting")
 	topology := flag.String("topology", "", "fabric override for every simulation: mesh:WxH, torus:WxH or ring:N (empty = each experiment's default mesh)")
 	multicast := flag.Bool("multicast", false, "enable hardware multicast: directory invalidation rounds and tree teardown fan-outs ride single router-forked packets")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -199,7 +197,7 @@ func main() {
 		return
 	}
 	if sf.client != "" {
-		if err := runClient(os.Stdout, sf, *accesses, *seed, *faults, *retries, *shards, *metricsOn, *topology, *multicast); err != nil {
+		if err := runClient(os.Stdout, sf, *accesses, *seed, *faults, *retries, *metricsOn, *topology, *multicast); err != nil {
 			fmt.Fprintln(os.Stderr, "innetcc:", err)
 			os.Exit(1)
 		}
@@ -222,7 +220,6 @@ func main() {
 		AccessesPerNode64: *accesses64,
 		Seed:              *seed,
 		Jobs:              *jobs,
-		Shards:            *shards,
 		CacheDir:          *cacheDir,
 		Metrics:           *metricsOn || *metricsOut != "" || *flightDump,
 		FlightDump:        *flightDump,

@@ -80,7 +80,7 @@ func runServe(w io.Writer, sf serveFlags) error {
 }
 
 // runClient performs one client operation against a running server.
-func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults string, retries, shards int, metrics bool, topology string, multicast bool) error {
+func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults string, retries int, metrics bool, topology string, multicast bool) error {
 	c := &serve.Client{Base: sf.client, Tenant: sf.tenant}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -99,7 +99,6 @@ func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults str
 			SuiteSeed: seed,
 			Faults:    faults,
 			Retries:   retries,
-			Shards:    shards,
 			Metrics:   metrics,
 			Topology:  topology,
 			Multicast: multicast,

@@ -51,9 +51,7 @@ func (p *Pool) Simulations() int64 { return p.sims.Load() }
 // index, the returned slice — and anything printed from it in order — is
 // identical at every parallelism level.
 //
-// When Workers <= 0 the pool defaults to one worker per core, divided by
-// the largest per-job shard count so batch parallelism and intra-simulation
-// sharding together use roughly GOMAXPROCS cores instead of oversubscribing.
+// When Workers <= 0 the pool defaults to one worker per core.
 func (p *Pool) Run(jobs []Job) []Result {
 	return p.RunContext(context.Background(), jobs)
 }
@@ -67,15 +65,6 @@ func (p *Pool) RunContext(ctx context.Context, jobs []Job) []Result {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		maxShards := 1
-		for _, j := range jobs {
-			if j.Shards > maxShards {
-				maxShards = j.Shards
-			}
-		}
-		if workers /= maxShards; workers < 1 {
-			workers = 1
-		}
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)

@@ -380,9 +380,8 @@ type Injector struct {
 	// Drops counts plan-injected drops, ChecksumDrops packets discarded
 	// by corruption detection, Corruptions in-flight corruptions
 	// injected, and StallCycles link-grant cycles lost to stalls.
-	// Routers on different shards bump these concurrently mid-tick, so
-	// all updates go through sync/atomic; readers load them between
-	// cycles, where plain reads are already ordered by the barrier.
+	// Updates go through sync/atomic, although the simulator ticks its
+	// routers from one goroutine; readers load them between cycles.
 	Drops         int64
 	ChecksumDrops int64
 	Corruptions   int64

@@ -14,10 +14,9 @@ package memory
 import "sync"
 
 // Memory is the off-chip backing store. The mutex guards the version map
-// and access counters: home-node memory reads and teardown writebacks fire
-// from the sharded route phase. Per-line version monotonicity makes the
-// writeback result independent of same-cycle lock order, and same-cycle
-// accesses to one line are serialized by the protocol itself.
+// and access counters. The simulator calls Memory from one goroutine, so
+// the lock is uncontended; whether it can go is left to a measured
+// follow-up.
 type Memory struct {
 	mu       sync.Mutex
 	latency  int64

@@ -108,28 +108,6 @@ type Collector struct {
 
 	sampleMask int64
 	counters   [NumCounters]int64
-
-	// Route-phase sharding support: when a hook is installed, events
-	// recorded inside the parallel tick segment are staged per shard and
-	// flushed in shard order at the cycle barrier, so the flight-recorder
-	// sequence is identical at every shard count.
-	hook   ShardHook
-	stages []eventStage
-}
-
-// ShardHook connects a Collector to the sharded tick engine. InTick reports
-// whether the caller is inside the parallel route phase; ShardOf maps a node
-// to the shard ticking it.
-type ShardHook interface {
-	InTick() bool
-	ShardOf(node int) int
-}
-
-// eventStage is one shard's cycle-local event staging buffer; the padding
-// keeps adjacent shards' append bookkeeping off one cache line.
-type eventStage struct {
-	evs []Event
-	_   [64]byte
 }
 
 // New builds an enabled Collector.
@@ -158,8 +136,8 @@ func New(o Options) *Collector {
 func (c *Collector) Enabled() bool { return c != nil }
 
 // Add increments counter k by d. No-op on a nil collector. The add is
-// atomic: counter probes fire from the sharded route phase, and a sum is
-// order-independent, so totals stay byte-identical across shard counts.
+// atomic, so the collector may be shared across goroutines; the simulator
+// itself calls it from one goroutine.
 func (c *Collector) Add(k Counter, d int64) {
 	if c == nil {
 		return
@@ -175,43 +153,11 @@ func (c *Collector) Get(k Counter) int64 {
 	return atomic.LoadInt64(&c.counters[k])
 }
 
-// SetSharding installs the route-phase staging hook with one stage per
-// shard. The machine calls this when it wires metrics into a sharded
-// simulation; it must be paired with a barrier hook running FlushEvents.
-func (c *Collector) SetSharding(numShards int, h ShardHook) {
-	if c == nil || numShards < 1 || h == nil {
-		return
-	}
-	c.hook = h
-	c.stages = make([]eventStage, numShards)
-}
-
-// FlushEvents drains staged route-phase events into the flight recorder in
-// shard order. Shards are contiguous ascending router-id bands and each
-// router appends its events in tick order, so the concatenation reproduces
-// the single-threaded recording order exactly.
-func (c *Collector) FlushEvents() {
-	for i := range c.stages {
-		st := &c.stages[i]
-		for _, e := range st.evs {
-			c.Flight.Record(e.Cycle, e.Kind, e.Node, e.Addr, e.Aux)
-		}
-		st.evs = st.evs[:0]
-	}
-}
-
 // Event appends a protocol event to the flight recorder. No-op on a nil
 // collector. All arguments are scalars so the disabled path allocates
-// nothing at the call site. During the parallel route phase the event is
-// staged on the recording node's shard (amortized-allocation append) and
-// reaches the recorder at the cycle barrier via FlushEvents.
+// nothing at the call site.
 func (c *Collector) Event(cycle int64, kind EventKind, node int16, addr uint64, aux int64) {
 	if c == nil {
-		return
-	}
-	if h := c.hook; h != nil && node >= 0 && h.InTick() {
-		st := &c.stages[h.ShardOf(int(node))]
-		st.evs = append(st.evs, Event{Cycle: cycle, Kind: kind, Node: node, Addr: addr, Aux: aux})
 		return
 	}
 	c.Flight.Record(cycle, kind, node, addr, aux)

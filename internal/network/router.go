@@ -19,12 +19,12 @@ import (
 //
 // Router state lives in structure-of-arrays form on the Mesh — flat slices
 // indexed by router id (and port/VC within a router) rather than fields on
-// per-Router heap objects. Shards are contiguous router-id bands, so a
-// shard worker streaming through its routers walks contiguous memory:
-// FIFO headers, busy counters and arbitration stamps for neighboring
-// routers of the same band share cache lines instead of being scattered
-// across individually allocated objects. The Router type remains as a thin
-// per-node handle carrying only identity and per-node configuration.
+// per-Router heap objects, so the kernel's ascending-ID tick walk streams
+// through contiguous memory: FIFO headers, busy counters and arbitration
+// stamps of neighboring routers share cache lines instead of being
+// scattered across individually allocated objects. The Router type remains
+// as a thin per-node handle carrying only identity and per-node
+// configuration.
 
 type fifoEntry struct {
 	pkt     *Packet
@@ -39,7 +39,6 @@ type Router struct {
 	// NodeID is the router's position, equal to the attached node's id.
 	NodeID int
 	mesh   *Mesh
-	shard  int // owning shard; routers only touch their own shard's state mid-tick
 
 	// ExtraHopDelay is added to every packet's per-hop pipeline time at
 	// this router. The Figure 10 experiment uses it to model an
@@ -108,12 +107,12 @@ type Mesh struct {
 	// per-router scan order. busyTill is the per-output-link credit state
 	// at [node*numOut + out]; queued counts packets across a router's
 	// FIFOs (its park/wake signal); routeSeq stamps routing decisions for
-	// age-based arbitration and idSeq allocates packet ids — both
-	// per-router so sharded ticking needs no shared counters (arbitration
-	// only ever compares stamps issued by the same router, so per-router
-	// stamping grants identically to a global counter). freePkts is the
-	// per-router packet free-list — packets recycle at the router where
-	// they die — and tids the kernel ticker ids for wakes.
+	// age-based arbitration and idSeq allocates packet ids, both per
+	// router (arbitration only ever compares stamps issued by the same
+	// router, so per-router stamping grants identically to a global
+	// counter). freePkts is the per-router packet free-list — packets
+	// recycle at the router where they die — and tids the kernel ticker
+	// ids for wakes.
 	fifos    []fifoQueue
 	busyTill []int64
 	queued   []int32
@@ -122,12 +121,9 @@ type Mesh struct {
 	freePkts [][]*Packet
 	tids     []sim.TickerID
 
-	// shards is the spatial decomposition: router i belongs to shard
-	// i*shards/Nodes(), a contiguous band of router ids. sh holds each
-	// shard's cycle-local staging state, applied at the kernel barrier in
-	// shard order (= router-id order, the serial order).
-	shards int
-	sh     []meshShard
+	// stage holds the tick phase's effects that the end-of-cycle hook
+	// applies (see flush).
+	stage stage
 
 	// EjectFn is invoked (one cycle after the grant) when a packet
 	// leaves through a router's local ejection port. It must be set
@@ -166,8 +162,8 @@ type Mesh struct {
 
 	// DropFn, when non-nil, is invoked for every packet the fault layer
 	// removes (injected drops and checksum discards), before the packet is
-	// recycled. Drops detected during a router tick are reported at that
-	// cycle's barrier, in router-id order. The protocol layer uses DropFn
+	// recycled. Drops detected during a router tick are reported at the
+	// end of that cycle, in router-id order. The protocol layer uses DropFn
 	// as a NACK source: a dropped request chain triggers an immediate
 	// backoff-and-reissue instead of waiting out the reply timeout.
 	DropFn func(p *Packet, reason fault.DropReason, now int64)
@@ -220,7 +216,7 @@ func (c *Config) Validate() error {
 // with the kernel, and wires the policy in. Routers park themselves
 // whenever their FIFOs drain and are woken by injection, protocol spawning
 // and neighbor hand-off, so an idle router costs the kernel nothing beyond
-// a cleared bit in its shard's active bitmap. Panics on an invalid Config —
+// a cleared bit in the kernel's active bitmap. Panics on an invalid Config —
 // construction errors are programming errors, exactly as the old
 // positional constructor treated them.
 func Build(k *sim.Kernel, cfg Config) *Mesh {
@@ -239,11 +235,6 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	}
 	m.numIn = m.deg + 2  // inter-router + local + gen
 	m.numOut = m.deg + 1 // inter-router + local
-	m.shards = k.Shards()
-	if m.shards > nodes {
-		m.shards = nodes
-	}
-	m.sh = make([]meshShard, m.shards)
 	m.fifos = make([]fifoQueue, nodes*m.numIn*cfg.VCs)
 	m.busyTill = make([]int64, nodes*m.numOut)
 	m.queued = make([]int32, nodes)
@@ -252,12 +243,12 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m.freePkts = make([][]*Packet, nodes)
 	m.tids = make([]sim.TickerID, nodes)
 	for i := 0; i < nodes; i++ {
-		r := &Router{NodeID: i, mesh: m, shard: i * m.shards / nodes}
+		r := &Router{NodeID: i, mesh: m}
 		m.Routers = append(m.Routers, r)
 		m.tids[i] = k.Register(r)
-		k.AssignShard(m.tids[i], r.shard)
+		k.CountTicks(m.tids[i])
 	}
-	k.OnBarrier(m.flush)
+	k.OnCycleEnd(m.flush)
 	return m
 }
 
@@ -291,36 +282,17 @@ func (m *Mesh) fifoAt(node, port, vc int) *fifoQueue {
 	return &m.fifos[(node*m.numIn+port)*m.VCCount+vc]
 }
 
-// ShardOf returns the shard owning node's router (and with it all
-// controller work pinned to that node).
-func (m *Mesh) ShardOf(node int) int { return node * m.shards / len(m.Routers) }
-
-// Shards returns the number of spatial shards the mesh is split into
-// (1 when the simulation runs serially).
-func (m *Mesh) Shards() int { return m.shards }
-
-// meshShard is one shard's cycle-local staging state. Routers append to
-// their own shard's records during the tick segment; the barrier flush
-// applies them in shard order, which — shards being contiguous router-id
-// bands processed in ascending order — is router-id order, the exact order
-// serial execution produces.
-type meshShard struct {
+// stage is the tick phase's staging state. Routers append to it as they
+// tick, in router-id order, and flush applies it at the end of the cycle.
+type stage struct {
 	xfers    []xferRec
 	drops    []dropRec
 	delivers []deliverRec
-
-	// Cycle deltas for the mesh-global accounting fields, folded into
-	// InFlight / DeliveredPackets / TotalHops at the barrier.
-	inFlight  int64
-	delivered int64
-	hops      int64
-
-	_ [64]byte // keep adjacent shards off one cache line
 }
 
 // xferRec is a flit hand-off crossing a router boundary: the link mailbox.
-// Applying it at the barrier instead of mid-tick is safe because the entry
-// only becomes routable at readyAt, at least two cycles out.
+// Applying it at the end of the cycle instead of mid-tick is safe because
+// the entry only becomes routable at readyAt, at least two cycles out.
 type xferRec struct {
 	to   int // receiving router id
 	port int // input port slot at the receiver
@@ -329,7 +301,7 @@ type xferRec struct {
 }
 
 // dropRec defers a fault-layer removal's DropFn callback (and the recycle
-// that must follow it) to the barrier.
+// that must follow it) to the end of the cycle.
 type dropRec struct {
 	node   int // router the packet died at
 	p      *Packet
@@ -337,43 +309,35 @@ type dropRec struct {
 }
 
 // deliverRec defers an in-network consumption's DeliverFn callback (and
-// recycle) to the barrier. Only staged when DeliverFn is armed.
+// recycle) to the end of the cycle. Only staged when DeliverFn is armed.
 type deliverRec struct {
 	node int
 	p    *Packet
 }
 
-// flush is the mesh's kernel barrier hook: apply every shard's staged
-// cross-router effects in shard order.
+// flush is the mesh's end-of-cycle hook: apply the staged link hand-offs,
+// then report the staged drops, then the staged deliveries.
 func (m *Mesh) flush() {
 	now := m.kernel.Now()
-	for s := range m.sh {
-		sh := &m.sh[s]
-		for i := range sh.xfers {
-			x := &sh.xfers[i]
-			m.enqueueAt(x.to, x.port, x.vc, x.e)
-			sh.xfers[i] = xferRec{}
-		}
-		sh.xfers = sh.xfers[:0]
-		for i := range sh.drops {
-			d := sh.drops[i]
-			m.DropFn(d.p, d.reason, now)
-			m.recycleAt(d.node, d.p)
-			sh.drops[i] = dropRec{}
-		}
-		sh.drops = sh.drops[:0]
-		for i := range sh.delivers {
-			d := sh.delivers[i]
-			m.DeliverFn(d.p, true, now)
-			m.recycleAt(d.node, d.p)
-			sh.delivers[i] = deliverRec{}
-		}
-		sh.delivers = sh.delivers[:0]
-		m.InFlight += int(sh.inFlight)
-		m.DeliveredPackets += sh.delivered
-		m.TotalHops += sh.hops
-		sh.inFlight, sh.delivered, sh.hops = 0, 0, 0
+	st := &m.stage
+	for i := range st.xfers {
+		x := &st.xfers[i]
+		m.enqueueAt(x.to, x.port, x.vc, x.e)
+		st.xfers[i] = xferRec{}
 	}
+	st.xfers = st.xfers[:0]
+	for i, d := range st.drops {
+		m.DropFn(d.p, d.reason, now)
+		m.recycleAt(d.node, d.p)
+		st.drops[i] = dropRec{}
+	}
+	st.drops = st.drops[:0]
+	for i, d := range st.delivers {
+		m.DeliverFn(d.p, true, now)
+		m.recycleAt(d.node, d.p)
+		st.delivers[i] = deliverRec{}
+	}
+	st.delivers = st.delivers[:0]
 }
 
 // Nodes returns the number of routers in the fabric.
@@ -398,8 +362,7 @@ func (m *Mesh) NextIDFor(node int) uint64 {
 // network — through a local ejection port, after EjectFn returns, or when
 // the policy consumes it in-network — so callers must not retain pool
 // packets past those points. Protocol engines build all their traffic
-// through this; during a sharded tick they may only allocate at the node
-// being ticked, which is the only caller the engines have.
+// through this.
 func (m *Mesh) AllocPacketFor(node int) *Packet {
 	free := m.freePkts[node]
 	if n := len(free); n > 0 {
@@ -466,15 +429,7 @@ func (m *Mesh) spawn(node int, p *Packet, now int64) {
 	if m.Faults != nil {
 		p.Checksum = ChecksumOf(p)
 	}
-	// During a sharded tick, spawn only ever targets the router being
-	// ticked (policies spawn at their own node), so the direct enqueue is
-	// shard-local; the InFlight delta is staged so the mesh-global counter
-	// is only touched by the coordinator.
-	if m.kernel.InTick() {
-		m.sh[r.shard].inFlight++
-	} else {
-		m.InFlight++
-	}
+	m.InFlight++
 	delay := m.Pipeline + r.ExtraHopDelay
 	if p.Expedited {
 		delay = 0
@@ -487,16 +442,15 @@ func (m *Mesh) spawn(node int, p *Packet, now int64) {
 func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 
 // Tick advances one router by one cycle: consult the policy for newly ready
-// packets, then arbitrate each output port. Tick only mutates the router's
-// own band of the mesh arrays and its shard's staging records — never
-// another router's band or a mesh-global field — which is what lets shards
-// tick concurrently. The fifos/busy locals below are the router's
-// contiguous array bands; every FIFO scan in both phases walks them
-// linearly (port-major, VC-minor — the flat layout's element order).
+// packets, then arbitrate each output port. Effects on other routers (link
+// hand-offs) and on the protocol (drops, in-network deliveries, ejections)
+// are staged for the end of the cycle. The fifos/busy locals below are the
+// router's contiguous array bands; every FIFO scan in both phases walks
+// them linearly (port-major, VC-minor — the flat layout's element order).
 func (r *Router) Tick(now int64) {
 	m := r.mesh
 	node := r.NodeID
-	sh := &m.sh[r.shard]
+	stg := &m.stage
 	nm := m.Metrics
 	nSlots := m.numIn * m.VCCount
 	fifos := m.fifos[node*nSlots : (node+1)*nSlots]
@@ -521,9 +475,9 @@ func (r *Router) Tick(now int64) {
 			atomic.AddInt64(&inj.ChecksumDrops, 1)
 			fifos[slot].pop()
 			m.queued[node]--
-			sh.inFlight--
+			m.InFlight--
 			if m.DropFn != nil {
-				sh.drops = append(sh.drops, dropRec{node: node, p: p, reason: fault.DropChecksum})
+				stg.drops = append(stg.drops, dropRec{node: node, p: p, reason: fault.DropChecksum})
 			} else {
 				m.recycleAt(node, p)
 			}
@@ -537,11 +491,11 @@ func (r *Router) Tick(now int64) {
 		case st.Consume:
 			fifos[slot].pop()
 			m.queued[node]--
-			sh.inFlight--
-			sh.delivered++
-			sh.hops += int64(p.Hops)
+			m.InFlight--
+			m.DeliveredPackets++
+			m.TotalHops += int64(p.Hops)
 			if m.DeliverFn != nil {
-				sh.delivers = append(sh.delivers, deliverRec{node: node, p: p})
+				stg.delivers = append(stg.delivers, deliverRec{node: node, p: p})
 			} else {
 				m.recycleAt(node, p)
 			}
@@ -619,9 +573,9 @@ func (r *Router) Tick(now int64) {
 			// link occupancy) and the protocol is notified so it can
 			// reissue. The grant slot is consumed — a drop does not
 			// free the cycle for the next-oldest packet.
-			sh.inFlight--
+			m.InFlight--
 			if m.DropFn != nil {
-				sh.drops = append(sh.drops, dropRec{node: node, p: p, reason: fault.DropInjected})
+				stg.drops = append(stg.drops, dropRec{node: node, p: p, reason: fault.DropInjected})
 			} else {
 				m.recycleAt(node, p)
 			}
@@ -635,10 +589,8 @@ func (r *Router) Tick(now int64) {
 		}
 		if out == local {
 			// Ejection is protocol work (EjectFn reaches into controller
-			// state); it is deferred through the owning shard's queue and
-			// lands on the event heap one cycle out, exactly as the old
-			// direct Schedule(1, ...) did.
-			m.kernel.Defer(r.shard, 1, func() {
+			// state); it lands on the event heap one cycle out.
+			m.kernel.Defer(1, func() {
 				m.InFlight--
 				m.DeliveredPackets++
 				m.TotalHops += int64(p.Hops)
@@ -661,12 +613,11 @@ func (r *Router) Tick(now int64) {
 		}
 		p.ArrivalDir = m.Topo.Arrival(Dir(out))
 		p.Hops++
-		// Hand-off goes through the shard mailbox and lands on the
-		// neighbor's FIFO at the cycle barrier — even for a same-shard
-		// neighbor, so queue-occupancy metrics are identical at every
-		// shard count. Timing is unchanged: the entry only becomes
+		// Hand-off goes through the link mailbox and lands on the
+		// neighbor's FIFO at the end of the cycle, so a neighbor later in
+		// the tick walk never sees it early. The entry only becomes
 		// routable at readyAt, which is at least two cycles out.
-		sh.xfers = append(sh.xfers, xferRec{
+		stg.xfers = append(stg.xfers, xferRec{
 			to:   nb,
 			port: int(p.ArrivalDir),
 			vc:   granted % m.VCCount,

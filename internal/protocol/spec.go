@@ -160,16 +160,9 @@ type Spec struct {
 	// and must never enter a job's cache identity.
 	HangDumpPath string
 
-	// Shards is the spatial-decomposition width of the sharded tick
-	// engine: the mesh is split into this many contiguous router-id bands,
-	// each ticked by its own worker within a cycle. Zero selects
-	// automatically — sim.AutoShards picks the count from GOMAXPROCS and
-	// the mesh size, and the kernel's occupancy tuner adapts the live
-	// parallelism width during the run. One (and counts above the node
-	// count, which the mesh clamps) runs serially. Simulation output is
-	// byte-identical at every shard count, auto included — the parallel
-	// differential test in internal/verify asserts it — so Shards is a
-	// pure throughput knob and never part of a result's identity.
+	// Shards is ignored: the kernel ticks serially.
+	//
+	// Deprecated: kept so existing callers compile.
 	Shards int
 }
 

@@ -202,7 +202,6 @@ type SubmitRequest struct {
 	MaxCycles int64  `json:"maxCycles,omitempty"`
 	Faults    string `json:"faults,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Metrics   bool   `json:"metrics,omitempty"`
 
 	// Topology overrides the fabric ("mesh:4x4", "torus:8x8", "ring:16");
@@ -269,7 +268,6 @@ func (r SubmitRequest) BuildJob() (exec.Job, error) {
 		Metrics:   exec.MetricsSpec{Enabled: r.Metrics},
 		Faults:    r.Faults,
 		Retries:   r.Retries,
-		Shards:    r.Shards,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -480,5 +481,48 @@ func TestParseTenants(t *testing.T) {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}
+	}
+}
+
+// TestRetiredShardsFieldAccepted: submissions from clients written against
+// the sharded engine still carry "shards". The server must accept such a
+// request and return the result of the same request without the field.
+func TestRetiredShardsFieldAccepted(t *testing.T) {
+	ctx := testCtx(t)
+	run := func(body string) (JobRecord, exec.Result) {
+		t.Helper()
+		srv, err := New(Options{DataDir: t.TempDir(), Workers: 1})
+		if err != nil {
+			t.Fatalf("new server: %v", err)
+		}
+		defer srv.Drain()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		defer resp.Body.Close()
+		var rec JobRecord
+		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil || rec.ID == "" {
+			t.Fatalf("submit %s: status %d, record %+v, decode error %v", body, resp.StatusCode, rec, err)
+		}
+		if rec, err = srv.Wait(ctx, rec.ID); err != nil || rec.State != StateDone {
+			t.Fatalf("wait: %v %+v", err, rec)
+		}
+		res, err := srv.Result(rec.ID)
+		if err != nil {
+			t.Fatalf("result: %v", err)
+		}
+		return rec, res
+	}
+	const base = `"profile":"wsp","engine":"tree","accesses":40`
+	withRec, with := run(`{` + base + `,"shards":2}`)
+	withoutRec, without := run(`{` + base + `}`)
+	if withRec.Hash != withoutRec.Hash {
+		t.Errorf("job hash %s with the shards field, %s without", withRec.Hash, withoutRec.Hash)
+	}
+	if g, w := mustJSON(t, with), mustJSON(t, without); g != w {
+		t.Errorf("result differs with the shards field\n with:    %s\n without: %s", g, w)
 	}
 }

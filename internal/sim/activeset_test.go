@@ -1,21 +1,28 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // parkingTicker is a Parker that ticks while it has work units queued and
 // reports quiescence when drained. Work is handed to it via give(), which
 // mimics a producer: enqueue plus Kernel.Wake.
 type parkingTicker struct {
-	k     *Kernel
-	id    TickerID
-	work  int
-	ticks []int64
+	k      *Kernel
+	id     TickerID
+	work   int
+	ticks  []int64
+	onTick func(now int64)
 }
 
 func (p *parkingTicker) Tick(now int64) {
 	p.ticks = append(p.ticks, now)
 	if p.work > 0 {
 		p.work--
+	}
+	if p.onTick != nil {
+		p.onTick(now)
 	}
 }
 
@@ -197,5 +204,100 @@ func TestRunUntilFastForwardStopsAtLimit(t *testing.T) {
 	}
 	if k.Now() != 100 {
 		t.Fatalf("clock at %d after RunUntil(…, 100), want exactly 100", k.Now())
+	}
+}
+
+// TestShardedWakeTimerHonoredWhileParked: a ticker that parks (its active
+// bit cleared) must still see a Defer(delay>=1) it issued on its last tick
+// fire on schedule, and a WakeAt timer must reactivate it at exactly the
+// requested cycle, even though the cycles in between are fast-forwarded.
+func TestShardedWakeTimerHonoredWhileParked(t *testing.T) {
+	k := NewKernel(1)
+	ps := make([]*parkingTicker, 4)
+	for i := range ps {
+		ps[i] = &parkingTicker{k: k}
+		ps[i].id = k.Register(ps[i])
+	}
+	var deferFired int64 = -1
+	ps[3].work = 1
+	ps[3].onTick = func(now int64) {
+		if now != 1 {
+			return
+		}
+		// Issued mid-tick, reaches the event heap at the end of the
+		// cycle; the issuer parks this same cycle.
+		k.Defer(5, func() {
+			deferFired = k.Now()
+			k.Wake(ps[3].id)
+		})
+		k.WakeAt(9, ps[3].id)
+	}
+	k.Run(20)
+	if deferFired != 6 {
+		t.Errorf("deferred call fired at cycle %d, want 6 (1 + delay 5)", deferFired)
+	}
+	// Cycle 1: every ticker's first tick (then all park). Cycle 6: the
+	// deferred callback's Wake. Cycle 10: the WakeAt(9) timer from cycle 1.
+	if want := []int64{1, 6, 10}; !reflect.DeepEqual(ps[3].ticks, want) {
+		t.Errorf("parked ticker ticked at %v, want %v", ps[3].ticks, want)
+	}
+}
+
+// TestIntraCycleWakeSemantics pins the bitmap walk's ordering contract: a
+// wake to a later-registered ticker lands in the current cycle (the walk
+// has not reached it yet), while a wake to an earlier-registered ticker,
+// whose position the walk already passed, waits for the next cycle.
+func TestIntraCycleWakeSemantics(t *testing.T) {
+	k := NewKernel(1)
+	// A filler parker, then parked target early, the waker, and parked
+	// target late, so the waker sits between its two targets in ID order.
+	filler := &parkingTicker{k: k}
+	filler.id = k.Register(filler)
+	early := &parkingTicker{k: k}
+	early.id = k.Register(early)
+	waker := &parkingTicker{k: k, work: 1 << 20}
+	waker.id = k.Register(waker)
+	late := &parkingTicker{k: k}
+	late.id = k.Register(late)
+
+	waker.onTick = func(now int64) {
+		if now == 3 {
+			k.Wake(late.id)  // ahead of the walk: ticks this cycle
+			k.Wake(early.id) // behind the walk: ticks next cycle
+		}
+	}
+
+	k.Run(5)
+	if want := []int64{1, 3}; !reflect.DeepEqual(late.ticks, want) {
+		t.Errorf("later-ID wake target ticked at %v, want %v (same-cycle wake)", late.ticks, want)
+	}
+	if want := []int64{1, 4}; !reflect.DeepEqual(early.ticks, want) {
+		t.Errorf("earlier-ID wake target ticked at %v, want %v (next-cycle wake)", early.ticks, want)
+	}
+}
+
+// TestIntraCycleWakeAcrossBitmapWords repeats the wake contract across a
+// 64-ticker bitmap word boundary.
+func TestIntraCycleWakeAcrossBitmapWords(t *testing.T) {
+	k := NewKernel(1)
+	ps := make([]*parkingTicker, 130)
+	for i := range ps {
+		ps[i] = &parkingTicker{k: k}
+		ps[i].id = k.Register(ps[i])
+	}
+	waker := ps[70]
+	waker.work = 1 << 20
+	waker.onTick = func(now int64) {
+		if now == 3 {
+			k.Wake(ps[129].id)
+			k.Wake(ps[5].id)
+		}
+	}
+	k.Run(5)
+	if want := []int64{1, 3}; !reflect.DeepEqual(ps[129].ticks, want) {
+		t.Errorf("later-word wake target ticked at %v, want %v", ps[129].ticks, want)
+	}
+	if want := []int64{1, 4}; !reflect.DeepEqual(ps[5].ticks, want) {
+		t.Errorf("earlier-word wake target ticked at %v, want %v", ps[5].ticks, want)
 	}
 }

@@ -90,7 +90,7 @@ func (k *Kernel) DigestState(d *Digest) {
 	d.U64(k.rng.State())
 	d.Int(len(k.slots))
 	for i := range k.slots {
-		d.Bool(k.slots[i].active)
+		d.Bool(k.isActive(TickerID(i)))
 	}
 	evs := make([]event, len(k.events))
 	copy(evs, k.events)

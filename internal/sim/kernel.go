@@ -40,27 +40,21 @@
 // the next scheduled event instead of stepping through cycles in which
 // nothing can happen.
 //
-// # Sharded parallel ticking
+// # Tick order and the end-of-cycle stage
 //
-// Tickers assigned to spatial shards (SetShards + AssignShard) form a second
-// tick segment that can execute on worker goroutines within a cycle,
-// synchronized by a sense-reversing barrier on atomic counters (see
-// shard.go). Unassigned tickers stay in the serial coordinator segment and
-// tick first, in registration order. Sharded tickers must not touch state
-// owned by another shard during their Tick; cross-shard effects are instead
-// deferred — either through Defer, whose queues the kernel drains at the
-// cycle barrier in shard order, or through caller-registered OnBarrier
-// flush hooks (the network's link mailboxes). Because shards hold
-// contiguous ticker ranges and each shard processes its tickers in
-// ascending order, the barrier drain order equals the serial registration
-// order for every shard count — which is what makes parallel output
-// byte-identical to shards=1. Within a busy cycle each shard walks a dense
-// active bitmap over its ID band, so idle routers inside a busy cycle cost
-// nothing — the intra-cycle generalization of the park/fast-forward idea
-// above. SetShards(0 is not a value here; protocol specs use Shards: 0 to
-// request AutoShards) and SetAutoTune cover shard-count selection. See
-// DESIGN.md's shard/barrier section for the full determinism argument.
+// A cycle has three phases. First, due events fire in schedule
+// order. Second, the tick phase: active tickers tick in registration
+// order, found by walking a dense active bitmap so parked tickers cost
+// nothing. Third, the end-of-cycle stage: OnCycleEnd hooks run in
+// registration order (the network's link hand-offs, fault drops and
+// in-network deliveries), then the Defer queue drains in append order.
+// Work a ticker hands to the event heap with Defer therefore gets its
+// schedule sequence number after the cycle's drop handling, and the state
+// digest, which folds that sequence counter and every ticker's activation
+// flag, depends on this order. See DESIGN.md's tick-order section.
 package sim
+
+import "math/bits"
 
 // Ticker is implemented by components that need to perform work every cycle,
 // such as routers and network interfaces.
@@ -150,11 +144,18 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// tickerSlot is one registered ticker plus its activation state.
+// tickerSlot is one registered ticker. Its activation state is the
+// ticker's bit in Kernel.active.
 type tickerSlot struct {
-	t      Ticker
-	parker Parker // non-nil when t implements Parker
-	active bool
+	t       Ticker
+	parker  Parker // non-nil when t implements Parker
+	counted bool   // included in ShardStats (see CountTicks)
+}
+
+// deferredCall is one entry of the end-of-cycle Defer queue.
+type deferredCall struct {
+	delay int64
+	fn    func()
 }
 
 // Kernel is the cycle-driven simulation engine. The zero value is not ready
@@ -163,44 +164,24 @@ type Kernel struct {
 	now        int64
 	seq        uint64
 	slots      []tickerSlot
-	slotShard  []int // per slot: owning shard, or -1 for the coordinator
 	events     eventHeap
 	pending    int // scheduled callbacks (fn events) not yet fired
 	rng        *RNG
 	alwaysTick bool
 
-	// Sharded tick segment (see shard.go). coordActive counts active
-	// coordinator slots; shardActive[s] counts active slots of shard s and
-	// is only touched by the coordinator or by shard s's own worker, so no
-	// counter is ever written concurrently. The same ownership rule covers
-	// shardBits[s], shard s's active bitmap: bit (id - shardLo[s]) is set
-	// exactly when sharded slot id is active, so a busy cycle walks set
-	// bits instead of scanning every slot. coordSlots caches the
-	// coordinator-segment IDs (rebuilt when coordDirty) so Step's serial
-	// segment doesn't re-scan slotShard every cycle.
-	shards      int
-	nSharded    int
-	coordActive int
-	coordSlots  []TickerID
-	coordDirty  bool
-	shardActive []int
-	shardSlots  [][]TickerID
-	shardBits   [][]uint64
-	shardLo     []int
-	inTick      bool
-	deferred    [][]deferredCall
-	barrierFns  []func()
-	workBuf     []int32
-	wb          *workBench
+	// active is the activation bitmap: bit id is set exactly when ticker
+	// id is active, so the tick phase walks set bits instead of scanning
+	// every slot. nActive counts the set bits.
+	active  []uint64
+	nActive int
 
-	// Width auto-tuning (SetAutoTune) and performance accounting
-	// (ShardStats); stats' per-shard slice lives in occSum.
-	autoTune   bool
-	parWidth   int
-	tuneBusy   int64
-	tuneActive int64
-	stats      ShardStats
-	occSum     []int64
+	// inTick is set during the tick phase; Defer consults it. endFns and
+	// deferred are the end-of-cycle stage's hooks and queue.
+	inTick   bool
+	endFns   []func()
+	deferred []deferredCall
+
+	stats ShardStats
 
 	// Hang watchdog (SetWatchdog). fired counts events ever fired — the
 	// kernel's own progress signal — and watchFn adds the caller's
@@ -219,9 +200,7 @@ type Kernel struct {
 // seed. Two kernels built with the same seed and the same component
 // registration order produce bit-identical simulations.
 func NewKernel(seed uint64) *Kernel {
-	k := &Kernel{rng: NewRNG(seed)}
-	k.initShards(1)
-	return k
+	return &Kernel{rng: NewRNG(seed), stats: ShardStats{Width: 1}}
 }
 
 // Now returns the current cycle.
@@ -234,35 +213,37 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // its TickerID for Wake/WakeAt. Tickers start active and must all be
 // registered before the first Step.
 func (k *Kernel) Register(t Ticker) TickerID {
-	s := tickerSlot{t: t, active: true}
+	s := tickerSlot{t: t}
 	if p, ok := t.(Parker); ok {
 		s.parker = p
 	}
+	id := TickerID(len(k.slots))
 	k.slots = append(k.slots, s)
-	k.slotShard = append(k.slotShard, -1)
-	k.coordActive++
-	k.coordDirty = true
-	return TickerID(len(k.slots) - 1)
+	if int(id)>>6 >= len(k.active) {
+		k.active = append(k.active, 0)
+	}
+	k.Wake(id)
+	return id
+}
+
+// CountTicks includes ticker id in the tick accounting ShardStats reports.
+// network.Build counts its routers, so BusyCycles and ActiveSum measure
+// router work.
+func (k *Kernel) CountTicks(id TickerID) { k.slots[id].counted = true }
+
+// isActive reports whether ticker id is active.
+func (k *Kernel) isActive(id TickerID) bool {
+	return k.active[id>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // Wake reactivates a parked ticker. Waking an active ticker is a no-op, so
 // producers call it unconditionally when handing a component new work. A
 // ticker woken during the current cycle's event phase, or by an
 // earlier-registered ticker in the same cycle, ticks in that same cycle.
-// Wake may be called from a shard worker only for tickers of that worker's
-// own shard (the self-wake a router performs when spawning into its own
-// queues); every other caller runs on the coordinator.
 func (k *Kernel) Wake(id TickerID) {
-	s := &k.slots[id]
-	if !s.active {
-		s.active = true
-		if sh := k.slotShard[id]; sh >= 0 {
-			k.shardActive[sh]++
-			off := int(id) - k.shardLo[sh]
-			k.shardBits[sh][off>>6] |= 1 << (uint(off) & 63)
-		} else {
-			k.coordActive++
-		}
+	if !k.isActive(id) {
+		k.active[id>>6] |= 1 << (uint(id) & 63)
+		k.nActive++
 	}
 }
 
@@ -289,9 +270,7 @@ func (k *Kernel) SetAlwaysTick(on bool) {
 	k.alwaysTick = on
 	if on {
 		for i := range k.slots {
-			if !k.slots[i].active {
-				k.Wake(TickerID(i))
-			}
+			k.Wake(TickerID(i))
 		}
 	}
 }
@@ -312,12 +291,30 @@ func (k *Kernel) Schedule(delay int64, fn func()) int64 {
 	return k.now + delay
 }
 
+// Defer is Schedule for code that runs both from events and from ticks.
+// Outside the tick phase it is exactly Schedule(delay, fn). Inside it, the
+// call is queued for the end-of-cycle stage: there, a delay >= 1 goes to
+// Schedule and a delay <= 0 runs fn directly, still in this cycle.
+func (k *Kernel) Defer(delay int64, fn func()) {
+	if !k.inTick {
+		k.Schedule(delay, fn)
+		return
+	}
+	k.deferred = append(k.deferred, deferredCall{delay: delay, fn: fn})
+}
+
+// OnCycleEnd registers a hook run at the end of every cycle, after the
+// tick phase and before the Defer queue drains. Hooks run in registration
+// order; the network uses one to apply its staged link hand-offs, drops
+// and deliveries.
+func (k *Kernel) OnCycleEnd(fn func()) {
+	k.endFns = append(k.endFns, fn)
+}
+
 // Step advances the clock one cycle: the cycle counter increments, due
 // events fire in schedule order (wake timers reactivate their tickers),
-// then active coordinator tickers tick in registration order, then the
-// sharded segment ticks (in parallel when multiple shards have work),
-// followed by the cycle barrier: OnBarrier flush hooks run in registration
-// order and the per-shard Defer queues drain in shard order. Active Parkers
+// active tickers tick in registration order, then the end-of-cycle stage
+// runs the OnCycleEnd hooks and drains the Defer queue. Active Parkers
 // reporting quiescence are parked as they tick.
 func (k *Kernel) Step() {
 	k.now++
@@ -331,47 +328,101 @@ func (k *Kernel) Step() {
 			k.Wake(e.wake)
 		}
 	}
-	if k.coordDirty {
-		k.coordSlots = k.coordSlots[:0]
-		for i := range k.slots {
-			if k.slotShard[i] < 0 {
-				k.coordSlots = append(k.coordSlots, TickerID(i))
-			}
-		}
-		k.coordDirty = false
+	k.inTick = true
+	k.tick()
+	k.inTick = false
+	for _, fn := range k.endFns {
+		fn()
 	}
-	for _, id := range k.coordSlots {
-		s := &k.slots[id]
-		if !s.active {
-			continue
+	for i, d := range k.deferred {
+		if d.delay <= 0 {
+			d.fn()
+		} else {
+			k.Schedule(d.delay, d.fn)
 		}
-		s.t.Tick(k.now)
-		if !k.alwaysTick && s.parker != nil && s.parker.Quiescent() {
-			s.active = false
-			k.coordActive--
-		}
+		k.deferred[i] = deferredCall{} // drop the closure reference
 	}
-	if k.nSharded > 0 {
-		k.inTick = true
-		k.tickShards()
-		k.inTick = false
-		for _, fn := range k.barrierFns {
-			fn()
-		}
-		k.drainDeferred()
-	}
+	k.deferred = k.deferred[:0]
 	if k.watchW > 0 && k.now >= k.watchAt {
 		p := k.fired
 		if k.watchFn != nil {
 			p += k.watchFn()
 		}
-		if p == k.watchLast && k.activeTotal() > 0 {
+		if p == k.watchLast && k.nActive > 0 {
 			k.hung = true
 		}
 		k.watchLast = p
 		k.watchAt = k.now + k.watchW
 	}
 }
+
+// tick is the tick phase: tick every active ticker in ascending ID order,
+// parking quiescent Parkers.
+//
+// The walk follows the active bitmap word by word, re-reading each word as
+// bits are consumed, so a ticker woken mid-phase by an earlier ticker (a
+// producer feeding a consumer registered after it) ticks in this same
+// cycle. A wake to an ID the walk has already passed takes effect next
+// cycle.
+func (k *Kernel) tick() {
+	counted := int64(0)
+	for w := range k.active {
+		var done uint64
+		for {
+			word := k.active[w] &^ done
+			if word == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(word)
+			// Mark every position up to b consumed, not just b: a wake
+			// landing on an earlier ID after this waits for the next
+			// cycle.
+			done |= ^uint64(0) >> uint(63-b)
+			s := &k.slots[w<<6+b]
+			s.t.Tick(k.now)
+			if s.counted {
+				counted++
+			}
+			if !k.alwaysTick && s.parker != nil && s.parker.Quiescent() {
+				k.active[w] &^= 1 << uint(b)
+				k.nActive--
+			}
+		}
+	}
+	if counted > 0 {
+		k.stats.BusyCycles++
+		k.stats.ActiveSum += counted
+	}
+}
+
+// ShardStats is the kernel's tick accounting. All quantities are
+// observational.
+type ShardStats struct {
+	// BusyCycles counts cycles in which at least one counted ticker (see
+	// CountTicks) ticked; ActiveSum is the number of counted ticks, so
+	// ActiveSum/BusyCycles is the mean number of busy routers.
+	BusyCycles int64
+	ActiveSum  int64
+	// ParallelCycles and BarrierWaitNs are always 0: the kernel ticks
+	// serially.
+	//
+	// Deprecated: kept so existing benchmark harnesses compile.
+	ParallelCycles int64
+	BarrierWaitNs  int64
+	// Width is always 1.
+	//
+	// Deprecated: kept so existing benchmark harnesses compile.
+	Width int
+}
+
+// ShardStats returns a snapshot of the kernel's tick accounting.
+func (k *Kernel) ShardStats() ShardStats { return k.stats }
+
+// Shards returns 1.
+//
+// Deprecated: the kernel ticks serially; kept so existing benchmark
+// harnesses compile.
+func (k *Kernel) Shards() int { return 1 }
 
 // SetWatchdog arms the hang watchdog: if, over any window cycles, no event
 // fires and the caller-supplied progress counter does not advance while at
@@ -398,7 +449,7 @@ func (k *Kernel) Hung() bool { return k.hung }
 // cycle before it and let Step fire it. The clock never passes limit-1, so
 // callers' loop bounds hold exactly. Returns whether a skip happened.
 func (k *Kernel) skipIdle(limit int64) bool {
-	if k.activeTotal() != 0 || k.alwaysTick {
+	if k.nActive != 0 || k.alwaysTick {
 		return false
 	}
 	target := limit - 1

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -207,4 +209,55 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
+}
+
+// TestDeferDelayedMatchesSchedule checks the Defer regimes. From the tick
+// phase, delay <= 0 runs at the end of the deferring cycle (Now unchanged)
+// and delay >= 1 lands on the event heap exactly as Schedule(delay, fn)
+// from the end of the cycle would. Outside the tick phase Defer is
+// Schedule, next-cycle clamp included.
+func TestDeferDelayedMatchesSchedule(t *testing.T) {
+	k := NewKernel(1)
+	var endAt, delayedAt, eventAt int64 = -1, -1, -1
+	k.Register(&funcTicker{func(now int64) {
+		if now == 2 {
+			k.Defer(0, func() { endAt = k.Now() })
+			k.Defer(3, func() { delayedAt = k.Now() })
+		}
+	}})
+	k.Schedule(6, func() {
+		k.Defer(0, func() { eventAt = k.Now() })
+	})
+	k.Run(10)
+	if endAt != 2 {
+		t.Errorf("end-of-cycle call ran at cycle %d, want 2", endAt)
+	}
+	if delayedAt != 5 {
+		t.Errorf("delayed Defer fired at cycle %d, want 5 (2 + delay 3)", delayedAt)
+	}
+	if eventAt != 7 {
+		t.Errorf("Defer(0) from an event fired at cycle %d, want 7 (next cycle)", eventAt)
+	}
+}
+
+// TestCycleEndHooksRunBeforeDrainInOrder checks the end-of-cycle stage:
+// after the tick phase, OnCycleEnd hooks run in registration order, then
+// the Defer queue drains in append order.
+func TestCycleEndHooksRunBeforeDrainInOrder(t *testing.T) {
+	k := NewKernel(1)
+	var seq []string
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("drain-%d", i)
+		k.Register(&funcTicker{func(now int64) {
+			seq = append(seq, "tick")
+			k.Defer(0, func() { seq = append(seq, name) })
+		}})
+	}
+	k.OnCycleEnd(func() { seq = append(seq, "hook-a") })
+	k.OnCycleEnd(func() { seq = append(seq, "hook-b") })
+	k.Step()
+	want := []string{"tick", "tick", "hook-a", "hook-b", "drain-0", "drain-1"}
+	if !reflect.DeepEqual(seq, want) {
+		t.Errorf("cycle sequence %v, want %v", seq, want)
+	}
 }

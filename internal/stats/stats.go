@@ -216,10 +216,9 @@ func (s Summary) String() string {
 }
 
 // Counters is a string-keyed event counter set for protocol bookkeeping
-// (teardowns spawned, deadlocks recovered, victim hits, ...). Inc is called
-// from the sharded route phase, so the map is mutex-guarded; counter totals
-// are order-independent, which keeps results byte-identical across shard
-// counts.
+// (teardowns spawned, deadlocks recovered, victim hits, ...). The map is
+// mutex-guarded, so a Counters value may be shared across goroutines; the
+// simulator itself updates it from one goroutine.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]int64

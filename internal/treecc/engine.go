@@ -26,9 +26,8 @@ type Engine struct {
 
 	// homeQueue holds requests that reached the home node while the
 	// line's tree was being torn down; they are re-released when the
-	// teardown completes (Requirement 1). The maps are per home node —
-	// every access happens at an address's home, so partitioning by node
-	// pins each map to one shard of the sharded tick engine.
+	// teardown completes (Requirement 1). The maps are per home node:
+	// every access happens at an address's home.
 	homeQueue []map[uint64][]*protocol.Msg
 
 	// pending marks addresses whose home is currently producing a reply
@@ -42,20 +41,22 @@ type Engine struct {
 	// tree is torn down, modeling the paper's piggybacking of the
 	// root's data in the acknowledgment that terminates at the home
 	// node (the victim-caching optimization). One tree exists per
-	// address at a time, so the map is keyed by address; it is written
-	// at the root's shard and read at the home's, hence the mutex.
+	// address at a time, so the map is keyed by address. It is written
+	// at the root and read at the home; the mutex guarding it is
+	// uncontended, since the simulator runs on one goroutine.
 	rootData map[uint64]uint64
 	rootMu   sync.Mutex
 
 	// queued counts entries across homeQueue, pending and backoff waits,
-	// for Quiesced. Route-phase code on different shards updates it
-	// concurrently, so it is atomic; Quiesced reads it between cycles.
+	// for Quiesced. Updates are atomic, although route-phase code and
+	// the event phase run on one goroutine; Quiesced reads it between
+	// cycles.
 	queued int64
 
 	// genCounters are the per-node tree-line generation stamps (see
 	// TreeLine.Gen). Generations are only ever compared within one
-	// node's tree cache, so per-node counters — which sharded ticking
-	// requires — stamp equivalently to the old global counter.
+	// node's tree cache, so per-node counters stamp equivalently to a
+	// global counter.
 	genCounters []uint64
 
 	// Bugs is the seeded-defect mask (see Bug). Zero — the only value
@@ -118,7 +119,7 @@ func (e *Engine) nextGen(node int) uint64 {
 }
 
 // setRootData and takeRootData guard the root-data victim map: the capture
-// happens at the tree root's shard mid-tick, the consumption at the home's.
+// happens at the tree root mid-tick, the consumption at the home.
 func (e *Engine) setRootData(addr uint64, version uint64) {
 	e.rootMu.Lock()
 	e.rootData[addr] = version
@@ -430,8 +431,7 @@ func (e *Engine) MetricsGauges() (occupancy, queueDepth int) {
 // --- pending / home-queue management -----------------------------------
 //
 // All of these run at an address's home node (route phase at the home's
-// router, or event-phase home work), so the per-node maps are only ever
-// touched by the home's own shard or the coordinator.
+// router, or event-phase home work).
 
 func (e *Engine) setPending(addr uint64) {
 	p := e.pending[e.home(addr)]
@@ -499,7 +499,7 @@ func (e *Engine) teardownComplete(addr uint64) {
 			e.m.Metrics.Event(now, metrics.EvHomeDrained, int16(home), addr, int64(w.Requester))
 		}
 	}
-	e.m.Defer(home, 1, func() {
+	e.m.Kernel.Defer(1, func() {
 		if first.Type == protocol.WrReq {
 			e.grantWrite(home, first)
 		} else {

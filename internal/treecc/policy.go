@@ -105,7 +105,7 @@ func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
 	atomic.AddInt64(&e.queued, 1)
 	e.m.Counters.Inc("tree.backoffs", 1)
 	e.m.Metrics.Event(now, metrics.EvBackoff, int16(home), msg.Addr, delay)
-	e.m.Defer(home, delay, func() {
+	e.m.Kernel.Defer(delay, func() {
 		atomic.AddInt64(&e.queued, -1)
 		e.m.Mesh.Spawn(home, e.packet(home, msg), e.m.Kernel.Now())
 	})
@@ -114,10 +114,8 @@ func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
 
 // backoffDelay draws the deadlock-recovery backoff as a pure splitmix64-style
 // hash of (seed, addr, requester, cycle), the same stateless scheme the
-// fault layer's schedules use. Backoffs are drawn inside the sharded route
-// phase, where consuming a shared RNG stream would make the draw order —
-// and with it every downstream value — depend on shard interleaving; a
-// site-keyed hash is identical at every shard count by construction.
+// fault layer's schedules use. A site-keyed hash consumes no shared RNG
+// stream, so a draw never shifts any other random value.
 func backoffDelay(seed, addr uint64, requester int, now, lo, hi int64) int64 {
 	x := seed ^ addr*0x9e3779b97f4a7c15 ^ uint64(requester)<<40 ^ uint64(now)*0xbf58476d1ce4e5b9
 	x ^= x >> 30

@@ -28,12 +28,9 @@ import (
 // Engines are required to report every data-cache line validation and
 // invalidation so the copy registry is exact.
 //
-// The mutex guards every map and list: checks fire from the sharded route
-// phase (sharer-serve read sampling, teardown copy invalidation) as well as
-// from the serial event phase. Each check is keyed by line address and the
-// protocol serializes conflicting accesses to a line, so same-cycle checks
-// from different shards touch different lines and locking order never
-// affects results.
+// The mutex guards every map and list. The simulator calls the checker
+// from one goroutine (router ticks and the event phase alike), so the lock
+// is uncontended; whether it can go is left to a measured follow-up.
 type Checker struct {
 	mu        sync.Mutex
 	version   map[uint64]uint64       // committed version per line

@@ -63,15 +63,6 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 -metrics \
     -metrics-out "$(mktemp -d)/metrics.csv" -flight-dump >/dev/null
 
-# Sharded-engine smoke under the race detector: a small mesh split across 2
-# worker shards must complete the fig5 rows with results identical to serial
-# (the differential test asserts identity; this exercises the full CLI path
-# with real goroutines under race), then again with -shards 0 so the
-# auto-tuned path — AutoShards sizing plus the live occupancy width tuner —
-# runs its sense-reversing barrier and bitmap walks under race too.
-go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 2 -shards 2 >/dev/null
-go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 2 -shards 0 >/dev/null
-
 # Topology smoke under the race detector: the fig5 sweep on a torus with
 # hardware multicast and on a ring, exercising the non-mesh routing and the
 # in-fabric invalidation forking through the full CLI path.
@@ -79,101 +70,6 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology torus:4x4 -multicast >/dev/null
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology ring:16 >/dev/null
-
-# Parallel benchmark smoke: the 16x16 sharded-mesh series (including the
-# -shards 0 auto row) plus the barrier microbenchmarks, recorded with the
-# host CPU count as BENCH_parallel.json so shard-engine regressions show up
-# in review diffs. Each shard row carries three unit-tagged metrics — ns/op
-# (simulation only; protocol.Build is excluded from the timer), occ-tickers
-# (mean active routers per busy cycle), and barrier-wait-ns (coordinator
-# time parked at the completion barrier per op) — so a slowdown is
-# attributable to routing work, occupancy, or synchronization. One iteration
-# by default (a smoke, not a measurement); set PARALLEL_BENCHTIME (e.g. 5x)
-# to refresh the committed numbers. On a single-core host the parallel rows
-# measure scheduling overhead, not speedup — the recorded cpus field says
-# which regime produced the numbers (see EXPERIMENTS.md).
-: "${PARALLEL_BENCHTIME:=1x}"
-OLD_PARALLEL=$(mktemp)
-cp BENCH_parallel.json "$OLD_PARALLEL" 2>/dev/null || OLD_PARALLEL=
-{
-    go test -run '^$' -bench 'ParallelMesh' -benchtime "$PARALLEL_BENCHTIME" .
-    go test -run '^$' -bench 'Barrier' -benchtime "$PARALLEL_BENCHTIME" ./internal/sim
-} | awk -v ncpu="$(nproc)" '
-        $1 ~ /^BenchmarkParallelMesh\// {
-            name = $1; sub(/-[0-9]+$/, "", name); sub(/^.*shards=/, "", name)
-            order[n++] = name
-            for (i = 2; i <= NF; i++) {
-                if ($(i+1) == "ns/op")          ns[name] = $i
-                if ($(i+1) == "occ-tickers")    occ[name] = $i
-                if ($(i+1) == "barrier-wait-ns") bw[name] = $i
-                if ($(i+1) == "sim-cycles")     cycles = $i
-            }
-        }
-        $1 ~ /^BenchmarkBarrier(Channel|Sense)/ {
-            name = $1; sub(/-[0-9]+$/, "", name); sub(/^BenchmarkBarrier/, "", name)
-            for (i = 2; i <= NF; i++) if ($(i+1) == "ns/op") bar[name] = $i
-        }
-        END {
-            if (n == 0 || bar["Channel"] == "" || bar["Sense"] == "") {
-                print "bench output missing" > "/dev/stderr"; exit 1
-            }
-            printf "{\n"
-            printf "  \"benchmark\": \"ParallelMesh\",\n"
-            printf "  \"config\": \"16x16 mesh, tree engine, bar profile, 40 accesses/node; ns/op excludes protocol.Build\",\n"
-            printf "  \"host_cpus\": %d,\n", ncpu
-            printf "  \"sim_cycles\": %s,\n", cycles
-            for (i = 0; i < n; i++) {
-                s = order[i]
-                printf "  \"shards_%s_ns_per_op\": %s,\n", s, ns[s]
-                printf "  \"shards_%s_occ_tickers\": %s,\n", s, occ[s]
-                printf "  \"shards_%s_barrier_wait_ns\": %s,\n", s, bw[s]
-            }
-            printf "  \"barrier_channel_ns_per_op\": %s,\n", bar["Channel"]
-            printf "  \"barrier_sense_ns_per_op\": %s,\n", bar["Sense"]
-            printf "  \"speedup_4_shards\": %.2f\n", ns["1"] / ns["4"]
-            printf "}\n"
-        }' > BENCH_parallel.json
-cat BENCH_parallel.json
-
-# Advisory benchmark diff against the previously committed numbers: a >10%
-# timing regression prints loudly but does not fail the check, because the
-# default 1x smoke is too noisy to gate on. To gate for real, refresh with
-# PARALLEL_BENCHTIME=5x and run tools/benchdiff.sh by hand (it exits 1 on
-# regression).
-if [ -n "$OLD_PARALLEL" ]; then
-    tools/benchdiff.sh "$OLD_PARALLEL" BENCH_parallel.json ||
-        echo "benchdiff: ADVISORY — smoke-run numbers regressed vs committed; rerun with PARALLEL_BENCHTIME=5x before trusting this" >&2
-fi
-
-# SoA serial record: the structure-of-arrays router refactor's serial win,
-# recorded as BENCH_soa.json. The pre-SoA reference is a fixed constant
-# (run-only ns/op, interleaved A/B median measured on the 1-cpu CI host when
-# the refactor landed) because the pre-SoA code no longer exists to re-run;
-# the current number is this run's shards=1 row. Cross-host comparisons of
-# the speedup field are only meaningful when host_cpus matches the
-# reference_host_cpus recorded beside it. Override SOA_BASELINE_NS to re-A/B
-# on new hardware (measure the old code via git worktree at the pre-SoA
-# commit with the same StopTimer methodology).
-: "${SOA_BASELINE_NS:=278778224}"
-awk -v base="$SOA_BASELINE_NS" -v ncpu="$(nproc)" '
-    /"shards_1_ns_per_op"/       { gsub(/[",]/, ""); ns = $2 }
-    /"barrier_channel_ns_per_op"/ { gsub(/[",]/, ""); ch = $2 }
-    /"barrier_sense_ns_per_op"/   { gsub(/[",]/, ""); se = $2 }
-    END {
-        if (ns == "") { print "BENCH_parallel.json missing serial row" > "/dev/stderr"; exit 1 }
-        printf "{\n"
-        printf "  \"benchmark\": \"SoARouter\",\n"
-        printf "  \"config\": \"16x16 mesh, tree engine, bar profile, 40 accesses/node, serial; run-only ns/op (Build excluded)\",\n"
-        printf "  \"host_cpus\": %d,\n", ncpu
-        printf "  \"reference_host_cpus\": 1,\n"
-        printf "  \"pre_soa_serial_ns_per_op\": %s,\n", base
-        printf "  \"soa_serial_ns_per_op\": %s,\n", ns
-        printf "  \"barrier_channel_ns_per_op\": %s,\n", ch
-        printf "  \"barrier_sense_ns_per_op\": %s,\n", se
-        printf "  \"serial_speedup\": %.2f\n", base / ns
-        printf "}\n"
-    }' BENCH_parallel.json > BENCH_soa.json
-cat BENCH_soa.json
 
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
