@@ -15,21 +15,31 @@
 // live here so all three cache users share one replacement implementation.
 package cache
 
+// pageSets is the number of consecutive sets one storage page covers. A page
+// is the unit of lazy allocation: large enough that a touched page costs one
+// allocation for many sets, small enough that a short trace on a 2 MB L2
+// touches only a fraction of the capacity. It is a constant, not a knob,
+// because it changes no observable behaviour, only memory footprint.
+const pageSets = 64
+
 // Cache is a set-associative cache mapping line addresses to a payload of
 // type V. It is a pure tag store: timing is modeled by its callers.
+//
+// Storage is a table of fixed-size pages, each a flat run of lines for
+// pageSets consecutive sets (set-major, way-minor). A page is allocated the
+// first time an insert touches one of its sets; a set on a missing page is
+// empty. Pages are never moved or regrown, so payload pointers stay valid
+// until their line is evicted or invalidated.
 type Cache[V any] struct {
-	sets    []set[V]
+	pages   [][]line[V]
 	ways    int
 	numSets int
 	clock   uint64
+	live    int // valid lines, so Len is O(1)
 
 	// Hits and Misses count Lookup results for miss-rate reporting.
 	Hits   int64
 	Misses int64
-}
-
-type set[V any] struct {
-	lines []line[V]
 }
 
 type line[V any] struct {
@@ -41,16 +51,17 @@ type line[V any] struct {
 
 // New returns a cache with the given total number of entries and
 // associativity. It panics if entries is not a positive multiple of ways.
+// No line storage is allocated until the first insert.
 func New[V any](entries, ways int) *Cache[V] {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("cache: entries must be a positive multiple of ways")
 	}
 	numSets := entries / ways
-	c := &Cache[V]{ways: ways, numSets: numSets, sets: make([]set[V], numSets)}
-	for i := range c.sets {
-		c.sets[i].lines = make([]line[V], ways)
+	return &Cache[V]{
+		ways:    ways,
+		numSets: numSets,
+		pages:   make([][]line[V], (numSets+pageSets-1)/pageSets),
 	}
-	return c
 }
 
 // Ways returns the associativity.
@@ -70,12 +81,34 @@ func (c *Cache[V]) addrOf(setIdx int, tag uint64) uint64 {
 	return tag*uint64(c.numSets) + uint64(setIdx)
 }
 
+// set returns the ways of set setIdx, or nil if its page is not allocated
+// (every way invalid).
+func (c *Cache[V]) set(setIdx int) []line[V] {
+	p := c.pages[uint(setIdx)/pageSets]
+	if p == nil {
+		return nil
+	}
+	off := uint(setIdx) % pageSets * uint(c.ways)
+	return p[off : off+uint(c.ways)]
+}
+
+// fillSet is set for the insert paths: it allocates the set's page first if
+// it is missing. The last page is cut to the sets that exist.
+func (c *Cache[V]) fillSet(setIdx int) []line[V] {
+	pi := uint(setIdx) / pageSets
+	if c.pages[pi] == nil {
+		sets := min(pageSets, c.numSets-int(pi)*pageSets)
+		c.pages[pi] = make([]line[V], sets*c.ways)
+	}
+	return c.set(setIdx)
+}
+
 func (c *Cache[V]) find(addr uint64) *line[V] {
-	s := &c.sets[c.setIndex(addr)]
+	s := c.set(c.setIndex(addr))
 	tag := c.tag(addr)
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].tag == tag {
-			return &s.lines[i]
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			return &s[i]
 		}
 	}
 	return nil
@@ -113,29 +146,32 @@ func (c *Cache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal V, 
 		ln.lru = c.clock
 		return &ln.val, 0, evictedVal, false
 	}
-	s := &c.sets[c.setIndex(addr)]
+	setIdx := c.setIndex(addr)
+	s := c.fillSet(setIdx)
 	victim := -1
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	for i := range s {
+		if !s[i].valid {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
 		victim = 0
-		for i := 1; i < len(s.lines); i++ {
-			if s.lines[i].lru < s.lines[victim].lru {
+		for i := 1; i < len(s); i++ {
+			if s[i].lru < s[victim].lru {
 				victim = i
 			}
 		}
 		evicted = true
-		evictedAddr = c.addrOf(c.setIndex(addr), s.lines[victim].tag)
-		evictedVal = s.lines[victim].val
+		evictedAddr = c.addrOf(setIdx, s[victim].tag)
+		evictedVal = s[victim].val
+	} else {
+		c.live++
 	}
 	c.clock++
 	var zero V
-	s.lines[victim] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-	return &s.lines[victim].val, evictedAddr, evictedVal, evicted
+	s[victim] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
+	return &s[victim].val, evictedAddr, evictedVal, evicted
 }
 
 // InsertNoEvict allocates a line for addr only if the set has an invalid
@@ -148,13 +184,14 @@ func (c *Cache[V]) InsertNoEvict(addr uint64) (*V, bool) {
 		ln.lru = c.clock
 		return &ln.val, true
 	}
-	s := &c.sets[c.setIndex(addr)]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	s := c.fillSet(c.setIndex(addr))
+	for i := range s {
+		if !s[i].valid {
 			c.clock++
+			c.live++
 			var zero V
-			s.lines[i] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-			return &s.lines[i].val, true
+			s[i] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
+			return &s[i].val, true
 		}
 	}
 	return nil, false
@@ -168,6 +205,7 @@ func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 		v := ln.val
 		ln.valid = false
 		ln.val = zero
+		c.live--
 		return v, true
 	}
 	return zero, false
@@ -176,9 +214,12 @@ func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 // HasFreeWay reports whether the set addr maps to has at least one invalid
 // way.
 func (c *Cache[V]) HasFreeWay(addr uint64) bool {
-	s := &c.sets[c.setIndex(addr)]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	s := c.set(c.setIndex(addr))
+	if s == nil {
+		return true
+	}
+	for i := range s {
+		if !s[i].valid {
 			return true
 		}
 	}
@@ -190,52 +231,54 @@ func (c *Cache[V]) HasFreeWay(addr uint64) bool {
 // accepts every valid line. The line addressed by addr itself is excluded.
 func (c *Cache[V]) LRUVictim(addr uint64, keep func(lineAddr uint64, v *V) bool) (uint64, *V, bool) {
 	setIdx := c.setIndex(addr)
-	s := &c.sets[setIdx]
+	s := c.set(setIdx)
 	tag := c.tag(addr)
 	best := -1
-	for i := range s.lines {
-		ln := &s.lines[i]
+	for i := range s {
+		ln := &s[i]
 		if !ln.valid || ln.tag == tag {
 			continue
 		}
 		if keep != nil && !keep(c.addrOf(setIdx, ln.tag), &ln.val) {
 			continue
 		}
-		if best < 0 || ln.lru < s.lines[best].lru {
+		if best < 0 || ln.lru < s[best].lru {
 			best = i
 		}
 	}
 	if best < 0 {
 		return 0, nil, false
 	}
-	return c.addrOf(setIdx, s.lines[best].tag), &s.lines[best].val, true
+	return c.addrOf(setIdx, s[best].tag), &s[best].val, true
 }
 
 // ScanSet calls fn for every valid line in addr's set until fn returns
 // false.
 func (c *Cache[V]) ScanSet(addr uint64, fn func(lineAddr uint64, v *V) bool) {
 	setIdx := c.setIndex(addr)
-	s := &c.sets[setIdx]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	s := c.set(setIdx)
+	for i := range s {
+		if !s[i].valid {
 			continue
 		}
-		if !fn(c.addrOf(setIdx, s.lines[i].tag), &s.lines[i].val) {
+		if !fn(c.addrOf(setIdx, s[i].tag), &s[i].val) {
 			return
 		}
 	}
 }
 
-// ScanAll calls fn for every valid line in the cache until fn returns
-// false. It is used by structural invariant checks at quiescence.
+// ScanAll calls fn for every valid line in the cache, in set order and way
+// order within a set, until fn returns false. It is used by structural
+// invariant checks at quiescence and by state digests. Unallocated pages
+// hold no valid lines and are skipped.
 func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
-	for setIdx := range c.sets {
-		s := &c.sets[setIdx]
-		for i := range s.lines {
-			if !s.lines[i].valid {
+	for pi, p := range c.pages {
+		for i := range p {
+			if !p[i].valid {
 				continue
 			}
-			if !fn(c.addrOf(setIdx, s.lines[i].tag), &s.lines[i].val) {
+			setIdx := pi*pageSets + i/c.ways
+			if !fn(c.addrOf(setIdx, p[i].tag), &p[i].val) {
 				return
 			}
 		}
@@ -243,17 +286,7 @@ func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
 }
 
 // Len returns the number of valid lines currently held.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for setIdx := range c.sets {
-		for i := range c.sets[setIdx].lines {
-			if c.sets[setIdx].lines[i].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache[V]) Len() int { return c.live }
 
 // MissRate returns Misses/(Hits+Misses), or 0 before any lookup.
 func (c *Cache[V]) MissRate() float64 {

@@ -36,6 +36,8 @@ type dirEntry struct {
 	queue       []*protocol.Msg // requests serialized behind busy/evicting
 }
 
+// bit is node n's sharer bit. protocol.Spec.Validate keeps n below
+// protocol.MaxDirectoryNodes, so the bitset never drops a node.
 func bit(n int) uint64 { return 1 << uint(n) }
 
 // Engine is the baseline protocol engine.

@@ -104,6 +104,11 @@ func RegisterEngineBuilder(k EngineKind, build func(*Machine) Engine) {
 	engineBuilders[k] = build
 }
 
+// MaxDirectoryNodes is the largest machine the directory engine can run:
+// its full-map directory entries hold sharers in a 64-bit bitset. The tree
+// engine has no such limit.
+const MaxDirectoryNodes = 64
+
 // Spec is the declarative machine construction request: everything Build
 // needs to produce a runnable simulation in one call. It replaces the
 // previous positional NewMachine(cfg, tr, think) plus
@@ -179,6 +184,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Engine >= numEngineKinds {
 		return fmt.Errorf("protocol: unknown engine kind %d", s.Engine)
+	}
+	if s.Engine == KindDirectory && s.Config.Nodes() > MaxDirectoryNodes {
+		return fmt.Errorf("protocol: directory engine supports at most %d nodes (full-map sharer bitset), got %d",
+			MaxDirectoryNodes, s.Config.Nodes())
 	}
 	if s.Faults != nil {
 		if err := s.Faults.Spec.Validate(); err != nil {

@@ -122,7 +122,7 @@ cat BENCH_serve.json
 # (e.g. 5x) to refresh the committed numbers.
 : "${KERNEL_BENCHTIME:=1x}"
 go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
-    awk '
+    awk -v host_cpus="$(nproc)" '
         $1 ~ /^BenchmarkKernelIdleMesh/ {
             name = $1; sub(/-[0-9]+$/, "", name)
             ns[name] = $3; cycles[name] = $5
@@ -134,6 +134,7 @@ go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
             printf "{\n"
             printf "  \"benchmark\": \"KernelIdleMesh\",\n"
             printf "  \"config\": \"8x8 mesh, tree engine, bar profile, think=200, 120 accesses/node\",\n"
+            printf "  \"host_cpus\": %s,\n", host_cpus
             printf "  \"active_set_ns_per_op\": %s,\n", a
             printf "  \"always_tick_ns_per_op\": %s,\n", t
             printf "  \"sim_cycles\": %s,\n", cycles["BenchmarkKernelIdleMesh"]
