@@ -129,48 +129,14 @@ func main() {
 	flag.StringVar(&sf.cancel, "cancel", "", "client: cancel a queued or running job")
 	flag.BoolVar(&sf.stats, "stats", false, "client: print server queue/tenant/cache statistics")
 
-	var cf clusterFlags
-	flag.StringVar(&cf.coordinator, "coordinator", "", "run the cluster coordinator on this listen address instead of an experiment (serves the same job API, fanning work out to joined workers)")
-	flag.StringVar(&cf.coordData, "coord-data", "", "coordinator persistence root (job records, migration snapshots, result cache; empty = in-memory only)")
-	flag.DurationVar(&cf.lease, "lease", 0, "coordinator: worker heartbeat lease; a worker missing it has its jobs reassigned (0 = default 3s)")
-	flag.BoolVar(&cf.fallback, "local-fallback", false, "coordinator: run jobs in-process while zero workers are alive instead of queueing them")
-	flag.StringVar(&cf.join, "join", "", "with -serve: register this worker with the coordinator at this URL and heartbeat it")
-	flag.StringVar(&cf.advertise, "advertise", "", "with -join: URL the coordinator reaches this worker at (default http://127.0.0.1<-serve addr>)")
-	flag.StringVar(&cf.workerID, "worker-id", "", "with -join: stable worker identity across restarts (default hostname + listen address)")
-	flag.StringVar(&cf.chaos, "chaos", "", "run an in-process cluster chaos campaign with this kill/partition spec (see internal/cluster; \"none\" = fault-free baseline) and print a JSON summary")
-	flag.IntVar(&cf.chaosWorkers, "chaos-workers", 3, "chaos: worker fleet size")
-	flag.IntVar(&cf.chaosJobs, "chaos-jobs", 8, "chaos: batch size; every result is verified against a direct run")
-	flag.Int64Var(&cf.chaosTicks, "chaos-ticks", 50, "chaos: campaign window in ticks (100ms each); the batch may run on past it fault-free")
-	flag.StringVar(&cf.chaosDir, "chaos-dir", "", "chaos: harness data root (empty = a temp dir, removed afterwards)")
 	flag.Parse()
 
 	if *list {
 		printList(os.Stdout)
 		return
 	}
-	if cf.coordinator != "" {
-		if err := runCoordinator(os.Stdout, cf); err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cf.chaos != "" {
-		if err := runChaos(os.Stdout, cf, *accesses, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if sf.addr != "" {
-		cf.slots = sf.workers
-		var err error
-		if cf.join != "" {
-			err = runWorker(os.Stdout, sf, cf)
-		} else {
-			err = runServe(os.Stdout, sf)
-		}
-		if err != nil {
+		if err := runServe(os.Stdout, sf); err != nil {
 			fmt.Fprintln(os.Stderr, "innetcc:", err)
 			os.Exit(1)
 		}

@@ -157,24 +157,6 @@ func (s Snapshot) CompatibleWith(j Job) bool {
 	return s.Job.Hash() == j.Hash() && s.Attempt <= j.Retries
 }
 
-// HandoffSnapshot decodes a snapshot that arrived from another host (the
-// serving layer's snapshot-export endpoint ships the raw encoded bytes) and
-// verifies it belongs to the job it is supposed to resume. The snapshot
-// format is host-independent — spec, replay-target cycle and state digest —
-// so a checkpoint taken on one machine resumes on any other running the
-// same simulation semantics; the digest check at replay time catches the
-// rest.
-func HandoffSnapshot(b []byte, j Job) (*Snapshot, error) {
-	snap, err := DecodeSnapshot(b)
-	if err != nil {
-		return nil, err
-	}
-	if !snap.CompatibleWith(j) {
-		return nil, fmt.Errorf("%w: snapshot is for a different job spec", ErrBadSnapshot)
-	}
-	return &snap, nil
-}
-
 // ReadSnapshot loads and verifies the snapshot at path.
 func ReadSnapshot(path string) (Snapshot, error) {
 	b, err := os.ReadFile(path)

@@ -19,9 +19,9 @@ import (
 
 // APIError is a definitive answer from the server: the request arrived,
 // was processed, and was refused (or failed) with an HTTP status. It is
-// distinct from transport-level failures (wrapped in ErrUnreachable): a
-// coordinator's circuit breaker must count "host down" against the worker
-// but must not punish a worker for correctly rejecting a bad request.
+// distinct from transport-level failures (wrapped in ErrUnreachable): the
+// client retries a server it could not reach, but not one that answered
+// with a final rejection.
 type APIError struct {
 	Status int    // HTTP status code
 	Msg    string // server's error message (may be empty)
@@ -151,13 +151,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
-// Do issues one JSON API request under the client's timeout/retry policy:
-// the exported surface for layers (like the cluster coordinator's client)
-// that add endpoints on top of the same wire conventions.
-func (c *Client) Do(ctx context.Context, method, path string, body, out any) error {
-	return c.do(ctx, method, path, body, out)
-}
-
 // doOnce is a single HTTP attempt.
 func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
 	if c.Timeout > 0 {
@@ -254,33 +247,6 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // Health probes the liveness endpoint.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// SnapshotBytes fetches the job's latest checkpoint bytes (the hand-off
-// export). ErrNoSnapshot-shaped 404s surface as *APIError with status 404.
-func (c *Client) SnapshotBytes(ctx context.Context, id string) ([]byte, error) {
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/snapshot"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: GET snapshot: %v", ErrUnreachable, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{Status: resp.StatusCode, Msg: "GET /v1/jobs/" + id + "/snapshot"}
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: GET snapshot: %v", ErrUnreachable, err)
-	}
-	return b, nil
 }
 
 // Watch consumes the job's server-sent events stream, invoking fn for each

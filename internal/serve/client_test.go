@@ -7,13 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"innetcc/internal/exec"
 )
 
-// TestClientErrorSplit pins the typed-error contract the coordinator's
-// circuit breaker depends on: a server that answers with an error yields
-// *APIError (not unreachable); a server that cannot be reached yields an
+// TestClientErrorSplit pins the typed-error contract the client's retry
+// policy depends on: a server that answers with an error yields *APIError
+// (not unreachable); a server that cannot be reached yields an
 // ErrUnreachable-wrapped error (not an API error).
 func TestClientErrorSplit(t *testing.T) {
 	_, ts := sseServer(t)
@@ -163,86 +161,6 @@ func TestSubscribeAfterReplaysMissedEvents(t *testing.T) {
 	}
 }
 
-// TestSnapshotHandoff covers the export/import pair: a checkpoint exported
-// from one server resumes the same spec on a second server with a result
-// byte-identical to a direct run, and a snapshot for a different spec is
-// rejected at submission.
-func TestSnapshotHandoff(t *testing.T) {
-	ctx := testCtx(t)
-	req := SubmitRequest{Tenant: "t", Profile: "ocn", Engine: "tree", Accesses: 1500}
-
-	srvA, err := New(Options{
-		DataDir:         t.TempDir(),
-		Workers:         1,
-		DefaultQuota:    Quota{MaxRunning: 1},
-		SegmentCycles:   256,
-		CheckpointEvery: 1024,
-	})
-	if err != nil {
-		t.Fatalf("new server A: %v", err)
-	}
-	recA, err := srvA.Submit(req)
-	if err != nil {
-		t.Fatalf("submit on A: %v", err)
-	}
-	var snap []byte
-	waitFor(t, "exportable snapshot on A", func() bool {
-		b, err := srvA.SnapshotBytes(recA.ID)
-		if err != nil {
-			return false
-		}
-		snap = b
-		return true
-	})
-	// Murder A mid-run: no drain, no final checkpoint.
-	srvA.Kill()
-
-	decoded, err := exec.DecodeSnapshot(snap)
-	if err != nil {
-		t.Fatalf("exported snapshot does not decode: %v", err)
-	}
-	if decoded.Cycle <= 0 {
-		t.Fatalf("exported snapshot at cycle %d, want mid-run", decoded.Cycle)
-	}
-
-	srvB, err := New(Options{
-		DataDir:       t.TempDir(),
-		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 1},
-		SegmentCycles: 256,
-	})
-	if err != nil {
-		t.Fatalf("new server B: %v", err)
-	}
-	defer srvB.Drain()
-
-	// A snapshot belonging to a different spec must be rejected loudly.
-	bad := req
-	bad.Accesses++
-	bad.Snapshot = snap
-	if _, err := srvB.Submit(bad); err == nil {
-		t.Fatalf("mismatched hand-off snapshot accepted")
-	}
-
-	move := req
-	move.Snapshot = snap
-	recB, err := srvB.Submit(move)
-	if err != nil {
-		t.Fatalf("hand-off submit on B: %v", err)
-	}
-	if _, err := srvB.Wait(ctx, recB.ID); err != nil {
-		t.Fatalf("wait on B: %v", err)
-	}
-	got, err := srvB.Result(recB.ID)
-	if err != nil {
-		t.Fatalf("result on B: %v", err)
-	}
-	want := directResult(t, req)
-	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
-		t.Errorf("migrated result differs from direct run\n migrated: %s\n direct:   %s", g, w)
-	}
-}
-
 // TestKillLeavesCrashState: Kill must leave the store as a crash would —
 // record still "running", no terminal transition — and a restart over the
 // same directory completes the job from its periodic checkpoints.
@@ -270,8 +188,7 @@ func TestKillLeavesCrashState(t *testing.T) {
 		if err != nil || r.State != StateRunning {
 			return false
 		}
-		_, err = srv1.SnapshotBytes(rec.ID)
-		return err == nil
+		return (&store{dir: dir}).loadSnapshot(&rec) != nil
 	})
 	srv1.Kill()
 

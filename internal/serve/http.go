@@ -16,7 +16,6 @@ import (
 //	GET  /v1/jobs/{id}/result     terminal result payload
 //	POST /v1/jobs/{id}/cancel     cancel queued/running job
 //	GET  /v1/jobs/{id}/events     server-sent events progress stream
-//	GET  /v1/jobs/{id}/snapshot   latest checkpoint bytes (hand-off export)
 //	GET  /v1/stats                queue/tenant/cache accounting
 //	GET  /healthz                 liveness
 func (s *Server) Handler() http.Handler {
@@ -27,7 +26,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
@@ -46,7 +44,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrUnknownJob), errors.Is(err, ErrNoSnapshot):
+	case errors.Is(err, ErrUnknownJob):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrQuotaExceeded):
 		code = http.StatusTooManyRequests
@@ -156,17 +154,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleSnapshot exports the job's latest checkpoint bytes for hand-off to
-// another worker. 404 when the job is unknown or has no usable snapshot.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	b, err := s.SnapshotBytes(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
 }

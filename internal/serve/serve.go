@@ -46,11 +46,6 @@ var ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
 // record of.
 var ErrUnknownJob = errors.New("serve: unknown job")
 
-// ErrNoSnapshot is returned by the snapshot-export path for a job that has
-// no checkpoint on disk (it never ran long enough to write one, or it
-// already finished and the checkpoint was dropped).
-var ErrNoSnapshot = errors.New("serve: no snapshot")
-
 // Server is the simulation-as-a-service scheduler: it owns the job table,
 // the per-tenant accounting, the worker goroutines that drive
 // exec.RunJob, and the persistence store. HTTP handling lives in http.go
@@ -212,14 +207,6 @@ type SubmitRequest struct {
 	Multicast bool   `json:"multicast,omitempty"`
 
 	Config *protocol.Config `json:"config,omitempty"`
-
-	// Snapshot, when non-empty, is an encoded exec.Snapshot (the bytes the
-	// snapshot-export endpoint serves) to resume the job from: checkpoint
-	// hand-off. The snapshot must belong to exactly this job spec; the
-	// server verifies the content hash at submission and the state digest
-	// at replay, so a forged or stale snapshot degrades to a fresh run or
-	// a loud rejection, never a silently different result.
-	Snapshot []byte `json:"snapshot,omitempty"`
 }
 
 // BuildJob resolves the request into the exec.Job it describes.
@@ -307,19 +294,6 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 		done: make(chan struct{}),
 	}
 	s.seq++
-	if len(req.Snapshot) > 0 {
-		// Checkpoint hand-off: stage the migrated snapshot as this job's
-		// own checkpoint so the normal resume path picks it up. A snapshot
-		// that does not decode or belongs to a different spec is rejected
-		// here — accepting it would silently run from scratch while the
-		// submitter believes work was preserved.
-		if _, err := exec.HandoffSnapshot(req.Snapshot, job); err != nil {
-			return JobRecord{}, fmt.Errorf("serve: hand-off snapshot: %w", err)
-		}
-		if err := s.store.putSnapshotBytes(js.rec.ID, req.Snapshot); err != nil {
-			return JobRecord{}, err
-		}
-	}
 	if err := s.store.putJob(&js.rec); err != nil {
 		return JobRecord{}, err
 	}
@@ -494,34 +468,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// SnapshotBytes returns the raw encoded bytes of the job's latest on-disk
-// checkpoint (the snapshot-export payload of GET /v1/jobs/{id}/snapshot).
-// The bytes are returned exactly as the checkpoint writer stored them —
-// verified decodable and belonging to the job — so a coordinator can ship
-// them to another worker unmodified.
-func (s *Server) SnapshotBytes(id string) ([]byte, error) {
-	s.mu.Lock()
-	js := s.jobs[id]
-	var rec JobRecord
-	if js != nil {
-		rec = js.rec
-	}
-	s.mu.Unlock()
-	if js == nil {
-		return nil, ErrUnknownJob
-	}
-	b, err := s.store.snapshotBytes(rec.ID)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := exec.HandoffSnapshot(b, rec.Job); err != nil {
-		// Torn, corrupt or stale file: report "no snapshot" rather than
-		// export bytes no receiver could resume from.
-		return nil, ErrNoSnapshot
-	}
-	return b, nil
-}
-
 // Drain gracefully shuts the server down: no new submissions, running
 // jobs are stopped at their next segment boundary with a final checkpoint
 // written, and every interrupted job is requeued on disk so the next
@@ -536,7 +482,7 @@ func (s *Server) Drain() {
 }
 
 // Kill hard-stops the server, simulating a crash for fault-tolerance
-// tests and the chaos harness: running jobs are interrupted but — unlike
+// tests: running jobs are interrupted but — unlike
 // Drain — no final checkpoints or record transitions are written, so the
 // data directory is left exactly as a kill -9 would leave it (records
 // still marked running, only periodic checkpoints on disk). A New over

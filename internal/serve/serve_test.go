@@ -484,8 +484,9 @@ func TestParseTenants(t *testing.T) {
 	}
 }
 
-// TestRetiredShardsFieldAccepted: submissions from clients written against
-// the sharded engine still carry "shards". The server must accept such a
+// TestRetiredShardsFieldAccepted: submissions from older clients may still
+// carry retired fields: "shards" from the sharded engine, and "snapshot"
+// from checkpoint hand-off between hosts. The server must accept such a
 // request and return the result of the same request without the field.
 func TestRetiredShardsFieldAccepted(t *testing.T) {
 	ctx := testCtx(t)
@@ -517,12 +518,17 @@ func TestRetiredShardsFieldAccepted(t *testing.T) {
 		return rec, res
 	}
 	const base = `"profile":"wsp","engine":"tree","accesses":40`
-	withRec, with := run(`{` + base + `,"shards":2}`)
 	withoutRec, without := run(`{` + base + `}`)
-	if withRec.Hash != withoutRec.Hash {
-		t.Errorf("job hash %s with the shards field, %s without", withRec.Hash, withoutRec.Hash)
-	}
-	if g, w := mustJSON(t, with), mustJSON(t, without); g != w {
-		t.Errorf("result differs with the shards field\n with:    %s\n without: %s", g, w)
+	for field, value := range map[string]string{
+		"shards":   `2`,
+		"snapshot": `"SU5DQ0tQVAE="`,
+	} {
+		withRec, with := run(`{` + base + `,"` + field + `":` + value + `}`)
+		if withRec.Hash != withoutRec.Hash {
+			t.Errorf("job hash %s with the %s field, %s without", withRec.Hash, field, withoutRec.Hash)
+		}
+		if g, w := mustJSON(t, with), mustJSON(t, without); g != w {
+			t.Errorf("result differs with the %s field\n with:    %s\n without: %s", field, g, w)
+		}
 	}
 }

@@ -160,33 +160,3 @@ func (s *store) loadSnapshot(rec *JobRecord) *exec.Snapshot {
 }
 
 func (s *store) dropSnapshot(id string) { os.Remove(s.ckptPath(id)) }
-
-// snapshotBytes reads the job's raw checkpoint file for snapshot export.
-func (s *store) snapshotBytes(id string) ([]byte, error) {
-	b, err := os.ReadFile(s.ckptPath(id))
-	if err != nil {
-		return nil, ErrNoSnapshot
-	}
-	return b, nil
-}
-
-// putSnapshotBytes stages externally supplied checkpoint bytes (a hand-off
-// snapshot from another host) as the job's own checkpoint, atomically.
-func (s *store) putSnapshotBytes(id string, b []byte) error {
-	path := s.ckptPath(id)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt*")
-	if err != nil {
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: snapshot write failed")
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	return nil
-}
