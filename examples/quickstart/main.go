@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 	"innetcc/internal/trace"
 
 	// Blank imports register the engine builders protocol.Build
@@ -70,7 +71,7 @@ func main() {
 		100*(base.Lat.Write.Mean()-tree.Lat.Write.Mean())/base.Lat.Write.Mean())
 
 	fmt.Printf("\nin-network activity: %d reads served by tree sharers, %d teardowns completed, %d write bumps\n",
-		tree.Counters.Get("tree.sharer_serves"),
-		tree.Counters.Get("tree.teardowns_completed"),
-		tree.Counters.Get("tree.write_bumps"))
+		tree.Counters.Get(stats.TreeSharerServes.String()),
+		tree.Counters.Get(stats.TreeTeardownsCompleted.String()),
+		tree.Counters.Get(stats.TreeWriteBumps.String()))
 }

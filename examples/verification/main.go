@@ -15,6 +15,7 @@ import (
 
 	"innetcc/internal/mcheck"
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 	"innetcc/internal/trace"
 
 	// Registers the tree engine builder with protocol.Build.
@@ -69,8 +70,8 @@ func main() {
 	}
 	fmt.Printf("   %d reads + %d writes completed, 0 violations\n", m.Lat.Read.N, m.Lat.Write.N)
 	fmt.Printf("   conflict evictions: %d, deadlock recoveries: %d (timeout+backoff)\n",
-		m.Counters.Get("tree.conflict_evictions"),
-		m.Counters.Get("tree.deadlock_aborts"))
+		m.Counters.Get(stats.TreeConflictEvictions.String()),
+		m.Counters.Get(stats.TreeDeadlockAborts.String()))
 	r, w := m.Lat.DeadlockShare()
 	fmt.Printf("   deadlock recovery share of latency: reads %.2f%%, writes %.2f%%\n", r, w)
 	fmt.Println("   (this stress config is far harsher than Table 4's 4K direct-mapped")

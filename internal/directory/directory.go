@@ -20,6 +20,7 @@ import (
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 )
 
 // dirEntry is one directory cache entry: a full-map sharer vector plus the
@@ -153,14 +154,14 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 		switch {
 		case ok && ep.modified:
 			ep.busy = true
-			e.m.Counters.Inc("dir.fwds", 1)
-			e.m.Metrics.Add(metrics.CDirFwd, 1)
+			e.m.Counters.Inc(stats.DirFwds, 1)
+			e.m.Metrics.Add(stats.MetricDirFwd, 1)
 			e.m.Metrics.Event(now, metrics.EvDirFwd, int16(home), msg.Addr, int64(ep.owner))
 			e.send(home, ep.owner, &protocol.Msg{Type: protocol.Fwd, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
 		case ok && ep.sharers != 0:
 			ep.busy = true
-			e.m.Counters.Inc("dir.fwds", 1)
-			e.m.Metrics.Add(metrics.CDirFwd, 1)
+			e.m.Counters.Inc(stats.DirFwds, 1)
+			e.m.Metrics.Add(stats.MetricDirFwd, 1)
 			e.m.Metrics.Event(now, metrics.EvDirFwd, int16(home), msg.Addr, int64(firstSharer(ep.sharers)))
 			e.send(home, firstSharer(ep.sharers), &protocol.Msg{Type: protocol.Fwd, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
 		default:
@@ -194,18 +195,18 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 }
 
 // sendInvs delivers an invalidation to every node in the targets bitset.
-// Per-target invalidation metrics (CDirInval, the per-node events) are
+// Per-target invalidation metrics (MetricDirInval, the per-node events) are
 // recorded identically on both paths — the protocol work is the same — but
 // the network traffic differs: without multicast each target costs one
 // unicast Inv packet; with Config.Multicast armed the whole round rides ONE
 // destination-set packet the routers fork at fan-out points. The
-// "dir.inv_packets" counter records injected invalidation packets, which is
+// DirInvPackets counter records injected invalidation packets, which is
 // the quantity hardware multicast shrinks.
 func (e *Engine) sendInvs(home int, targets uint64, addr uint64, requester int, now int64) {
 	var set network.NodeSet
 	for n := 0; n < e.m.Cfg.Nodes(); n++ {
 		if targets&bit(n) != 0 {
-			e.m.Metrics.Add(metrics.CDirInval, 1)
+			e.m.Metrics.Add(stats.MetricDirInval, 1)
 			e.m.Metrics.Event(now, metrics.EvDirInval, int16(home), addr, int64(n))
 			set = set.Add(n)
 		}
@@ -214,15 +215,15 @@ func (e *Engine) sendInvs(home int, targets uint64, addr uint64, requester int, 
 	if count == 0 {
 		return
 	}
-	e.m.Counters.Inc("dir.invals", int64(count))
+	e.m.Counters.Inc(stats.DirInvals, int64(count))
 	if e.m.Cfg.Multicast && count > 1 {
-		e.m.Counters.Inc("dir.inv_packets", 1)
+		e.m.Counters.Inc(stats.DirInvPackets, 1)
 		p := e.m.NewPacket(home, set.Min(), &protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester})
 		p.DstSet = set
 		e.m.Mesh.Inject(home, p, now)
 		return
 	}
-	e.m.Counters.Inc("dir.inv_packets", int64(count))
+	e.m.Counters.Inc(stats.DirInvPackets, int64(count))
 	set.ForEach(func(n int) {
 		e.send(home, n, &protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester}, now)
 	})
@@ -236,7 +237,7 @@ func (e *Engine) serveFromHomeOrMemory(home int, msg *protocol.Msg, ep *dirEntry
 	ep.busy = true
 	if cfg.VictimCaching {
 		if _, present := e.m.PeekLine(home, msg.Addr); present {
-			e.m.Counters.Inc("dir.victim_hits", 1)
+			e.m.Counters.Inc(stats.DirVictimHits, 1)
 			e.m.Kernel.Schedule(cfg.L2Latency, func() {
 				now := e.m.Kernel.Now()
 				line, ok := e.m.InvalidateLine(home, msg.Addr, now)
@@ -256,7 +257,7 @@ func (e *Engine) serveFromHomeOrMemory(home int, msg *protocol.Msg, ep *dirEntry
 }
 
 func (e *Engine) serveFromMemory(home int, msg *protocol.Msg) {
-	e.m.Counters.Inc("dir.mem_reads", 1)
+	e.m.Counters.Inc(stats.DirMemReads, 1)
 	e.m.Kernel.Schedule(e.m.Cfg.MemLatency, func() {
 		now := e.m.Kernel.Now()
 		v := e.m.Mem.Read(msg.Addr)
@@ -342,7 +343,7 @@ func (e *Engine) handleFwdDone(home int, msg *protocol.Msg, src int) {
 // handleFwdMiss runs at home when the forwarded-to node had silently
 // evicted the line: drop the stale sharer and retry the read.
 func (e *Engine) handleFwdMiss(home int, msg *protocol.Msg, src int) {
-	e.m.Counters.Inc("dir.fwd_misses", 1)
+	e.m.Counters.Inc(stats.DirFwdMisses, 1)
 	ep, ok := e.dirs[home].Lookup(msg.Addr)
 	if ok {
 		ep.sharers &^= bit(src)
@@ -463,7 +464,7 @@ func (e *Engine) allocEntry(home int, msg *protocol.Msg) *dirEntry {
 		})
 		return nil
 	}
-	e.m.Counters.Inc("dir.evictions", 1)
+	e.m.Counters.Inc(stats.DirEvictions, 1)
 	vep.evicting = true
 	targets := vep.sharers
 	if vep.modified {

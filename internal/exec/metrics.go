@@ -128,12 +128,12 @@ func metricsOut(c *metrics.Collector, includeFlight bool) *MetricsOut {
 		Occupancy:  c.Occupancy.Points(),
 		QueueDepth: c.QueueDepth.Points(),
 	}
-	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
-		if v := c.Get(k); v != 0 {
+	for _, n := range c.Counters.Names() {
+		if v := c.Counters.Get(n); v != 0 {
 			if out.Counters == nil {
-				out.Counters = make(map[string]int64, int(metrics.NumCounters))
+				out.Counters = make(map[string]int64)
 			}
-			out.Counters[k.String()] = v
+			out.Counters[n] = v
 		}
 	}
 	if n := c.NoC; n != nil {

@@ -293,7 +293,7 @@ func Table4(opt Options) ([]Table4Row, error) {
 		}
 		rd, wr := r.DeadlockShare()
 		out = append(out, Table4Row{Bench: p.Name, ReadPct: rd, WritePct: wr,
-			Aborts: r.Counter("tree.deadlock_aborts")})
+			Aborts: r.Counter(stats.TreeDeadlockAborts.String())})
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"innetcc/internal/exec"
 	"innetcc/internal/metrics"
+	"innetcc/internal/stats"
 )
 
 // MetricsEntry pairs a job's display key with its full result, so the
@@ -63,13 +64,14 @@ func PrintMetrics(w io.Writer, log *MetricsLog) {
 			printed = true
 		}
 		fmt.Fprintf(w, "  %-24s", e.Key)
-		for _, name := range counterOrder {
-			if v, ok := m.Counters[name]; ok {
-				fmt.Fprintf(w, " %s=%d", name, v)
+		// Registry order, not map order, fixes the printed order.
+		for k := stats.Counter(0); k < stats.NumCounters; k++ {
+			if v, ok := m.Counters[k.String()]; ok {
+				fmt.Fprintf(w, " %s=%d", k, v)
 			}
 		}
-		if h, ok := m.Counters["tree_hit"]; ok {
-			if miss := m.Counters["tree_miss"]; h+miss > 0 {
+		if h, ok := m.Counters[stats.MetricTreeHit.String()]; ok {
+			if miss := m.Counters[stats.MetricTreeMiss.String()]; h+miss > 0 {
 				fmt.Fprintf(w, " hit%%=%.1f", 100*float64(h)/float64(h+miss))
 			}
 		}
@@ -86,11 +88,6 @@ func printBreakdownRow(w io.Writer, key, class string, c metrics.BreakdownClass)
 		key, class, c.N,
 		float64(c.Total)/n, float64(c.Queue)/n, float64(c.Serial)/n,
 		float64(c.Traversal)/n, float64(c.Controller)/n)
-}
-
-// counterOrder fixes the printed counter order (map iteration is random).
-var counterOrder = []string{
-	"tree_hit", "tree_miss", "tree_bump", "hops_saved", "dir_fwd", "dir_inval",
 }
 
 // PrintFlight renders each job's flight-recorder tail, capped at maxEvents

@@ -23,8 +23,12 @@ type HangError struct {
 	// Report is the machine's stuck-state diagnosis.
 	Report string
 	// DumpPath is the hang dump file (flight recorder + queue occupancy)
-	// written for this hang, empty when dumping was not configured.
+	// written for this hang, empty when dumping was not configured or the
+	// write failed.
 	DumpPath string
+	// DumpErr is why the configured hang dump could not be written, empty
+	// when it was written or not configured.
+	DumpErr string
 }
 
 func (e *HangError) Error() string {
@@ -37,6 +41,9 @@ func (e *HangError) Error() string {
 		cause, e.Cycle, e.Seed, e.Report)
 	if e.DumpPath != "" {
 		fmt.Fprintf(&b, " [dump: %s]", e.DumpPath)
+	}
+	if e.DumpErr != "" {
+		fmt.Fprintf(&b, " [dump failed: %s]", e.DumpErr)
 	}
 	return b.String()
 }

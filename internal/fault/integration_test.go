@@ -172,9 +172,39 @@ func TestRetryBudgetZeroFailsTyped(t *testing.T) {
 
 // TestWatchdogTripDumpsFlightRecorder: a chaos plan that freezes every
 // inter-router link makes routers spin without progress; the watchdog must
-// trip, return a typed hang error, and write the flight-recorder dump.
+// trip, return a typed hang error, and write the flight-recorder dump. When
+// the dump cannot be written, the failure is reported on the error.
 func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
-	dump := filepath.Join(t.TempDir(), "hang-dump.txt")
+	dir := t.TempDir()
+	dump := filepath.Join(dir, "hang-dump.txt")
+	hang := watchdogHang(t, dump)
+	if hang.DumpPath != dump || hang.DumpErr != "" {
+		t.Fatalf("dump path %q (err %q), want %q", hang.DumpPath, hang.DumpErr, dump)
+	}
+	body, rerr := os.ReadFile(dump)
+	if rerr != nil {
+		t.Fatalf("hang dump not written: %v", rerr)
+	}
+	for _, want := range []string{"hang dump:", "stuck:", "router queue occupancy:", "flight recorder"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("dump missing %q section:\n%s", want, body)
+		}
+	}
+
+	missing := filepath.Join(dir, "missing", "hang-dump.txt")
+	hang = watchdogHang(t, missing)
+	if hang.DumpPath != "" {
+		t.Fatalf("dump path %q recorded for a failed write", hang.DumpPath)
+	}
+	if msg := hang.Error(); !strings.Contains(msg, "[dump failed: ") || !strings.Contains(msg, missing) {
+		t.Fatalf("error %q does not name the failed dump write to %s", msg, missing)
+	}
+}
+
+// watchdogHang runs the all-links-frozen plan with the flight recorder on
+// and the hang dump aimed at dump, and returns the watchdog's typed error.
+func watchdogHang(t *testing.T, dump string) *fault.HangError {
+	t.Helper()
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 0xdead
 	cfg.WatchdogCycles = 5000
@@ -202,21 +232,10 @@ func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
 	if m.Kernel.Now() >= 2_000_000 {
 		t.Fatalf("watchdog let the run burn its whole bound (cycle %d)", m.Kernel.Now())
 	}
-	if hang.DumpPath != dump {
-		t.Fatalf("dump path %q, want %q", hang.DumpPath, dump)
-	}
-	body, rerr := os.ReadFile(dump)
-	if rerr != nil {
-		t.Fatalf("hang dump not written: %v", rerr)
-	}
-	for _, want := range []string{"hang dump:", "stuck:", "router queue occupancy:", "flight recorder"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("dump missing %q section:\n%s", want, body)
-		}
-	}
 	if !fault.Transient(err) {
 		t.Fatal("hang must classify as transient")
 	}
+	return hang
 }
 
 // TestCycleBoundHangIsTyped: even without the watchdog, exhausting the

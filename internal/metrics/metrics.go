@@ -1,10 +1,10 @@
-// Package metrics is the cycle-level observability layer: named hot-path
-// counters, cycle-bucketed time series, per-router NoC instrumentation, a
-// per-access latency decomposition and a bounded flight recorder of protocol
-// events. It exposes the internal quantities the paper explains its results
-// with — per-hop latency contributions, tree-cache hit/miss behavior,
-// teardown backpressure, link utilization — that the simulator otherwise
-// computes and throws away.
+// Package metrics is the cycle-level observability layer: hot-path event
+// counters (the stats.Metric* registry entries), cycle-bucketed time series,
+// per-router NoC instrumentation, a per-access latency decomposition and a
+// bounded flight recorder of protocol events. It exposes the internal
+// quantities the paper explains its results with — per-hop latency
+// contributions, tree-cache hit/miss behavior, teardown backpressure, link
+// utilization — that the simulator otherwise computes and throws away.
 //
 // The package is built around a nil-sink fast path: every probe is either a
 // method on a possibly-nil *Collector or a nil check on an instrumentation
@@ -20,56 +20,7 @@
 // simulated time advances.
 package metrics
 
-import "sync/atomic"
-
-// Counter identifies a hot-path metric counter. Counters are array slots
-// rather than map keys so a per-hop increment is one indexed add.
-type Counter uint8
-
-// Hot-path counters. Tree counters are request-side (RdReq/WrReq lookups in
-// the per-router virtual tree caches), matching the paper's narrative of
-// requests bumping into trees; reply-side lookups are construction work and
-// are not counted here.
-const (
-	// CTreeHit counts request lookups that found a live (untouched) tree
-	// line at a router.
-	CTreeHit Counter = iota
-	// CTreeMiss counts request lookups that found no usable tree line.
-	CTreeMiss
-	// CTreeBump counts requests steered along a tree link toward the
-	// root/data instead of continuing to the home node.
-	CTreeBump
-	// CHopsSaved accumulates, over sharer serves, the hop distance saved
-	// versus routing the request all the way to the home node. Negative
-	// contributions (a serve farther than home) subtract.
-	CHopsSaved
-	// CDirFwd counts baseline-directory read forwards to a sharer/owner.
-	CDirFwd
-	// CDirInval counts baseline-directory invalidation messages sent.
-	CDirInval
-
-	// NumCounters sizes counter arrays; keep it last.
-	NumCounters
-)
-
-// String returns the counter's export name.
-func (c Counter) String() string {
-	switch c {
-	case CTreeHit:
-		return "tree_hit"
-	case CTreeMiss:
-		return "tree_miss"
-	case CTreeBump:
-		return "tree_bump"
-	case CHopsSaved:
-		return "hops_saved"
-	case CDirFwd:
-		return "dir_fwd"
-	case CDirInval:
-		return "dir_inval"
-	}
-	return "unknown"
-}
+import "innetcc/internal/stats"
 
 // GaugeSource is implemented by coherence engines that can report sampled
 // gauges: the total occupancy of their per-node metadata structures (tree
@@ -106,8 +57,11 @@ type Collector struct {
 	Occupancy  Series
 	QueueDepth Series
 
+	// Counters holds the observational event counters (the
+	// stats.Metric* registry entries).
+	Counters stats.Counters
+
 	sampleMask int64
-	counters   [NumCounters]int64
 }
 
 // New builds an enabled Collector.
@@ -135,22 +89,12 @@ func New(o Options) *Collector {
 // Enabled reports whether the collector is live.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Add increments counter k by d. No-op on a nil collector. The add is
-// atomic, so the collector may be shared across goroutines; the simulator
-// itself calls it from one goroutine.
-func (c *Collector) Add(k Counter, d int64) {
+// Add increments counter k by d. No-op on a nil collector.
+func (c *Collector) Add(k stats.Counter, d int64) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.counters[k], d)
-}
-
-// Get returns counter k (0 on a nil collector).
-func (c *Collector) Get(k Counter) int64 {
-	if c == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&c.counters[k])
+	c.Counters.Inc(k, d)
 }
 
 // Event appends a protocol event to the flight recorder. No-op on a nil

@@ -18,6 +18,7 @@ import (
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
+	"innetcc/internal/stats"
 )
 
 // fail latches the first fatal fault-layer error; Run's done predicate
@@ -50,7 +51,7 @@ func (m *Machine) DropStaleReply(node int, msg *Msg) bool {
 	if acc, ok := n.Pending(); ok && acc.Addr == msg.Addr && n.attempt == msg.Attempt {
 		return false
 	}
-	m.Counters.Inc("retry.stale_replies", 1)
+	m.Counters.Inc(stats.RetryStaleReplies, 1)
 	return true
 }
 
@@ -82,7 +83,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 		return
 	}
 	n.attempt++
-	m.Counters.Inc("retry.reissues", 1)
+	m.Counters.Inc(stats.RetryReissues, 1)
 	if c := m.Metrics; c != nil {
 		c.Event(now, metrics.EvRetry, int16(n.ID), acc.Addr, int64(n.attempt))
 	}
@@ -157,20 +158,20 @@ func (m *Machine) onPacketDrop(p *network.Packet, reason fault.DropReason, now i
 	m.retryOutstanding(n, now)
 }
 
-// foldFaultCounters copies the injector's occurrence counts into the named
-// counter map at the end of a run, so results and caches carry them. The
-// one-shot guard keeps a segmented run (RunSegment callers may observe the
-// terminal state more than once) from double-counting.
+// foldFaultCounters copies the injector's occurrence counts into the
+// machine's counters at the end of a run, so results and caches carry them.
+// The one-shot guard keeps a segmented run (RunSegment callers may observe
+// the terminal state more than once) from double-counting.
 func (m *Machine) foldFaultCounters() {
 	i := m.faults
 	if i == nil || m.faultsFolded {
 		return
 	}
 	m.faultsFolded = true
-	m.Counters.Inc("fault.drops", i.Drops)
-	m.Counters.Inc("fault.checksum_drops", i.ChecksumDrops)
-	m.Counters.Inc("fault.corruptions", i.Corruptions)
-	m.Counters.Inc("fault.stall_cycles", i.StallCycles)
+	m.Counters.Inc(stats.FaultDrops, i.Drops)
+	m.Counters.Inc(stats.FaultChecksumDrops, i.ChecksumDrops)
+	m.Counters.Inc(stats.FaultCorruptions, i.Corruptions)
+	m.Counters.Inc(stats.FaultStallCycles, i.StallCycles)
 }
 
 // startInvariantProbe arms the periodic runtime check of the coherence
@@ -202,7 +203,7 @@ func (m *Machine) startInvariantProbe() {
 // strictly follow invalidation acknowledgment), so the run fails at this
 // cycle instead of at the end-state diff.
 func (m *Machine) probeInvariants(now int64) {
-	m.Counters.Inc("fault.probes", 1)
+	m.Counters.Inc(stats.FaultProbes, 1)
 	const maxViolations = 16
 	type lineStat struct{ copies, modified int }
 	stats := make(map[uint64]lineStat)
@@ -249,7 +250,8 @@ func (m *Machine) probeInvariants(now int64) {
 
 // writeHangDump writes the hang diagnosis — stuck report, full per-router
 // queue occupancy, and the flight-recorder tail when metrics are on — to
-// the spec's HangDumpPath, recording the path in the error on success.
+// the spec's HangDumpPath, recording in the error the path on success or
+// the write failure otherwise.
 func (m *Machine) writeHangDump(herr *fault.HangError) {
 	if m.hangDump == "" {
 		return
@@ -273,7 +275,7 @@ func (m *Machine) writeHangDump(herr *fault.HangError) {
 		b.WriteString("flight recorder: disabled (run with metrics for event history)\n")
 	}
 	if err := os.WriteFile(m.hangDump, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "protocol: hang dump write failed: %v\n", err)
+		herr.DumpErr = err.Error()
 		return
 	}
 	herr.DumpPath = m.hangDump

@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -458,14 +457,7 @@ func (m *Machine) OutstandingAddr(node int) (addr uint64, write bool, ok bool) {
 // InstallLine places a line into node's L2 in the given state, handling the
 // eviction of a victim (writeback of dirty data, engine notification) and
 // the verifier's copy registry.
-// DebugAddr enables stderr tracing of L2 install/invalidate events for one
-// line address, for protocol debugging in tests.
-var DebugAddr uint64
-
 func (m *Machine) InstallLine(node int, addr uint64, st DState, version uint64, now int64) {
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] install n%d addr %#x st=%v v=%d\n", now, node, addr, st, version)
-	}
 	n := m.Nodes[node]
 	lp, evAddr, evLine, evicted := n.L2.Insert(addr)
 	if evicted {
@@ -477,14 +469,11 @@ func (m *Machine) InstallLine(node int, addr uint64, st DState, version uint64, 
 }
 
 func (m *Machine) evictCleanup(node int, addr uint64, line DataLine, now int64) {
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] evict n%d addr %#x st=%v\n", now, node, addr, line.State)
-	}
 	m.Check.UnregisterCopy(addr, node)
 	if line.State == Modified {
 		m.Mem.Writeback(addr, line.Version)
 	}
-	m.Counters.Inc("l2.evictions", 1)
+	m.Counters.Inc(stats.L2Evictions, 1)
 	// The engine callback is deferred one cycle: it can trigger protocol
 	// work that installs further lines (e.g. the tree protocol's victim
 	// caching after an instant teardown), and running that synchronously
@@ -499,9 +488,6 @@ func (m *Machine) evictCleanup(node int, addr uint64, line DataLine, now int64) 
 func (m *Machine) InvalidateLine(node int, addr uint64, now int64) (DataLine, bool) {
 	n := m.Nodes[node]
 	line, ok := n.L2.Invalidate(addr)
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] invalidate n%d addr %#x ok=%v\n", now, node, addr, ok)
-	}
 	if !ok {
 		return DataLine{}, false
 	}

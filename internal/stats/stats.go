@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Accumulator tracks count, sum, min and max of a stream of samples.
@@ -213,44 +212,6 @@ func (s *Sampler) Summarize() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.0f p95=%.0f p99=%.0f",
 		s.N, s.Mean, s.P50, s.P95, s.P99)
-}
-
-// Counters is a string-keyed event counter set for protocol bookkeeping
-// (teardowns spawned, deadlocks recovered, victim hits, ...). The map is
-// mutex-guarded, so a Counters value may be shared across goroutines; the
-// simulator itself updates it from one goroutine.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// Inc adds delta to counter name.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]int64)
-	}
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns counter name (zero if never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	c.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // RMSSkew measures how far a discrete distribution deviates from uniform:

@@ -8,6 +8,7 @@ import (
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 )
 
 // Engine is the in-network coherence engine. It implements both
@@ -148,7 +149,7 @@ func (e *Engine) replicate(node int, addr uint64, version uint64, gen uint64) {
 		}
 		e.m.InstallLine(node, addr, protocol.Shared, version, e.m.Kernel.Now())
 		line.LocalValid = true
-		e.m.Counters.Inc("tree.replicas", 1)
+		e.m.Counters.Inc(stats.TreeReplicas, 1)
 	})
 }
 
@@ -165,9 +166,9 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 	t := protocol.RdReq
 	if write {
 		t = protocol.WrReq
-		e.m.Counters.Inc("tree.wr_reqs", 1)
+		e.m.Counters.Inc(stats.TreeWrReqs, 1)
 	} else {
-		e.m.Counters.Inc("tree.rd_reqs", 1)
+		e.m.Counters.Inc(stats.TreeRdReqs, 1)
 	}
 	// Note: the paper's outstanding-request bit covers the whole
 	// request/reply window; this implementation sets it only when the
@@ -219,7 +220,6 @@ func (e *Engine) serviceTime(node int, addr uint64) int64 {
 func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	addr := msg.Addr
-	e.debugf(addr, "serveRead at n%d req=%d", node, msg.Requester)
 	if line, ok := e.trees[node].Peek(addr); ok && !line.Touched && line.LocalValid {
 		dl, present := e.m.PeekLine(node, addr)
 		if !present {
@@ -238,13 +238,13 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 			dl.State = protocol.Shared
 		}
 		e.m.Check.SampleRead(addr, dl.Version, e.m.Mem.Peek(addr), msg.Requester, now)
-		e.m.Counters.Inc("tree.sharer_serves", 1)
+		e.m.Counters.Inc(stats.TreeSharerServes, 1)
 		if e.m.Metrics != nil {
 			// Hops saved versus routing the request to the home node
 			// (can be negative when the serving sharer is farther).
 			saved := int64(e.topo.Dist(msg.Requester, e.home(addr)) -
 				e.topo.Dist(msg.Requester, node))
-			e.m.Metrics.Add(metrics.CHopsSaved, saved)
+			e.m.Metrics.Add(stats.MetricHopsSaved, saved)
 			e.m.Metrics.Event(now, metrics.EvSharerServe, int16(node), addr, saved)
 		}
 		reply := &protocol.Msg{Type: protocol.RdReply, Addr: addr, Requester: msg.Requester,
@@ -258,7 +258,7 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 		// vanished while the request was above the network (a
 		// teardown swept past): re-route. Only a request holding the
 		// home-serve marker may serve from victim data or memory.
-		e.m.Counters.Inc("tree.serve_races", 1)
+		e.m.Counters.Inc(stats.TreeServeRaces, 1)
 		e.m.Mesh.Spawn(node, e.packet(node, msg), now)
 		return
 	}
@@ -270,14 +270,14 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 			// invalidates it.
 			line, ok := e.m.InvalidateLine(node, addr, now)
 			if ok {
-				e.m.Counters.Inc("tree.victim_hits", 1)
+				e.m.Counters.Inc(stats.TreeVictimHits, 1)
 				e.m.Check.SampleRead(addr, line.Version, e.m.Mem.Peek(addr), msg.Requester, now)
 				e.injectHomeReply(node, msg, protocol.RdReply, line.Version)
 				return
 			}
 		}
 	}
-	e.m.Counters.Inc("tree.mem_reads", 1)
+	e.m.Counters.Inc(stats.TreeMemReads, 1)
 	e.m.Kernel.Schedule(e.m.Cfg.MemLatency, func() {
 		now := e.m.Kernel.Now()
 		v := e.m.Mem.Read(addr)
@@ -291,7 +291,6 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 // grant travels back constructing the writer's fresh tree.
 func (e *Engine) grantWrite(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "grantWrite at n%d req=%d", node, msg.Requester)
 	e.m.InvalidateLine(node, msg.Addr, now)
 	e.injectHomeReply(node, msg, protocol.WrReply, 0)
 }
@@ -313,7 +312,6 @@ func (e *Engine) injectHomeReply(home int, req *protocol.Msg, t protocol.MsgType
 // reply was in its final hop, the data is used once and not cached.
 func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "finishRead at n%d v=%d", node, msg.Version)
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
 		return
@@ -323,7 +321,7 @@ func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 		line.LocalValid = true
 		line.OutstandingReq = false
 	} else {
-		e.m.Counters.Inc("tree.uncached_completions", 1)
+		e.m.Counters.Inc(stats.TreeUncachedCompletions, 1)
 		e.releaseHeldAck(node, msg.Addr)
 	}
 	e.m.Check.ObserveRead(msg.Addr, msg.Version, node, now, false)
@@ -336,7 +334,6 @@ func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 // its outstanding-request bit cleared, and a held teardown acknowledgment
 // is let through so the collapse the reply was blocking can finish.
 func (e *Engine) dropStale(node int, msg *protocol.Msg) {
-	e.debugf(msg.Addr, "stale reply (attempt %d) dropped at n%d", msg.Attempt, node)
 	if line, ok := e.trees[node].Peek(msg.Addr); ok && line.OutstandingReq {
 		if line.Touched {
 			e.releaseHeldAck(node, msg.Addr)
@@ -372,7 +369,6 @@ func (e *Engine) releaseHeldAck(node int, addr uint64) {
 // serializes here, after the grant that followed the full teardown.
 func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "finishWrite at n%d", node)
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
 		return
@@ -391,7 +387,7 @@ func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
 		if !e.hasBug(BugLostWriteback) {
 			e.m.Mem.Writeback(msg.Addr, v)
 		}
-		e.m.Counters.Inc("tree.uncached_completions", 1)
+		e.m.Counters.Inc(stats.TreeUncachedCompletions, 1)
 		e.releaseHeldAck(node, msg.Addr)
 	}
 	e.m.CompleteAccess(node, true, now, msg.DeadlockCycles)
@@ -473,14 +469,13 @@ func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 // release requests queued behind the teardown.
 func (e *Engine) teardownComplete(addr uint64) {
 	home := e.home(addr)
-	e.debugf(addr, "teardownComplete home=n%d queued=%d", home, len(e.homeQueue[home][addr]))
 	now := e.m.Kernel.Now()
 	if v, ok := e.takeRootData(addr); ok {
 		if e.m.Cfg.VictimCaching {
 			e.m.InstallLine(home, addr, protocol.Shared, v, now)
 		}
 	}
-	e.m.Counters.Inc("tree.teardowns_completed", 1)
+	e.m.Counters.Inc(stats.TreeTeardownsCompleted, 1)
 	waiters := e.homeQueue[home][addr]
 	delete(e.homeQueue[home], addr)
 	e.m.Metrics.Event(now, metrics.EvTeardownComplete, int16(home), addr, int64(len(waiters)))

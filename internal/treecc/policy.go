@@ -1,12 +1,12 @@
 package treecc
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 )
 
 // Route implements network.Policy: the per-hop protocol kernel of the
@@ -14,24 +14,6 @@ import (
 // every router a packet visits.
 func (e *Engine) Route(r *network.Router, p *network.Packet, now int64) network.Steer {
 	msg := p.Payload.(*protocol.Msg)
-	if DebugAddr != 0 && msg.Addr == DebugAddr {
-		st := e.route(r, p, msg, now)
-		line, ok := e.trees[r.NodeID].Peek(msg.Addr)
-		e.debugf(msg.Addr, "route %s at n%d arr=%v req=%d -> out=%v consume=%v stall=%v spawns=%d line=%s",
-			msg.Type, r.NodeID, p.ArrivalDir, msg.Requester, st.Out, st.Consume, st.Stall, len(st.Spawn), describeLine(line, ok))
-		return st
-	}
-	return e.route(r, p, msg, now)
-}
-
-func describeLine(l *TreeLine, ok bool) string {
-	if !ok {
-		return "absent"
-	}
-	return fmt.Sprintf("links=%v root=%v isRoot=%v touched=%v lv=%v", l.Links, l.RootDir, l.IsRoot, l.Touched, l.LocalValid)
-}
-
-func (e *Engine) route(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
 	switch msg.Type {
 	case protocol.Teardown, protocol.TdAck:
 		return e.routeHop(r, p, msg)
@@ -103,7 +85,7 @@ func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
 	msg.Backoff = false
 	msg.DeadlockCycles += delay
 	atomic.AddInt64(&e.queued, 1)
-	e.m.Counters.Inc("tree.backoffs", 1)
+	e.m.Counters.Inc(stats.TreeBackoffs, 1)
 	e.m.Metrics.Event(now, metrics.EvBackoff, int16(home), msg.Addr, delay)
 	e.m.Kernel.Defer(delay, func() {
 		atomic.AddInt64(&e.queued, -1)
@@ -140,10 +122,10 @@ func (e *Engine) routeReadReq(r *network.Router, p *network.Packet, msg *protoco
 	line, ok := e.trees[n].Lookup(addr)
 	if c := e.m.Metrics; c != nil {
 		if ok && !line.Touched {
-			c.Add(metrics.CTreeHit, 1)
+			c.Add(stats.MetricTreeHit, 1)
 			c.Event(now, metrics.EvTreeHit, int16(n), addr, int64(msg.Requester))
 		} else {
-			c.Add(metrics.CTreeMiss, 1)
+			c.Add(stats.MetricTreeMiss, 1)
 			c.Event(now, metrics.EvTreeMiss, int16(n), addr, int64(msg.Requester))
 		}
 	}
@@ -155,7 +137,7 @@ func (e *Engine) routeReadReq(r *network.Router, p *network.Packet, msg *protoco
 		}
 		if !line.IsRoot && int(line.RootDir) < e.deg && line.Links[line.RootDir] {
 			// Part of the tree without data: steer toward the root.
-			e.m.Metrics.Add(metrics.CTreeBump, 1)
+			e.m.Metrics.Add(stats.MetricTreeBump, 1)
 			e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
 			return network.Steer{Out: line.RootDir}
 		}
@@ -201,10 +183,10 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 	line, ok := e.trees[n].Lookup(addr)
 	if c := e.m.Metrics; c != nil {
 		if ok && !line.Touched {
-			c.Add(metrics.CTreeHit, 1)
+			c.Add(stats.MetricTreeHit, 1)
 			c.Event(now, metrics.EvTreeHit, int16(n), addr, int64(msg.Requester))
 		} else {
-			c.Add(metrics.CTreeMiss, 1)
+			c.Add(stats.MetricTreeMiss, 1)
 			c.Event(now, metrics.EvTreeMiss, int16(n), addr, int64(msg.Requester))
 		}
 	}
@@ -242,7 +224,7 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 		// The write bumped into the line's tree: start invalidating
 		// in-transit (the paper's Figure 1(b) optimization).
 		spawns = e.processTeardown(n, addr, network.DirNone, false)
-		e.m.Counters.Inc("tree.write_bumps", 1)
+		e.m.Counters.Inc(stats.TreeWriteBumps, 1)
 		e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
 	} else if !ok && e.m.Cfg.ProactiveEviction && !e.trees[n].HasFreeWay(addr) {
 		// Proactive eviction: the set this line would occupy is full,
@@ -251,7 +233,7 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 			return !v.Touched
 		}); found {
 			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
-			e.m.Counters.Inc("tree.proactive_evictions", 1)
+			e.m.Counters.Inc(stats.TreeProactiveEvictions, 1)
 			e.m.Metrics.Event(now, metrics.EvProactiveEvict, int16(n), vaddr, int64(msg.Requester))
 		}
 	}
@@ -274,7 +256,7 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 		// network, any branch we build would be orphaned (no teardown
 		// will ever chase it), so revert to a request instead.
 		if line, ok := e.trees[n].Lookup(addr); !ok || line.Touched {
-			e.m.Counters.Inc("tree.serve_races", 1)
+			e.m.Counters.Inc(stats.TreeServeRaces, 1)
 			return e.revertToRequest(n, msg)
 		}
 	}
@@ -302,7 +284,7 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 				ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
 					ForcedDir: uint8(p.ArrivalDir), Unlink: true}
 				spawns = append(spawns, e.hopPacket(n, ul))
-				e.m.Counters.Inc("tree.reentries", 1)
+				e.m.Counters.Inc(stats.TreeReentries, 1)
 			}
 			if e.m.Cfg.Replication && !line.LocalValid && msg.Type == protocol.RdReply {
 				e.replicate(n, addr, msg.Version, line.Gen)
@@ -382,7 +364,7 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 // revertToRequest turns an unanchorable read reply back into a read request
 // spawned at node n; the data will be re-fetched along a coherent path.
 func (e *Engine) revertToRequest(n int, msg *protocol.Msg) network.Steer {
-	e.m.Counters.Inc("tree.reply_reverts", 1)
+	e.m.Counters.Inc(stats.TreeReplyReverts, 1)
 	req := &protocol.Msg{Type: protocol.RdReq, Addr: msg.Addr,
 		Requester: msg.Requester, IssuedAt: msg.IssuedAt,
 		DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
@@ -441,7 +423,7 @@ func (e *Engine) replyAtRequester(r *network.Router, p *network.Packet, msg *pro
 			ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
 				ForcedDir: uint8(p.ArrivalDir), Unlink: true}
 			spawns = append(spawns, e.hopPacket(n, ul))
-			e.m.Counters.Inc("tree.reentries", 1)
+			e.m.Counters.Inc(stats.TreeReentries, 1)
 		}
 		if freshAtHome {
 			e.releasePending(addr, n)
@@ -490,7 +472,7 @@ func (e *Engine) stallReply(r *network.Router, p *network.Packet, msg *protocol.
 			return !v.Touched
 		}); found {
 			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
-			e.m.Counters.Inc("tree.conflict_evictions", 1)
+			e.m.Counters.Inc(stats.TreeConflictEvictions, 1)
 			e.m.Metrics.Event(now, metrics.EvConflictEvict, int16(n), vaddr, int64(msg.Requester))
 		}
 	}
@@ -502,7 +484,7 @@ func (e *Engine) stallReply(r *network.Router, p *network.Packet, msg *protocol.
 // regenerate the original request, to be held at the home node for a random
 // backoff.
 func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
-	e.m.Counters.Inc("tree.deadlock_aborts", 1)
+	e.m.Counters.Inc(stats.TreeDeadlockAborts, 1)
 	e.m.Metrics.Event(now, metrics.EvDeadlockAbort, int16(n), msg.Addr, int64(msg.Requester))
 	if p.ArrivalDir == network.Local && msg.RequesterIsRoot {
 		// A fresh reply giving up before it ever anchored the home's

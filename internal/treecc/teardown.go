@@ -4,6 +4,7 @@ import (
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
+	"innetcc/internal/stats"
 )
 
 // Teardown and acknowledgment mechanics (paper Section 2.1):
@@ -72,8 +73,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		arrival = network.DirNone
 	}
 	line.Touched = true
-	e.debugf(addr, "teardown touch n%d arrival=%v links=%v lv=%v isRoot=%v", node, arrival, line.Links, line.LocalValid, line.IsRoot)
-	e.m.Counters.Inc("tree.teardowns", 1)
+	e.m.Counters.Inc(stats.TreeTeardowns, 1)
 	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvTeardown, int16(node), addr, int64(line.LinkCount()))
 	// Invalidate the local data copy (D$: -> Invalid); the root's data is
 	// captured for victim caching at the home node.
@@ -96,7 +96,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 	if e.m.Cfg.Multicast && fanout > 1 {
 		// Hardware multicast: one masked continuation; the router forks
 		// it into per-link copies at the crossbar (see forkHop).
-		e.m.Counters.Inc("tree.td_multicasts", 1)
+		e.m.Counters.Inc(stats.TreeTdMulticasts, 1)
 		spawns = append(spawns, e.hopPacket(node,
 			&protocol.Msg{Type: protocol.Teardown, Addr: addr, ForcedMask: mask}))
 	} else {
@@ -119,7 +119,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		// in the teardown but holds its acknowledgment until the
 		// completion lands, so the next grant cannot serialize ahead
 		// of the pending access.
-		e.m.Counters.Inc("tree.held_acks", 1)
+		e.m.Counters.Inc(stats.TreeHeldAcks, 1)
 		return spawns
 	}
 	switch n := line.LinkCount(); {
@@ -151,32 +151,31 @@ func (e *Engine) processAck(node int, addr uint64, arrival network.Dir, unlink b
 	if !ok {
 		// The line is already gone (e.g. the ack chased a teardown
 		// into a node that collapsed first); nothing to remove.
-		e.m.Counters.Inc("tree.stale_acks", 1)
+		e.m.Counters.Inc(stats.TreeStaleAcks, 1)
 		return nil
 	}
 	if !line.Touched {
 		if unlink && arrival != network.DirNone {
 			// Erase the dangling edge on the live line.
 			line.Links[arrival] = false
-			e.m.Counters.Inc("tree.unlinks", 1)
+			e.m.Counters.Inc(stats.TreeUnlinks, 1)
 			return nil
 		}
 		// A plain ack can only legitimately land on a touched line; a
 		// valid line here means a new tree reused the tag after the
 		// old one fully collapsed. Leave it alone.
-		e.m.Counters.Inc("tree.stale_acks", 1)
+		e.m.Counters.Inc(stats.TreeStaleAcks, 1)
 		return nil
 	}
 	if arrival != network.DirNone {
 		if !line.Links[arrival] {
 			// Stale or duplicate ack on an edge this node does not
 			// hold; it must not trigger a collapse step.
-			e.m.Counters.Inc("tree.stale_acks", 1)
+			e.m.Counters.Inc(stats.TreeStaleAcks, 1)
 			return nil
 		}
 		line.Links[arrival] = false
 	}
-	e.debugf(addr, "ack at n%d arrival=%v links now %v", node, arrival, line.Links)
 	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
 		// Collapse is held until the local completion lands.
 		return nil

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repository check: build, vet, race-enabled tests, fuzz smoke passes over
-# the trace-file and fault-spec parsers, a race-enabled fault-injection
-# smoke (drop-plan recovery per engine + watchdog dump), and a race-enabled
+# Repository check: build, vet, a no-printing guard over the simulator
+# packages, race-enabled tests, fuzz smoke passes over the trace-file and
+# fault-spec parsers, a race-enabled fault-injection smoke (drop-plan
+# recovery per engine + watchdog dump), and a race-enabled
 # metrics-instrumented experiment run. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
@@ -16,6 +17,18 @@ fi
 
 go build ./...
 go vet ./...
+
+# Output guard: the flight recorder is the simulator's one event trace. No
+# simulator package prints to stdout/stderr or keeps a DebugAddr tracer.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'DebugAddr|fmt\.Print|os\.Std(out|err)' \
+    internal/sim internal/network internal/protocol internal/treecc \
+    internal/directory internal/cache internal/memory internal/metrics \
+    internal/stats internal/verify internal/fault; then
+    echo "simulator packages must not print or keep DebugAddr tracers" >&2
+    exit 1
+fi
+
 go test -race ./...
 
 # Fuzz smoke: a short randomized session over the trace-file parser on top
