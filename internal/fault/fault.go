@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // ppmScale is the rate denominator: rates are parts-per-million, so a rate
@@ -379,9 +378,9 @@ type Injector struct {
 
 	// Drops counts plan-injected drops, ChecksumDrops packets discarded
 	// by corruption detection, Corruptions in-flight corruptions
-	// injected, and StallCycles link-grant cycles lost to stalls.
-	// Updates go through sync/atomic, although the simulator ticks its
-	// routers from one goroutine; readers load them between cycles.
+	// injected, and StallCycles link-grant cycles lost to stalls. Each
+	// run builds its own Injector and ticks its routers from one
+	// goroutine, so these are plain counters.
 	Drops         int64
 	ChecksumDrops int64
 	Corruptions   int64
@@ -394,7 +393,7 @@ func (i *Injector) DropAt(cycle int64, router, port int) bool {
 	if !i.Plan.DropAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.Drops, 1)
+	i.Drops++
 	return true
 }
 
@@ -402,7 +401,7 @@ func (i *Injector) CorruptAt(cycle int64, router, port int) bool {
 	if !i.Plan.CorruptAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.Corruptions, 1)
+	i.Corruptions++
 	return true
 }
 
@@ -410,6 +409,6 @@ func (i *Injector) StallAt(cycle int64, router, port int) bool {
 	if !i.Plan.StallAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.StallCycles, 1)
+	i.StallCycles++
 	return true
 }

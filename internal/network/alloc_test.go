@@ -3,6 +3,8 @@ package network
 import (
 	"testing"
 
+	"innetcc/internal/fault"
+	"innetcc/internal/metrics"
 	"innetcc/internal/sim"
 )
 
@@ -72,6 +74,43 @@ func TestSoAHotPathZeroAllocsMultiRouter(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { k.Step() })
 	if allocs != 0 {
 		t.Fatalf("steady-state multi-router step allocated %.2f per run, want 0", allocs)
+	}
+}
+
+// TestRouterTickZeroAllocsInstrumented extends the steady-state guard to
+// the fully armed router: two VCs with traffic in both classes, metrics
+// on (queue integrals, grants, serial-wait charges) and a fault injector
+// consulted at every link grant. The per-tick arbitration record lives on
+// the stack, so a steady-state step still allocates nothing.
+func TestRouterTickZeroAllocsInstrumented(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := testMesh(k, 4, 1, 2, 2, pingPongPolicy{})
+	m.EjectFn = func(int, *Packet, int64) {}
+	m.Metrics = metrics.NewNoC(m.Nodes(), m.InPorts(), m.OutPorts(), m.VCCount)
+	spec := fault.DefaultSpec()
+	spec.StallPPM, spec.StallLen = 100_000, 4
+	m.Faults = &fault.Injector{Plan: spec.Plan(3)}
+	for i := 0; i < 4; i++ {
+		p := m.AllocPacketFor(i)
+		p.ID = m.NextIDFor(i)
+		p.Flits = 1 + i
+		p.Class = VC(i % 2)
+		m.Inject(i, p, k.Now())
+	}
+	k.Run(500) // warm every ring and mailbox on the packets' orbit
+	allocs := testing.AllocsPerRun(1000, func() { k.Step() })
+	if allocs != 0 {
+		t.Fatalf("instrumented steady-state step allocated %.2f per run, want 0", allocs)
+	}
+	if m.Faults.StallCycles == 0 {
+		t.Fatal("injector never stalled a link: the armed path was not exercised")
+	}
+	var serial int64
+	for _, v := range m.Metrics.SerialWait {
+		serial += v
+	}
+	if serial == 0 {
+		t.Fatal("no serial-wait charge: the metrics path was not exercised")
 	}
 }
 

@@ -2,7 +2,7 @@ package network
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math/bits"
 
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
@@ -112,10 +112,14 @@ type Mesh struct {
 	// router, so per-router stamping grants identically to a global
 	// counter). freePkts is the per-router packet free-list — packets
 	// recycle at the router where they die — and tids the kernel ticker
-	// ids for wakes.
+	// ids for wakes. occ is each router's occupied-slot mask: bit
+	// port*VCCount+vc is set exactly when that input FIFO is non-empty,
+	// so Tick visits occupied FIFOs only (Config.Validate caps a router at
+	// 64 slots).
 	fifos    []fifoQueue
 	busyTill []int64
 	queued   []int32
+	occ      []uint64
 	routeSeq []uint64
 	idSeq    []uint64
 	freePkts [][]*Packet
@@ -188,6 +192,10 @@ type Config struct {
 	Clone func(payload interface{}) interface{}
 }
 
+// maxSlots is the most input FIFOs (ports x VCs) one router may have: one
+// bit each in the occupied-slot mask.
+const maxSlots = 64
+
 // Validate normalizes defaults in place and reports structural errors
 // Build would panic on.
 func (c *Config) Validate() error {
@@ -206,6 +214,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: pipeline depth %d < 1", c.Pipeline)
 	case c.VCs < 1:
 		return fmt.Errorf("network: VC count %d < 1", c.VCs)
+	case (c.Topo.Degree()+2)*c.VCs > maxSlots:
+		return fmt.Errorf("network: %d ports x %d VCs is more than %d input FIFOs per router", c.Topo.Degree()+2, c.VCs, maxSlots)
 	case c.Policy == nil:
 		return fmt.Errorf("network: Config.Policy is required")
 	}
@@ -238,6 +248,7 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m.fifos = make([]fifoQueue, nodes*m.numIn*cfg.VCs)
 	m.busyTill = make([]int64, nodes*m.numOut)
 	m.queued = make([]int32, nodes)
+	m.occ = make([]uint64, nodes)
 	m.routeSeq = make([]uint64, nodes)
 	m.idSeq = make([]uint64, nodes)
 	m.freePkts = make([][]*Packet, nodes)
@@ -388,8 +399,21 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 // now has work and must tick until it drains again.
 func (m *Mesh) enqueueAt(node, port, vc int, e fifoEntry) {
 	m.fifoAt(node, port, vc).push(e)
+	m.occ[node] |= 1 << (port*m.VCCount + vc)
 	m.queued[node]++
 	m.kernel.Wake(m.tids[node])
+}
+
+// popAt removes the head of node's FIFO at slot (port*VCCount+vc), the one
+// pop every Tick path goes through: it keeps queued and the occupied-slot
+// mask in step with the FIFOs.
+func (m *Mesh) popAt(node int, fifos []fifoQueue, slot int) fifoEntry {
+	e := fifos[slot].pop()
+	if fifos[slot].n == 0 {
+		m.occ[node] &^= 1 << slot
+	}
+	m.queued[node]--
+	return e
 }
 
 // Quiescent implements sim.Parker: a router with empty FIFOs has nothing to
@@ -444,9 +468,17 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // Tick advances one router by one cycle: consult the policy for newly ready
 // packets, then arbitrate each output port. Effects on other routers (link
 // hand-offs) and on the protocol (drops, in-network deliveries, ejections)
-// are staged for the end of the cycle. The fifos/busy locals below are the
-// router's contiguous array bands; every FIFO scan in both phases walks
-// them linearly (port-major, VC-minor — the flat layout's element order).
+// are staged for the end of the cycle.
+//
+// Each occupied input FIFO is visited once per cycle. Phase 1 walks the
+// router's occupied-slot mask in slot order (port-major, VC-minor) and, as
+// it routes or passes each head, records per output the slots whose routed
+// heads wait on it and the one among them routed first. Phase 2 grants
+// straight from that record. The record cannot go stale: only Phase 1
+// routes, it routes only heads, a routed head leaves its FIFO only through
+// its own pop, and the entry behind a popped head is never routed. Spawns
+// only append at the generation port's tail, so the mask is re-read after
+// every slot and a spawn into a slot not yet visited is routed this cycle.
 func (r *Router) Tick(now int64) {
 	m := r.mesh
 	node := r.NodeID
@@ -456,25 +488,47 @@ func (r *Router) Tick(now int64) {
 	fifos := m.fifos[node*nSlots : (node+1)*nSlots]
 	busy := m.busyTill[node*m.numOut : (node+1)*m.numOut]
 	if nm != nil {
-		// Integrate input-FIFO occupancy (packet-cycles) per port/VC.
+		// Integrate input-FIFO occupancy (packet-cycles) per port/VC;
+		// empty FIFOs add nothing.
 		base := nm.InIdx(node, 0, 0)
-		for slot := 0; slot < nSlots; slot++ {
+		for occ := m.occ[node]; occ != 0; occ &= occ - 1 {
+			slot := bits.TrailingZeros64(occ)
 			nm.QueueSum[base+slot] += int64(fifos[slot].n)
 		}
 	}
+	// Per output: waiting is the set of slots whose routed head is bound
+	// there, oldest the one of them with the smallest routing stamp.
+	var waiting [MaxDegree + 1]uint64
+	var oldest [MaxDegree + 1]int
+	var oldestSeq [MaxDegree + 1]uint64
+	wait := func(slot int, p *Packet) {
+		o := p.outSlot
+		if waiting[o] == 0 || p.routeSeq < oldestSeq[o] {
+			oldest[o], oldestSeq[o] = slot, p.routeSeq
+		}
+		waiting[o] |= 1 << slot
+	}
 	// Phase 1: routing decisions for FIFO heads that cleared the pipeline.
-	for slot := 0; slot < nSlots; slot++ {
+	for slot := -1; ; {
+		rest := m.occ[node] &^ (1<<(slot+1) - 1)
+		if rest == 0 {
+			break
+		}
+		slot = bits.TrailingZeros64(rest)
 		h := fifos[slot].head0()
-		if h == nil || h.readyAt > now || h.pkt.routed {
+		p := h.pkt
+		if p.routed {
+			wait(slot, p)
 			continue
 		}
-		p := h.pkt
+		if h.readyAt > now {
+			continue
+		}
 		if inj := m.Faults; inj != nil && p.Checksum != ChecksumOf(p) {
 			// Corruption detected: discard before the policy (and
 			// its tree-cache side effects) ever sees the packet.
-			atomic.AddInt64(&inj.ChecksumDrops, 1)
-			fifos[slot].pop()
-			m.queued[node]--
+			inj.ChecksumDrops++
+			m.popAt(node, fifos, slot)
 			m.InFlight--
 			if m.DropFn != nil {
 				stg.drops = append(stg.drops, dropRec{node: node, p: p, reason: fault.DropChecksum})
@@ -489,8 +543,7 @@ func (r *Router) Tick(now int64) {
 		}
 		switch {
 		case st.Consume:
-			fifos[slot].pop()
-			m.queued[node]--
+			m.popAt(node, fifos, slot)
 			m.InFlight--
 			m.DeliveredPackets++
 			m.TotalHops += int64(p.Hops)
@@ -516,6 +569,7 @@ func (r *Router) Tick(now int64) {
 			p.stallStart = 0
 			m.routeSeq[node]++
 			p.routeSeq = m.routeSeq[node]
+			wait(slot, p)
 		}
 	}
 	// Phase 2: output arbitration, one grant per output port per cycle.
@@ -536,33 +590,19 @@ func (r *Router) Tick(now int64) {
 			if nm != nil {
 				// The link is still serializing a previous packet's
 				// flits: charge routed heads waiting for it.
-				for slot := 0; slot < nSlots; slot++ {
-					h := fifos[slot].head0()
-					if h != nil && h.pkt.routed && h.pkt.outSlot == out {
-						h.pkt.serialWait++
-						nm.SerialWait[nm.OutIdx(node, out)]++
-					}
+				oi := nm.OutIdx(node, out)
+				for w := waiting[out]; w != 0; w &= w - 1 {
+					fifos[bits.TrailingZeros64(w)].head0().pkt.serialWait++
+					nm.SerialWait[oi]++
 				}
 			}
 			continue
 		}
-		granted := -1
-		var bestSeq uint64
-		for slot := 0; slot < nSlots; slot++ {
-			h := fifos[slot].head0()
-			if h == nil || !h.pkt.routed || h.pkt.outSlot != out {
-				continue
-			}
-			if granted < 0 || h.pkt.routeSeq < bestSeq {
-				granted = slot
-				bestSeq = h.pkt.routeSeq
-			}
-		}
-		if granted < 0 {
+		if waiting[out] == 0 {
 			continue
 		}
-		e := fifos[granted].pop()
-		m.queued[node]--
+		granted := oldest[out]
+		e := m.popAt(node, fifos, granted)
 		p := e.pkt
 		p.routed = false
 		if inj := m.Faults; inj != nil && out != local &&

@@ -406,3 +406,23 @@ func TestBuildDefaultsAndValidation(t *testing.T) {
 		t.Fatal("negative pipeline accepted")
 	}
 }
+
+// TestValidateSlotLimit pins the per-router input-FIFO cap: ports x VCs
+// must fit the 64-bit occupied-slot mask.
+func TestValidateSlotLimit(t *testing.T) {
+	for _, tc := range []struct {
+		topo Topology
+		vcs  int
+		ok   bool
+	}{
+		{Mesh2D{W: 4, H: 4}, 10, true},  // 6 ports x 10 = 60 slots
+		{Mesh2D{W: 4, H: 4}, 11, false}, // 66 slots
+		{Ring{N: 8}, 16, true},          // 4 ports x 16 = 64 slots
+		{Ring{N: 8}, 17, false},         // 68 slots
+	} {
+		err := (&Config{Topo: tc.topo, VCs: tc.vcs, Policy: DestPolicy{}}).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s with %d VCs: err = %v, want ok=%v", tc.topo.Spec(), tc.vcs, err, tc.ok)
+		}
+	}
+}

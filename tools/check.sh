@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository check: build, vet, a no-printing guard over the simulator
 # packages, race-enabled tests, fuzz smoke passes over the trace-file and
-# fault-spec parsers, a race-enabled fault-injection smoke (drop-plan
-# recovery per engine + watchdog dump), and a race-enabled
+# fault-spec parsers, race-enabled fault-injection smokes (drop-plan
+# recovery per engine + watchdog dump, stall and corrupt faults with
+# metrics on), and a race-enabled
 # metrics-instrumented experiment run. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
@@ -68,6 +69,10 @@ go test -race ./internal/fault \
     -run '^(TestDropPlanCompletesCoherently|TestWatchdogTripDumpsFlightRecorder)$' -v
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -faults drop=2000,timeout=200000,retries=6,backoff=64 -retries 1 >/dev/null
+# Stall and corrupt faults with metrics on: the router's stall-fault
+# consultation and its serial-wait charge to heads waiting on busy links.
+go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 -metrics \
+    -faults 'corrupt=2000,stall=20000,stalllen=8,timeout=200000,retries=6,backoff=64,probe=2000' >/dev/null
 
 # Observability smoke under the race detector: one metrics-instrumented
 # experiment across parallel workers, with CSV export and flight dumping.
