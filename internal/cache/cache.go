@@ -16,18 +16,22 @@
 package cache
 
 // pageSets is the number of consecutive sets one storage page covers. A page
-// is the unit of lazy allocation: large enough that a touched page costs one
-// allocation for many sets, small enough that a short trace on a 2 MB L2
-// touches only a fraction of the capacity. It is a constant, not a knob,
-// because it changes no observable behaviour, only memory footprint.
-const pageSets = 64
+// is the unit of lazy allocation. Traces touch few lines spread over many
+// sets: with 64-set pages about one allocated L2 line slot in a thousand
+// held a live line at the end of a fig9 job, and zeroing those pages cost a
+// tenth of the run's CPU. Eight sets keep an L2 page at 2.5 KB while still
+// amortising one allocation over several neighbouring sets. It is a
+// constant, not a knob, because it changes no observable behaviour, only
+// memory footprint.
+const pageSets = 8
 
 // Cache is a set-associative cache mapping line addresses to a payload of
 // type V. It is a pure tag store: timing is modeled by its callers.
 //
 // Storage is a table of fixed-size pages, each a flat run of lines for
-// pageSets consecutive sets (set-major, way-minor). A page is allocated the
-// first time an insert touches one of its sets; a set on a missing page is
+// pageSets consecutive sets (set-major, way-minor). The table itself is
+// built by the first insert, and a page the first time an insert touches
+// one of its sets; a set on a missing page, or in a cache with no table, is
 // empty. Pages are never moved or regrown, so payload pointers stay valid
 // until their line is evicted or invalidated.
 type Cache[V any] struct {
@@ -51,17 +55,12 @@ type line[V any] struct {
 
 // New returns a cache with the given total number of entries and
 // associativity. It panics if entries is not a positive multiple of ways.
-// No line storage is allocated until the first insert.
+// Neither the page table nor any line is allocated until the first insert.
 func New[V any](entries, ways int) *Cache[V] {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("cache: entries must be a positive multiple of ways")
 	}
-	numSets := entries / ways
-	return &Cache[V]{
-		ways:    ways,
-		numSets: numSets,
-		pages:   make([][]line[V], (numSets+pageSets-1)/pageSets),
-	}
+	return &Cache[V]{ways: ways, numSets: entries / ways}
 }
 
 // Ways returns the associativity.
@@ -82,9 +81,13 @@ func (c *Cache[V]) addrOf(setIdx int, tag uint64) uint64 {
 }
 
 // set returns the ways of set setIdx, or nil if its page is not allocated
-// (every way invalid).
+// (every way invalid). A cache with no page table yet has len(pages) == 0.
 func (c *Cache[V]) set(setIdx int) []line[V] {
-	p := c.pages[uint(setIdx)/pageSets]
+	pi := uint(setIdx) / pageSets
+	if pi >= uint(len(c.pages)) {
+		return nil
+	}
+	p := c.pages[pi]
 	if p == nil {
 		return nil
 	}
@@ -92,9 +95,13 @@ func (c *Cache[V]) set(setIdx int) []line[V] {
 	return p[off : off+uint(c.ways)]
 }
 
-// fillSet is set for the insert paths: it allocates the set's page first if
-// it is missing. The last page is cut to the sets that exist.
+// fillSet is set for the insert paths: it allocates the page table and the
+// set's page first if they are missing. The last page is cut to the sets
+// that exist.
 func (c *Cache[V]) fillSet(setIdx int) []line[V] {
+	if c.pages == nil {
+		c.pages = make([][]line[V], (c.numSets+pageSets-1)/pageSets)
+	}
 	pi := uint(setIdx) / pageSets
 	if c.pages[pi] == nil {
 		sets := min(pageSets, c.numSets-int(pi)*pageSets)

@@ -476,16 +476,17 @@ type visit struct{ addr, val uint64 }
 // seen through a returned pointer, and the order of every scan and
 // predicate callback. Writes through returned pointers (stamped with the
 // step number) make a pointer to the wrong line show up as a payload
-// mismatch later. The geometries cover one set, one partial page, several
-// full pages, and a last page cut short.
+// mismatch later. At pageSets = 8 the geometries cover one set, a partial
+// page, several full pages, and a last page cut short.
 func TestMatchesReferenceModel(t *testing.T) {
 	geoms := []struct{ entries, ways int }{
 		{4, 4},     // one set
-		{24, 2},    // 12 sets: less than one page
-		{200, 2},   // 100 sets: one full page and a partial one
+		{12, 2},    // 6 sets: less than one page
+		{24, 2},    // 12 sets: one full page and a partial one
+		{200, 2},   // 100 sets: 12 full pages, last page holds 4 sets
 		{130, 1},   // direct mapped, 130 sets: last page holds 2 sets
-		{4096, 4},  // 1024 sets: 16 pages
-		{8192, 16}, // wide sets over 8 pages
+		{4096, 4},  // 1024 sets: 128 full pages
+		{8192, 16}, // wide sets over 64 full pages
 	}
 	for _, g := range geoms {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -651,8 +652,8 @@ func TestPayloadPointerStable(t *testing.T) {
 	}
 }
 
-// TestUntouchedPagesStayUnallocated: probes that miss never allocate, and an
-// insert allocates exactly the page it lands on.
+// TestUntouchedPagesStayUnallocated: probes that miss never allocate, not
+// even the page table, and an insert allocates exactly the page it lands on.
 func TestUntouchedPagesStayUnallocated(t *testing.T) {
 	c := New[int](8*4*pageSets, 8) // 4 pages
 	for a := uint64(0); a < 1000; a++ {
@@ -663,6 +664,7 @@ func TestUntouchedPagesStayUnallocated(t *testing.T) {
 		c.ScanSet(a, func(uint64, *int) bool { return true })
 		c.Invalidate(a)
 	}
+	c.ScanAll(func(uint64, *int) bool { t.Fatal("ScanAll visited a line of an empty cache"); return false })
 	allocated := func() (n int) {
 		for _, p := range c.pages {
 			if p != nil {
@@ -671,8 +673,8 @@ func TestUntouchedPagesStayUnallocated(t *testing.T) {
 		}
 		return n
 	}
-	if n := allocated(); n != 0 {
-		t.Fatalf("%d pages allocated by probes alone", n)
+	if c.pages != nil {
+		t.Fatalf("probes alone built a page table of %d pages", len(c.pages))
 	}
 	c.InsertNoEvict(2*pageSets + 5)
 	if n := allocated(); n != 1 || c.pages[2] == nil {

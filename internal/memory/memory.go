@@ -11,18 +11,14 @@
 // comparison.
 package memory
 
-import "sync"
-
-// Memory is the off-chip backing store. The mutex guards the version map
-// and access counters. The simulator calls Memory from one goroutine, so
-// the lock is uncontended; whether it can go is left to a measured
-// follow-up.
+// Memory is the off-chip backing store. A memory belongs to one machine and
+// is called only from the goroutine running that machine's simulation, so
+// it takes no lock.
 type Memory struct {
-	mu       sync.Mutex
 	latency  int64
 	versions map[uint64]uint64
 
-	// Reads and Writebacks count accesses for reporting (guarded by mu).
+	// Reads and Writebacks count accesses for reporting.
 	Reads      int64
 	Writebacks int64
 }
@@ -39,16 +35,12 @@ func (m *Memory) Latency() int64 { return m.latency }
 // Read returns the version currently stored for line addr. Lines never
 // written back read as version zero, the initial state of all of memory.
 func (m *Memory) Read(addr uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.Reads++
 	return m.versions[addr]
 }
 
 // Peek is Read without access accounting, for verifiers.
 func (m *Memory) Peek(addr uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.versions[addr]
 }
 
@@ -58,8 +50,6 @@ func (m *Memory) Peek(addr uint64) uint64 {
 // line backward, mirroring how real memory controllers squash a stale
 // writeback that races a later owner's.
 func (m *Memory) Writeback(addr uint64, v uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.Writebacks++
 	if v > m.versions[addr] {
 		m.versions[addr] = v
@@ -68,16 +58,12 @@ func (m *Memory) Writeback(addr uint64, v uint64) {
 
 // Lines returns how many distinct lines have ever been written back.
 func (m *Memory) Lines() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.versions)
 }
 
 // Snapshot returns a copy of the per-line version map, for end-state
 // verification.
 func (m *Memory) Snapshot() map[uint64]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make(map[uint64]uint64, len(m.versions))
 	for a, v := range m.versions {
 		out[a] = v

@@ -59,7 +59,7 @@ func TestLargeMeshBuildFitsInMemory(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
-	const limit = 64 << 20
+	const limit = 8 << 20
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("64x64 tree build raised HeapAlloc by %.1f MB", float64(grew)/(1<<20))
 	if grew >= limit {

@@ -12,7 +12,7 @@ import (
 // data into the machine state digest. Maps are folded in sorted key order
 // so the digest is independent of Go's map iteration order.
 func (e *Engine) DigestState(d *sim.Digest) {
-	d.I64(e.queued)
+	d.Int(e.queued)
 	for node, tc := range e.trees {
 		d.Int(tc.Len())
 		tc.ScanAll(func(addr uint64, tl *TreeLine) bool {
@@ -33,20 +33,15 @@ func (e *Engine) DigestState(d *sim.Digest) {
 		d.U64(e.genCounters[node])
 	}
 
-	e.rootMu.Lock()
 	addrs := make([]uint64, 0, len(e.rootData))
 	for a := range e.rootData {
 		addrs = append(addrs, a)
 	}
-	e.rootMu.Unlock()
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	d.Int(len(addrs))
 	for _, a := range addrs {
-		e.rootMu.Lock()
-		v := e.rootData[a]
-		e.rootMu.Unlock()
 		d.U64(a)
-		d.U64(v)
+		d.U64(e.rootData[a])
 	}
 }
 

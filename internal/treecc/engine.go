@@ -1,9 +1,6 @@
 package treecc
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"innetcc/internal/cache"
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
@@ -43,16 +40,12 @@ type Engine struct {
 	// root's data in the acknowledgment that terminates at the home
 	// node (the victim-caching optimization). One tree exists per
 	// address at a time, so the map is keyed by address. It is written
-	// at the root and read at the home; the mutex guarding it is
-	// uncontended, since the simulator runs on one goroutine.
+	// at the root and read at the home.
 	rootData map[uint64]uint64
-	rootMu   sync.Mutex
 
 	// queued counts entries across homeQueue, pending and backoff waits,
-	// for Quiesced. Updates are atomic, although route-phase code and
-	// the event phase run on one goroutine; Quiesced reads it between
-	// cycles.
-	queued int64
+	// for Quiesced.
+	queued int
 
 	// genCounters are the per-node tree-line generation stamps (see
 	// TreeLine.Gen). Generations are only ever compared within one
@@ -117,24 +110,6 @@ func (e *Engine) Tree(node int) *cache.Cache[TreeLine] { return e.trees[node] }
 func (e *Engine) nextGen(node int) uint64 {
 	e.genCounters[node]++
 	return e.genCounters[node]
-}
-
-// setRootData and takeRootData guard the root-data victim map: the capture
-// happens at the tree root mid-tick, the consumption at the home.
-func (e *Engine) setRootData(addr uint64, version uint64) {
-	e.rootMu.Lock()
-	e.rootData[addr] = version
-	e.rootMu.Unlock()
-}
-
-func (e *Engine) takeRootData(addr uint64) (uint64, bool) {
-	e.rootMu.Lock()
-	v, ok := e.rootData[addr]
-	if ok {
-		delete(e.rootData, addr)
-	}
-	e.rootMu.Unlock()
-	return v, ok
 }
 
 // replicate schedules an above-network install of the reply's data at an
@@ -405,14 +380,14 @@ func (e *Engine) OnL2Evict(node int, addr uint64, dl protocol.DataLine, now int6
 	if !line.IsRoot || line.Touched {
 		return
 	}
-	e.setRootData(addr, dl.Version)
+	e.rootData[addr] = dl.Version
 	for _, p := range e.processTeardown(node, addr, network.DirNone, false) {
 		e.m.Mesh.Spawn(node, p, now)
 	}
 }
 
 // Quiesced implements protocol.Engine.
-func (e *Engine) Quiesced() bool { return atomic.LoadInt64(&e.queued) == 0 }
+func (e *Engine) Quiesced() bool { return e.queued == 0 }
 
 // MetricsGauges implements metrics.GaugeSource: total live tree-cache lines
 // across all routers, and the queued-request backlog (home queue + pending
@@ -421,7 +396,7 @@ func (e *Engine) MetricsGauges() (occupancy, queueDepth int) {
 	for _, t := range e.trees {
 		occupancy += t.Len()
 	}
-	return occupancy, int(atomic.LoadInt64(&e.queued))
+	return occupancy, e.queued
 }
 
 // --- pending / home-queue management -----------------------------------
@@ -439,7 +414,7 @@ func (e *Engine) setPending(addr uint64) {
 func (e *Engine) queueOnPending(addr uint64, msg *protocol.Msg) {
 	p := e.pending[e.home(addr)]
 	p[addr] = append(p[addr], msg)
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 }
 
 func (e *Engine) releasePending(addr uint64, home int) {
@@ -451,7 +426,7 @@ func (e *Engine) releasePending(addr uint64, home int) {
 	delete(p, addr)
 	now := e.m.Kernel.Now()
 	for _, w := range waiters {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.m.Mesh.Spawn(home, e.packet(home, w), now)
 	}
 }
@@ -460,7 +435,7 @@ func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 	home := e.home(addr)
 	q := e.homeQueue[home]
 	q[addr] = append(q[addr], msg)
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvHomeQueued, int16(home), addr, int64(msg.Requester))
 }
 
@@ -470,7 +445,8 @@ func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 func (e *Engine) teardownComplete(addr uint64) {
 	home := e.home(addr)
 	now := e.m.Kernel.Now()
-	if v, ok := e.takeRootData(addr); ok {
+	if v, ok := e.rootData[addr]; ok {
+		delete(e.rootData, addr)
 		if e.m.Cfg.VictimCaching {
 			e.m.InstallLine(home, addr, protocol.Shared, v, now)
 		}
@@ -486,7 +462,7 @@ func (e *Engine) teardownComplete(addr uint64) {
 	// has been waiting here, already routed); the rest serialize behind
 	// it on the pending marker.
 	first := waiters[0]
-	atomic.AddInt64(&e.queued, -1)
+	e.queued--
 	e.setPending(addr)
 	first.HomeServe = true
 	if e.m.Metrics != nil {
@@ -502,7 +478,7 @@ func (e *Engine) teardownComplete(addr uint64) {
 		}
 	})
 	for _, w := range waiters[1:] {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.queueOnPending(addr, w)
 	}
 }

@@ -1,8 +1,6 @@
 package treecc
 
 import (
-	"sync/atomic"
-
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
@@ -84,11 +82,11 @@ func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
 	delay := backoffDelay(uint64(cfg.Seed), msg.Addr, msg.Requester, now, cfg.BackoffMin, cfg.BackoffMax)
 	msg.Backoff = false
 	msg.DeadlockCycles += delay
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 	e.m.Counters.Inc(stats.TreeBackoffs, 1)
 	e.m.Metrics.Event(now, metrics.EvBackoff, int16(home), msg.Addr, delay)
 	e.m.Kernel.Defer(delay, func() {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.m.Mesh.Spawn(home, e.packet(home, msg), e.m.Kernel.Now())
 	})
 	return network.Steer{Consume: true}

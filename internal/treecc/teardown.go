@@ -81,7 +81,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		dl, had := e.m.InvalidateLine(node, addr, e.m.Kernel.Now())
 		line.LocalValid = false
 		if had && line.IsRoot {
-			e.setRootData(addr, dl.Version)
+			e.rootData[addr] = dl.Version
 		}
 	}
 	var spawns []*network.Packet

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Repository check: build, vet, a no-printing guard over the simulator
-# packages, race-enabled tests, fuzz smoke passes over the trace-file and
-# fault-spec parsers, race-enabled fault-injection smokes (drop-plan
-# recovery per engine + watchdog dump, stall and corrupt faults with
-# metrics on), and a race-enabled
+# Repository check: build, vet, a build and vet of the perfbench module, a
+# no-printing guard over the simulator packages, race-enabled tests, fuzz
+# smoke passes over the trace-file and fault-spec parsers, race-enabled
+# fault-injection smokes (drop-plan recovery per engine + watchdog dump,
+# stall and corrupt faults with metrics on), and a race-enabled
 # metrics-instrumented experiment run. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
@@ -18,6 +18,12 @@ fi
 
 go build ./...
 go vet ./...
+
+# The benchmark harness is its own module (perfbench/go.mod) built against
+# this tree, so a program API change that breaks it must fail here. Only
+# build and vet it; -o /dev/null keeps the main package's binary out of the
+# tree.
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
 
 # Output guard: the flight recorder is the simulator's one event trace. No
 # simulator package prints to stdout/stderr or keeps a DebugAddr tracer.
