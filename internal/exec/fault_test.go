@@ -108,3 +108,25 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 			a.Counter("retry.reissues"), b.Counter("retry.reissues"))
 	}
 }
+
+// TestWatchdogHangResultCarriesFlightRing: the post-mortem of a wedged job
+// is its failed Result — the typed hang message and, with metrics on, the
+// flight ring, even when FlightDump is off.
+func TestWatchdogHangResultCarriesFlightRing(t *testing.T) {
+	j := faultJob("stall=1000000,scope=all", 0) // every link frozen, forever
+	j.Config.WatchdogCycles = 5000
+	j.Metrics = MetricsSpec{Enabled: true}
+	res := (&Pool{}).runOne(context.Background(), j)
+	if !res.Failed() {
+		t.Fatal("all-links-stalled job succeeded")
+	}
+	if !res.Transient {
+		t.Fatalf("hang not classified transient: %s", res.Err)
+	}
+	if !strings.Contains(res.Err, "watchdog tripped") {
+		t.Fatalf("Err = %q, want a watchdog hang", res.Err)
+	}
+	if res.Metrics == nil || len(res.Metrics.Flight) == 0 {
+		t.Fatal("failed result carries no flight ring")
+	}
+}

@@ -33,7 +33,7 @@ const DefaultMaxCycles = 200_000_000
 // specVersion invalidates cached results when the result schema or the
 // simulation semantics change incompatibly. Bump it on any change that
 // alters what a given spec computes.
-const specVersion = 6 // v6: topology-abstract interconnect; Config serializes a topology string (and the Multicast switch) instead of mesh dimensions
+const specVersion = 7 // v7: fault recovery is configured by the Faults spec alone; Config no longer serializes retry/probe keys
 
 // Job describes one hermetic simulation: which engine to run, on which
 // configuration, over which synthetic trace. Everything the simulation

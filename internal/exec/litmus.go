@@ -2,8 +2,6 @@ package exec
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"innetcc/internal/litmus"
 )
@@ -20,21 +18,15 @@ type LitmusResult struct {
 // Failed reports whether the run found anything.
 func (r LitmusResult) Failed() bool { return r.Err != "" || len(r.Failures) > 0 }
 
-// RunLitmusBatch fans a litmus campaign across worker goroutines, the same
-// index-channel discipline as Pool.Run: results come back in submission
+// RunLitmusBatch fans a litmus campaign across worker goroutines with the
+// same fanOut helper as Pool.Run: results come back in submission
 // order regardless of parallelism, so campaign output is identical at
 // every worker count. workers <= 0 means GOMAXPROCS. A canceled context
 // marks the remaining specs with Err and returns without running them;
 // litmus runs are short, so in-flight ones simply finish.
 func RunLitmusBatch(ctx context.Context, workers int, specs []litmus.RunSpec) []LitmusResult {
 	results := make([]LitmusResult, len(specs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	runOne := func(i int) {
+	fanOut(workers, len(specs), func(i int) {
 		results[i].Spec = specs[i]
 		if err := ctx.Err(); err != nil {
 			results[i].Err = "exec: canceled: " + err.Error()
@@ -46,28 +38,6 @@ func RunLitmusBatch(ctx context.Context, workers int, specs []litmus.RunSpec) []
 			return
 		}
 		results[i].Failures = fails
-	}
-	if workers <= 1 {
-		for i := range specs {
-			runOne(i)
-		}
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return results
 }

@@ -224,10 +224,6 @@ func buildAttempt(job Job, attempt int, col *metrics.Collector) (*protocol.Machi
 		if err != nil {
 			return nil, nil, &Result{Err: "exec: bad fault spec: " + err.Error()}
 		}
-		cfg.RetryTimeout = fspec.Timeout
-		cfg.RetryBudget = fspec.Budget
-		cfg.RetryBackoff = fspec.Backoff
-		cfg.ProbeInterval = fspec.Probe
 		plan = &fault.Plan{Spec: fspec, Seed: DeriveSeed(seed, "fault")}
 	}
 	m, err := protocol.Build(protocol.Spec{

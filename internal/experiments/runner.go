@@ -134,13 +134,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// DefaultOptions is sized so the full suite completes in a couple of
-// minutes on one core while keeping per-benchmark orderings stable; the
-// pool spreads it across all cores by default.
-func DefaultOptions() Options {
-	return Options{}.WithDefaults()
-}
-
 // runJobs executes a driver's batch on the configured pool. The returned
 // error covers option misuse and infrastructure (an unusable cache
 // directory); per-job failures are carried in the results.

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // HangError reports a run that failed to quiesce: either the kernel's hang
@@ -11,7 +10,8 @@ import (
 // or the cycle bound expired first. It replaces the silent formatted error
 // the cycle-bound exit used to produce, carries the reproducer seed, and
 // embeds the machine's stuck report (blocked nodes, in-flight packets,
-// per-router queue occupancy).
+// per-router queue occupancy). The report and, when metrics are on, the
+// flight ring exec attaches to the failed result are the post-mortem.
 type HangError struct {
 	// Cycle is the simulation cycle the hang was declared at and Seed the
 	// run seed that reproduces it.
@@ -22,13 +22,6 @@ type HangError struct {
 	Watchdog bool
 	// Report is the machine's stuck-state diagnosis.
 	Report string
-	// DumpPath is the hang dump file (flight recorder + queue occupancy)
-	// written for this hang, empty when dumping was not configured or the
-	// write failed.
-	DumpPath string
-	// DumpErr is why the configured hang dump could not be written, empty
-	// when it was written or not configured.
-	DumpErr string
 }
 
 func (e *HangError) Error() string {
@@ -36,16 +29,8 @@ func (e *HangError) Error() string {
 	if e.Watchdog {
 		cause = "watchdog tripped: no progress with work outstanding"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fault: hang (%s): stuck after %d cycles (reproducer seed %#x): %s",
+	return fmt.Sprintf("fault: hang (%s): stuck after %d cycles (reproducer seed %#x): %s",
 		cause, e.Cycle, e.Seed, e.Report)
-	if e.DumpPath != "" {
-		fmt.Fprintf(&b, " [dump: %s]", e.DumpPath)
-	}
-	if e.DumpErr != "" {
-		fmt.Fprintf(&b, " [dump failed: %s]", e.DumpErr)
-	}
-	return b.String()
 }
 
 // RetryExhaustedError reports an access whose reissue budget ran out: the

@@ -7,8 +7,6 @@ package fault_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -24,8 +22,8 @@ import (
 	_ "innetcc/internal/treecc"
 )
 
-// buildMachine constructs one simulation over profile p with the given
-// fault plan and recovery config already applied to cfg.
+// buildMachine constructs one simulation over profile p with cfg and the
+// fault plan (which carries the recovery keys) already set on spec.
 func buildMachine(t *testing.T, kind protocol.EngineKind, cfg protocol.Config, p trace.Profile,
 	accesses int, spec protocol.Spec) *protocol.Machine {
 	t.Helper()
@@ -75,11 +73,9 @@ func TestEmptyPlanByteIdentical(t *testing.T) {
 				}
 
 				armed := base
-				armed.RetryTimeout = 1_000_000 // armed but far beyond any real latency
-				armed.RetryBudget = 3
-				armed.RetryBackoff = 64
 				armed.WatchdogCycles = 500_000
-				zeroRate := fault.DefaultSpec() // Injecting() == false
+				zeroRate := fault.DefaultSpec() // Injecting() == false; budget 3, backoff 64
+				zeroRate.Timeout = 1_000_000    // armed but far beyond any real latency
 				faulty := buildMachine(t, kind, armed, p, accesses,
 					protocol.Spec{AlwaysTick: alwaysTick, Faults: &fault.Plan{Spec: zeroRate, Seed: 7}})
 				if err := faulty.Run(20_000_000); err != nil {
@@ -109,10 +105,6 @@ func TestDropPlanCompletesCoherently(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := protocol.DefaultConfig()
 			cfg.Seed = seed
-			cfg.RetryTimeout = spec.Timeout
-			cfg.RetryBudget = spec.Budget
-			cfg.RetryBackoff = spec.Backoff
-			cfg.ProbeInterval = spec.Probe
 			m := buildMachine(t, kind, cfg, p, accesses,
 				protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: seed}})
 			if err := m.Run(40_000_000); err != nil {
@@ -142,19 +134,19 @@ func TestDropPlanCompletesCoherently(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetZeroFailsTyped: with injection on and a zero retry budget,
+// TestZeroRetriesFailsTyped: with injection on and a zero retry budget,
 // the run must fail fast with a typed error naming the reproducer seed.
-func TestRetryBudgetZeroFailsTyped(t *testing.T) {
+func TestZeroRetriesFailsTyped(t *testing.T) {
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 0xc0ffee
-	cfg.RetryTimeout = 1000
-	cfg.RetryBudget = 0
-	cfg.RetryBackoff = 16
-	spec := fault.DefaultSpec()
+	spec, err := fault.ParseSpec("timeout=1000,retries=0,backoff=16")
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec.DropPPM = 1_000_000 // every retryable packet dies at its first link
 	m := buildMachine(t, protocol.KindTree, cfg, trace.Benchmarks()[0], 60,
 		protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: 5}})
-	err := m.Run(10_000_000)
+	err = m.Run(10_000_000)
 	var ex *fault.RetryExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("got %v, want *fault.RetryExhaustedError", err)
@@ -170,55 +162,22 @@ func TestRetryBudgetZeroFailsTyped(t *testing.T) {
 	}
 }
 
-// TestWatchdogTripDumpsFlightRecorder: a chaos plan that freezes every
+// TestWatchdogTripReturnsTypedHang: a chaos plan that freezes every
 // inter-router link makes routers spin without progress; the watchdog must
-// trip, return a typed hang error, and write the flight-recorder dump. When
-// the dump cannot be written, the failure is reported on the error.
-func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
-	dir := t.TempDir()
-	dump := filepath.Join(dir, "hang-dump.txt")
-	hang := watchdogHang(t, dump)
-	if hang.DumpPath != dump || hang.DumpErr != "" {
-		t.Fatalf("dump path %q (err %q), want %q", hang.DumpPath, hang.DumpErr, dump)
-	}
-	body, rerr := os.ReadFile(dump)
-	if rerr != nil {
-		t.Fatalf("hang dump not written: %v", rerr)
-	}
-	for _, want := range []string{"hang dump:", "stuck:", "router queue occupancy:", "flight recorder"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("dump missing %q section:\n%s", want, body)
-		}
-	}
-
-	missing := filepath.Join(dir, "missing", "hang-dump.txt")
-	hang = watchdogHang(t, missing)
-	if hang.DumpPath != "" {
-		t.Fatalf("dump path %q recorded for a failed write", hang.DumpPath)
-	}
-	if msg := hang.Error(); !strings.Contains(msg, "[dump failed: ") || !strings.Contains(msg, missing) {
-		t.Fatalf("error %q does not name the failed dump write to %s", msg, missing)
-	}
-}
-
-// watchdogHang runs the all-links-frozen plan with the flight recorder on
-// and the hang dump aimed at dump, and returns the watchdog's typed error.
-func watchdogHang(t *testing.T, dump string) *fault.HangError {
-	t.Helper()
+// trip well before the cycle bound and return a typed, transient hang error
+// carrying the reproducer seed and the stuck report.
+func TestWatchdogTripReturnsTypedHang(t *testing.T) {
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 0xdead
 	cfg.WatchdogCycles = 5000
-	spec := fault.DefaultSpec()
-	spec.StallPPM = 1_000_000 // every link frozen, forever
-	spec.Scope = fault.ScopeAll
+	spec, err := fault.ParseSpec("stall=1000000,scope=all,timeout=0") // every link frozen, forever; no retry
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := metrics.New(metrics.Options{FlightSize: 256})
 	m := buildMachine(t, protocol.KindTree, cfg, trace.Benchmarks()[0], 60,
-		protocol.Spec{
-			Faults:       &fault.Plan{Spec: spec, Seed: 5},
-			Metrics:      col,
-			HangDumpPath: dump,
-		})
-	err := m.Run(2_000_000)
+		protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: 5}, Metrics: col})
+	err = m.Run(2_000_000)
 	var hang *fault.HangError
 	if !errors.As(err, &hang) {
 		t.Fatalf("got %v, want *fault.HangError", err)
@@ -229,13 +188,18 @@ func watchdogHang(t *testing.T, dump string) *fault.HangError {
 	if hang.Seed != cfg.Seed {
 		t.Fatalf("hang seed %#x, want reproducer %#x", hang.Seed, cfg.Seed)
 	}
+	if !strings.Contains(hang.Report, "router queues:") {
+		t.Fatalf("hang report %q lacks the router queue occupancy", hang.Report)
+	}
 	if m.Kernel.Now() >= 2_000_000 {
 		t.Fatalf("watchdog let the run burn its whole bound (cycle %d)", m.Kernel.Now())
 	}
 	if !fault.Transient(err) {
 		t.Fatal("hang must classify as transient")
 	}
-	return hang
+	if len(col.Flight.Events()) == 0 {
+		t.Fatal("flight recorder holds no events for the hung run")
+	}
 }
 
 // TestCycleBoundHangIsTyped: even without the watchdog, exhausting the
@@ -244,11 +208,13 @@ func watchdogHang(t *testing.T, dump string) *fault.HangError {
 func TestCycleBoundHangIsTyped(t *testing.T) {
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 0xdead
-	spec := fault.DefaultSpec()
-	spec.DropPPM = 1_000_000 // drop all requests, no retry armed: wedge
+	spec, err := fault.ParseSpec("drop=1000000,timeout=0") // drop all requests, no retry armed: wedge
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := buildMachine(t, protocol.KindTree, cfg, trace.Benchmarks()[0], 60,
 		protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: 5}})
-	err := m.Run(100_000)
+	err = m.Run(100_000)
 	var hang *fault.HangError
 	if !errors.As(err, &hang) {
 		t.Fatalf("got %v, want *fault.HangError", err)
@@ -266,8 +232,12 @@ func TestCycleBoundHangIsTyped(t *testing.T) {
 func TestProbeAloneIsClean(t *testing.T) {
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 42
-	cfg.ProbeInterval = 500
-	m := buildMachine(t, protocol.KindDirectory, cfg, trace.Benchmarks()[1], 100, protocol.Spec{})
+	spec, err := fault.ParseSpec("timeout=0,probe=500") // no injection, no retry
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := buildMachine(t, protocol.KindDirectory, cfg, trace.Benchmarks()[1], 100,
+		protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: 42}})
 	if err := m.Run(20_000_000); err != nil {
 		t.Fatalf("probed fault-free run failed: %v", err)
 	}
@@ -304,9 +274,6 @@ func TestTargetedTorusWrapLinkDrop(t *testing.T) {
 			cfg := protocol.DefaultConfig()
 			cfg.Topology = network.TorusSpec(4, 4)
 			cfg.Seed = seed
-			cfg.RetryTimeout = spec.Timeout
-			cfg.RetryBudget = spec.Budget
-			cfg.RetryBackoff = spec.Backoff
 			m := buildMachine(t, kind, cfg, p, accesses,
 				protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: seed}})
 			if err := m.Run(40_000_000); err != nil {
@@ -332,9 +299,6 @@ func TestTargetedTorusWrapLinkDrop(t *testing.T) {
 	t.Run("mesh-control", func(t *testing.T) {
 		cfg := protocol.DefaultConfig()
 		cfg.Seed = seed
-		cfg.RetryTimeout = spec.Timeout
-		cfg.RetryBudget = spec.Budget
-		cfg.RetryBackoff = spec.Backoff
 		m := buildMachine(t, protocol.KindTree, cfg, p, accesses,
 			protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: seed}})
 		if err := m.Run(40_000_000); err != nil {

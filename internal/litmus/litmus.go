@@ -121,7 +121,7 @@ type RunSpec struct {
 	// (treecc.ParseBug) armed on the engine under test.
 	Bug string `json:"bug,omitempty"`
 	// Faults, when non-empty, is a fault.ParseSpec string arming
-	// injection and the retry/watchdog recovery knobs.
+	// injection and the retry/probe recovery keys.
 	Faults string `json:"faults,omitempty"`
 	// Program is the litmus test itself.
 	Program Program `json:"program"`

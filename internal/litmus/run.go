@@ -75,14 +75,8 @@ func Run(rs RunSpec) ([]Failure, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.RetryTimeout = fspec.Timeout
-		cfg.RetryBudget = fspec.Budget
-		cfg.RetryBackoff = fspec.Backoff
-		cfg.ProbeInterval = fspec.Probe
-		if fspec.Injecting() {
-			p := fspec.Plan(faultSeed(rs.Seed))
-			plan = &p
-		}
+		p := fspec.Plan(faultSeed(rs.Seed))
+		plan = &p
 	}
 	bugs, err := treecc.ParseBug(rs.Bug)
 	if err != nil {

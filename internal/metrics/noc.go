@@ -60,11 +60,3 @@ func (n *NoC) Util(r, p int) float64 {
 	}
 	return float64(n.LinkBusy[n.OutIdx(r, p)]) / float64(n.Cycles)
 }
-
-// MeanQueue returns input port (r,p,vc)'s mean FIFO occupancy in packets.
-func (n *NoC) MeanQueue(r, p, vc int) float64 {
-	if n.Cycles == 0 {
-		return 0
-	}
-	return float64(n.QueueSum[n.InIdx(r, p, vc)]) / float64(n.Cycles)
-}

@@ -232,11 +232,6 @@ func (s NodeSet) Add(n int) NodeSet {
 	return s
 }
 
-// Has reports whether node n is in the set.
-func (s NodeSet) Has(n int) bool {
-	return n/64 < len(s) && s[n/64]&(1<<(uint(n)%64)) != 0
-}
-
 // Count returns the number of members.
 func (s NodeSet) Count() int {
 	c := 0

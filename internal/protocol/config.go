@@ -50,6 +50,9 @@ type Config struct {
 
 	// Deadlock recovery (Section 2.1): reply timeout and the random
 	// backoff window applied at the home node to regenerated requests.
+	// The fault layer's per-request reissue (timeout, retry budget,
+	// backoff, invariant probe) is configured by the fault plan
+	// (Spec.Faults), not here.
 	TimeoutCycles          int64
 	BackoffMin, BackoffMax int64
 
@@ -72,35 +75,11 @@ type Config struct {
 	// access costs an ejection and re-injection.
 	AboveNetworkTree bool
 
-	// Fault recovery (internal/fault). All four default to zero —
-	// disabled — so configurations predating the fault layer behave
-	// byte-identically.
-	//
-	// RetryTimeout is the per-request reply timeout in cycles: a node
-	// whose outstanding access has gone unanswered past the deadline (or
-	// whose serving packet the fault layer reports dropped) reissues the
-	// request from scratch. 0 disables timeout/retry entirely. Note this
-	// is distinct from TimeoutCycles above, which is the paper's
-	// in-network deadlock recovery for stalled replies.
-	RetryTimeout int64
-	// RetryBudget bounds reissues per access; exceeding it fails the run
-	// with fault.RetryExhaustedError.
-	RetryBudget int
-	// RetryBackoff is the base reissue delay in cycles, doubled on every
-	// further attempt (values below 1 act as 1).
-	RetryBackoff int64
-
 	// WatchdogCycles arms the kernel hang watchdog: a run whose active
 	// set is non-empty but makes no progress for this many cycles fails
 	// with fault.HangError instead of spinning to the cycle bound. 0
 	// disables.
 	WatchdogCycles int64
-
-	// ProbeInterval runs the runtime coherence-invariant probe (single
-	// writer, no stale Shared copy, versions within the commit bound)
-	// every this many cycles; a violation fails the run with
-	// fault.InvariantError at the cycle it occurred. 0 disables.
-	ProbeInterval int64
 
 	// Seed drives all randomness in the run.
 	Seed uint64
@@ -155,12 +134,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("protocol: backoff window [%d,%d] inverted", c.BackoffMin, c.BackoffMax)
 	case c.CtrlFlits < 1 || c.DataFlits < 1:
 		return fmt.Errorf("protocol: flit counts must be positive")
-	case c.RetryTimeout < 0 || c.RetryBudget < 0 || c.RetryBackoff < 0:
-		return fmt.Errorf("protocol: negative retry knob (timeout=%d budget=%d backoff=%d)",
-			c.RetryTimeout, c.RetryBudget, c.RetryBackoff)
-	case c.WatchdogCycles < 0 || c.ProbeInterval < 0:
-		return fmt.Errorf("protocol: negative watchdog/probe interval (%d/%d)",
-			c.WatchdogCycles, c.ProbeInterval)
+	case c.WatchdogCycles < 0:
+		return fmt.Errorf("protocol: negative watchdog interval %d", c.WatchdogCycles)
 	}
 	return nil
 }

@@ -4,16 +4,13 @@ package protocol
 // injects drops, corruptions and stalls; this file implements what the
 // protocol does about them — per-request reply timeouts with bounded
 // exponential-backoff reissue, drop NACKs that short-circuit the timeout,
-// stale-reply rejection across reissue epochs, a periodic runtime probe of
-// the coherence invariants, and the hang dump written when a run fails to
-// quiesce. Everything here is inert (zero overhead beyond a flag check)
-// unless the corresponding Config knob or fault plan arms it.
+// stale-reply rejection across reissue epochs, and a periodic runtime probe
+// of the coherence invariants. Everything here is inert (zero overhead
+// beyond a flag check) unless the fault plan's recovery keys arm it.
 
 import (
 	"fmt"
 	"math"
-	"os"
-	"strings"
 
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
@@ -70,7 +67,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 		n.retryAt = math.MaxInt64
 		return
 	}
-	if int(n.attempt) >= m.Cfg.RetryBudget {
+	if int(n.attempt) >= m.recovery.Budget {
 		m.fail(&fault.RetryExhaustedError{
 			Node:     n.ID,
 			Addr:     acc.Addr,
@@ -87,7 +84,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 	if c := m.Metrics; c != nil {
 		c.Event(now, metrics.EvRetry, int16(n.ID), acc.Addr, int64(n.attempt))
 	}
-	backoff := m.Cfg.RetryBackoff
+	backoff := m.recovery.Backoff
 	if backoff < 1 {
 		backoff = 1
 	}
@@ -96,7 +93,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 		shift = 20 // cap the doubling; budgets are small anyway
 	}
 	backoff <<= shift
-	n.retryAt = now + backoff + m.Cfg.RetryTimeout
+	n.retryAt = now + backoff + m.recovery.Timeout
 	m.noteWake(n.retryAt)
 	// A NACK can arrive while the machine is parked with no wake timer;
 	// wake it so the new deadline is observed (same pattern as
@@ -182,7 +179,7 @@ func (m *Machine) foldFaultCounters() {
 // drained — the end-state diff covers quiescent state, and a perpetually
 // pending probe event would hold off quiescence detection forever.
 func (m *Machine) startInvariantProbe() {
-	every := m.Cfg.ProbeInterval
+	every := m.recovery.Probe
 	if every <= 0 || m.probeStarted {
 		return
 	}
@@ -246,37 +243,4 @@ func (m *Machine) probeInvariants(now int64) {
 	if len(violations) > 0 {
 		m.fail(&fault.InvariantError{Cycle: now, Seed: m.Cfg.Seed, Violations: violations})
 	}
-}
-
-// writeHangDump writes the hang diagnosis — stuck report, full per-router
-// queue occupancy, and the flight-recorder tail when metrics are on — to
-// the spec's HangDumpPath, recording in the error the path on success or
-// the write failure otherwise.
-func (m *Machine) writeHangDump(herr *fault.HangError) {
-	if m.hangDump == "" {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "hang dump: cycle %d seed %#x watchdog=%v\n", herr.Cycle, herr.Seed, herr.Watchdog)
-	fmt.Fprintf(&b, "stuck: %s\n", herr.Report)
-	fmt.Fprintf(&b, "router queue occupancy: %s\n", m.queueOccupancy(0))
-	if i := m.faults; i != nil {
-		fmt.Fprintf(&b, "faults: drops=%d checksum_drops=%d corruptions=%d stall_cycles=%d\n",
-			i.Drops, i.ChecksumDrops, i.Corruptions, i.StallCycles)
-	}
-	if c := m.Metrics; c != nil {
-		events := c.Flight.Events()
-		fmt.Fprintf(&b, "flight recorder (%d events retained, %d total):\n", len(events), c.Flight.Total())
-		for _, e := range events {
-			b.WriteString(e.String())
-			b.WriteByte('\n')
-		}
-	} else {
-		b.WriteString("flight recorder: disabled (run with metrics for event history)\n")
-	}
-	if err := os.WriteFile(m.hangDump, []byte(b.String()), 0o644); err != nil {
-		herr.DumpErr = err.Error()
-		return
-	}
-	herr.DumpPath = m.hangDump
 }

@@ -74,7 +74,7 @@ type Node struct {
 
 	// attempt is the fault-recovery reissue epoch of the outstanding
 	// access and retryAt its current reply deadline; both are dead
-	// fields unless Config.RetryTimeout arms the retry layer.
+	// fields unless the fault plan's timeout arms the retry layer.
 	attempt uint16
 	retryAt int64
 }
@@ -137,13 +137,14 @@ type Machine struct {
 	wakeTimerAt int64
 
 	// Fault layer state: the live injector (nil when the spec's plan
-	// injects nothing), whether timeout/retry is armed, the hang-dump
-	// destination, the first fatal fault error (latched by fail; checked
-	// by Run's done predicate so the run stops at the failing cycle),
-	// and the one-shot guard for the invariant probe.
+	// injects nothing), the plan's recovery keys (zero without a plan),
+	// whether timeout/retry is armed, the first fatal fault error
+	// (latched by fail; checked by Run's done predicate so the run stops
+	// at the failing cycle), and the one-shot guard for the invariant
+	// probe.
 	faults       *fault.Injector
+	recovery     fault.Spec
 	retryOn      bool
-	hangDump     string
 	fatal        error
 	probeStarted bool
 	faultsFolded bool
@@ -154,16 +155,6 @@ type Machine struct {
 // measured link-serialization wait.
 type netAcc struct {
 	net, trav, serial int64
-}
-
-// NewMachine builds a machine for the given configuration and trace. think
-// is the mean CPU idle time between accesses (from the benchmark profile).
-//
-// Deprecated: use Build with a Spec, which also constructs the engine and
-// wires metrics in one call. This shim exists for one release so external
-// drivers keep compiling.
-func NewMachine(cfg Config, tr *trace.Trace, think int64) (*Machine, error) {
-	return Build(Spec{Config: cfg, Trace: tr, Think: think})
 }
 
 // newMachine constructs the machine core from a validated spec; Build
@@ -188,12 +179,14 @@ func newMachine(spec Spec) (*Machine, error) {
 		think:      think,
 		nicBusy:    make([]int64, cfg.Nodes()),
 		accNet:     make([]netAcc, cfg.Nodes()),
-		retryOn:    cfg.RetryTimeout > 0,
-		hangDump:   spec.HangDumpPath,
 	}
-	if spec.Faults != nil && spec.Faults.Spec.Injecting() {
-		m.faults = &fault.Injector{Plan: *spec.Faults}
+	if spec.Faults != nil {
+		m.recovery = spec.Faults.Spec
+		if m.recovery.Injecting() {
+			m.faults = &fault.Injector{Plan: *spec.Faults}
+		}
 	}
+	m.retryOn = m.recovery.Timeout > 0
 	for i := 0; i < cfg.Nodes(); i++ {
 		m.Nodes = append(m.Nodes, &Node{
 			ID:     i,
@@ -298,7 +291,7 @@ func (m *Machine) Tick(now int64) {
 		n.issueAt = now
 		if m.retryOn {
 			n.attempt = 0
-			n.retryAt = now + m.Cfg.RetryTimeout
+			n.retryAt = now + m.recovery.Timeout
 			m.noteWake(n.retryAt)
 		}
 		m.HomeCounts[m.Cfg.Home(acc.Addr)]++
@@ -542,9 +535,8 @@ func (m *Machine) Quiesced() bool {
 // Run executes the simulation until quiescence, a fatal fault-layer error
 // (retry exhaustion, invariant violation), a watchdog trip, or maxCycles.
 // A run that fails to quiesce returns a typed *fault.HangError carrying
-// the reproducer seed and the stuck report (and writes the hang dump when
-// the spec configured a path); verification violations are reported as an
-// error as before.
+// the reproducer seed and the stuck report; verification violations are
+// reported as an error.
 func (m *Machine) Run(maxCycles int64) error {
 	if m.engine == nil {
 		return fmt.Errorf("protocol: no engine attached")
@@ -589,14 +581,12 @@ func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 		return true, m.fatal
 	}
 	if !m.Quiesced() {
-		herr := &fault.HangError{
+		return true, &fault.HangError{
 			Cycle:    m.Kernel.Now(),
 			Seed:     m.Cfg.Seed,
 			Watchdog: m.Kernel.Hung(),
 			Report:   m.stuckReport(),
 		}
-		m.writeHangDump(herr)
-		return true, herr
 	}
 	if v := m.Check.Violations(); len(v) > 0 {
 		return true, fmt.Errorf("protocol: %d verification violations, first: %s", len(v), v[0])
@@ -616,12 +606,13 @@ func (m *Machine) stuckReport() string {
 		}
 	}
 	return fmt.Sprintf("%d nodes unfinished, %d packets in flight, engine quiesced=%v, %d events pending; %s; router queues: %s",
-		waiting, m.Mesh.InFlight, m.engine.Quiesced(), m.Kernel.Pending(), sample, m.queueOccupancy(8))
+		waiting, m.Mesh.InFlight, m.engine.Quiesced(), m.Kernel.Pending(), sample, m.queueOccupancy())
 }
 
 // queueOccupancy renders the non-empty router input queues, largest first,
-// capped at limit entries (the hang dump passes no cap).
-func (m *Machine) queueOccupancy(limit int) string {
+// capped at eight entries.
+func (m *Machine) queueOccupancy() string {
+	const limit = 8
 	type occ struct{ node, queued int }
 	var occs []occ
 	for _, r := range m.Mesh.Routers {
@@ -640,7 +631,7 @@ func (m *Machine) queueOccupancy(limit int) string {
 	})
 	var b strings.Builder
 	for i, o := range occs {
-		if limit > 0 && i >= limit {
+		if i >= limit {
 			fmt.Fprintf(&b, " +%d more", len(occs)-i)
 			break
 		}

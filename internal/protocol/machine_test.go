@@ -78,11 +78,11 @@ func echoTrace(scripts map[int][]trace.Access) *trace.Trace {
 func TestMachineRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = network.TopoSpec{Kind: "mesh", W: 0, H: 4}
-	if _, err := NewMachine(cfg, echoTrace(nil), 5); err == nil {
+	if _, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 5}); err == nil {
 		t.Fatal("bad mesh accepted")
 	}
 	cfg = DefaultConfig()
-	if _, err := NewMachine(cfg, &trace.Trace{PerNode: make([][]trace.Access, 3)}, 5); err == nil {
+	if _, err := Build(Spec{Config: cfg, Trace: &trace.Trace{PerNode: make([][]trace.Access, 3)}, Think: 5}); err == nil {
 		t.Fatal("trace/node mismatch accepted")
 	}
 }
@@ -130,9 +130,9 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 	// A node's second access must not be issued before its first reply
 	// returns: with the echo engine, misses arrive one at a time.
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		3: {{Addr: 1}, {Addr: 2}, {Addr: 3}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,9 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 
 func TestLocalHitsBypassEngine(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		2: {{Addr: 8, Write: true}, {Addr: 8, Write: true}, {Addr: 8}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +177,9 @@ func TestLocalHitsBypassEngine(t *testing.T) {
 
 func TestUpgradeMissForSharedWrite(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		2: {{Addr: 8, Write: true}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestUpgradeMissForSharedWrite(t *testing.T) {
 
 func TestNICScheduleSerializes(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(nil), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestNICScheduleSerializes(t *testing.T) {
 func TestInstallEvictionWritesBackDirty(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L2Entries, cfg.L2Ways = 2, 1
-	m, err := NewMachine(cfg, echoTrace(nil), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestInstallEvictionWritesBackDirty(t *testing.T) {
 
 func TestStuckReportNamesBlockedAccess(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{5: {{Addr: 0x77}}}), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{5: {{Addr: 0x77}}}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,7 @@ func RegisterEngineBuilder(k EngineKind, build func(*Machine) Engine) {
 const MaxDirectoryNodes = 64
 
 // Spec is the declarative machine construction request: everything Build
-// needs to produce a runnable simulation in one call. It replaces the
-// previous positional NewMachine(cfg, tr, think) plus
-// manually-constructed-engine idiom.
+// needs to produce a runnable simulation in one call.
 type Spec struct {
 	// Config is the machine configuration (Config.Seed drives all
 	// randomness in the run).
@@ -144,13 +142,13 @@ type Spec struct {
 	// debugging suspected park/wake bugs.
 	AlwaysTick bool
 
-	// Faults, when non-nil and injecting, arms the mesh's deterministic
-	// fault injector with this plan. A nil plan — or a plan whose spec
-	// injects nothing — leaves the network entirely untouched (no
-	// checksum stamping, no per-grant sampling), so fault-free runs are
-	// byte-identical to builds without the fault layer. The recovery
-	// side (timeout/retry, watchdog, probe) is configured separately
-	// through Config so it can run with or without injection.
+	// Faults is the fault plan: its spec's recovery keys (timeout,
+	// retries, backoff, probe) arm the machine's reissue layer and
+	// invariant probe, and its rates, when non-zero, arm the mesh's
+	// deterministic fault injector. A nil plan disables recovery; a plan
+	// whose spec injects nothing leaves the network entirely untouched
+	// (no checksum stamping, no per-grant sampling), so fault-free runs
+	// are byte-identical to builds without the fault layer.
 	Faults *fault.Plan
 
 	// KeepOrder retains the verifier's full total order of committed
@@ -158,12 +156,6 @@ type Spec struct {
 	// through the linearization witness. Costs memory proportional to the
 	// access count; experiment runs leave it off.
 	KeepOrder bool
-
-	// HangDumpPath, when non-empty, is the file Run writes the hang dump
-	// to (stuck report, per-router queue occupancy, flight-recorder
-	// tail) if the run fails to quiesce. It is diagnostic output only
-	// and must never enter a job's cache identity.
-	HangDumpPath string
 
 	// Shards is ignored: the kernel ticks serially.
 	//

@@ -25,21 +25,15 @@ type Event struct {
 // transition.
 const maxEventHistory = 256
 
-// Subscribe attaches a progress listener to the job. The returned channel
-// first delivers a synthetic state event with the current record, then
-// every subsequent event, and is closed when the job reaches a terminal
-// state (the closing state event is delivered first). The unsubscribe
-// function is idempotent and safe after close.
-func (s *Server) Subscribe(id string) (<-chan Event, func(), error) {
-	return s.SubscribeAfter(id, -1)
-}
-
-// SubscribeAfter attaches a listener that resumes a dropped stream: events
-// with IDs greater than after are replayed from the retained ring before
-// live delivery begins. after < 0 requests a fresh subscription (synthetic
-// current-state event first); an after older than the ring's tail falls
-// back to the same synthetic snapshot, so a lagging client always
-// converges on the current record.
+// SubscribeAfter attaches a progress listener to the job. Events with IDs
+// greater than after are replayed from the retained ring before live
+// delivery begins, so a dropped stream resumes where it left off. after < 0
+// requests a fresh subscription, which first delivers a synthetic state
+// event with the current record; an after older than the ring's tail falls
+// back to the same synthetic snapshot, so a lagging client always converges
+// on the current record. The channel is closed when the job reaches a
+// terminal state (the closing state event is delivered first). The
+// unsubscribe function is idempotent and safe after close.
 func (s *Server) SubscribeAfter(id string, after int64) (<-chan Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,7 +101,7 @@ func (js *jobState) replayLocked(after int64) []Event {
 // the replay ring and fans it out to the job's subscribers. Callers hold
 // s.mu. Slow subscribers lose events (non-blocking send): progress is a
 // telemetry stream, not a transactional log. The exception is a terminal
-// state event — Subscribe promises it precedes the channel close — so a
+// state event — SubscribeAfter promises it precedes the channel close — so a
 // full buffer has its oldest queued telemetry evicted to make room.
 // Eviction is safe: senders serialize on s.mu, so after freeing a slot
 // the send cannot find the buffer full again.

@@ -57,15 +57,6 @@ var bugNames = [numBugs]string{
 	"double-grant",
 }
 
-// AllBugs lists every seeded defect, in bit order.
-func AllBugs() []Bug {
-	out := make([]Bug, numBugs)
-	for i := range out {
-		out[i] = 1 << i
-	}
-	return out
-}
-
 // String renders the mask as its canonical names joined by "+" ("none" for
 // the zero mask).
 func (b Bug) String() string {

@@ -20,10 +20,6 @@ func runEngineFaulty(t *testing.T, kind protocol.EngineKind, p trace.Profile, ac
 	t.Helper()
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = seed
-	cfg.RetryTimeout = spec.Timeout
-	cfg.RetryBudget = spec.Budget
-	cfg.RetryBackoff = spec.Backoff
-	cfg.ProbeInterval = spec.Probe
 	m, err := protocol.Build(protocol.Spec{
 		Config: cfg,
 		Trace:  trace.Generate(p, cfg.Nodes(), accesses, seed),

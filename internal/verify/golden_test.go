@@ -75,10 +75,6 @@ func runGolden(t *testing.T, kind protocol.EngineKind, p trace.Profile, topo net
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.RetryTimeout = fs.Timeout
-		cfg.RetryBudget = fs.Budget
-		cfg.RetryBackoff = fs.Backoff
-		cfg.ProbeInterval = fs.Probe
 		spec.Faults = &fault.Plan{Spec: fs, Seed: seed}
 	}
 	spec.Config = cfg

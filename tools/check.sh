@@ -2,8 +2,8 @@
 # Repository check: build, vet, a build and vet of the perfbench module, a
 # no-printing guard over the simulator packages, race-enabled tests, fuzz
 # smoke passes over the trace-file and fault-spec parsers, race-enabled
-# fault-injection smokes (drop-plan recovery per engine + watchdog dump,
-# stall and corrupt faults with metrics on), and a race-enabled
+# fault-injection smokes (drop-plan recovery per engine + watchdog hang
+# post-mortem, stall and corrupt faults with metrics on), and a race-enabled
 # metrics-instrumented experiment run. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
@@ -68,11 +68,12 @@ go run -race ./cmd/innetcc -litmus-replay "$REPRO" | grep -q '^reproduced:'
 go test -race ./internal/litmus -fuzz '^FuzzLitmusProgram$' -fuzztime 10s
 
 # Fault smoke under the race detector: one seeded drop plan per engine must
-# recover to a coherent end state, and a watchdog trip must produce the
-# flight-recorder dump (TestWatchdogTripDumpsFlightRecorder asserts the
-# dump file on disk).
+# recover to a coherent end state, a watchdog trip must return a typed
+# hang error, and a hung job's failed result must carry the flight ring
+# (the hang post-mortem).
 go test -race ./internal/fault \
-    -run '^(TestDropPlanCompletesCoherently|TestWatchdogTripDumpsFlightRecorder)$' -v
+    -run '^(TestDropPlanCompletesCoherently|TestWatchdogTripReturnsTypedHang)$' -v
+go test -race ./internal/exec -run '^TestWatchdogHangResultCarriesFlightRing$' -v
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -faults drop=2000,timeout=200000,retries=6,backoff=64 -retries 1 >/dev/null
 # Stall and corrupt faults with metrics on: the router's stall-fault
