@@ -64,7 +64,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// Machine.Run fails on any coherence or sequential-consistency
-	// violation recorded by the verifier.
+	// violation recorded by the verifier, returning a *verify.Error whose
+	// violations each name the broken invariant (e.g. "sole-copy-at-commit").
 	if err := m.Run(200_000_000); err != nil {
 		log.Fatal(err)
 	}

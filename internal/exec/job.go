@@ -33,7 +33,7 @@ const DefaultMaxCycles = 200_000_000
 // specVersion invalidates cached results when the result schema or the
 // simulation semantics change incompatibly. Bump it on any change that
 // alters what a given spec computes.
-const specVersion = 7 // v7: fault recovery is configured by the Faults spec alone; Config no longer serializes retry/probe keys
+const specVersion = 8 // v8: invariant failures report as *verify.Error with ID-tagged violations
 
 // Job describes one hermetic simulation: which engine to run, on which
 // configuration, over which synthetic trace. Everything the simulation

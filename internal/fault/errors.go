@@ -53,28 +53,11 @@ func (e *RetryExhaustedError) Error() string {
 		e.Node, e.Addr, e.Write, e.Attempts, e.Cycle, e.Seed)
 }
 
-// InvariantError reports a coherence-invariant violation caught by the
-// runtime probe at the cycle it occurred — a corruption the end-state diff
-// would otherwise only surface after the run.
-type InvariantError struct {
-	Cycle      int64
-	Seed       uint64
-	Violations []string
-}
-
-func (e *InvariantError) Error() string {
-	first := "(none recorded)"
-	if len(e.Violations) > 0 {
-		first = e.Violations[0]
-	}
-	return fmt.Sprintf("fault: %d coherence invariant violations at cycle %d (reproducer seed %#x), first: %s",
-		len(e.Violations), e.Cycle, e.Seed, first)
-}
-
 // Transient reports whether err is a failure a retried run (with a derived
 // sub-seed) might not reproduce: hangs and exhausted retry budgets depend
 // on the fault schedule, while panics, build errors and invariant
-// violations are deterministic bugs that re-running cannot fix.
+// violations (*verify.Error) are deterministic bugs that re-running cannot
+// fix.
 func Transient(err error) bool {
 	var hang *HangError
 	var retry *RetryExhaustedError

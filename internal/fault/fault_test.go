@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"innetcc/internal/verify"
 )
 
 func TestParseSpecEmptyIsDefault(t *testing.T) {
@@ -192,7 +194,7 @@ func TestInjectorCounts(t *testing.T) {
 func TestTransientClassification(t *testing.T) {
 	hang := &HangError{Cycle: 10, Seed: 3}
 	exhausted := &RetryExhaustedError{Node: 1, Addr: 0x40, Attempts: 4, Cycle: 9, Seed: 3}
-	invariant := &InvariantError{Cycle: 5, Seed: 3, Violations: []string{"x"}}
+	invariant := &verify.Error{Cycle: 5, Seed: 3, Violations: []verify.Violation{{Inv: verify.SWMR, Detail: "x"}}}
 	for _, tc := range []struct {
 		err  error
 		want bool
@@ -222,8 +224,9 @@ func TestErrorMessagesCarrySeed(t *testing.T) {
 		!strings.Contains(s, "node 2") {
 		t.Errorf("RetryExhaustedError message incomplete: %q", s)
 	}
-	inv := &InvariantError{Cycle: 8, Seed: 0xf00d, Violations: []string{"first", "second"}}
-	if s := inv.Error(); !strings.Contains(s, "0xf00d") || !strings.Contains(s, "first") {
-		t.Errorf("InvariantError message incomplete: %q", s)
+	inv := &verify.Error{Cycle: 8, Seed: 0xf00d, Violations: []verify.Violation{
+		{Inv: verify.NoStaleCopy, Detail: "first"}, {Inv: verify.SWMR, Detail: "second"}}}
+	if s := inv.Error(); !strings.Contains(s, "0xf00d") || !strings.Contains(s, "no-stale-copy: first") {
+		t.Errorf("verify.Error message incomplete: %q", s)
 	}
 }

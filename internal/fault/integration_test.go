@@ -7,6 +7,7 @@ package fault_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -16,10 +17,11 @@ import (
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 	"innetcc/internal/trace"
+	"innetcc/internal/treecc"
+	"innetcc/internal/verify"
 
 	// Engine builder registration for protocol.Build.
 	_ "innetcc/internal/directory"
-	_ "innetcc/internal/treecc"
 )
 
 // buildMachine constructs one simulation over profile p with cfg and the
@@ -244,6 +246,51 @@ func TestProbeAloneIsClean(t *testing.T) {
 	if m.Counters.Get("fault.probes") == 0 {
 		t.Fatal("probe never ran")
 	}
+}
+
+// TestProbeCatchesSkippedInvalidate is the probe's detection half: with the
+// tree engine seeded to leave torn-down copies valid, the probe must stop
+// the run with a *verify.Error naming copy-state invariants, and the same
+// seed must reproduce the identical report. The first probe fires only at
+// cycle 1000, when stale copies of several lines have piled up, so the
+// report is reproducible only because violations come back sorted rather
+// than in map order.
+func TestProbeCatchesSkippedInvalidate(t *testing.T) {
+	run := func() *verify.Error {
+		cfg := protocol.DefaultConfig()
+		cfg.Seed = 42
+		spec, err := fault.ParseSpec("timeout=0,probe=1000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := buildMachine(t, protocol.KindTree, cfg, trace.Benchmarks()[1], 100,
+			protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: 42}})
+		m.Engine().(*treecc.Engine).Bugs = treecc.BugSkipInvalidate
+		err = m.Run(20_000_000)
+		var verr *verify.Error
+		if !errors.As(err, &verr) || m.Fatal() == nil {
+			t.Fatalf("probe did not stop the run with a *verify.Error: %v", err)
+		}
+		if fault.Transient(err) {
+			t.Error("invariant failure classified transient")
+		}
+		for _, v := range verr.Violations {
+			switch v.Inv {
+			case verify.SWMR, verify.MExcludesS, verify.NoStaleCopy, verify.VersionBound:
+			default:
+				t.Errorf("probe reported %s, not a copy-state invariant", v)
+			}
+		}
+		return verr
+	}
+	first, second := run(), run()
+	if len(first.Violations) < 2 {
+		t.Fatalf("want several violations to order, got %v", first.Violations)
+	}
+	if first.Error() != second.Error() || !reflect.DeepEqual(first.Violations, second.Violations) {
+		t.Fatalf("probe report not reproducible:\n%v\n%v", first.Violations, second.Violations)
+	}
+	t.Log(first)
 }
 
 // TestTargetedTorusWrapLinkDrop pins the topology-aware fault namespace:

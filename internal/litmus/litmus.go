@@ -4,21 +4,22 @@
 // writes to a handful of lines from many nodes, on deliberately tiny cache
 // geometries so eviction and conflict paths fire — replays each through
 // the full simulator, clean and under deterministic fault plans, and
-// checks a battery of oracles:
+// checks a battery of oracles, each failure reported under the ID of the
+// verify.Invariant it breaks:
 //
-//   - the runtime verifier (SWMR on write commit, read-vs-memory sampling,
-//     per-node monotonicity), surfaced through the run error;
-//   - teardown liveness: the run must quiesce with every access complete
-//     (a dropped acknowledgment or lost completion hangs the run, which
-//     the watchdog converts into a typed failure);
-//   - the end-state self-check (verify.EndState): nothing committed is
-//     lost, no copy or memory version beyond the committed bound, at most
-//     one Modified copy;
-//   - the linearization witness (verify.CheckWitness): the retained
-//     commit-point order must be a legal sequential MSI history;
-//   - completeness: every issued access commits (writes exactly once;
-//     reads exactly once on clean runs, at least once under fault plans,
-//     where a late reply's serve may legitimately be re-sampled).
+//   - the runtime verifier and, when a fault plan arms it, the invariant
+//     probe (sole-copy-at-commit, sc-order, no-stale-copy, …), surfaced
+//     through the run's *verify.Error;
+//   - teardown liveness (completes): the run must quiesce (a dropped
+//     acknowledgment or lost completion hangs the run, which the watchdog
+//     converts into a typed failure);
+//   - the end-state self-check (verify.EndState.SelfCheck): copy-state
+//     invariants plus write-survives;
+//   - the linearization witness (sc-order, verify.CheckWitness): the
+//     retained commit-point order must be a legal sequential MSI history;
+//   - completeness (completes): every issued access commits (writes
+//     exactly once; reads at least once, since a late reply's serve may
+//     legitimately be re-sampled).
 //
 // A failing spec is shrunk (Shrink) to a minimal reproducer and written as
 // a replayable JSON spec file; Load + Run reproduces the failure

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"innetcc/internal/protocol"
+	"innetcc/internal/verify"
 )
 
 // Line addresses used by the directed programs: addr n has home node n.
@@ -74,15 +75,21 @@ func TestCleanFaultCampaignPasses(t *testing.T) {
 // carries directed conflict programs (prelude reads on other lines stagger
 // issue times so the conflict lands in the vulnerable window) and the
 // fault string its defect needs (stale replies need retry armed; several
-// need only the invariant probe; drop-td-ack needs nothing at all).
+// need only the invariant probe; drop-td-ack needs nothing at all), and
+// the invariant whose ID must appear among the failures of the spec
+// findFailing returns. internal/mcheck's mutationTable pins the model
+// checker's ID for the same defect; DESIGN.md lists the rows where the two
+// nets differ and why.
 var bugCases = []struct {
 	bug      string
 	faults   string
+	want     verify.Invariant
 	programs []Program
 }{
 	{
 		bug:    "drop-td-ack",
 		faults: "",
+		want:   verify.Completes,
 		programs: []Program{
 			{Topology: "mesh:2x2", Ops: []Op{
 				{Node: 1, Addr: aA}, {Node: 2, Addr: aB}, {Node: 2, Addr: aA, Write: true}}},
@@ -91,6 +98,7 @@ var bugCases = []struct {
 	{
 		bug:    "skip-invalidate",
 		faults: "",
+		want:   verify.SoleCopyAtCommit,
 		programs: []Program{
 			{Topology: "mesh:2x2", Ops: []Op{
 				{Node: 1, Addr: aA}, {Node: 2, Addr: aB}, {Node: 2, Addr: aA, Write: true}}},
@@ -99,6 +107,7 @@ var bugCases = []struct {
 	{
 		bug:    "lost-writeback",
 		faults: "",
+		want:   verify.SCOrder,
 		programs: []Program{
 			{Topology: "mesh:2x2", Ops: []Op{
 				{Node: 1, Addr: aA, Write: true}, {Node: 2, Addr: aB}, {Node: 2, Addr: aA}}},
@@ -111,6 +120,7 @@ var bugCases = []struct {
 		// node keeps teardowns overlapping grants until the invariant
 		// probe observes a stale copy outliving a commit.
 		faults: "probe=10",
+		want:   verify.NoStaleCopy,
 		programs: []Program{
 			// All four nodes churning one line whose home is n2.
 			{Topology: "mesh:2x2", Ops: []Op{
@@ -127,6 +137,7 @@ var bugCases = []struct {
 	{
 		bug:    "double-grant",
 		faults: "probe=10",
+		want:   verify.SCOrder,
 		programs: []Program{
 			// A write slips into the home's pending window while a
 			// memory read is being served.
@@ -148,6 +159,7 @@ var bugCases = []struct {
 		// and their abandoned replies churning through hot-line teardown
 		// storms. Seed-dependent, hence the scan.
 		faults: "stall=300000,stalllen=24,timeout=120,retries=30,backoff=8,probe=10",
+		want:   verify.Completes,
 		programs: []Program{
 			{Topology: "mesh:2x2", Ops: []Op{
 				{Node: 1, Addr: aA, Write: true}, {Node: 2, Addr: aA, Write: true},
@@ -168,6 +180,7 @@ var bugCases = []struct {
 		// while the original reply is still in flight, and the defect
 		// then accepts that abandoned reply, double-completing.
 		faults: "timeout=60,retries=20,backoff=8,probe=25",
+		want:   verify.Completes,
 		programs: []Program{
 			{Topology: "mesh:2x2", Ops: []Op{
 				{Node: 1, Addr: aA}, {Node: 2, Addr: aA, Write: true},
@@ -216,6 +229,13 @@ func TestSeededBugsCaughtAndShrunk(t *testing.T) {
 			if !found {
 				t.Fatalf("bug %s: no failing seed in 1..%d", tc.bug, maxSeed)
 			}
+			fails, err := Run(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reports(fails, tc.want) {
+				t.Fatalf("bug %s: no %s failure among %v", tc.bug, tc.want, fails)
+			}
 
 			small := Shrink(rs)
 			if n := len(small.Program.Ops); n > 8 {
@@ -248,6 +268,16 @@ func TestSeededBugsCaughtAndShrunk(t *testing.T) {
 			t.Logf("bug %s: %d ops, oracle %s (%s)", tc.bug, len(small.Program.Ops), got[0].Oracle, small)
 		})
 	}
+}
+
+// reports says whether some failure names inv as its oracle.
+func reports(fails []Failure, inv verify.Invariant) bool {
+	for _, f := range fails {
+		if f.Oracle == string(inv) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestShrinkDeterministic pins that shrinking is a pure function of the

@@ -19,9 +19,9 @@ import (
 // reproducer (every shrink candidate re-runs to the bound) stays fast.
 const maxCycles = 300_000
 
-// Failure is one oracle trip. Oracle is a stable category name — "crash",
-// "liveness", "verify", "witness", "completeness", "endstate" — and Detail
-// the human-readable specifics.
+// Failure is one oracle trip. Oracle is the ID of the broken invariant
+// (verify.Invariant's names: "sc-order", "completes", …), or "crash" for a
+// panicking run, and Detail the human-readable specifics.
 type Failure struct {
 	Oracle string `json:"oracle"`
 	Detail string `json:"detail"`
@@ -101,36 +101,32 @@ func Run(rs RunSpec) ([]Failure, error) {
 	}
 
 	runErr, panicked := runGuarded(m)
-
-	var fails []Failure
-	add := func(oracle, format string, args ...interface{}) {
-		if len(fails) < 32 {
-			fails = append(fails, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
-		}
-	}
 	if panicked != "" {
-		add("crash", "%s", panicked)
-		return fails, nil
+		return []Failure{{Oracle: "crash", Detail: panicked}}, nil
 	}
-	var hang *fault.HangError
+	var vs []verify.Violation
+	var verr *verify.Error
 	switch {
-	case errors.As(runErr, &hang):
-		add("liveness", "run did not quiesce: %s", hang.Error())
+	case errors.As(runErr, &verr):
+		vs = append(vs, verr.Violations...)
 	case runErr != nil:
-		add("verify", "%s", runErr.Error())
+		// A hang or an exhausted retry budget: the run did not drain.
+		vs = append(vs, verify.Violation{Inv: verify.Completes, Detail: runErr.Error()})
 	}
 	// The witness validates the commit-point prefix even of a hung run;
 	// the end-state and completeness oracles only make sense at clean
 	// quiescence (a hung run trivially has in-flight versions and
-	// unfinished accesses, which the liveness failure already reports).
-	for _, w := range verify.CheckWitness(m.Check.Order()) {
-		add("witness", "%s", w)
-	}
+	// unfinished accesses, which the completes failure already reports).
+	vs = append(vs, verify.CheckWitness(m.Check.Order())...)
 	if runErr == nil {
-		for _, s := range m.EndState(rs.Engine.String() + "/litmus").SelfCheck() {
-			add("endstate", "%s", s)
+		vs = append(vs, m.EndState(rs.Engine.String()+"/litmus").SelfCheck()...)
+		vs = append(vs, checkCompleteness(rs, m)...)
+	}
+	var fails []Failure
+	for _, v := range vs {
+		if len(fails) < 32 {
+			fails = append(fails, Failure{Oracle: string(v.Inv), Detail: v.Detail})
 		}
-		checkCompleteness(rs, m, add)
 	}
 	return fails, nil
 }
@@ -153,8 +149,9 @@ func runGuarded(m *protocol.Machine) (err error, panicked string) {
 // duplicated completion. Reads must commit at least once; exactly-once
 // cannot be demanded because the paper's own deadlock recovery (and the
 // fault layer's retry) legitimately re-serves a read whose reply was
-// aborted, leaving a second harmless sample at the data source.
-func checkCompleteness(rs RunSpec, m *protocol.Machine, add func(string, string, ...interface{})) {
+// aborted, leaving a second harmless sample at the data source. Every
+// shortfall breaks the completes invariant.
+func checkCompleteness(rs RunSpec, m *protocol.Machine) []verify.Violation {
 	wantReads := map[int]int{}
 	wantWrites := map[int]int{}
 	for _, op := range rs.Program.Ops {
@@ -173,13 +170,15 @@ func checkCompleteness(rs RunSpec, m *protocol.Machine, add func(string, string,
 			gotReads[r.Node]++
 		}
 	}
+	var out []verify.Violation
 	nodes := rs.Program.Nodes()
 	for n := 0; n < nodes; n++ {
 		if gotWrites[n] != wantWrites[n] {
-			add("completeness", "node %d committed %d writes, program issued %d", n, gotWrites[n], wantWrites[n])
+			out = append(out, verify.Violationf(verify.Completes, "node %d committed %d writes, program issued %d", n, gotWrites[n], wantWrites[n]))
 		}
 		if gotReads[n] < wantReads[n] {
-			add("completeness", "node %d committed %d reads, program issued %d", n, gotReads[n], wantReads[n])
+			out = append(out, verify.Violationf(verify.Completes, "node %d committed %d reads, program issued %d", n, gotReads[n], wantReads[n]))
 		}
 	}
+	return out
 }

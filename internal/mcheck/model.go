@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"innetcc/internal/network"
+	"innetcc/internal/verify"
 )
 
 // Directions, matching the full simulator's encoding: dirN..dirW are the
@@ -229,9 +230,8 @@ const (
 // Result summarizes a model-checking run.
 type Result struct {
 	// States counts distinct canonical states discovered (after symmetry
-	// reduction); Canonical is an alias kept explicit for reports.
-	States    int
-	Canonical int
+	// reduction).
+	States int
 	// Explored counts states actually expanded (dequeued and given to the
 	// transition relation); it trails States only when the run stops early.
 	Explored int
@@ -244,8 +244,9 @@ type Result struct {
 	// frontier drained; the verdict is then only partial.
 	Truncated bool
 	// Violations lists invariant failures (empty on success).
-	Violations []string
-	// Deadlocks lists non-terminal states with no enabled transition.
+	Violations []verify.Violation
+	// Deadlocks lists non-terminal states with no enabled transition; a
+	// deadlock breaks the completes invariant.
 	Deadlocks []string
 	// Terminals counts fully drained end states.
 	Terminals int
@@ -278,29 +279,23 @@ type Checker struct {
 	// proportional to the state count; switch off for large runs.
 	TraceEdges bool
 
-	// DisableAckHold and DisableAnchor switch off two protocol
-	// protections (the outstanding-request acknowledgment hold and the
-	// completion anchor). They predate Mut and remain for compatibility;
-	// MutDropAckHold / MutAcceptStaleReply are the table-driven forms.
-	DisableAckHold bool
-	DisableAnchor  bool
 	// Mut injects the selected protocol bugs into the model.
 	Mut Mutation
 
 	nodes      int
 	group      []symElem
-	violations []string
+	violations []verify.Violation
 	deadlocks  []string
 }
 
 func (c *Checker) has(m Mutation) bool { return c.Mut&m != 0 }
 
 func (c *Checker) ackHoldOff() bool {
-	return c.DisableAckHold || c.has(MutDropAckHold) || c.has(MutAcceptStaleReply)
+	return c.has(MutDropAckHold) || c.has(MutAcceptStaleReply)
 }
 
 func (c *Checker) anchorOff() bool {
-	return c.DisableAnchor || c.has(MutAcceptStaleReply)
+	return c.has(MutAcceptStaleReply)
 }
 
 // New returns a checker for the given concurrent program on the paper's
@@ -393,7 +388,7 @@ type workerOut struct {
 	transitions int
 	explored    int
 	terminals   int
-	violations  []string
+	violations  []verify.Violation
 	deadlocks   []string
 }
 
@@ -402,9 +397,9 @@ const (
 	maxDeadlocks  = 2
 )
 
-func (c *Checker) fail(format string, args ...interface{}) {
+func (c *Checker) fail(inv verify.Invariant, format string, args ...interface{}) {
 	if len(c.violations) < maxViolations {
-		c.violations = append(c.violations, fmt.Sprintf(format, args...))
+		c.violations = append(c.violations, verify.Violationf(inv, format, args...))
 	}
 }
 
@@ -521,7 +516,6 @@ func (c *Checker) Run() Result {
 		}
 		frontier = next
 	}
-	res.Canonical = res.States
 	res.Violations = c.violations
 	res.Deadlocks = c.deadlocks
 	return res
@@ -560,7 +554,7 @@ func (c *Checker) expandChunk(chunk []fstate, visited *hashSet, parents map[uint
 		vpre := len(wc.violations)
 		succs := wc.successors(f.s)
 		for i := vpre; i < len(wc.violations); i++ {
-			wc.violations[i] += "\n  trace: " + trace(f.h)
+			wc.violations[i].Detail += "\n  trace: " + trace(f.h)
 		}
 		if len(succs) == 0 {
 			if wc.isTerminal(f.s) {
@@ -568,7 +562,7 @@ func (c *Checker) expandChunk(chunk []fstate, visited *hashSet, parents map[uint
 				tpre := len(wc.violations)
 				wc.checkTerminal(f.s)
 				for i := tpre; i < len(wc.violations); i++ {
-					wc.violations[i] += "\n  trace: " + trace(f.h)
+					wc.violations[i].Detail += "\n  trace: " + trace(f.h)
 				}
 			} else if len(wc.deadlocks) < maxDeadlocks {
 				wc.deadlocks = append(wc.deadlocks, wc.describe(f.s)+"\n  trace: "+trace(f.h))
@@ -580,7 +574,7 @@ func (c *Checker) expandChunk(chunk []fstate, visited *hashSet, parents map[uint
 			pre := len(wc.violations)
 			wc.checkInvariants(ns.s)
 			if len(wc.violations) > pre {
-				wc.violations[len(wc.violations)-1] += "\n  trace: " + trace(f.h) + ns.label
+				wc.violations[len(wc.violations)-1].Detail += "\n  trace: " + trace(f.h) + ns.label
 			}
 			h := wc.canonicalHash(ns.s)
 			if visited.Contains(h) {

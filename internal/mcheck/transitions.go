@@ -1,6 +1,10 @@
 package mcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"innetcc/internal/verify"
+)
 
 // The transition relation of the reduced protocol. Each successor applies
 // exactly one atomic event to a clone of the state:
@@ -481,7 +485,7 @@ func (c *Checker) nicServe(s *state, node int, m msg) {
 			}
 			v := s.dver[node]
 			if v != s.memV {
-				c.fail("read sampled v%d at n%d but memory holds v%d", v, node, s.memV)
+				c.fail(verify.SCOrder, "read sampled v%d at n%d but memory holds v%d", v, node, s.memV)
 			}
 			c.Opsampled(s, m.Op, v)
 			c.route(s, node, msg{Type: mRdReply, Op: m.Op, Ver: v}, dirNone)

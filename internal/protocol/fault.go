@@ -9,13 +9,13 @@ package protocol
 // beyond a flag check) unless the fault plan's recovery keys arm it.
 
 import (
-	"fmt"
 	"math"
 
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/stats"
+	"innetcc/internal/verify"
 )
 
 // fail latches the first fatal fault-layer error; Run's done predicate
@@ -171,13 +171,12 @@ func (m *Machine) foldFaultCounters() {
 	m.Counters.Inc(stats.FaultStallCycles, i.StallCycles)
 }
 
-// startInvariantProbe arms the periodic runtime check of the coherence
-// invariants (lifted from internal/mcheck's end-state checks): at most one
-// Modified copy per line, a Modified copy excludes all others, every
-// cached copy holds the committed-current version, and no copy is beyond
-// the commit counter. The probe stops rescheduling once every node has
-// drained — the end-state diff covers quiescent state, and a perpetually
-// pending probe event would hold off quiescence detection forever.
+// startInvariantProbe arms the periodic runtime check of the copy-state
+// invariants (verify.EndState.CheckCopies: swmr, m-excludes-s,
+// no-stale-copy and version-bound). The probe stops rescheduling once
+// every node has drained — the end-state self-check covers quiescent
+// state, and a perpetually pending probe event would hold off quiescence
+// detection forever.
 func (m *Machine) startInvariantProbe() {
 	every := m.recovery.Probe
 	if every <= 0 || m.probeStarted {
@@ -194,53 +193,20 @@ func (m *Machine) startInvariantProbe() {
 	m.Kernel.Schedule(every, tick)
 }
 
-// probeInvariants scans every L2 against the verifier's commit counters.
-// Any violation is a real coherence corruption (the protocols never leave
-// a stale or duplicate-writer copy installed, even transiently: commits
-// strictly follow invalidation acknowledgment), so the run fails at this
-// cycle instead of at the end-state diff.
+// probeInvariants checks the machine's current copy state, observed
+// through the same read-only scan as EndState. Any violation is a real
+// coherence corruption (the protocols never leave a stale or
+// duplicate-writer copy installed, even transiently: commits strictly
+// follow invalidation acknowledgment), so the run fails at this cycle
+// instead of at the end-state check.
 func (m *Machine) probeInvariants(now int64) {
 	m.Counters.Inc(stats.FaultProbes, 1)
 	const maxViolations = 16
-	type lineStat struct{ copies, modified int }
-	stats := make(map[uint64]lineStat)
-	var violations []string
-	for _, n := range m.Nodes {
-		node := n.ID
-		n.L2.ScanAll(func(addr uint64, dl *DataLine) bool {
-			s := stats[addr]
-			s.copies++
-			if dl.State == Modified {
-				s.modified++
-			}
-			stats[addr] = s
-			cur := m.Check.CurrentVersion(addr)
-			if len(violations) < maxViolations {
-				switch {
-				case dl.Version > cur:
-					violations = append(violations, fmt.Sprintf(
-						"node %d holds addr %#x v%d beyond committed v%d", node, addr, dl.Version, cur))
-				case dl.Version != cur:
-					violations = append(violations, fmt.Sprintf(
-						"node %d holds stale addr %#x v%d (committed v%d)", node, addr, dl.Version, cur))
-				}
-			}
-			return true
-		})
+	v := m.EndState("probe").CheckCopies()
+	if len(v) > maxViolations {
+		v = v[:maxViolations]
 	}
-	for addr, s := range stats {
-		if len(violations) >= maxViolations {
-			break
-		}
-		if s.modified > 1 {
-			violations = append(violations, fmt.Sprintf(
-				"addr %#x has %d Modified copies", addr, s.modified))
-		} else if s.modified == 1 && s.copies > 1 {
-			violations = append(violations, fmt.Sprintf(
-				"addr %#x has a Modified copy alongside %d other copies", addr, s.copies-1))
-		}
-	}
-	if len(violations) > 0 {
-		m.fail(&fault.InvariantError{Cycle: now, Seed: m.Cfg.Seed, Violations: violations})
+	if len(v) > 0 {
+		m.fail(&verify.Error{Cycle: now, Seed: m.Cfg.Seed, Violations: v})
 	}
 }

@@ -354,7 +354,11 @@ func (m *Machine) thinkTime(n *Node) int64 {
 func (m *Machine) CompleteAccess(node int, write bool, now, deadlockCycles int64) {
 	n := m.Nodes[node]
 	if !n.outstanding {
-		panic(fmt.Sprintf("protocol: completion for node %d with no outstanding access", node))
+		// A completion with no access outstanding completes some access
+		// twice: fail the run at this cycle rather than crash it.
+		m.fail(&verify.Error{Cycle: now, Seed: m.Cfg.Seed, Violations: []verify.Violation{
+			verify.Violationf(verify.Completes, "completion for node %d with no outstanding access", node)}})
+		return
 	}
 	m.Lat.Record(write, now-n.issueAt)
 	if write && m.WriteSamples != nil {
@@ -535,8 +539,8 @@ func (m *Machine) Quiesced() bool {
 // Run executes the simulation until quiescence, a fatal fault-layer error
 // (retry exhaustion, invariant violation), a watchdog trip, or maxCycles.
 // A run that fails to quiesce returns a typed *fault.HangError carrying
-// the reproducer seed and the stuck report; verification violations are
-// reported as an error.
+// the reproducer seed and the stuck report; verification violations
+// return a *verify.Error naming the broken invariants.
 func (m *Machine) Run(maxCycles int64) error {
 	if m.engine == nil {
 		return fmt.Errorf("protocol: no engine attached")
@@ -589,7 +593,7 @@ func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 		}
 	}
 	if v := m.Check.Violations(); len(v) > 0 {
-		return true, fmt.Errorf("protocol: %d verification violations, first: %s", len(v), v[0])
+		return true, &verify.Error{Cycle: m.Kernel.Now(), Seed: m.Cfg.Seed, Violations: v}
 	}
 	return true, nil
 }

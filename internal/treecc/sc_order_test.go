@@ -29,7 +29,7 @@ func TestSequentialConsistencyTotalOrder(t *testing.T) {
 	if len(m.Check.Order()) == 0 {
 		t.Fatal("no total order retained")
 	}
-	if errs := m.Check.CheckOrderSC(); len(errs) > 0 {
+	if errs := verify.CheckWitness(m.Check.Order()); len(errs) > 0 {
 		t.Fatalf("%d total-order violations, first: %s", len(errs), errs[0])
 	}
 	t.Logf("total order validated over %d accesses", len(m.Check.Order()))

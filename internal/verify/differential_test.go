@@ -62,8 +62,9 @@ func TestEnginesReachEquivalentEndState(t *testing.T) {
 }
 
 // TestEndStateSelfCheckCatches proves the harness detects each class of
-// corruption it claims to: lost committed versions, stale Modified copies,
-// duplicate writers, and versions beyond the committed bound.
+// corruption it claims to, under the invariant ID it claims: lost committed
+// versions, stale copies, duplicate writers, a writer beside a sharer, and
+// versions beyond the committed bound.
 func TestEndStateSelfCheckCatches(t *testing.T) {
 	clean := func() *verify.EndState {
 		s := verify.NewEndState("x")
@@ -78,18 +79,26 @@ func TestEndStateSelfCheckCatches(t *testing.T) {
 
 	cases := []struct {
 		name    string
+		want    verify.Invariant
 		corrupt func(*verify.EndState)
 	}{
-		{"memory beyond committed", func(s *verify.EndState) { s.SetMemory(8, 9) }},
-		{"copy beyond committed", func(s *verify.EndState) { s.AddCopy(8, verify.Copy{Node: 2, Version: 7}) }},
-		{"stale modified copy", func(s *verify.EndState) {
+		{"memory beyond committed", verify.VersionBound, func(s *verify.EndState) { s.SetMemory(8, 9) }},
+		{"copy beyond committed", verify.VersionBound, func(s *verify.EndState) { s.AddCopy(8, verify.Copy{Node: 2, Version: 7}) }},
+		{"stale modified copy", verify.NoStaleCopy, func(s *verify.EndState) {
 			s.Copies[8] = []verify.Copy{{Node: 1, Version: 2, Modified: true}}
 			s.SetMemory(8, 3)
 		}},
-		{"two modified copies", func(s *verify.EndState) {
+		{"stale shared copy", verify.NoStaleCopy, func(s *verify.EndState) {
+			s.Copies[8] = []verify.Copy{{Node: 2, Version: 2}}
+			s.SetMemory(8, 3)
+		}},
+		{"two modified copies", verify.SWMR, func(s *verify.EndState) {
 			s.AddCopy(8, verify.Copy{Node: 2, Version: 3, Modified: true})
 		}},
-		{"committed version lost", func(s *verify.EndState) {
+		{"modified beside shared", verify.MExcludesS, func(s *verify.EndState) {
+			s.AddCopy(8, verify.Copy{Node: 2, Version: 3})
+		}},
+		{"committed version lost", verify.WriteSurvives, func(s *verify.EndState) {
 			s.Copies[8] = nil // memory holds 2, committed 3 is nowhere
 		}},
 	}
@@ -97,9 +106,13 @@ func TestEndStateSelfCheckCatches(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := clean()
 			tc.corrupt(s)
-			if errs := s.SelfCheck(); len(errs) == 0 {
-				t.Fatal("corruption not flagged")
+			errs := s.SelfCheck()
+			for _, v := range errs {
+				if v.Inv == tc.want {
+					return
+				}
 			}
+			t.Fatalf("corruption not flagged as %s: %v", tc.want, errs)
 		})
 	}
 }

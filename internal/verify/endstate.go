@@ -1,9 +1,6 @@
 package verify
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EndState captures a machine's coherence state at quiescence — committed
 // versions, main-memory contents and every valid cached copy — in a form
@@ -65,52 +62,68 @@ func (s *EndState) AddCopy(addr uint64, c Copy) {
 	s.Copies[addr] = append(s.Copies[addr], c)
 }
 
-// SelfCheck validates the single-run invariants every engine must satisfy
-// at quiescence, returning one message per violation:
-//
-//   - no line's memory version exceeds its committed version;
-//   - no cached copy's version exceeds its committed version;
-//   - a Modified copy holds exactly the committed version, and at most one
-//     Modified copy exists per line;
-//   - the committed version of every written line is resident somewhere —
-//     in main memory or in some valid copy (nothing committed is lost).
-func (s *EndState) SelfCheck() []string {
-	var out []string
-	f := func(format string, args ...interface{}) {
-		out = append(out, s.Name+": "+fmt.Sprintf(format, args...))
-	}
+// SelfCheck validates the invariants every engine must satisfy at
+// quiescence: the copy-state invariants of CheckCopies, plus write-survives
+// — the committed version of every written line is resident in main memory
+// or in some valid copy (nothing committed is lost). Violations come back
+// sorted.
+func (s *EndState) SelfCheck() []Violation { return s.check(true) }
+
+// CheckCopies validates the copy-state invariants that hold at every cycle
+// of a correct run, not only at quiescence: version-bound (no memory value
+// or copy beyond the committed version), no-stale-copy (every valid copy
+// holds the committed version), swmr and m-excludes-s. The runtime probe
+// checks a mid-run EndState with it; write-survives is left out because a
+// writeback may be in flight. Violations come back sorted.
+func (s *EndState) CheckCopies() []Violation { return s.check(false) }
+
+func (s *EndState) check(quiescent bool) []Violation {
+	var out []Violation
 	for addr, v := range s.Memory {
-		if v > s.Committed[addr] {
-			f("memory holds %#x version %d beyond committed %d", addr, v, s.Committed[addr])
+		if c := s.Committed[addr]; v > c {
+			out = append(out, Violationf(VersionBound, "memory holds %#x version %d beyond committed %d", addr, v, c))
 		}
 	}
 	for addr, copies := range s.Copies {
-		modified := 0
-		for _, c := range copies {
-			if c.Version > s.Committed[addr] {
-				f("node %d copy of %#x holds version %d beyond committed %d", c.Node, addr, c.Version, s.Committed[addr])
+		out = checkLine(out, addr, s.Committed[addr], copies)
+	}
+	if quiescent {
+		for addr, v := range s.Committed {
+			resident := s.Memory[addr] == v
+			for _, c := range s.Copies[addr] {
+				resident = resident || c.Version == v
 			}
-			if c.Modified {
-				modified++
-				if c.Version != s.Committed[addr] {
-					f("node %d Modified copy of %#x holds version %d, committed is %d", c.Node, addr, c.Version, s.Committed[addr])
-				}
+			if !resident {
+				out = append(out, Violationf(WriteSurvives, "committed version %d of %#x resident nowhere (memory %d)", v, addr, s.Memory[addr]))
 			}
-		}
-		if modified > 1 {
-			f("%d Modified copies of %#x", modified, addr)
 		}
 	}
-	for addr, v := range s.Committed {
-		resident := s.Memory[addr] == v
-		for _, c := range s.Copies[addr] {
-			resident = resident || c.Version == v
+	sortViolations(out)
+	return out
+}
+
+// checkLine appends the violations of one line's valid copies against the
+// line's committed version: version-bound or no-stale-copy per copy, then
+// swmr or m-excludes-s across them.
+func checkLine(out []Violation, addr, committed uint64, copies []Copy) []Violation {
+	modified := 0
+	for _, c := range copies {
+		switch {
+		case c.Version > committed:
+			out = append(out, Violationf(VersionBound, "node %d copy of %#x holds version %d beyond committed %d", c.Node, addr, c.Version, committed))
+		case c.Version != committed:
+			out = append(out, Violationf(NoStaleCopy, "node %d copy of %#x holds stale version %d, committed is %d", c.Node, addr, c.Version, committed))
 		}
-		if !resident {
-			f("committed version %d of %#x resident nowhere (memory %d)", v, addr, s.Memory[addr])
+		if c.Modified {
+			modified++
 		}
 	}
-	sort.Strings(out)
+	switch {
+	case modified > 1:
+		out = append(out, Violationf(SWMR, "%d Modified copies of %#x", modified, addr))
+	case modified == 1 && len(copies) > 1:
+		out = append(out, Violationf(MExcludesS, "a Modified copy of %#x coexists with %d other copies", addr, len(copies)-1))
+	}
 	return out
 }
 
@@ -119,7 +132,12 @@ func (s *EndState) SelfCheck() []string {
 // same set of written lines, same final version per line. It returns one
 // message per discrepancy (empty means equivalent).
 func Equivalent(a, b *EndState) []string {
-	out := append(a.SelfCheck(), b.SelfCheck()...)
+	var out []string
+	for _, s := range []*EndState{a, b} {
+		for _, v := range s.SelfCheck() {
+			out = append(out, s.Name+": "+v.String())
+		}
+	}
 	for addr, av := range a.Committed {
 		if bv, ok := b.Committed[addr]; !ok {
 			out = append(out, fmt.Sprintf("%s committed %#x (version %d); %s never wrote it", a.Name, addr, av, b.Name))

@@ -5,21 +5,22 @@
 //
 // The simulator moves version numbers instead of data: each system-wide
 // write to a line produces the next version, so "the value read" is the
-// version the reply carried. Three checks run:
+// version the reply carried. The online Checker runs four checks, each
+// reported under its Invariant ID (invariant.go):
 //
-//  1. Read sampling (the paper's "check the value being written to the data
-//     cache against the value held in main memory"): at the moment a read
-//     reply is generated from a data source, the sampled version must equal
-//     main memory's current version for the line.
-//  2. Single-writer invariant: when a write commits, no node other than the
-//     writer may hold a valid cached copy. This is the MSI invariant whose
-//     violation produces stale (orphaned) copies.
-//  3. Per-node observation monotonicity (the paper's program-order /
-//     total-order embedding): once a node has observed version v of a line,
-//     it must never observe an older version of that line.
+//  1. Read sampling (sc-order; the paper's "check the value being written
+//     to the data cache against the value held in main memory"): at the
+//     moment a read reply is generated from a data source, the sampled
+//     version must equal main memory's current version for the line.
+//  2. Sole copy at commit (sole-copy-at-commit): when a write commits, no
+//     node other than the writer may hold a valid cached copy. This is the
+//     MSI invariant whose violation produces stale (orphaned) copies.
+//  3. Per-node observation monotonicity (sc-order; the paper's program-order
+//     / total-order embedding): once a node has observed version v of a
+//     line, it must never observe an older version of that line.
+//  4. Local hits (no-stale-copy): a read served by the node's own copy
+//     must return the committed-current version.
 package verify
-
-import "fmt"
 
 // Checker accumulates protocol-visible events and records violations.
 // Engines are required to report every data-cache line validation and
@@ -34,7 +35,7 @@ type Checker struct {
 	order     []AccessRecord          // total order of committed accesses
 	keepOrder bool
 
-	violations []string
+	violations []Violation
 
 	// Reads and Writes count committed accesses.
 	Reads, Writes int64
@@ -66,14 +67,14 @@ func New(keepOrder bool) *Checker {
 	}
 }
 
-func (c *Checker) fail(format string, args ...interface{}) {
+func (c *Checker) fail(inv Invariant, format string, args ...interface{}) {
 	if len(c.violations) < 100 {
-		c.violations = append(c.violations, fmt.Sprintf(format, args...))
+		c.violations = append(c.violations, Violationf(inv, format, args...))
 	}
 }
 
 // Violations returns all recorded violations.
-func (c *Checker) Violations() []string {
+func (c *Checker) Violations() []Violation {
 	return c.violations
 }
 
@@ -131,7 +132,7 @@ func (c *Checker) Copies(addr uint64) []int {
 func (c *Checker) CommitWrite(addr uint64, node int, now int64) uint64 {
 	for other := range c.copies[addr] {
 		if other != node {
-			c.fail("write commit to %#x by node %d while node %d holds a valid copy (cycle %d)", addr, node, other, now)
+			c.fail(SoleCopyAtCommit, "write commit to %#x by node %d while node %d holds a valid copy (cycle %d)", addr, node, other, now)
 		}
 	}
 	c.version[addr]++
@@ -153,7 +154,7 @@ func (c *Checker) CommitWrite(addr uint64, node int, now int64) uint64 {
 // version the reply will carry, memVersion main memory's current value.
 func (c *Checker) SampleRead(addr uint64, sampled, memVersion uint64, node int, now int64) {
 	if sampled != memVersion {
-		c.fail("read of %#x for node %d sampled version %d but memory holds %d (cycle %d)", addr, node, sampled, memVersion, now)
+		c.fail(SCOrder, "read of %#x for node %d sampled version %d but memory holds %d (cycle %d)", addr, node, sampled, memVersion, now)
 	}
 	c.Reads++
 	if c.keepOrder {
@@ -170,36 +171,16 @@ func (c *Checker) SampleRead(addr uint64, sampled, memVersion uint64, node int, 
 func (c *Checker) ObserveRead(addr uint64, v uint64, node int, now int64, local bool) {
 	kv := nodeAddr{node, addr}
 	if last, ok := c.seen[kv]; ok && v < last {
-		c.fail("node %d observed version %d of %#x after having observed %d (cycle %d)", node, v, addr, last, now)
+		c.fail(SCOrder, "node %d observed version %d of %#x after having observed %d (cycle %d)", node, v, addr, last, now)
 	}
 	c.seen[kv] = v
 	if local {
 		if cur := c.version[addr]; v != cur {
-			c.fail("node %d local copy of %#x holds version %d but committed version is %d (cycle %d)", node, addr, v, cur, now)
+			c.fail(NoStaleCopy, "node %d local copy of %#x holds version %d but committed version is %d (cycle %d)", node, addr, v, cur, now)
 		}
 		c.Reads++
 		if c.keepOrder {
 			c.order = append(c.order, AccessRecord{Node: node, Addr: addr, Write: false, Version: v, At: now})
 		}
 	}
-}
-
-// CheckOrderSC validates the retained total order: for every line, read
-// versions must be non-decreasing between consecutive writes and every read
-// must return the version of the most recent preceding write in the order.
-// It returns the violations found (the order must have been retained).
-func (c *Checker) CheckOrderSC() []string {
-	var out []string
-	cur := map[uint64]uint64{}
-	for i, r := range c.order {
-		if r.Write {
-			if r.Version != cur[r.Addr]+1 {
-				out = append(out, fmt.Sprintf("order[%d]: write version %d of %#x does not follow %d", i, r.Version, r.Addr, cur[r.Addr]))
-			}
-			cur[r.Addr] = r.Version
-		} else if r.Version != cur[r.Addr] {
-			out = append(out, fmt.Sprintf("order[%d]: read of %#x returned %d, current is %d", i, r.Addr, r.Version, cur[r.Addr]))
-		}
-	}
-	return out
 }

@@ -1,7 +1,5 @@
 package verify
 
-import "fmt"
-
 // The linearization witness. A run executed with KeepOrder retains the
 // commit-point sequence of every access (the order writes serialized at
 // the home / tree root, and the order read replies sampled their data).
@@ -20,12 +18,12 @@ import "fmt"
 // The model checker proves these properties exhaustively on the reduced
 // protocol; the witness checks the same properties on single executions
 // of the full simulator, which is what makes litmus fuzzing an oracle
-// rather than a crash test.
-func CheckWitness(order []AccessRecord) []string {
-	var out []string
+// rather than a crash test. Every failure is an sc-order violation.
+func CheckWitness(order []AccessRecord) []Violation {
+	var out []Violation
 	bad := func(format string, args ...interface{}) {
 		if len(out) < 32 {
-			out = append(out, fmt.Sprintf(format, args...))
+			out = append(out, Violationf(SCOrder, format, args...))
 		}
 	}
 	cur := map[uint64]uint64{}
@@ -52,18 +50,6 @@ func CheckWitness(order []AccessRecord) []string {
 				i, r.Node, r.Addr, r.Version, last)
 		}
 		lastSeen[k] = r.Version
-	}
-	return out
-}
-
-// WitnessCounts tallies committed accesses per node from a witness, so a
-// harness that knows the issued program can assert completeness: every op
-// committed exactly once (a dropped or doubly-completed access shifts a
-// count even when the surviving history happens to linearize).
-func WitnessCounts(order []AccessRecord) map[int]int {
-	out := make(map[int]int)
-	for _, r := range order {
-		out[r.Node]++
 	}
 	return out
 }

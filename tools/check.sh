@@ -50,7 +50,8 @@ go test ./internal/fault -fuzz '^FuzzParseSpec$' -fuzztime 5s
 # conflict programs on both engines, clean and under a drop plan with
 # recovery armed (the command exits non-zero on any oracle failure), then a
 # mutation campaign that MUST fail — the pipeline has to catch a seeded
-# protocol defect, shrink it, and write a reproducer that replays.
+# protocol defect, shrink it, and write a reproducer that replays under the
+# invariant ID the litmus bugCases row for skip-invalidate pins.
 go run -race ./cmd/innetcc -litmus 25 -jobs 2 >/dev/null
 go run -race ./cmd/innetcc -litmus 25 -jobs 2 \
     -faults 'drop=5000,timeout=4000,retries=8,backoff=32,probe=100' >/dev/null
@@ -61,7 +62,7 @@ if go run -race ./cmd/innetcc -litmus 4 -litmus-engine tree \
     exit 1
 fi
 REPRO=$(ls "$LITMUS_OUT"/litmus-*.json | head -1)
-go run -race ./cmd/innetcc -litmus-replay "$REPRO" | grep -q '^reproduced:'
+go run -race ./cmd/innetcc -litmus-replay "$REPRO" | grep -q '^reproduced: sole-copy-at-commit:'
 
 # Litmus-program fuzz smoke: coverage-guided conflict programs through the
 # full simulator's oracle battery on both engines (internal/litmus).
