@@ -33,7 +33,7 @@ const DefaultMaxCycles = 200_000_000
 // specVersion invalidates cached results when the result schema or the
 // simulation semantics change incompatibly. Bump it on any change that
 // alters what a given spec computes.
-const specVersion = 8 // v8: invariant failures report as *verify.Error with ID-tagged violations
+const specVersion = 9 // v9: a fault plan's scope gates corruption as it gates drops
 
 // Job describes one hermetic simulation: which engine to run, on which
 // configuration, over which synthetic trace. Everything the simulation

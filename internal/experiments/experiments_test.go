@@ -317,3 +317,20 @@ func TestAblationsShape(t *testing.T) {
 	}
 	t.Logf("ablations: %+v", rows)
 }
+
+// A corrupt plan at the default request scope corrupts only packets the
+// protocol can reissue, so every Figure 5 row must complete: corrupting a
+// reply, ack or teardown is what scope=all is for.
+func TestFigure5CorruptPlanCompletesAtDefaultScope(t *testing.T) {
+	opt := Options{AccessesPerNode: 60, AccessesPerNode64: 40, Seed: 42, Jobs: 2,
+		Faults: "corrupt=2000,stall=20000,stalllen=8,timeout=200000,retries=6,backoff=64,probe=2000"}
+	rs, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if r.Err != "" {
+			t.Errorf("%s: %s", r.Bench, r.Err)
+		}
+	}
+}

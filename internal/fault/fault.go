@@ -32,18 +32,20 @@ import (
 // of 1_000_000 fires at every opportunity.
 const ppmScale = 1_000_000
 
-// Scope selects which packets injected drops may remove.
+// Scope selects which packets injected drops and corruptions may hit. A
+// corrupted packet is discarded by the next router's checksum, so the two
+// lose a packet alike and share one scope.
 type Scope uint8
 
 const (
-	// ScopeRetryable drops only packets the protocol can reissue from
-	// scratch (coherence requests). Runs under this scope must complete
-	// coherently as long as the retry budget holds.
+	// ScopeRetryable drops or corrupts only packets the protocol can
+	// reissue from scratch (coherence requests). Runs under this scope
+	// must complete coherently as long as the retry budget holds.
 	ScopeRetryable Scope = iota
-	// ScopeAll drops any packet on an inter-router link, including
-	// replies, invalidations and teardowns the protocol cannot replay.
-	// Chaos runs under this scope are expected to wedge; the watchdog
-	// turns the wedge into a typed, reproducible failure.
+	// ScopeAll drops or corrupts any packet on an inter-router link,
+	// including replies, invalidations and teardowns the protocol cannot
+	// replay. Chaos runs under this scope are expected to wedge; the
+	// watchdog turns the wedge into a typed, reproducible failure.
 	ScopeAll
 )
 
@@ -76,7 +78,8 @@ type Spec struct {
 	// it open-ended. Faults fire only at cycles in [Start, End).
 	Start, End int64
 
-	// Scope selects which packets drops may remove (see Scope).
+	// Scope selects which packets drops and corruptions may hit (see
+	// Scope).
 	Scope Scope
 
 	// Timeout is the protocol-level per-request reply timeout in cycles;

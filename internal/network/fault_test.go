@@ -49,7 +49,8 @@ func TestInjectedDropRemovesPacket(t *testing.T) {
 
 func TestScopeRetryableSparesNonRetryablePackets(t *testing.T) {
 	spec := fault.DefaultSpec()
-	spec.DropPPM = 1_000_000 // drop every opportunity...
+	spec.DropPPM = 1_000_000 // drop and corrupt every opportunity...
+	spec.CorruptPPM = 1_000_000
 	spec.Scope = fault.ScopeRetryable
 	k, m, delivered, _ := faultSetup(t, spec, 7)
 	p := m.AllocPacketFor(0)
@@ -60,8 +61,8 @@ func TestScopeRetryableSparesNonRetryablePackets(t *testing.T) {
 	if len(*delivered) != 1 {
 		t.Fatal("non-retryable packet dropped under scope=req")
 	}
-	if m.Faults.Drops != 0 {
-		t.Fatalf("Drops = %d, want 0", m.Faults.Drops)
+	if m.Faults.Drops != 0 || m.Faults.Corruptions != 0 {
+		t.Fatalf("Drops = %d, Corruptions = %d, want 0", m.Faults.Drops, m.Faults.Corruptions)
 	}
 }
 
@@ -85,7 +86,8 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	spec.CorruptPPM = 1_000_000
 	k, m, delivered, reasons := faultSetup(t, spec, 7)
 	p := m.AllocPacketFor(0)
-	p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 0, 3, 1
+	// Retryable, so the default request scope lets the plan corrupt it.
+	p.ID, p.Src, p.Dst, p.Flits, p.Retryable = m.NextIDFor(0), 0, 3, 1, true
 	m.Inject(0, p, k.Now())
 	k.Run(500)
 	if len(*delivered) != 0 {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"innetcc/internal/fault"
@@ -115,15 +116,18 @@ type Mesh struct {
 	// ids for wakes. occ is each router's occupied-slot mask: bit
 	// port*VCCount+vc is set exactly when that input FIFO is non-empty,
 	// so Tick visits occupied FIFOs only (Config.Validate caps a router at
-	// 64 slots).
-	fifos    []fifoQueue
-	busyTill []int64
-	queued   []int32
-	occ      []uint64
-	routeSeq []uint64
-	idSeq    []uint64
-	freePkts [][]*Packet
-	tids     []sim.TickerID
+	// 64 slots). idleUntil is what each router's last Tick found: the
+	// earliest cycle one of its heads clears the pipeline, or 0 when a head
+	// was routable (see Quiescent).
+	fifos     []fifoQueue
+	busyTill  []int64
+	queued    []int32
+	occ       []uint64
+	routeSeq  []uint64
+	idSeq     []uint64
+	freePkts  [][]*Packet
+	tids      []sim.TickerID
+	idleUntil []int64
 
 	// stage holds the tick phase's effects that the end-of-cycle hook
 	// applies (see flush).
@@ -224,9 +228,10 @@ func (c *Config) Validate() error {
 
 // Build constructs the fabric described by cfg, registers every router
 // with the kernel, and wires the policy in. Routers park themselves
-// whenever their FIFOs drain and are woken by injection, protocol spawning
-// and neighbor hand-off, so an idle router costs the kernel nothing beyond
-// a cleared bit in the kernel's active bitmap. Panics on an invalid Config —
+// whenever their FIFOs drain or every queued packet is still in the
+// pipeline, and are woken by injection, protocol spawning and neighbor
+// hand-off, so an idle router costs the kernel nothing beyond a cleared
+// bit in the kernel's active bitmap. Panics on an invalid Config —
 // construction errors are programming errors, exactly as the old
 // positional constructor treated them.
 func Build(k *sim.Kernel, cfg Config) *Mesh {
@@ -253,6 +258,7 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m.idSeq = make([]uint64, nodes)
 	m.freePkts = make([][]*Packet, nodes)
 	m.tids = make([]sim.TickerID, nodes)
+	m.idleUntil = make([]int64, nodes)
 	for i := 0; i < nodes; i++ {
 		r := &Router{NodeID: i, mesh: m}
 		m.Routers = append(m.Routers, r)
@@ -395,14 +401,27 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 	}
 }
 
-// enqueueAt appends e to node's [port][vc] FIFO and wakes the router: it
-// now has work and must tick until it drains again.
+// enqueueAt appends e to node's [port][vc] FIFO and wakes the router by
+// the cycle the entry clears the pipeline: it now has work. Until then
+// the router's ticks would pass the entry by, so a parked router stays
+// parked on the kernel's timing wheel until e.readyAt (see Quiescent),
+// unless it may not park holding packets.
 func (m *Mesh) enqueueAt(node, port, vc int, e fifoEntry) {
 	m.fifoAt(node, port, vc).push(e)
 	m.occ[node] |= 1 << (port*m.VCCount + vc)
 	m.queued[node]++
-	m.kernel.Wake(m.tids[node])
+	if m.mayParkQueued() {
+		m.kernel.WakeBy(e.readyAt, m.tids[node])
+	} else {
+		m.kernel.Wake(m.tids[node])
+	}
 }
+
+// mayParkQueued reports whether a router may park while it holds packets.
+// The stall plan (fault.stall_cycles) and the occupancy integral
+// (QueueSum) are counted per tick, so with Faults or Metrics attached a
+// router holding packets must tick every cycle.
+func (m *Mesh) mayParkQueued() bool { return m.Faults == nil && m.Metrics == nil }
 
 // popAt removes the head of node's FIFO at slot (port*VCCount+vc), the one
 // pop every Tick path goes through: it keeps queued and the occupied-slot
@@ -420,7 +439,22 @@ func (m *Mesh) popAt(node int, fifos []fifoQueue, slot int) fifoEntry {
 // route or arbitrate (busyTill holds an absolute cycle, so an in-flight
 // serialization tail needs no ticking to expire), and every path that hands
 // the router a packet wakes it.
-func (r *Router) Quiescent() bool { return r.mesh.queued[r.NodeID] == 0 }
+//
+// A router whose last Tick found no head routed and every head still in
+// the pipeline until after the next cycle parks on the kernel's timing
+// wheel until the earliest of them clears it: until then Phase 1 passes
+// every head and Phase 2 has nothing to grant. Its heads cannot leave
+// before that cycle, so it keeps its packets until the wake, as the
+// wheel's contract requires; enqueueAt extends the same wait to packets
+// handed to a parked router. Neither applies when mayParkQueued is false.
+func (r *Router) Quiescent() bool {
+	m := r.mesh
+	if m.queued[r.NodeID] == 0 {
+		return true
+	}
+	at := m.idleUntil[r.NodeID]
+	return at > m.kernel.Now()+1 && m.kernel.ParkUntil(at, m.tids[r.NodeID])
+}
 
 // Inject places a packet into node's router through the local injection
 // port. The packet becomes routable after the router pipeline.
@@ -509,6 +543,9 @@ func (r *Router) Tick(now int64) {
 		waiting[o] |= 1 << slot
 	}
 	// Phase 1: routing decisions for FIFO heads that cleared the pipeline.
+	// idle is the earliest cycle a passed head clears the pipeline, and
+	// drops to 0 once a head is routed or routable.
+	idle := int64(math.MaxInt64)
 	for slot := -1; ; {
 		rest := m.occ[node] &^ (1<<(slot+1) - 1)
 		if rest == 0 {
@@ -519,11 +556,14 @@ func (r *Router) Tick(now int64) {
 		p := h.pkt
 		if p.routed {
 			wait(slot, p)
+			idle = 0
 			continue
 		}
 		if h.readyAt > now {
+			idle = min(idle, h.readyAt)
 			continue
 		}
+		idle = 0
 		if inj := m.Faults; inj != nil && p.Checksum != ChecksumOf(p) {
 			// Corruption detected: discard before the policy (and
 			// its tree-cache side effects) ever sees the packet.
@@ -572,6 +612,10 @@ func (r *Router) Tick(now int64) {
 			wait(slot, p)
 		}
 	}
+	if !m.mayParkQueued() {
+		idle = 0
+	}
+	m.idleUntil[node] = idle
 	// Phase 2: output arbitration, one grant per output port per cycle.
 	// Arbitration is age-based (oldest routing decision wins): a message
 	// spawned by the protocol in reaction to a routed packet (e.g. a
@@ -646,7 +690,9 @@ func (r *Router) Tick(now int64) {
 		if !ok {
 			panic(fmt.Sprintf("network: packet %d routed off-fabric %v from node %d on %s", p.ID, Dir(out), node, m.Topo.Spec()))
 		}
-		if inj := m.Faults; inj != nil && inj.CorruptAt(now, node, out) {
+		if inj := m.Faults; inj != nil &&
+			(inj.Plan.Spec.Scope == fault.ScopeAll || p.Retryable) &&
+			inj.CorruptAt(now, node, out) {
 			// Flip the integrity word on the wire; the neighbor's
 			// verification discards the packet before routing it.
 			p.Checksum = ^p.Checksum

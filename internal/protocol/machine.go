@@ -557,14 +557,15 @@ func (m *Machine) Run(maxCycles int64) error {
 // stopAt and the caller should call RunSegment again to continue; (true,
 // err) carries the same terminal semantics as Run.
 //
-// Pausing is pure observation: the segment boundary only decides where the
-// step loop stops between kernel steps, never how far an idle-stretch
-// fast-forward may jump or when events fire, so a run split across any
-// sequence of RunSegment calls performs exactly the step sequence of a
-// single Run and is byte-identical to it. This is what checkpointing and
-// cancellation hang off: internal/exec pauses every few hundred thousand
-// cycles to check its context, report progress and snapshot state, without
-// perturbing the simulation.
+// A paused run stops with the clock exactly at stopAt, even when an idle
+// stretch spans it: the fast-forward lands on stopAt and resumes from
+// there. Pausing is pure observation: the kernel steps the same cycles
+// whether or not a run is split, and events fire when they would have, so
+// a run split across any sequence of RunSegment calls performs exactly the
+// step sequence of a single Run and is byte-identical to it. This is what
+// checkpointing and cancellation hang off: internal/exec pauses every few
+// hundred thousand cycles to check its context, report progress and
+// snapshot state, without perturbing the simulation.
 func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 	if m.engine == nil {
 		return true, fmt.Errorf("protocol: no engine attached")
@@ -572,7 +573,7 @@ func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 	m.startInvariantProbe()
 	reached := m.Kernel.RunUntil(func() bool {
 		return m.fatal != nil || m.Kernel.Now() >= stopAt || m.Quiesced()
-	}, limit-m.Kernel.Now())
+	}, min(stopAt, limit)-m.Kernel.Now())
 	if c := m.Metrics; c != nil && c.NoC != nil {
 		c.NoC.Cycles = m.Kernel.Now()
 	}

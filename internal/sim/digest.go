@@ -76,7 +76,12 @@ func (r *RNG) State() uint64 { return r.state }
 
 // DigestState folds the kernel's core state into d: the clock, the
 // scheduling sequence, the RNG position, per-ticker activation flags and
-// the pending event timeline. Event callbacks are closures and cannot be
+// the pending event timeline. A ticker's flag is its logical activation:
+// set when it is active or has a wheel wake pending. A wheel-parked ticker
+// still holds work that cannot complete before its wake (the Parker
+// contract), so a ticker that parked only when it held no work would be
+// active in its place; folding the two alike keeps the digest independent
+// of wheel parking. Event callbacks are closures and cannot be
 // serialized, so the timeline is represented by each event's observable
 // coordinates — fire cycle, schedule order, and whether it is a callback or
 // a wake timer (with its target) — which, under deterministic replay,
@@ -90,7 +95,7 @@ func (k *Kernel) DigestState(d *Digest) {
 	d.U64(k.rng.State())
 	d.Int(len(k.slots))
 	for i := range k.slots {
-		d.Bool(k.isActive(TickerID(i)))
+		d.Bool(k.isActive(TickerID(i)) || k.wheelPending(TickerID(i)))
 	}
 	evs := make([]event, len(k.events))
 	copy(evs, k.events)

@@ -23,35 +23,54 @@
 //
 // Most tickers in a large simulation are idle in any given cycle: a 64-node
 // mesh at low injection has a handful of routers carrying flits while the
-// rest have empty FIFOs. Tickers that additionally implement Parker are
-// therefore parked as soon as they report quiescence after a tick, and skip
-// the per-cycle virtual call until woken with Wake (or WakeAt for a
-// self-scheduled future wake). Waking is edge-triggered and idempotent:
-// components wake a ticker whenever they hand it new work (packet enqueue,
-// access completion), and a wake during the cycle's event phase — or from an
-// earlier ticker in the same cycle — means the woken ticker still ticks in
-// that same cycle, exactly as it would have under always-tick semantics. A
-// parked ticker is, by its own contract, one whose Tick would have been a
-// no-op, so simulation output is byte-identical to ticking everything every
-// cycle; SetAlwaysTick(true) restores the exhaustive behavior for
-// differential testing.
+// rest have empty FIFOs, and a router holding flits spends most cycles
+// waiting for them to clear its pipeline. Tickers that additionally
+// implement Parker are therefore parked as soon as they report quiescence
+// after a tick, and skip the per-cycle virtual call until woken. Three wake
+// sources exist:
 //
-// When every ticker is parked, Run and RunUntil fast-forward the clock to
-// the next scheduled event instead of stepping through cycles in which
-// nothing can happen.
+//   - Wake, edge-triggered and idempotent: components wake a ticker
+//     whenever they hand it new work (packet enqueue, access completion).
+//   - The timing wheel: Quiescent may call ParkUntil to be woken at a cycle
+//     fewer than 16 cycles out, and a producer handing a parked ticker
+//     work it cannot act on yet calls WakeBy to arm such a wake instead of
+//     waking it now. The wheel is 16 per-cycle wake bitmaps (Varghese and
+//     Lauck's timing wheel, one slot per cycle); Step ORs the due slot into
+//     the active set before events fire. Arming a wake costs one bit and
+//     no sequence number, so a router can park for the few cycles its
+//     oldest packet spends in the pipeline.
+//   - WakeAt, a wake timer on the event heap for any delay. It bumps the
+//     schedule sequence, so a ticker that parks on it is digested
+//     differently from one that stays active; the wheel has no such effect.
+//
+// A wake during the cycle's event phase — or from an earlier ticker in the
+// same cycle — means the woken ticker still ticks in that same cycle,
+// exactly as it would have under always-tick semantics. A parked ticker is,
+// by its own contract, one whose Tick would have been a no-op until one of
+// its wake sources fires, so simulation output is byte-identical to ticking
+// everything every cycle; SetAlwaysTick(true) restores the exhaustive
+// behavior for differential testing.
+//
+// When every ticker is parked and no wheel wake is pending, Run and
+// RunUntil fast-forward the clock to the next scheduled event instead of
+// stepping through cycles in which nothing can happen. A pending wheel wake
+// counts as activity there and for the hang watchdog.
 //
 // # Tick order and the end-of-cycle stage
 //
-// A cycle has three phases. First, due events fire in schedule
-// order. Second, the tick phase: active tickers tick in registration
-// order, found by walking a dense active bitmap so parked tickers cost
-// nothing. Third, the end-of-cycle stage: OnCycleEnd hooks run in
-// registration order (the network's link hand-offs, fault drops and
-// in-network deliveries), then the Defer queue drains in append order.
-// Work a ticker hands to the event heap with Defer therefore gets its
-// schedule sequence number after the cycle's drop handling, and the state
-// digest, which folds that sequence counter and every ticker's activation
-// flag, depends on this order. See DESIGN.md's tick-order section.
+// A cycle has three phases. First, the due wheel slot reactivates its
+// tickers and due events fire in schedule order. Second, the tick phase:
+// active tickers tick in registration order, found by walking a dense
+// active bitmap so parked tickers cost nothing. Third, the end-of-cycle
+// stage: OnCycleEnd hooks run in registration order (the network's link
+// hand-offs, fault drops and in-network deliveries), then the Defer queue
+// drains in append order. Work a ticker hands to the event heap with Defer
+// therefore gets its schedule sequence number after the cycle's drop
+// handling, and the state digest, which folds that sequence counter and
+// every ticker's activation flag, depends on this order. A wheel-parked
+// ticker is digested as active: its wake targets a cycle no later than the
+// work it waits on could complete, so it still holds that work. See
+// DESIGN.md's tick-order section.
 package sim
 
 import "math/bits"
@@ -64,11 +83,19 @@ type Ticker interface {
 
 // Parker is optionally implemented by tickers that can report quiescence.
 // After ticking a Parker that reports Quiescent, the kernel parks it: the
-// ticker is skipped every cycle until Kernel.Wake (or a WakeAt timer)
-// reactivates it. A Parker must only report quiescence when its Tick would
-// be a no-op for every cycle until one of its wake sources fires, so that
-// parking never changes simulation output. Quiescent may have benign side
-// effects (e.g. scheduling its own future wake with WakeAt).
+// ticker is skipped every cycle until Kernel.Wake, a wheel wake armed with
+// ParkUntil or WakeBy, or a WakeAt timer reactivates it. A Parker must only
+// report quiescence when its Tick would be a no-op for every cycle until
+// one of its wake sources fires, so that parking never changes simulation
+// output. Quiescent may have benign side effects: scheduling its own future
+// wake with WakeAt, or arming one with ParkUntil and reporting quiescence
+// only when that returns true.
+//
+// A ticker with a wheel wake pending, armed by its own Quiescent or by a
+// producer's WakeBy, promises more: it holds work that cannot complete
+// before the armed cycle, so it still holds work when the wake fires,
+// whatever else wakes it meanwhile. The state digest relies on this when
+// it folds such a ticker as active.
 type Parker interface {
 	Ticker
 	Quiescent() bool
@@ -144,6 +171,10 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// wheelSlots is the timing wheel's size: ParkUntil arms wakes 1 to
+// wheelSlots-1 cycles out. It must be a power of two.
+const wheelSlots = 16
+
 // tickerSlot is one registered ticker. Its activation state is the
 // ticker's bit in Kernel.active.
 type tickerSlot struct {
@@ -174,6 +205,13 @@ type Kernel struct {
 	// every slot. nActive counts the set bits.
 	active  []uint64
 	nActive int
+
+	// wheel is the timing wheel: slot at%wheelSlots holds the bitmap of
+	// tickers ParkUntil wakes at cycle at, laid out like active. Every
+	// pending bit targets a cycle in (now, now+wheelSlots), and wheelMask
+	// has bit s set exactly when slot s holds a pending bit.
+	wheel     [wheelSlots][]uint64
+	wheelMask uint16
 
 	// inTick is set during the tick phase; Defer consults it. endFns and
 	// deferred are the end-of-cycle stage's hooks and queue.
@@ -221,6 +259,9 @@ func (k *Kernel) Register(t Ticker) TickerID {
 	k.slots = append(k.slots, s)
 	if int(id)>>6 >= len(k.active) {
 		k.active = append(k.active, 0)
+		for i := range k.wheel {
+			k.wheel[i] = append(k.wheel[i], 0)
+		}
 	}
 	k.Wake(id)
 	return id
@@ -245,6 +286,64 @@ func (k *Kernel) Wake(id TickerID) {
 		k.active[id>>6] |= 1 << (uint(id) & 63)
 		k.nActive++
 	}
+}
+
+// ParkUntil arms a timing-wheel wake for ticker id at the start of cycle
+// at and reports whether it did. It arms one only when at is 1 to
+// wheelSlots-1 cycles from now; otherwise it returns false and the caller
+// should stay active rather than fall back to WakeAt, whose heap event and
+// sequence bump would change the state digest. Quiescent calls it and
+// reports quiescence when it returns true; the wake then reactivates the
+// ticker at cycle at, before that cycle's events fire. A wheel wake is not
+// a pending event (Pending ignores it), but Run, RunUntil and the watchdog
+// treat it as activity.
+func (k *Kernel) ParkUntil(at int64, id TickerID) bool {
+	if d := at - k.now; d < 1 || d >= wheelSlots {
+		return false
+	}
+	s := at & (wheelSlots - 1)
+	k.wheel[s][id>>6] |= 1 << (uint(id) & 63)
+	k.wheelMask |= 1 << s
+	return true
+}
+
+// WakeBy hands ticker id work it cannot act on before cycle at. An active
+// ticker is left alone: it sees the work at its next tick. A parked one
+// gets a wheel wake for at, so it sleeps through the cycles in which its
+// Tick would be a no-op; when at is not 1 to wheelSlots-1 cycles out it is
+// woken now, exactly as by Wake. The work must stay with the ticker until
+// at, which is the promise a wheel-parked ticker makes (see Parker).
+func (k *Kernel) WakeBy(at int64, id TickerID) {
+	if !k.isActive(id) && !k.ParkUntil(at, id) {
+		k.Wake(id)
+	}
+}
+
+// fireWheel moves the due wheel slot into the active set.
+func (k *Kernel) fireWheel() {
+	s := k.now & (wheelSlots - 1)
+	if k.wheelMask&(1<<s) == 0 {
+		return
+	}
+	k.wheelMask &^= 1 << s
+	slot := k.wheel[s]
+	for w, due := range slot {
+		if due != 0 {
+			k.nActive += bits.OnesCount64(due &^ k.active[w])
+			k.active[w] |= due
+			slot[w] = 0
+		}
+	}
+}
+
+// wheelPending reports whether ticker id has a wheel wake armed.
+func (k *Kernel) wheelPending(id TickerID) bool {
+	for s := range k.wheel {
+		if k.wheel[s][id>>6]&(1<<(uint(id)&63)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // WakeAt arranges for the ticker to be woken at the start of the cycle
@@ -311,13 +410,15 @@ func (k *Kernel) OnCycleEnd(fn func()) {
 	k.endFns = append(k.endFns, fn)
 }
 
-// Step advances the clock one cycle: the cycle counter increments, due
-// events fire in schedule order (wake timers reactivate their tickers),
-// active tickers tick in registration order, then the end-of-cycle stage
-// runs the OnCycleEnd hooks and drains the Defer queue. Active Parkers
-// reporting quiescence are parked as they tick.
+// Step advances the clock one cycle: the cycle counter increments, the
+// due wheel slot reactivates its tickers, due events fire in schedule
+// order (wake timers reactivate their tickers), active tickers tick in
+// registration order, then the end-of-cycle stage runs the OnCycleEnd
+// hooks and drains the Defer queue. Active Parkers reporting quiescence
+// are parked as they tick.
 func (k *Kernel) Step() {
 	k.now++
+	k.fireWheel()
 	for len(k.events) > 0 && k.events[0].at <= k.now {
 		e := k.events.pop()
 		if e.fn != nil {
@@ -348,7 +449,7 @@ func (k *Kernel) Step() {
 		if k.watchFn != nil {
 			p += k.watchFn()
 		}
-		if p == k.watchLast && k.nActive > 0 {
+		if p == k.watchLast && (k.nActive > 0 || k.wheelMask != 0) {
 			k.hung = true
 		}
 		k.watchLast = p
@@ -426,9 +527,10 @@ func (k *Kernel) Shards() int { return 1 }
 
 // SetWatchdog arms the hang watchdog: if, over any window cycles, no event
 // fires and the caller-supplied progress counter does not advance while at
-// least one ticker remains active, the kernel declares the simulation hung
-// — Run and RunUntil stop stepping and Hung reports true. Active tickers
-// making no progress is the livelock signature; a fully parked system is
+// least one ticker remains active or wheel-parked, the kernel declares the
+// simulation hung — Run and RunUntil stop stepping and Hung reports true.
+// Tickers that stay active, or keep parking on the wheel, without making
+// progress is the livelock signature; a fully parked system is
 // legitimately idle (it fast-forwards) and never trips. progress may be
 // nil; window <= 0 disarms. The watchdog is pure observation: it never
 // changes scheduling, so an armed run that does not hang is byte-identical
@@ -444,39 +546,44 @@ func (k *Kernel) SetWatchdog(window int64, progress func() int64) {
 // Hung reports whether the watchdog has tripped.
 func (k *Kernel) Hung() bool { return k.hung }
 
-// skipIdle fast-forwards the clock when every ticker is parked: nothing can
-// change state until the next scheduled event (or timer), so jump to the
-// cycle before it and let Step fire it. The clock never passes limit-1, so
-// callers' loop bounds hold exactly. Returns whether a skip happened.
+// skipIdle fast-forwards the clock when every ticker is parked and no
+// wheel wake is pending: nothing can change state until the next scheduled
+// event (or timer), so jump to the cycle before it and let Step fire it.
+// When nothing is scheduled before limit the clock lands on limit itself:
+// the Steps skipped on the way, that one included, would have changed
+// nothing, so a run split at limit steps exactly the cycles an unsplit run
+// steps. The clock never passes limit. Reports whether it reached limit.
 func (k *Kernel) skipIdle(limit int64) bool {
-	if k.nActive != 0 || k.alwaysTick {
+	if k.nActive != 0 || k.wheelMask != 0 || k.alwaysTick {
 		return false
 	}
-	target := limit - 1
+	target := limit
 	if len(k.events) > 0 && k.events[0].at-1 < target {
 		target = k.events[0].at - 1
 	}
-	if target <= k.now {
-		return false
+	if target > k.now {
+		k.now = target
 	}
-	k.now = target
-	return true
+	return k.now >= limit
 }
 
 // Run steps the kernel until the clock reaches cycle end (or the watchdog
 // trips), fast-forwarding through stretches where every ticker is parked.
 func (k *Kernel) Run(end int64) {
 	for k.now < end && !k.hung {
-		k.skipIdle(end)
-		k.Step()
+		if !k.skipIdle(end) {
+			k.Step()
+		}
 	}
 }
 
 // RunUntil steps the kernel until done reports true or maxCycles cycles have
 // elapsed, and returns whether done was reached. Stretches where every
 // ticker is parked are fast-forwarded: done is re-evaluated only when
-// something could have changed it. A watchdog trip stops stepping early —
-// by the watchdog's own criterion no further progress was coming.
+// something could have changed it. The clock stops at now+maxCycles
+// exactly, so callers can pause a run there and resume it without changing
+// which cycles are stepped. A watchdog trip stops stepping early — by the
+// watchdog's own criterion no further progress was coming.
 func (k *Kernel) RunUntil(done func() bool, maxCycles int64) bool {
 	limit := k.now + maxCycles
 	for k.now < limit {
@@ -486,8 +593,9 @@ func (k *Kernel) RunUntil(done func() bool, maxCycles int64) bool {
 		if k.hung {
 			return false
 		}
-		k.skipIdle(limit)
-		k.Step()
+		if !k.skipIdle(limit) {
+			k.Step()
+		}
 	}
 	return done()
 }

@@ -4,19 +4,24 @@ import (
 	"reflect"
 	"testing"
 
+	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 	"innetcc/internal/stats"
 	"innetcc/internal/trace"
 	"innetcc/internal/verify"
 )
 
-// runKernelMode runs one engine over one profile with the active-set
+// runKernelMode runs one engine over one profile, on the default
+// configuration as changed by tweak (when non-nil), with the active-set
 // kernel optimization on (alwaysTick=false) or off, returning the machine
 // for result comparison.
-func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, alwaysTick bool) *protocol.Machine {
+func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, tweak func(*protocol.Config), alwaysTick bool) *protocol.Machine {
 	t.Helper()
 	cfg := protocol.DefaultConfig()
 	cfg.Seed = 42
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	m, err := protocol.Build(protocol.Spec{
 		Config:     cfg,
 		Trace:      trace.Generate(p, cfg.Nodes(), 120, cfg.Seed),
@@ -41,53 +46,88 @@ func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, alwa
 // same quiescence cycle, same per-access latency sequences, same counters,
 // same coherence end state. Parking is only legal for a component whose
 // tick would have been a no-op, so any divergence here is a park/wake bug.
+//
+// Besides the default 4x4 mesh, the configurations whose router park
+// delays sit nearest the timing wheel's edges run too: Figure 10's
+// above-network tree (ExtraHopDelay = BasePipeline + DirLatency, so a
+// router parks for up to 13 cycles, near the wheel's 15-cycle reach),
+// Figure 11's one-cycle pipeline (1 to 3 cycles, the shortest parks), and
+// the torus with multicast forks and the ring.
 func TestActiveSetKernelByteIdentical(t *testing.T) {
 	profiles := []string{"bar", "wsp", "fft"}
-	for _, kind := range protocol.EngineKinds() {
-		for _, name := range profiles {
-			kind, name := kind, name
-			t.Run(kind.String()+"/"+name, func(t *testing.T) {
-				t.Parallel()
-				p, err := trace.ProfileByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				active := runKernelMode(t, kind, p, false)
-				exhaustive := runKernelMode(t, kind, p, true)
-
-				if a, e := active.Kernel.Now(), exhaustive.Kernel.Now(); a != e {
-					t.Errorf("quiescence cycle diverged: active-set %d, always-tick %d", a, e)
-				}
-				if !reflect.DeepEqual(active.Lat, exhaustive.Lat) {
-					t.Errorf("latency accumulators diverged:\n active-set: %+v\n always-tick: %+v",
-						active.Lat, exhaustive.Lat)
-				}
-				if !reflect.DeepEqual(active.ReadSamples, exhaustive.ReadSamples) {
-					t.Error("read latency distributions diverged")
-				}
-				if !reflect.DeepEqual(active.WriteSamples, exhaustive.WriteSamples) {
-					t.Error("write latency distributions diverged")
-				}
-				if a, e := active.LocalHits, exhaustive.LocalHits; a != e {
-					t.Errorf("local hits diverged: %d vs %d", a, e)
-				}
-				if !reflect.DeepEqual(active.HomeCounts, exhaustive.HomeCounts) {
-					t.Error("home-node access counts diverged")
-				}
-				for _, n := range exhaustive.Counters.Names() {
-					if a, e := active.Counters.Get(n), exhaustive.Counters.Get(n); a != e {
-						t.Errorf("counter %s diverged: %d vs %d", n, a, e)
-					}
-				}
+	configs := []struct {
+		name     string // subtest suffix; empty for the default config
+		tweak    func(*protocol.Config)
+		treeOnly bool // the tweak changes nothing for the directory engine
+	}{
+		{name: ""},
+		{name: "torus-multicast", tweak: func(c *protocol.Config) {
+			c.Topology = network.TorusSpec(4, 4)
+			c.Multicast = true
+		}},
+		{name: "ring16", tweak: func(c *protocol.Config) { c.Topology = network.RingSpec(16) }},
+		{name: "above-network", tweak: func(c *protocol.Config) { c.AboveNetworkTree = true }, treeOnly: true},
+		{name: "pipeline1", tweak: func(c *protocol.Config) { c.BasePipeline = 1 }},
+	}
+	for _, c := range configs {
+		for _, kind := range protocol.EngineKinds() {
+			if c.treeOnly && kind != protocol.KindTree {
+				continue
+			}
+			for _, name := range profiles {
+				c, kind, name := c, kind, name
 				label := kind.String() + "/" + name
-				as, es := active.EndState(label), exhaustive.EndState(label)
-				for _, d := range verify.Equivalent(as, es) {
-					t.Error(d)
+				if c.name != "" {
+					label += "/" + c.name
 				}
-				if !reflect.DeepEqual(as, es) {
-					t.Error("end states not deep-equal (copy sets diverged)")
-				}
-			})
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					p, err := trace.ProfileByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					active := runKernelMode(t, kind, p, c.tweak, false)
+					exhaustive := runKernelMode(t, kind, p, c.tweak, true)
+					compareKernelModes(t, label, active, exhaustive)
+				})
+			}
 		}
+	}
+}
+
+// compareKernelModes fails t unless the active-set and always-tick runs of
+// one spec agree exactly.
+func compareKernelModes(t *testing.T, label string, active, exhaustive *protocol.Machine) {
+	t.Helper()
+	if a, e := active.Kernel.Now(), exhaustive.Kernel.Now(); a != e {
+		t.Errorf("quiescence cycle diverged: active-set %d, always-tick %d", a, e)
+	}
+	if !reflect.DeepEqual(active.Lat, exhaustive.Lat) {
+		t.Errorf("latency accumulators diverged:\n active-set: %+v\n always-tick: %+v",
+			active.Lat, exhaustive.Lat)
+	}
+	if !reflect.DeepEqual(active.ReadSamples, exhaustive.ReadSamples) {
+		t.Error("read latency distributions diverged")
+	}
+	if !reflect.DeepEqual(active.WriteSamples, exhaustive.WriteSamples) {
+		t.Error("write latency distributions diverged")
+	}
+	if a, e := active.LocalHits, exhaustive.LocalHits; a != e {
+		t.Errorf("local hits diverged: %d vs %d", a, e)
+	}
+	if !reflect.DeepEqual(active.HomeCounts, exhaustive.HomeCounts) {
+		t.Error("home-node access counts diverged")
+	}
+	for _, n := range exhaustive.Counters.Names() {
+		if a, e := active.Counters.Get(n), exhaustive.Counters.Get(n); a != e {
+			t.Errorf("counter %s diverged: %d vs %d", n, a, e)
+		}
+	}
+	as, es := active.EndState(label), exhaustive.EndState(label)
+	for _, d := range verify.Equivalent(as, es) {
+		t.Error(d)
+	}
+	if !reflect.DeepEqual(as, es) {
+		t.Error("end states not deep-equal (copy sets diverged)")
 	}
 }

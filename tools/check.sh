@@ -3,8 +3,9 @@
 # no-printing guard over the simulator packages, race-enabled tests, fuzz
 # smoke passes over the trace-file and fault-spec parsers, race-enabled
 # fault-injection smokes (drop-plan recovery per engine + watchdog hang
-# post-mortem, stall and corrupt faults with metrics on), and a race-enabled
-# metrics-instrumented experiment run. CI runs exactly this script
+# post-mortem, stall and corrupt faults with metrics on), a race-enabled
+# metrics-instrumented experiment run, and race-enabled topology and
+# router-parking experiment smokes. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
 
@@ -94,6 +95,13 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology torus:4x4 -multicast >/dev/null
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology ring:16 >/dev/null
+
+# Router-parking smoke under the race detector: Figure 10's above-network
+# tree parks routers on the kernel's timing wheel for up to 13 cycles, near
+# its 15-cycle reach, and Figure 11's pipeline sweep down to one cycle
+# parks them for the shortest delays.
+go run -race ./cmd/innetcc -exp fig10 -accesses 80 -jobs 2 >/dev/null
+go run -race ./cmd/innetcc -exp fig11 -accesses 80 -jobs 2 >/dev/null
 
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
