@@ -25,8 +25,8 @@
 //
 // Server mode (-serve) runs the persistent simulation-as-a-service layer
 // (internal/serve): an HTTP/JSON job API with a priority queue, per-tenant
-// quotas, streaming progress, and checkpoint/restore so interrupted jobs
-// resume after a restart. Client mode (-client) talks to it:
+// quotas, streaming progress, and persisted job records so interrupted
+// jobs rerun after a restart. Client mode (-client) talks to it:
 //
 //	innetcc -serve :8080 -serve-data ./serve-data -tenants 'alice=2:16'
 //	innetcc -client http://localhost:8080 -submit -profile fft -engine tree \
@@ -113,10 +113,9 @@ func main() {
 
 	var sf serveFlags
 	flag.StringVar(&sf.addr, "serve", "", "run the persistent job server on this listen address (e.g. :8080) instead of an experiment")
-	flag.StringVar(&sf.dataDir, "serve-data", defaultServeData(), "server persistence root (job records, checkpoints, result cache)")
+	flag.StringVar(&sf.dataDir, "serve-data", defaultServeData(), "server persistence root (job records, result cache)")
 	flag.StringVar(&sf.tenants, "tenants", "", "per-tenant quotas, \"name=maxRunning[:maxQueued],...\" (unlisted tenants get the default quota)")
 	flag.IntVar(&sf.workers, "serve-workers", 0, "concurrent simulations in server mode (0 = 1)")
-	flag.Int64Var(&sf.ckptEvry, "ckpt-every", 5_000_000, "simulated cycles between job checkpoints in server mode (0 = only on drain)")
 	flag.StringVar(&sf.client, "client", "", "talk to a running job server at this URL instead of running an experiment")
 	flag.StringVar(&sf.tenant, "tenant", "", "client: tenant name for submissions")
 	flag.IntVar(&sf.priority, "priority", 0, "client: submission priority (higher runs first)")

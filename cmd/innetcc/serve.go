@@ -17,11 +17,10 @@ import (
 
 // serveFlags carries the server- and client-mode flag values out of main.
 type serveFlags struct {
-	addr     string // -serve: listen address, server mode when non-empty
-	dataDir  string // -serve-data
-	tenants  string // -tenants quota spec
-	workers  int    // -serve-workers
-	ckptEvry int64  // -ckpt-every
+	addr    string // -serve: listen address, server mode when non-empty
+	dataDir string // -serve-data
+	tenants string // -tenants quota spec
+	workers int    // -serve-workers
 
 	client   string // -client: server URL, client mode when non-empty
 	tenant   string // -tenant
@@ -38,19 +37,18 @@ type serveFlags struct {
 
 // runServe starts the persistent job server and blocks until SIGTERM or
 // SIGINT, then drains: running simulations stop at their next segment
-// boundary with a checkpoint written and are requeued on disk, so the next
-// start resumes them.
+// boundary and are requeued on disk, so the next start reruns them from
+// their specs, skipping attempts that already failed.
 func runServe(w io.Writer, sf serveFlags) error {
 	tenants, err := serve.ParseTenants(sf.tenants)
 	if err != nil {
 		return err
 	}
 	srv, err := serve.New(serve.Options{
-		DataDir:         sf.dataDir,
-		Workers:         sf.workers,
-		Tenants:         tenants,
-		DefaultQuota:    serve.Quota{MaxRunning: 2, MaxQueued: 64},
-		CheckpointEvery: sf.ckptEvry,
+		DataDir:      sf.dataDir,
+		Workers:      sf.workers,
+		Tenants:      tenants,
+		DefaultQuota: serve.Quota{MaxRunning: 2, MaxQueued: 64},
 	})
 	if err != nil {
 		return err
@@ -75,7 +73,7 @@ func runServe(w io.Writer, sf serveFlags) error {
 	defer cancel()
 	hs.Shutdown(shutCtx)
 	srv.Drain()
-	fmt.Fprintln(w, "serve: drained (interrupted jobs checkpointed and requeued)")
+	fmt.Fprintln(w, "serve: drained (interrupted jobs requeued to rerun on restart)")
 	return nil
 }
 

@@ -13,11 +13,10 @@ import (
 )
 
 // DefaultSegmentCycles is the pause granularity of segmented runs: how many
-// simulated cycles pass between cancellation checks, progress callbacks and
-// checkpoint opportunities. Pausing is free in terms of determinism (the
-// step sequence is identical to an uninterrupted run; see
-// protocol.RunSegment), so the value only trades callback overhead against
-// responsiveness.
+// simulated cycles pass between cancellation checks and progress
+// callbacks. Pausing is free in terms of determinism (the step sequence is
+// identical to an uninterrupted run; see protocol.RunSegment), so the value
+// only trades callback overhead against responsiveness.
 const DefaultSegmentCycles = 1 << 20
 
 // Progress is one mid-run observation of a job, delivered between
@@ -37,11 +36,10 @@ type Progress struct {
 
 // RunOptions controls a segmented RunJob execution. The zero value runs the
 // job to completion exactly like the worker pool always has: no
-// cancellation, no progress, no checkpoints.
+// cancellation, no progress, starting at attempt 0.
 type RunOptions struct {
 	// Ctx, when non-nil, is checked between segments; once canceled the
-	// run stops promptly, a final checkpoint is written (when Checkpoint
-	// is set) and the Result comes back with Canceled set.
+	// run stops promptly and the Result comes back with Canceled set.
 	Ctx context.Context
 
 	// SegmentCycles is the pause granularity (DefaultSegmentCycles when
@@ -51,46 +49,26 @@ type RunOptions struct {
 	// Progress, when set, is called after every paused segment.
 	Progress func(Progress)
 
-	// Checkpoint, when set together with a positive CheckpointEvery, is
-	// called with a verified-replay snapshot roughly every
-	// CheckpointEvery simulated cycles, and once more on cancellation.
-	CheckpointEvery int64
-	Checkpoint      func(Snapshot)
-
-	// Resume, when non-nil, restores the run from a snapshot: the
-	// matching attempt is replayed deterministically to Snapshot.Cycle
-	// and the recomputed state digest is verified against the snapshot
-	// before the run continues. A snapshot for a different job spec, or
-	// one whose digest no longer matches (the binary's simulation
-	// semantics drifted), is discarded and the job runs from scratch — a
-	// checkpoint is an optimization, never a correctness dependency.
-	Resume *Snapshot
+	// StartAttempt is the first transient-retry attempt to run (clamped to
+	// the job's Retries). Every attempt derives its seed from the job spec
+	// and its own index, so a restarted job that already saw attempts
+	// 0..N-1 fail transiently skips them and still gets the result a fresh
+	// run would.
+	StartAttempt int
 }
 
 // RunJob executes one job — cacheless, poolless — with segmented execution:
-// the transient-retry loop of the worker pool, plus cancellation, progress
-// streaming, periodic checkpoints and snapshot resume per RunOptions.
-// Results are byte-identical to Pool.Run for the same spec at every segment
-// size, because pausing never changes the kernel's step sequence.
+// the transient-retry loop of the worker pool, plus cancellation and
+// progress streaming per RunOptions. Results are byte-identical to Pool.Run
+// for the same spec at every segment size, because pausing never changes
+// the kernel's step sequence.
 func RunJob(job Job, opt RunOptions) Result {
 	if opt.Ctx == nil {
 		opt.Ctx = context.Background()
 	}
-	resume := opt.Resume
-	start := 0
-	if resume != nil {
-		if !resume.CompatibleWith(job) {
-			resume = nil // snapshot of some other job, or stale retry budget
-		} else {
-			// Attempts 0..Attempt-1 already failed transiently before the
-			// snapshot was taken; resume skips re-running them.
-			start = resume.Attempt
-		}
-	}
 	var res Result
-	for attempt := start; ; attempt++ {
-		res = runAttempt(job, attempt, opt, resume)
-		resume = nil
+	for attempt := max(0, min(opt.StartAttempt, job.Retries)); ; attempt++ {
+		res = runAttempt(job, attempt, opt)
 		res.Attempts = attempt + 1
 		if res.Canceled || !res.Failed() || !res.Transient || attempt >= job.Retries {
 			break
@@ -103,13 +81,13 @@ func RunJob(job Job, opt RunOptions) Result {
 // simulate runs one attempt of the job uninterrupted — the pre-segmentation
 // entry point, kept for the attempt-level determinism tests.
 func simulate(job Job, attempt int) Result {
-	return runAttempt(job, attempt, RunOptions{Ctx: context.Background()}, nil)
+	return runAttempt(job, attempt, RunOptions{Ctx: context.Background()})
 }
 
 // runAttempt runs a single attempt of the job in segments. Panics anywhere
 // in the protocol or network stack are recovered into the Result so one
 // diverging configuration cannot take down a batch or the serving layer.
-func runAttempt(job Job, attempt int, opt RunOptions, resume *Snapshot) (res Result) {
+func runAttempt(job Job, attempt int, opt RunOptions) (res Result) {
 	col := collectorFor(job.Metrics)
 	defer func() {
 		if r := recover(); r != nil {
@@ -122,36 +100,14 @@ func runAttempt(job Job, attempt int, opt RunOptions, resume *Snapshot) (res Res
 		return *errRes
 	}
 	limit := m.Kernel.Now() + job.maxCycles()
-
-	// Snapshot resume: replay deterministically to the checkpoint cycle,
-	// then prove we arrived at the checkpointed state by recomputing the
-	// digest. The replay target is always a paused (non-terminal) cycle,
-	// so reaching a terminal state early is itself a verification failure.
-	if resume != nil && resume.Attempt == attempt && resume.Cycle > m.Kernel.Now() {
-		done, _ := m.RunSegment(resume.Cycle, limit)
-		if done || m.Kernel.Now() != resume.Cycle || m.StateDigest() != resume.Digest {
-			return runAttempt(job, attempt, opt, nil)
-		}
-	}
-
 	seg := opt.SegmentCycles
 	if seg <= 0 {
 		seg = DefaultSegmentCycles
-	}
-	nextCkpt := int64(-1)
-	if opt.Checkpoint != nil && opt.CheckpointEvery > 0 {
-		nextCkpt = m.Kernel.Now() + opt.CheckpointEvery
-	}
-	snap := func() Snapshot {
-		return Snapshot{Cycle: m.Kernel.Now(), Attempt: attempt, Digest: m.StateDigest(), Job: job}
 	}
 
 	var runErr error
 	for {
 		if err := opt.Ctx.Err(); err != nil {
-			if opt.Checkpoint != nil {
-				opt.Checkpoint(snap())
-			}
 			return Result{
 				Err:      "exec: canceled: " + err.Error(),
 				Canceled: true,
@@ -159,21 +115,13 @@ func runAttempt(job Job, attempt int, opt RunOptions, resume *Snapshot) (res Res
 				Metrics:  metricsOut(col, false),
 			}
 		}
-		stopAt := m.Kernel.Now() + seg
-		if nextCkpt >= 0 && nextCkpt < stopAt {
-			stopAt = nextCkpt
-		}
-		done, err := m.RunSegment(stopAt, limit)
+		done, err := m.RunSegment(m.Kernel.Now()+seg, limit)
 		if done {
 			runErr = err
 			break
 		}
 		if opt.Progress != nil {
 			opt.Progress(progressOf(m, col, attempt))
-		}
-		if nextCkpt >= 0 && m.Kernel.Now() >= nextCkpt {
-			opt.Checkpoint(snap())
-			nextCkpt = m.Kernel.Now() + opt.CheckpointEvery
 		}
 	}
 	if runErr != nil {

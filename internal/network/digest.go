@@ -2,10 +2,10 @@ package network
 
 import "innetcc/internal/sim"
 
-// DigestState folds the mesh's live state into d for checkpoint
-// verification: global in-flight/delivery accounting, then every router's
-// FIFO contents in port/VC/queue order with each queued packet's header and
-// routing coordinates. Payloads are protocol messages owned by the engines
+// DigestState folds the mesh's live state into d for state digests: global
+// in-flight/delivery accounting, then every router's FIFO contents in
+// port/VC/queue order with each queued packet's header and routing
+// coordinates. Payloads are protocol messages owned by the engines
 // (which fold their own state); here a packet contributes the fields the
 // network itself steers by. Folding is observation-only: no FIFO is popped,
 // no LRU or metric moves.

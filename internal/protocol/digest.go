@@ -1,11 +1,10 @@
-// Checkpoint support: a machine can fold its complete simulation state —
+// State digests: a machine can fold its complete simulation state —
 // kernel, CPUs, L2 caches, memory, network and coherence engine — into a
-// 64-bit digest. The digest is the verification half of the repository's
-// logical checkpoints (internal/exec): the kernel's event queue holds
-// closures, which Go cannot serialize, so a checkpoint records the job spec
-// plus the snapshot cycle and this digest, and a restore rebuilds the state
-// by deterministic replay and proves it arrived at the same state by
-// recomputing the digest. See DESIGN.md's checkpoint section.
+// 64-bit digest. Two runs whose digests agree at a cycle reached the same
+// state, which makes the digest the repository's sharpest determinism
+// check: the golden tests pin mid-run and end-of-run digests, the segment
+// tests compare a paused run with a one-shot one, and the benchmark
+// harness gates every timed run on its expected digest.
 package protocol
 
 import (
@@ -19,7 +18,7 @@ import (
 // their protocol state (directory caches, virtual tree caches, queued
 // requests) into a machine state digest. Both shipped engines implement it;
 // an engine that does not simply contributes nothing, weakening — not
-// breaking — checkpoint verification for that engine.
+// breaking — digest comparisons for that engine.
 type StateDigester interface {
 	DigestState(d *sim.Digest)
 }

@@ -563,9 +563,9 @@ func (m *Machine) Run(maxCycles int64) error {
 // whether or not a run is split, and events fire when they would have, so
 // a run split across any sequence of RunSegment calls performs exactly the
 // step sequence of a single Run and is byte-identical to it. This is what
-// checkpointing and cancellation hang off: internal/exec pauses every few
-// hundred thousand cycles to check its context, report progress and
-// snapshot state, without perturbing the simulation.
+// progress and cancellation hang off: internal/exec pauses every million
+// or so cycles to check its context and report progress, without
+// perturbing the simulation.
 func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 	if m.engine == nil {
 		return true, fmt.Errorf("protocol: no engine attached")

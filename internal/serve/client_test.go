@@ -162,19 +162,22 @@ func TestSubscribeAfterReplaysMissedEvents(t *testing.T) {
 }
 
 // TestKillLeavesCrashState: Kill must leave the store as a crash would —
-// record still "running", no terminal transition — and a restart over the
-// same directory completes the job from its periodic checkpoints.
+// record still "running", no terminal transition — with the attempt the
+// job had reached already persisted, and a restart over the same directory
+// reruns the job from its spec, at that attempt, to the direct-run result.
+// At suite seed 16 the job's attempt 0 drops a packet with no retry budget
+// and fails transiently; attempt 1 runs clean for ~100k cycles.
 func TestKillLeavesCrashState(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
-	req := SubmitRequest{Tenant: "t", Profile: "bar", Engine: "dir", Accesses: 1200}
+	req := SubmitRequest{Tenant: "t", Profile: "bar", Engine: "dir", Accesses: 2000, SuiteSeed: 16,
+		Faults: "drop=10,timeout=1000,retries=0,backoff=16", Retries: 1}
 
 	srv1, err := New(Options{
-		DataDir:         dir,
-		Workers:         1,
-		DefaultQuota:    Quota{MaxRunning: 1},
-		SegmentCycles:   256,
-		CheckpointEvery: 1024,
+		DataDir:       dir,
+		Workers:       1,
+		DefaultQuota:  Quota{MaxRunning: 1},
+		SegmentCycles: 256,
 	})
 	if err != nil {
 		t.Fatalf("new server 1: %v", err)
@@ -183,12 +186,9 @@ func TestKillLeavesCrashState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitFor(t, "job running with a checkpoint", func() bool {
+	waitFor(t, "attempt 1 running past its first segment", func() bool {
 		r, err := srv1.Job(rec.ID)
-		if err != nil || r.State != StateRunning {
-			return false
-		}
-		return (&store{dir: dir}).loadSnapshot(&rec) != nil
+		return err == nil && r.State == StateRunning && r.Attempt == 1 && r.Cycle > 0
 	})
 	srv1.Kill()
 
@@ -200,8 +200,9 @@ func TestKillLeavesCrashState(t *testing.T) {
 	for _, r := range recs {
 		if r.ID == rec.ID {
 			found = true
-			if r.State != StateRunning {
-				t.Fatalf("killed server left record %q, want running (crash state)", r.State)
+			if r.State != StateRunning || r.Attempt != 1 {
+				t.Fatalf("killed server left record %q at attempt %d, want running at attempt 1 (crash state)",
+					r.State, r.Attempt)
 			}
 		}
 	}

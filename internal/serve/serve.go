@@ -18,8 +18,8 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// DataDir is the persistence root: job records, checkpoints and the
-	// result cache live under it. Required.
+	// DataDir is the persistence root: job records and the result cache
+	// live under it. Required.
 	DataDir string
 
 	// Workers is the number of concurrent simulations (<= 0 means 1).
@@ -30,12 +30,10 @@ type Options struct {
 	Tenants      map[string]Quota
 	DefaultQuota Quota
 
-	// SegmentCycles and CheckpointEvery are passed through to the
-	// segmented runner: pause granularity and simulated cycles between
-	// checkpoints. CheckpointEvery <= 0 disables periodic checkpoints
-	// (the drain checkpoint is always written).
-	SegmentCycles   int64
-	CheckpointEvery int64
+	// SegmentCycles is the segmented runner's pause granularity: how
+	// often a running job streams progress and notices cancellation or a
+	// drain.
+	SegmentCycles int64
 }
 
 // ErrQuotaExceeded rejects a submission that would put a tenant over its
@@ -68,7 +66,7 @@ type Server struct {
 	seq      int64
 
 	// killed simulates a crash (Server.Kill): once set, nothing more is
-	// written to the store — no final checkpoints, no record transitions —
+	// written to the store — no attempt updates, no record transitions —
 	// so the on-disk state is exactly what a kill -9 would leave behind.
 	killed atomic.Bool
 }
@@ -101,8 +99,8 @@ type tenantState struct {
 
 // New opens the data directory, loads persisted job records, requeues
 // every job that was queued or running when the previous process died, and
-// starts the worker pool. Interrupted jobs resume from their last
-// checkpoint when one survives.
+// starts the worker pool. An interrupted job reruns from its spec,
+// starting at the attempt its record stores.
 func New(opt Options) (*Server, error) {
 	if opt.DataDir == "" {
 		return nil, fmt.Errorf("serve: Options.DataDir is required")
@@ -142,8 +140,8 @@ func New(opt Options) (*Server, error) {
 			close(js.done)
 		} else {
 			// The previous process died (or drained) with this job
-			// pending; requeue it. A running job's checkpoint, when one
-			// was written, makes the requeue a resume.
+			// pending; requeue it. The rerun starts at the record's
+			// attempt, skipping attempts that already failed.
 			js.rec.State = StateQueued
 			js.rec.StartedAt = 0
 			if err := st.putJob(&js.rec); err != nil {
@@ -469,9 +467,9 @@ func (s *Server) Stats() Stats {
 }
 
 // Drain gracefully shuts the server down: no new submissions, running
-// jobs are stopped at their next segment boundary with a final checkpoint
-// written, and every interrupted job is requeued on disk so the next
-// process completes it. Drain blocks until all workers have exited.
+// jobs are stopped at their next segment boundary, and every interrupted
+// job is requeued on disk so the next process reruns it from its spec.
+// Drain blocks until all workers have exited.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -482,13 +480,13 @@ func (s *Server) Drain() {
 }
 
 // Kill hard-stops the server, simulating a crash for fault-tolerance
-// tests: running jobs are interrupted but — unlike
-// Drain — no final checkpoints or record transitions are written, so the
-// data directory is left exactly as a kill -9 would leave it (records
-// still marked running, only periodic checkpoints on disk). A New over
-// the same directory requeues and resumes the orphans, which is precisely
-// the recovery path the simulation exercises. Kill blocks until all
-// workers have exited; the Server is unusable afterwards.
+// tests: running jobs are interrupted but — unlike Drain — no record
+// transitions are written, so the data directory is left exactly as a
+// kill -9 would leave it (records still marked running, with the attempt
+// last persisted). A New over the same directory requeues and reruns the
+// orphans, which is precisely the recovery path the simulation exercises.
+// Kill blocks until all workers have exited; the Server is unusable
+// afterwards.
 func (s *Server) Kill() {
 	s.killed.Store(true)
 	s.mu.Lock()
@@ -597,42 +595,41 @@ func (s *Server) runJob(js *jobState) {
 		return
 	}
 
-	resume := s.store.loadSnapshot(&rec)
 	res := exec.RunJob(rec.Job, exec.RunOptions{
 		Ctx:           js.runCtx,
 		SegmentCycles: s.opt.SegmentCycles,
+		StartAttempt:  rec.Attempt,
 		Progress: func(p exec.Progress) {
 			s.mu.Lock()
+			defer s.mu.Unlock()
 			js.rec.Cycle = p.Cycle
-			js.rec.Attempt = p.Attempt
-			s.publishLocked(js, Event{Type: "progress", Progress: &p})
-			s.mu.Unlock()
-		},
-		CheckpointEvery: s.opt.CheckpointEvery,
-		Checkpoint: func(snap exec.Snapshot) {
-			if s.killed.Load() {
-				return // crash simulation: kill -9 writes no final checkpoint
+			if p.Attempt != js.rec.Attempt {
+				// A new attempt means the earlier ones failed
+				// transiently; persist it so a restart, even after a
+				// crash, skips them.
+				js.rec.Attempt = p.Attempt
+				if !s.killed.Load() {
+					s.store.putJob(&js.rec)
+				}
 			}
-			exec.WriteSnapshot(s.store.ckptPath(rec.ID), snap)
+			s.publishLocked(js, Event{Type: "progress", Progress: &p})
 		},
-		Resume: resume,
 	})
 
 	if res.Canceled {
 		if s.killed.Load() {
 			// Crash simulation: die without touching memory or disk state.
 			// The record stays "running" on disk, as a real crash leaves
-			// it; restart requeues and resumes it.
+			// it; restart requeues and reruns it.
 			return
 		}
 		s.mu.Lock()
 		if js.userCanceled {
-			s.store.dropSnapshot(rec.ID)
 			s.releaseRunLocked(js)
 			s.finishLocked(js, StateCanceled, res.Err)
 		} else {
-			// Drain: the final checkpoint was just written; requeue so the
-			// next process resumes from it.
+			// Drain: requeue so the next process reruns the job from its
+			// spec at the stored attempt.
 			s.releaseRunLocked(js)
 			js.rec.State = StateQueued
 			js.rec.StartedAt = 0
@@ -654,11 +651,10 @@ func (s *Server) runJob(js *jobState) {
 func (s *Server) finishRun(js *jobState, res exec.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.store.dropSnapshot(js.rec.ID)
 	s.releaseRunLocked(js)
 	js.result = &res
 	js.rec.Cycle = res.Cycles
-	js.rec.Attempt = res.Attempts
+	js.rec.Attempt = max(0, res.Attempts-1)
 	js.rec.Cached = res.Cached
 	state := StateDone
 	if res.Failed() {

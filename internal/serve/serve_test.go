@@ -55,9 +55,8 @@ func TestServerTenantsEndToEnd(t *testing.T) {
 			"bob":   {MaxRunning: 2, MaxQueued: 16},
 			"carol": {MaxRunning: 1, MaxQueued: 2},
 		},
-		DefaultQuota:    Quota{MaxRunning: 1, MaxQueued: 4},
-		SegmentCycles:   256,
-		CheckpointEvery: 4096,
+		DefaultQuota:  Quota{MaxRunning: 1, MaxQueued: 4},
+		SegmentCycles: 256,
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
@@ -308,8 +307,8 @@ func TestDuplicateSpecSimulatesOnce(t *testing.T) {
 // test: a server stopped mid-run (graceful drain, plus a record
 // hand-edited back to "running" to simulate a hard crash) must, on
 // restart over the same data directory, complete every queued and
-// in-flight job — resuming from checkpoints where they exist — with
-// results byte-identical to direct runs.
+// in-flight job — rerunning each from its spec — with results
+// byte-identical to direct runs.
 func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
@@ -320,11 +319,10 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 	}
 
 	srv1, err := New(Options{
-		DataDir:         dir,
-		Workers:         2,
-		DefaultQuota:    Quota{MaxRunning: 2},
-		SegmentCycles:   256,
-		CheckpointEvery: 1024,
+		DataDir:       dir,
+		Workers:       2,
+		DefaultQuota:  Quota{MaxRunning: 2},
+		SegmentCycles: 256,
 	})
 	if err != nil {
 		t.Fatalf("new server 1: %v", err)
@@ -337,19 +335,15 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 		}
 		ids[i] = rec.ID
 	}
-	// Let the runs get going and write at least one checkpoint, then pull
-	// the plug mid-flight.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt", "*.ckpt"))
-		if len(ckpts) > 0 {
-			break
+	// Let a run get past its first segment, then pull the plug mid-flight.
+	waitFor(t, "a job past its first segment", func() bool {
+		for _, id := range ids {
+			if r, err := srv1.Job(id); err == nil && r.Cycle > 0 {
+				return true
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint appeared before drain")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return false
+	})
 	srv1.Drain()
 
 	// Drain must have requeued everything non-terminal on disk.
@@ -390,11 +384,10 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 	}
 
 	srv2, err := New(Options{
-		DataDir:         dir,
-		Workers:         2,
-		DefaultQuota:    Quota{MaxRunning: 2},
-		SegmentCycles:   256,
-		CheckpointEvery: 1024,
+		DataDir:       dir,
+		Workers:       2,
+		DefaultQuota:  Quota{MaxRunning: 2},
+		SegmentCycles: 256,
 	})
 	if err != nil {
 		t.Fatalf("new server 2: %v", err)
@@ -416,6 +409,67 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
 			t.Errorf("job %s result differs from direct run after restart\n server: %s\n direct: %s", id, g, w)
 		}
+	}
+}
+
+// TestRestartSkipsFailedAttempts: a requeued record's Attempt is where the
+// rerun starts. A queued record of a job whose every attempt fails
+// transiently is written at Attempt 1, as a previous server that saw
+// attempt 0 fail would leave it. After a restart the job's first progress
+// must report attempt 1, and its result must still equal a direct run's,
+// which went through attempts 0, 1 and 2.
+func TestRestartSkipsFailedAttempts(t *testing.T) {
+	dir := t.TempDir()
+	ctx := testCtx(t)
+	req := SubmitRequest{Tenant: "t", Profile: "fft", Engine: "tree", Accesses: 60,
+		Faults: "drop=1000000,timeout=1000,retries=0,backoff=16", Retries: 2}
+	job, err := req.BuildJob()
+	if err != nil {
+		t.Fatalf("build job: %v", err)
+	}
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	rec := JobRecord{ID: "j-restart", Tenant: req.Tenant, State: StateQueued, Hash: job.Hash(), Attempt: 1, Job: job}
+	if err := st.putJob(&rec); err != nil {
+		t.Fatalf("write record: %v", err)
+	}
+
+	// An all-drop attempt fails within a few cycles, so only one-cycle
+	// segments stream its progress.
+	srv, err := New(Options{DataDir: dir, Workers: 1, SegmentCycles: 1})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer srv.Drain()
+	ch, unsub, err := srv.SubscribeAfter(rec.ID, 0)
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer unsub()
+	first := -1
+	for ev := range ch {
+		if ev.Type == "progress" && first < 0 {
+			first = ev.Progress.Attempt
+		}
+	}
+	if first != 1 {
+		t.Fatalf("first progress after restart reported attempt %d, want 1", first)
+	}
+	final, err := srv.Wait(ctx, rec.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.State != StateFailed || final.Attempt != 2 {
+		t.Fatalf("restarted job finished %s at attempt %d, want failed at attempt 2", final.State, final.Attempt)
+	}
+	got, err := srv.Result(rec.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, directResult(t, req)); g != w {
+		t.Errorf("restarted result differs from direct run\n server: %s\n direct: %s", g, w)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 
 // Job lifecycle states. A job is terminal in StateDone, StateFailed or
 // StateCanceled; queued and running jobs survive a server restart (running
-// ones are requeued and, when a checkpoint exists, resumed from it).
+// ones are requeued and rerun from their spec, starting at the stored
+// attempt).
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -46,7 +47,11 @@ type JobRecord struct {
 	Seq      int64 `json:"seq"`
 	StartSeq int64 `json:"startSeq,omitempty"`
 
-	// Cycle and Attempt mirror the latest streamed progress.
+	// Cycle is the simulated cycle of the latest streamed progress, and
+	// the final cycle once a result is in. Attempt is the 0-based index
+	// of the transient-retry attempt running, or of the one that produced
+	// the result; a restarted job resumes at it, since every earlier
+	// attempt already failed transiently.
 	Cycle   int64 `json:"cycle,omitempty"`
 	Attempt int   `json:"attempt,omitempty"`
 
@@ -64,18 +69,16 @@ func (r *JobRecord) Terminal() bool {
 	return r.State == StateDone || r.State == StateFailed || r.State == StateCanceled
 }
 
-// store persists job records and checkpoints under the server's data
-// directory:
+// store persists job records under the server's data directory:
 //
 //	<dir>/jobs/<id>.json   one JobRecord per job, written atomically
-//	<dir>/ckpt/<id>.ckpt   latest checkpoint of a running job
 //	<dir>/cache/           the exec result cache (opened by the server)
 type store struct {
 	dir string
 }
 
 func openStore(dir string) (*store, error) {
-	for _, sub := range []string{"jobs", "ckpt", "cache"} {
+	for _, sub := range []string{"jobs", "cache"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("serve: store: %w", err)
 		}
@@ -87,10 +90,6 @@ func (s *store) cacheDir() string { return filepath.Join(s.dir, "cache") }
 
 func (s *store) jobPath(id string) string {
 	return filepath.Join(s.dir, "jobs", id+".json")
-}
-
-func (s *store) ckptPath(id string) string {
-	return filepath.Join(s.dir, "ckpt", id+".ckpt")
 }
 
 // putJob writes the record atomically (temp file + rename), so a crash
@@ -146,17 +145,3 @@ func (s *store) loadJobs() ([]*JobRecord, error) {
 	}
 	return out, nil
 }
-
-// loadSnapshot returns the job's checkpoint if one exists, decodes, and
-// actually belongs to the job's spec. Any failure reads as "no
-// checkpoint": a checkpoint is an optimization, never a correctness
-// dependency.
-func (s *store) loadSnapshot(rec *JobRecord) *exec.Snapshot {
-	snap, err := exec.ReadSnapshot(s.ckptPath(rec.ID))
-	if err != nil || snap.Job.Hash() != rec.Hash {
-		return nil
-	}
-	return &snap
-}
-
-func (s *store) dropSnapshot(id string) { os.Remove(s.ckptPath(id)) }

@@ -1,8 +1,8 @@
 // Package serve is the persistent simulation-as-a-service layer: an
 // HTTP/JSON job API in front of internal/exec with a priority queue,
 // per-tenant quotas and fair scheduling, streaming progress, and
-// checkpoint/restore so a killed server resumes interrupted jobs on
-// restart. Results are stored in the same content-hash cache the batch
+// persisted job records so a killed server reruns interrupted jobs on
+// restart, starting each at the attempt its record stores. Results are stored in the same content-hash cache the batch
 // pool uses, so server runs and direct runs share one result store.
 package serve
 

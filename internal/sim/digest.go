@@ -3,16 +3,14 @@ package sim
 import "sort"
 
 // Digest is a streaming 64-bit state hasher (FNV-1a core, splitmix64
-// finalizer) that components fold their simulation state into. It backs
-// checkpoint verification: a snapshot records the digest of the live state
-// at the snapshot cycle, and a restore — which rebuilds that state by
-// deterministic replay — recomputes the digest and refuses to continue on a
-// mismatch, so a binary whose semantics drifted since the snapshot was
-// taken fails loudly instead of silently computing a different result.
+// finalizer) that components fold their simulation state into. Equal
+// digests at a cycle mean two runs reached the same live state, so pinned
+// digests catch any drift in simulation semantics, and comparing a paused
+// run's digest with a one-shot run's proves that pausing is invisible.
 //
 // Folding must be observation-only: a component's DigestState method may
 // not mutate any state the simulation reads (no LRU touches, no counter
-// bumps), so that a run that checkpoints is byte-identical to one that
+// bumps), so that a run that takes digests is byte-identical to one that
 // does not.
 type Digest struct {
 	h uint64
@@ -69,9 +67,8 @@ func (d *Digest) Sum() uint64 {
 	return x ^ (x >> 31)
 }
 
-// State exposes the RNG's internal word for state digests. Together with
-// NewRNG-from-state semantics it makes the generator's position part of a
-// checkpoint's identity.
+// State exposes the RNG's internal word for state digests, making the
+// generator's position part of the digested state.
 func (r *RNG) State() uint64 { return r.state }
 
 // DigestState folds the kernel's core state into d: the clock, the

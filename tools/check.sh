@@ -105,23 +105,55 @@ go run -race ./cmd/innetcc -exp fig11 -accesses 80 -jobs 2 >/dev/null
 
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
-# fetch the result, then SIGTERM the server and require a clean drain.
+# fetch the result, then submit a job that spans more than one default
+# 1,048,576-cycle segment and SIGTERM the server while it runs. The drain
+# must requeue it on disk; a restart on the same data directory must rerun
+# it to done with a result identical to a fresh server's for the same spec.
 SERVE_DATA=$(mktemp -d)
 SERVE_ADDR=127.0.0.1:18931
+FRESH_ADDR=127.0.0.1:18932
 go build -race -o "$SERVE_DATA/innetcc" ./cmd/innetcc
 "$SERVE_DATA/innetcc" -serve "$SERVE_ADDR" -serve-data "$SERVE_DATA/data" \
     -tenants 'ci=2:8' -serve-workers 2 > "$SERVE_DATA/server.log" 2>&1 &
+SERVE_PID=$!
+"$SERVE_DATA/innetcc" -serve "$FRESH_ADDR" -serve-data "$SERVE_DATA/fresh" \
+    > "$SERVE_DATA/fresh.log" 2>&1 &
+FRESH_PID=$!
+for addr in "$SERVE_ADDR" "$FRESH_ADDR"; do
+    for i in $(seq 1 50); do
+        if "$SERVE_DATA/innetcc" -client "http://$addr" >/dev/null 2>&1; then break; fi
+        sleep 0.2
+    done
+done
+"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -submit -profile fft \
+    -engine tree -accesses 120 -tenant ci -watch yes >/dev/null
+"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -stats >/dev/null
+LONG_JOB="-submit -profile ocn -engine tree -accesses 80000 -topology mesh:2x2 -tenant ci"
+FRESH_ID=$("$SERVE_DATA/innetcc" -client "http://$FRESH_ADDR" $LONG_JOB | awk '{print $2}')
+LONG_ID=$("$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" $LONG_JOB | awk '{print $2}')
+for i in $(seq 1 100); do
+    if "$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -status "$LONG_ID" |
+        grep -q '"state": "running"'; then break; fi
+    sleep 0.1
+done
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+grep -q 'drained' "$SERVE_DATA/server.log"
+grep -q '"state":"queued"' "$SERVE_DATA/data/jobs/$LONG_ID.json"
+"$SERVE_DATA/innetcc" -serve "$SERVE_ADDR" -serve-data "$SERVE_DATA/data" \
+    -tenants 'ci=2:8' -serve-workers 2 >> "$SERVE_DATA/server.log" 2>&1 &
 SERVE_PID=$!
 for i in $(seq 1 50); do
     if "$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" >/dev/null 2>&1; then break; fi
     sleep 0.2
 done
-"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -submit -profile fft \
-    -engine tree -accesses 120 -tenant ci -watch yes >/dev/null
-"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -stats >/dev/null
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-grep -q 'drained' "$SERVE_DATA/server.log"
+"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -watch "$LONG_ID" >/dev/null
+"$SERVE_DATA/innetcc" -client "http://$FRESH_ADDR" -watch "$FRESH_ID" >/dev/null
+"$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -result "$LONG_ID" > "$SERVE_DATA/restarted.json"
+"$SERVE_DATA/innetcc" -client "http://$FRESH_ADDR" -result "$FRESH_ID" > "$SERVE_DATA/fresh.json"
+cmp "$SERVE_DATA/restarted.json" "$SERVE_DATA/fresh.json"
+kill -TERM "$SERVE_PID" "$FRESH_PID"
+wait "$SERVE_PID" "$FRESH_PID"
 
 # Serving-layer benchmark smoke: the 8-profile x 2-engine sweep through the
 # job server with a cold and a warm result cache, recorded as
