@@ -10,8 +10,8 @@ import (
 var sink *cache.Cache[protocol.DataLine]
 
 // TestNewAllocatesNoLines: building the default 2 MB, 8-way L2 is a
-// single allocation, the cache header: the page table and the pages wait
-// for the first insert.
+// single allocation, the cache header: the slab and its tables wait for the
+// first insert.
 func TestNewAllocatesNoLines(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		sink = cache.New[protocol.DataLine](65536, 8)

@@ -6,7 +6,12 @@
 // Addresses handed to this package are line addresses (the block offset has
 // already been stripped). The set index is the low bits of the line address
 // and the tag the remaining high bits, exactly as the paper's
-// <tag, index, offset> parse of the packet header (Section 2.3).
+// <tag, index, offset> parse of the packet header (Section 2.3). A stored
+// line keeps its whole line address, which is tag and index together.
+//
+// Memory follows the most lines held at once, not the configured capacity:
+// Table 2's 65,536-line L2 holding a few hundred lines costs a few hundred
+// line slots plus two small hash tables.
 //
 // The tree cache needs operations a plain cache does not: allocate only into
 // an invalid way (tree construction must never silently evict another tree),
@@ -15,27 +20,39 @@
 // live here so all three cache users share one replacement implementation.
 package cache
 
-// pageSets is the number of consecutive sets one storage page covers. A page
-// is the unit of lazy allocation. Traces touch few lines spread over many
-// sets: with 64-set pages about one allocated L2 line slot in a thousand
-// held a live line at the end of a fig9 job, and zeroing those pages cost a
-// tenth of the run's CPU. Eight sets keep an L2 page at 2.5 KB while still
-// amortising one allocation over several neighbouring sets. It is a
-// constant, not a knob, because it changes no observable behaviour, only
-// memory footprint.
-const pageSets = 8
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
+// chunkLines is the number of line slots in one slab chunk, the unit in
+// which line storage grows. Chunks never move, so a payload pointer stays
+// valid until its line is evicted or invalidated. It is a constant, not a
+// knob, because it changes no observable behaviour, only memory footprint.
+const (
+	chunkShift = 5
+	chunkLines = 1 << chunkShift
+)
+
+// noSlot ends a set chain and the free list, and is what a table lookup of
+// an absent key returns.
+const noSlot int32 = -1
 
 // Cache is a set-associative cache mapping line addresses to a payload of
 // type V. It is a pure tag store: timing is modeled by its callers.
 //
-// Storage is a table of fixed-size pages, each a flat run of lines for
-// pageSets consecutive sets (set-major, way-minor). The table itself is
-// built by the first insert, and a page the first time an insert touches
-// one of its sets; a set on a missing page, or in a cache with no table, is
-// empty. Pages are never moved or regrown, so payload pointers stay valid
-// until their line is evicted or invalidated.
+// Storage is proportional to the most lines held at once, not to the sets
+// ever touched. Lines sit in a slab of fixed-size chunks; a slot freed by
+// Invalidate goes on a free list and is reused by the next allocation. An
+// open-addressed table maps each live line's address to its slot, and a
+// second one maps each non-empty set to the head of a chain that lists the
+// set's lines in way order. Slab and tables are built by the first insert.
 type Cache[V any] struct {
-	pages   [][]line[V]
+	chunks  [][]line[V]
+	free    int32 // first slot of the free list, or noSlot
+	index   table // line address -> slot
+	heads   table // set index -> slot of the set's lowest-way line
 	ways    int
 	numSets int
 	clock   uint64
@@ -47,20 +64,22 @@ type Cache[V any] struct {
 }
 
 type line[V any] struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-	val   V
+	addr uint64
+	lru  uint64
+	way  int32
+	next int32 // next line of the set in way order, or next free slot
+	val  V
 }
 
 // New returns a cache with the given total number of entries and
-// associativity. It panics if entries is not a positive multiple of ways.
-// Neither the page table nor any line is allocated until the first insert.
+// associativity. It panics if entries is not a positive multiple of ways,
+// or too many for an int32 slot number. Neither the slab nor either table
+// is allocated until the first insert.
 func New[V any](entries, ways int) *Cache[V] {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic("cache: entries must be a positive multiple of ways")
+	if entries <= 0 || ways <= 0 || entries%ways != 0 || entries > math.MaxInt32 {
+		panic("cache: entries must be a positive multiple of ways, at most 2^31-1")
 	}
-	return &Cache[V]{ways: ways, numSets: entries / ways}
+	return &Cache[V]{ways: ways, numSets: entries / ways, free: noSlot}
 }
 
 // Ways returns the associativity.
@@ -72,51 +91,28 @@ func (c *Cache[V]) Sets() int { return c.numSets }
 // Entries returns the total capacity in lines.
 func (c *Cache[V]) Entries() int { return c.numSets * c.ways }
 
-func (c *Cache[V]) setIndex(addr uint64) int { return int(addr % uint64(c.numSets)) }
-func (c *Cache[V]) tag(addr uint64) uint64   { return addr / uint64(c.numSets) }
+func (c *Cache[V]) setIndex(addr uint64) uint64 { return addr % uint64(c.numSets) }
 
-// addrOf reconstructs the line address stored in a given set/tag pair.
-func (c *Cache[V]) addrOf(setIdx int, tag uint64) uint64 {
-	return tag*uint64(c.numSets) + uint64(setIdx)
-}
+func (c *Cache[V]) at(s int32) *line[V] { return &c.chunks[s>>chunkShift][s&(chunkLines-1)] }
 
-// set returns the ways of set setIdx, or nil if its page is not allocated
-// (every way invalid). A cache with no page table yet has len(pages) == 0.
-func (c *Cache[V]) set(setIdx int) []line[V] {
-	pi := uint(setIdx) / pageSets
-	if pi >= uint(len(c.pages)) {
-		return nil
+// alloc returns a free slot, reusing the most recently freed one. With the
+// free list empty every slot handed out so far is live, so the next fresh
+// slot is number live, and it starts a new chunk when the last one is full.
+func (c *Cache[V]) alloc() int32 {
+	if s := c.free; s != noSlot {
+		c.free = c.at(s).next
+		return s
 	}
-	p := c.pages[pi]
-	if p == nil {
-		return nil
+	s := int32(c.live)
+	if int(s>>chunkShift) == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]line[V], chunkLines))
 	}
-	off := uint(setIdx) % pageSets * uint(c.ways)
-	return p[off : off+uint(c.ways)]
-}
-
-// fillSet is set for the insert paths: it allocates the page table and the
-// set's page first if they are missing. The last page is cut to the sets
-// that exist.
-func (c *Cache[V]) fillSet(setIdx int) []line[V] {
-	if c.pages == nil {
-		c.pages = make([][]line[V], (c.numSets+pageSets-1)/pageSets)
-	}
-	pi := uint(setIdx) / pageSets
-	if c.pages[pi] == nil {
-		sets := min(pageSets, c.numSets-int(pi)*pageSets)
-		c.pages[pi] = make([]line[V], sets*c.ways)
-	}
-	return c.set(setIdx)
+	return s
 }
 
 func (c *Cache[V]) find(addr uint64) *line[V] {
-	s := c.set(c.setIndex(addr))
-	tag := c.tag(addr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return &s[i]
-		}
+	if s := c.index.get(addr); s != noSlot {
+		return c.at(s)
 	}
 	return nil
 }
@@ -153,32 +149,21 @@ func (c *Cache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal V, 
 		ln.lru = c.clock
 		return &ln.val, 0, evictedVal, false
 	}
-	setIdx := c.setIndex(addr)
-	s := c.fillSet(setIdx)
-	victim := -1
-	for i := range s {
-		if !s[i].valid {
-			victim = i
-			break
-		}
+	set := c.setIndex(addr)
+	if ln := c.fill(addr, set); ln != nil {
+		return &ln.val, 0, evictedVal, false
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(s); i++ {
-			if s[i].lru < s[victim].lru {
-				victim = i
-			}
-		}
-		evicted = true
-		evictedAddr = c.addrOf(setIdx, s[victim].tag)
-		evictedVal = s[victim].val
-	} else {
-		c.live++
-	}
+	// The victim's slot takes the new line in place: same way, same place
+	// in the set's chain.
+	s := c.lru(set, addr, nil)
+	ln := c.at(s)
+	evictedAddr, evictedVal = ln.addr, ln.val
+	c.index.del(ln.addr)
+	c.index.put(addr, s)
 	c.clock++
 	var zero V
-	s[victim] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-	return &s[victim].val, evictedAddr, evictedVal, evicted
+	ln.addr, ln.lru, ln.val = addr, c.clock, zero
+	return &ln.val, evictedAddr, evictedVal, true
 }
 
 // InsertNoEvict allocates a line for addr only if the set has an invalid
@@ -191,103 +176,138 @@ func (c *Cache[V]) InsertNoEvict(addr uint64) (*V, bool) {
 		ln.lru = c.clock
 		return &ln.val, true
 	}
-	s := c.fillSet(c.setIndex(addr))
-	for i := range s {
-		if !s[i].valid {
-			c.clock++
-			c.live++
-			var zero V
-			s[i] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-			return &s[i].val, true
-		}
+	if ln := c.fill(addr, c.setIndex(addr)); ln != nil {
+		return &ln.val, true
 	}
 	return nil, false
+}
+
+// fill allocates absent addr into the lowest free way of set, linking it
+// into the set's chain after the lines of lower ways, or returns nil if the
+// set is full.
+func (c *Cache[V]) fill(addr, set uint64) *line[V] {
+	prev, next, way := noSlot, c.heads.get(set), int32(0)
+	for next != noSlot && c.at(next).way == way {
+		prev, next, way = next, c.at(next).next, way+1
+	}
+	if int(way) == c.ways {
+		return nil
+	}
+	s := c.alloc()
+	c.clock++
+	c.live++
+	ln := c.at(s)
+	*ln = line[V]{addr: addr, lru: c.clock, way: way, next: next}
+	if prev == noSlot {
+		c.heads.put(set, s)
+	} else {
+		c.at(prev).next = s
+	}
+	c.index.put(addr, s)
+	return ln
 }
 
 // Invalidate removes addr from the cache, returning its payload and whether
 // it was present.
 func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 	var zero V
-	if ln := c.find(addr); ln != nil {
-		v := ln.val
-		ln.valid = false
-		ln.val = zero
-		c.live--
-		return v, true
+	s := c.index.del(addr)
+	if s == noSlot {
+		return zero, false
 	}
-	return zero, false
+	ln := c.at(s)
+	v := ln.val
+	set := c.setIndex(addr)
+	if h := c.heads.get(set); h != s {
+		p := c.at(h)
+		for p.next != s {
+			p = c.at(p.next)
+		}
+		p.next = ln.next
+	} else if ln.next != noSlot {
+		c.heads.put(set, ln.next)
+	} else {
+		c.heads.del(set)
+	}
+	ln.val = zero
+	ln.next = c.free
+	c.free = s
+	c.live--
+	return v, true
 }
 
 // HasFreeWay reports whether the set addr maps to has at least one invalid
 // way.
 func (c *Cache[V]) HasFreeWay(addr uint64) bool {
-	s := c.set(c.setIndex(addr))
-	if s == nil {
-		return true
+	n := 0
+	for s := c.heads.get(c.setIndex(addr)); s != noSlot; s = c.at(s).next {
+		n++
 	}
-	for i := range s {
-		if !s[i].valid {
-			return true
+	return n < c.ways
+}
+
+// lru returns the slot of the least-recently-used line of set, other than
+// the line addressed by skip, for which keep (if not nil) returns true, or
+// noSlot if there is none. keep sees the lines in way order.
+func (c *Cache[V]) lru(set, skip uint64, keep func(lineAddr uint64, v *V) bool) int32 {
+	best := noSlot
+	for s := c.heads.get(set); s != noSlot; s = c.at(s).next {
+		ln := c.at(s)
+		if ln.addr == skip || keep != nil && !keep(ln.addr, &ln.val) {
+			continue
+		}
+		if best == noSlot || ln.lru < c.at(best).lru {
+			best = s
 		}
 	}
-	return false
+	return best
 }
 
 // LRUVictim returns the least-recently-used valid line in addr's set for
 // which keep returns true, as (lineAddress, payload pointer, ok). A nil keep
 // accepts every valid line. The line addressed by addr itself is excluded.
 func (c *Cache[V]) LRUVictim(addr uint64, keep func(lineAddr uint64, v *V) bool) (uint64, *V, bool) {
-	setIdx := c.setIndex(addr)
-	s := c.set(setIdx)
-	tag := c.tag(addr)
-	best := -1
-	for i := range s {
-		ln := &s[i]
-		if !ln.valid || ln.tag == tag {
-			continue
-		}
-		if keep != nil && !keep(c.addrOf(setIdx, ln.tag), &ln.val) {
-			continue
-		}
-		if best < 0 || ln.lru < s[best].lru {
-			best = i
-		}
-	}
-	if best < 0 {
+	s := c.lru(c.setIndex(addr), addr, keep)
+	if s == noSlot {
 		return 0, nil, false
 	}
-	return c.addrOf(setIdx, s[best].tag), &s[best].val, true
+	ln := c.at(s)
+	return ln.addr, &ln.val, true
 }
 
-// ScanSet calls fn for every valid line in addr's set until fn returns
-// false.
+// ScanSet calls fn for every valid line in addr's set, in way order, until
+// fn returns false. fn must not insert or invalidate lines.
 func (c *Cache[V]) ScanSet(addr uint64, fn func(lineAddr uint64, v *V) bool) {
-	setIdx := c.setIndex(addr)
-	s := c.set(setIdx)
-	for i := range s {
-		if !s[i].valid {
-			continue
-		}
-		if !fn(c.addrOf(setIdx, s[i].tag), &s[i].val) {
-			return
+	c.scanChain(c.heads.get(c.setIndex(addr)), fn)
+}
+
+// scanChain calls fn along the chain starting at slot s and reports
+// whether fn never returned false.
+func (c *Cache[V]) scanChain(s int32, fn func(lineAddr uint64, v *V) bool) bool {
+	for ; s != noSlot; s = c.at(s).next {
+		ln := c.at(s)
+		if !fn(ln.addr, &ln.val) {
+			return false
 		}
 	}
+	return true
 }
 
 // ScanAll calls fn for every valid line in the cache, in set order and way
 // order within a set, until fn returns false. It is used by structural
-// invariant checks at quiescence and by state digests. Unallocated pages
-// hold no valid lines and are skipped.
+// invariant checks at quiescence and by state digests. fn must not insert
+// or invalidate lines.
 func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
-	for pi, p := range c.pages {
-		for i := range p {
-			if !p[i].valid {
-				continue
-			}
-			setIdx := pi*pageSets + i/c.ways
-			if !fn(c.addrOf(setIdx, p[i].tag), &p[i].val) {
-				return
-			}
+	sets := make([]entry, 0, c.heads.n)
+	for _, e := range c.heads.ents {
+		if e.slot != 0 {
+			sets = append(sets, e)
+		}
+	}
+	slices.SortFunc(sets, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	for _, e := range sets {
+		if !c.scanChain(e.slot-1, fn) {
+			return
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNewPanicsOnBadShape(t *testing.T) {
-	for _, tc := range []struct{ entries, ways int }{{0, 1}, {4, 0}, {5, 2}, {-4, 2}} {
+	for _, tc := range []struct{ entries, ways int }{{0, 1}, {4, 0}, {5, 2}, {-4, 2}, {1 << 31, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -303,17 +303,24 @@ func TestInsertNoEvictNeverEvictsProperty(t *testing.T) {
 // slice of ways per set, every set allocated up front. The randomized
 // differential test below drives it in lockstep with Cache.
 type refCache[V any] struct {
-	sets    [][]line[V]
+	sets    [][]refLine[V]
 	numSets int
 	clock   uint64
 	Hits    int64
 	Misses  int64
 }
 
+type refLine[V any] struct {
+	tag   uint64
+	valid bool
+	lru   uint64
+	val   V
+}
+
 func newRef[V any](entries, ways int) *refCache[V] {
-	r := &refCache[V]{numSets: entries / ways, sets: make([][]line[V], entries/ways)}
+	r := &refCache[V]{numSets: entries / ways, sets: make([][]refLine[V], entries/ways)}
 	for i := range r.sets {
-		r.sets[i] = make([]line[V], ways)
+		r.sets[i] = make([]refLine[V], ways)
 	}
 	return r
 }
@@ -324,7 +331,7 @@ func (r *refCache[V]) addrOf(setIdx int, tag uint64) uint64 {
 	return tag*uint64(r.numSets) + uint64(setIdx)
 }
 
-func (r *refCache[V]) find(addr uint64) *line[V] {
+func (r *refCache[V]) find(addr uint64) *refLine[V] {
 	s := r.sets[r.setIndex(addr)]
 	for i := range s {
 		if s[i].valid && s[i].tag == r.tag(addr) {
@@ -378,7 +385,7 @@ func (r *refCache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal 
 		evictedVal = s[victim].val
 	}
 	r.clock++
-	s[victim] = line[V]{tag: r.tag(addr), valid: true, lru: r.clock}
+	s[victim] = refLine[V]{tag: r.tag(addr), valid: true, lru: r.clock}
 	return &s[victim].val, evictedAddr, evictedVal, evicted
 }
 
@@ -392,7 +399,7 @@ func (r *refCache[V]) InsertNoEvict(addr uint64) (*V, bool) {
 	for i := range s {
 		if !s[i].valid {
 			r.clock++
-			s[i] = line[V]{tag: r.tag(addr), valid: true, lru: r.clock}
+			s[i] = refLine[V]{tag: r.tag(addr), valid: true, lru: r.clock}
 			return &s[i].val, true
 		}
 	}
@@ -471,41 +478,73 @@ func (r *refCache[V]) Len() int {
 // and the payload seen there.
 type visit struct{ addr, val uint64 }
 
+// refGeoms are the differential test's cache shapes. With 32-slot slab
+// chunks they cover one set, caches smaller than a chunk, and slabs of
+// many chunks whose address tables grow through several doublings. The
+// churn shape draws mostly inserts and invalidates, the latter mostly of
+// lines inserted earlier, so the address index both grows repeatedly and
+// shifts entries back on deletion while the free list recycles slots.
+var refGeoms = []refGeom{
+	{entries: 4, ways: 4},     // one set
+	{entries: 12, ways: 2},    // 6 sets, fewer lines than a chunk
+	{entries: 24, ways: 2},    // 12 sets
+	{entries: 200, ways: 2},   // 100 sets, several chunks
+	{entries: 130, ways: 1},   // direct mapped
+	{entries: 4096, ways: 4},  // 1024 sets
+	{entries: 8192, ways: 16}, // wide sets
+	{entries: 16384, ways: 4, churn: true},
+}
+
+type refGeom struct {
+	entries, ways int
+	churn         bool
+}
+
+func (g refGeom) String() string {
+	s := fmt.Sprintf("%dx%d", g.entries, g.ways)
+	if g.churn {
+		s += "churn"
+	}
+	return s
+}
+
 // TestMatchesReferenceModel drives Cache and refCache with the same seeded
 // random operation stream and compares every return value, every payload
 // seen through a returned pointer, and the order of every scan and
 // predicate callback. Writes through returned pointers (stamped with the
 // step number) make a pointer to the wrong line show up as a payload
-// mismatch later. At pageSets = 8 the geometries cover one set, a partial
-// page, several full pages, and a last page cut short.
+// mismatch later.
 func TestMatchesReferenceModel(t *testing.T) {
-	geoms := []struct{ entries, ways int }{
-		{4, 4},     // one set
-		{12, 2},    // 6 sets: less than one page
-		{24, 2},    // 12 sets: one full page and a partial one
-		{200, 2},   // 100 sets: 12 full pages, last page holds 4 sets
-		{130, 1},   // direct mapped, 130 sets: last page holds 2 sets
-		{4096, 4},  // 1024 sets: 128 full pages
-		{8192, 16}, // wide sets over 64 full pages
-	}
-	for _, g := range geoms {
+	for _, g := range refGeoms {
 		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%dx%d/seed%d", g.entries, g.ways, seed), func(t *testing.T) {
-				diffRun(t, g.entries, g.ways, seed, 4000)
+			t.Run(fmt.Sprintf("%v/seed%d", g, seed), func(t *testing.T) {
+				diffRun(t, g, seed, 4000)
 			})
 		}
 	}
 }
 
-func diffRun(t *testing.T, entries, ways int, seed int64, steps int) {
+// FuzzMatchesReferenceModel runs the differential test on fuzzed seeds and
+// run lengths over the same geometries.
+func FuzzMatchesReferenceModel(f *testing.F) {
+	for i := range refGeoms {
+		f.Add(uint8(i), int64(1), uint16(4000))
+	}
+	f.Fuzz(func(t *testing.T, geom uint8, seed int64, steps uint16) {
+		diffRun(t, refGeoms[int(geom)%len(refGeoms)], seed, min(int(steps), 4000))
+	})
+}
+
+func diffRun(t *testing.T, g refGeom, seed int64, steps int) {
 	t.Helper()
+	entries, ways := g.entries, g.ways
 	rng := rand.New(rand.NewSource(seed))
 	c := New[uint64](entries, ways)
 	r := newRef[uint64](entries, ways)
 	numSets := entries / ways
 	// A few hot sets with many aliases exercise eviction; uniform draws
-	// over a range a few times the capacity touch pages at random, so
-	// both present and missing pages are probed.
+	// over a range a few times the capacity probe empty and occupied sets
+	// at random.
 	hot := make([]uint64, 3)
 	for i := range hot {
 		hot[i] = uint64(rng.Intn(numSets))
@@ -540,9 +579,26 @@ func diffRun(t *testing.T, entries, ways int, seed int64, steps int) {
 		}
 		*gv, *wv = uint64(step), uint64(step)
 	}
+	// ops draws an operation: the ten below uniformly, or in a churn run
+	// with eight more draws split between Insert and Invalidate.
+	ops := 10
+	if g.churn {
+		ops = 18
+	}
+	var inserted []uint64
 	for step := 1; step <= steps; step++ {
 		a := addr()
-		switch op := rng.Intn(10); op {
+		op := rng.Intn(ops)
+		if op >= 10 {
+			op = op % 2 * 4
+		}
+		if g.churn && op == 4 && len(inserted) > 0 && rng.Intn(4) != 0 {
+			a = inserted[rng.Intn(len(inserted))]
+		}
+		if g.churn && op <= 1 {
+			inserted = append(inserted, a)
+		}
+		switch op {
 		case 0:
 			gv, ga, gval, gev := c.Insert(a)
 			wv, wa, wval, wev := r.Insert(a)
@@ -630,10 +686,11 @@ func diffRun(t *testing.T, entries, ways int, seed int64, steps int) {
 }
 
 // TestPayloadPointerStable: a payload pointer from Insert keeps its address
-// and value while every other set, and so every other page, fills.
+// and value while every other set fills and the slab grows by nine more
+// chunks.
 func TestPayloadPointerStable(t *testing.T) {
 	const ways = 2
-	c := New[uint64](ways*10*pageSets, ways) // 10 pages
+	c := New[uint64](ways*10*chunkLines, ways) // one line per set fills 10 chunks
 	p, _, _, _ := c.Insert(0)
 	*p = 12345
 	for a := uint64(1); a < uint64(c.Sets()); a++ {
@@ -643,8 +700,8 @@ func TestPayloadPointerStable(t *testing.T) {
 		}
 		*v = a
 	}
-	if c.Len() != c.Sets() {
-		t.Fatalf("Len=%d, want %d", c.Len(), c.Sets())
+	if c.Len() != c.Sets() || len(c.chunks) != 10 {
+		t.Fatalf("Len=%d over %d chunks, want %d over 10", c.Len(), len(c.chunks), c.Sets())
 	}
 	got, ok := c.Peek(0)
 	if !ok || got != p || *got != 12345 {
@@ -652,32 +709,62 @@ func TestPayloadPointerStable(t *testing.T) {
 	}
 }
 
-// TestUntouchedPagesStayUnallocated: probes that miss never allocate, not
-// even the page table, and an insert allocates exactly the page it lands on.
-func TestUntouchedPagesStayUnallocated(t *testing.T) {
-	c := New[int](8*4*pageSets, 8) // 4 pages
-	for a := uint64(0); a < 1000; a++ {
+// TestProbesNeverAllocate: lookups, set probes and a missing Invalidate
+// allocate nothing, on an empty cache (no slab, no tables yet) and on a
+// populated one, whether the probed address is present or not.
+func TestProbesNeverAllocate(t *testing.T) {
+	probe := func(c *Cache[int], a uint64) {
 		c.Lookup(a)
 		c.Peek(a)
 		c.HasFreeWay(a)
 		c.LRUVictim(a, nil)
+		c.LRUVictim(a, func(a uint64, v *int) bool { return a%2 == 0 })
 		c.ScanSet(a, func(uint64, *int) bool { return true })
-		c.Invalidate(a)
+		c.Invalidate(a + 1<<40) // never inserted
 	}
-	c.ScanAll(func(uint64, *int) bool { t.Fatal("ScanAll visited a line of an empty cache"); return false })
-	allocated := func() (n int) {
-		for _, p := range c.pages {
-			if p != nil {
-				n++
+	c := New[int](64*8, 8)
+	for _, filled := range []bool{false, true} {
+		if filled {
+			for a := uint64(0); a < 300; a++ {
+				c.Insert(a * 3)
 			}
 		}
-		return n
+		for _, a := range []uint64{0, 3, 4, 299 * 3, 1 << 33} {
+			if n := testing.AllocsPerRun(50, func() { probe(c, a) }); n != 0 {
+				t.Errorf("probes of %d (populated %v) made %.0f allocations, want 0", a, filled, n)
+			}
+		}
 	}
-	if c.pages != nil {
-		t.Fatalf("probes alone built a page table of %d pages", len(c.pages))
+}
+
+// TestChurnKeepsStorageToLiveLines: 100k insert/invalidate rounds over
+// distinct addresses, at most k lines live at once, leave the slab at the
+// chunks k lines need and both tables at most four times k entries: freed
+// slots are reused and deletions leave no tombstones.
+func TestChurnKeepsStorageToLiveLines(t *testing.T) {
+	const k, rounds = 100, 100_000
+	c := New[uint64](4096, 4) // 1024 sets
+	// i*1025 = i mod 1024, so k consecutive rounds use k distinct sets.
+	addr := func(i uint64) uint64 { return i * 1025 }
+	for i := uint64(0); i < rounds; i++ {
+		if i >= k {
+			if v, ok := c.Invalidate(addr(i - k)); !ok || v != i-k {
+				t.Fatalf("round %d: Invalidate(%d) = (%d,%v), want (%d,true)", i, addr(i-k), v, ok, i-k)
+			}
+		}
+		v, _, _, ev := c.Insert(addr(i))
+		if ev {
+			t.Fatalf("round %d: Insert(%d) evicted", i, addr(i))
+		}
+		*v = i
 	}
-	c.InsertNoEvict(2*pageSets + 5)
-	if n := allocated(); n != 1 || c.pages[2] == nil {
-		t.Fatalf("InsertNoEvict allocated %d pages (page 2 present: %v)", n, c.pages[2] != nil)
+	if c.Len() != k {
+		t.Fatalf("Len=%d, want %d", c.Len(), k)
+	}
+	if want := (k + chunkLines - 1) / chunkLines; len(c.chunks) > want {
+		t.Errorf("slab holds %d chunks, want <= %d", len(c.chunks), want)
+	}
+	if len(c.index.ents) > 4*k || len(c.heads.ents) > 4*k {
+		t.Errorf("index %d entries, set heads %d, want each <= %d", len(c.index.ents), len(c.heads.ents), 4*k)
 	}
 }

@@ -68,13 +68,26 @@ func TestLargeMeshBuildFitsInMemory(t *testing.T) {
 }
 
 // TestLargeMeshTreeRunCompletes: a 1024-node tree machine runs one access
-// per node to quiescence.
+// per node to quiescence within a small heap, because cache storage grows
+// with the lines live, not with the sets touched.
 func TestLargeMeshTreeRunCompletes(t *testing.T) {
 	m, err := protocol.Build(meshSpec(t, 32, 32, protocol.KindTree, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatalf("32x32 tree run: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	const limit = 16 << 20
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("32x32 tree run raised HeapAlloc by %.1f MB", float64(grew)/(1<<20))
+	if grew >= limit {
+		t.Fatalf("32x32 tree run raised HeapAlloc by %d MB, want < %d MB", grew>>20, limit>>20)
 	}
 }

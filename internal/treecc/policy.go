@@ -499,9 +499,7 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		// every link the reply touched — spawning nothing is correct.
 		td := &protocol.Msg{Type: protocol.Teardown, Addr: msg.Addr,
 			ForcedDir: uint8(p.ArrivalDir), ClearArrival: true}
-		spawns = append(spawns, &network.Packet{
-			ID: e.m.Mesh.NextIDFor(n), Flits: e.m.Cfg.CtrlFlits, Payload: td, Expedited: true,
-		})
+		spawns = append(spawns, e.hopPacket(n, td))
 	}
 	t := protocol.RdReq
 	if msg.Type == protocol.WrReply {
@@ -511,8 +509,8 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		IssuedAt: msg.IssuedAt, Backoff: true,
 		DeadlockCycles: msg.DeadlockCycles + e.m.Cfg.TimeoutCycles,
 		Attempt:        msg.Attempt}
-	reqPkt := &network.Packet{ID: e.m.Mesh.NextIDFor(n), Flits: e.m.Cfg.CtrlFlits,
-		Payload: req, Retryable: true}
+	reqPkt := e.ctrlPacket(n, req)
+	reqPkt.Retryable = true
 	spawns = append(spawns, reqPkt)
 	return network.Steer{Consume: true, Spawn: spawns}
 }

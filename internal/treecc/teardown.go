@@ -33,16 +33,24 @@ func (e *Engine) hopMsg(node int, t protocol.MsgType, addr uint64, out network.D
 	return e.hopPacket(node, &protocol.Msg{Type: t, Addr: addr, ForcedDir: uint8(out)})
 }
 
-// hopPacket builds a hop-scoped packet spawning at node; ids come from the
-// node's router-local sequence so route-phase construction needs no shared
-// counter.
+// hopPacket builds a hop-scoped packet spawning at node from the node's
+// packet pool; ids come from the node's router-local sequence so
+// route-phase construction needs no shared counter.
 func (e *Engine) hopPacket(node int, msg *protocol.Msg) *network.Packet {
-	return &network.Packet{
-		ID:        e.m.Mesh.NextIDFor(node),
-		Flits:     e.m.Cfg.CtrlFlits,
-		Payload:   msg,
-		Expedited: true,
-	}
+	p := e.ctrlPacket(node, msg)
+	p.Expedited = true
+	return p
+}
+
+// ctrlPacket builds a control-sized packet for msg from node's packet pool.
+// The mesh recycles it when it leaves the network, so the engine keeps no
+// pointer to it.
+func (e *Engine) ctrlPacket(node int, msg *protocol.Msg) *network.Packet {
+	p := e.m.Mesh.AllocPacketFor(node)
+	p.ID = e.m.Mesh.NextIDFor(node)
+	p.Flits = e.m.Cfg.CtrlFlits
+	p.Payload = msg
+	return p
 }
 
 // processTeardown touches node's line for addr and propagates teardowns.

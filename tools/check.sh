@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repository check: build, vet, a build and vet of the perfbench module, a
 # no-printing guard over the simulator packages, race-enabled tests, fuzz
-# smoke passes over the trace-file and fault-spec parsers, race-enabled
-# fault-injection smokes (drop-plan recovery per engine + watchdog hang
-# post-mortem, stall and corrupt faults with metrics on), a race-enabled
+# smoke passes over the trace-file and fault-spec parsers and over the
+# cache against its reference model, race-enabled fault-injection smokes
+# (drop-plan recovery per engine + watchdog hang post-mortem, stall and
+# corrupt faults with metrics on), a race-enabled
 # metrics-instrumented experiment run, and race-enabled topology and
 # router-parking experiment smokes. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
@@ -46,6 +47,10 @@ go test ./internal/trace -fuzz '^FuzzRead$' -fuzztime 10s
 # Fault-spec fuzz smoke: parse/canonicalize round-trip and plan determinism
 # over the committed corpus (internal/fault/testdata/fuzz/FuzzParseSpec).
 go test ./internal/fault -fuzz '^FuzzParseSpec$' -fuzztime 5s
+
+# Cache fuzz smoke: the differential test against the one-slice-per-set
+# reference model on fuzzed geometry, seed and run length.
+go test ./internal/cache -fuzz '^FuzzMatchesReferenceModel$' -fuzztime 10s
 
 # Litmus smoke under the race detector: a fixed-seed campaign of generated
 # conflict programs on both engines, clean and under a drop plan with
