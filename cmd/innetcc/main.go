@@ -24,13 +24,14 @@
 //	innetcc -exp fig5 -faults drop=2000,retries=4 -watchdog 2000000 -retries 1
 //
 // Server mode (-serve) runs the persistent simulation-as-a-service layer
-// (internal/serve): an HTTP/JSON job API with a priority queue, per-tenant
-// quotas, streaming progress, and persisted job records so interrupted
-// jobs rerun after a restart. Client mode (-client) talks to it:
+// (internal/serve): an HTTP/JSON job API with a FIFO queue, streaming
+// progress, and persisted job records so interrupted jobs rerun after a
+// restart. -serve-workers jobs simulate at once. Client mode (-client)
+// talks to it:
 //
-//	innetcc -serve :8080 -serve-data ./serve-data -tenants 'alice=2:16'
+//	innetcc -serve :8080 -serve-data ./serve-data -serve-workers 4
 //	innetcc -client http://localhost:8080 -submit -profile fft -engine tree \
-//	        -accesses 400 -tenant alice -watch yes
+//	        -accesses 400 -watch yes
 //	innetcc -client http://localhost:8080 -stats
 //
 // -metrics attaches the cycle-level observability layer (internal/metrics)
@@ -114,11 +115,8 @@ func main() {
 	var sf serveFlags
 	flag.StringVar(&sf.addr, "serve", "", "run the persistent job server on this listen address (e.g. :8080) instead of an experiment")
 	flag.StringVar(&sf.dataDir, "serve-data", defaultServeData(), "server persistence root (job records, result cache)")
-	flag.StringVar(&sf.tenants, "tenants", "", "per-tenant quotas, \"name=maxRunning[:maxQueued],...\" (unlisted tenants get the default quota)")
 	flag.IntVar(&sf.workers, "serve-workers", 0, "concurrent simulations in server mode (0 = 1)")
 	flag.StringVar(&sf.client, "client", "", "talk to a running job server at this URL instead of running an experiment")
-	flag.StringVar(&sf.tenant, "tenant", "", "client: tenant name for submissions")
-	flag.IntVar(&sf.priority, "priority", 0, "client: submission priority (higher runs first)")
 	flag.BoolVar(&sf.submit, "submit", false, "client: submit a job (-profile, -engine, -accesses; add -watch to stream it)")
 	flag.StringVar(&sf.profile, "profile", "fft", "client: trace profile name for -submit")
 	flag.StringVar(&sf.engine, "engine", "tree", "client: coherence engine for -submit (dir|tree)")
@@ -126,7 +124,7 @@ func main() {
 	flag.StringVar(&sf.status, "status", "", "client: print one job's record")
 	flag.StringVar(&sf.result, "result", "", "client: print a finished job's result")
 	flag.StringVar(&sf.cancel, "cancel", "", "client: cancel a queued or running job")
-	flag.BoolVar(&sf.stats, "stats", false, "client: print server queue/tenant/cache statistics")
+	flag.BoolVar(&sf.stats, "stats", false, "client: print server queue/cache statistics")
 
 	flag.Parse()
 

@@ -19,20 +19,17 @@ import (
 type serveFlags struct {
 	addr    string // -serve: listen address, server mode when non-empty
 	dataDir string // -serve-data
-	tenants string // -tenants quota spec
 	workers int    // -serve-workers
 
-	client   string // -client: server URL, client mode when non-empty
-	tenant   string // -tenant
-	priority int    // -priority
-	submit   bool   // -submit
-	profile  string // -profile
-	engine   string // -engine
-	watch    string // -watch <id> (or "" plus -submit to watch the new job)
-	status   string // -status <id>
-	result   string // -result <id>
-	cancel   string // -cancel <id>
-	stats    bool   // -stats
+	client  string // -client: server URL, client mode when non-empty
+	submit  bool   // -submit
+	profile string // -profile
+	engine  string // -engine
+	watch   string // -watch <id> (or "" plus -submit to watch the new job)
+	status  string // -status <id>
+	result  string // -result <id>
+	cancel  string // -cancel <id>
+	stats   bool   // -stats
 }
 
 // runServe starts the persistent job server and blocks until SIGTERM or
@@ -40,16 +37,7 @@ type serveFlags struct {
 // boundary and are requeued on disk, so the next start reruns them from
 // their specs, skipping attempts that already failed.
 func runServe(w io.Writer, sf serveFlags) error {
-	tenants, err := serve.ParseTenants(sf.tenants)
-	if err != nil {
-		return err
-	}
-	srv, err := serve.New(serve.Options{
-		DataDir:      sf.dataDir,
-		Workers:      sf.workers,
-		Tenants:      tenants,
-		DefaultQuota: serve.Quota{MaxRunning: 2, MaxQueued: 64},
-	})
+	srv, err := serve.New(serve.Options{DataDir: sf.dataDir, Workers: sf.workers})
 	if err != nil {
 		return err
 	}
@@ -79,7 +67,7 @@ func runServe(w io.Writer, sf serveFlags) error {
 
 // runClient performs one client operation against a running server.
 func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults string, retries int, metrics bool, topology string, multicast bool) error {
-	c := &serve.Client{Base: sf.client, Tenant: sf.tenant}
+	c := &serve.Client{Base: sf.client}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
@@ -89,8 +77,6 @@ func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults str
 			accesses = 200
 		}
 		rec, err := c.Submit(ctx, serve.SubmitRequest{
-			Tenant:    sf.tenant,
-			Priority:  sf.priority,
 			Profile:   sf.profile,
 			Engine:    sf.engine,
 			Accesses:  accesses,
@@ -104,7 +90,7 @@ func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults str
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "submitted %s (%s, tenant %s, priority %d)\n", rec.ID, rec.Hash[:12], rec.Tenant, rec.Priority)
+		fmt.Fprintf(w, "submitted %s (%s)\n", rec.ID, rec.Hash[:12])
 		if sf.watch == "" {
 			return nil
 		}

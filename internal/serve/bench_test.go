@@ -15,7 +15,7 @@ func sweep(tb testing.TB, srv *Server, accesses int) int {
 	for _, p := range trace.Benchmarks() {
 		for _, engine := range []string{"dir", "tree"} {
 			rec, err := srv.Submit(SubmitRequest{
-				Tenant: "bench", Profile: p.Name, Engine: engine, Accesses: accesses,
+				Profile: p.Name, Engine: engine, Accesses: accesses,
 			})
 			if err != nil {
 				tb.Fatalf("submit: %v", err)
@@ -33,7 +33,7 @@ func sweep(tb testing.TB, srv *Server, accesses int) int {
 }
 
 func benchOptions(dir string) Options {
-	return Options{DataDir: dir, Workers: 4, DefaultQuota: Quota{MaxRunning: 4}}
+	return Options{DataDir: dir, Workers: 4}
 }
 
 // BenchmarkServeSweepCold measures full-sweep throughput through the

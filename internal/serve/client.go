@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,9 +18,9 @@ import (
 
 // APIError is a definitive answer from the server: the request arrived,
 // was processed, and was refused (or failed) with an HTTP status. It is
-// distinct from transport-level failures (wrapped in ErrUnreachable): the
-// client retries a server it could not reach, but not one that answered
-// with a final rejection.
+// distinct from transport-level failures (wrapped in ErrUnreachable): a
+// watch reconnects to a server it could not reach, but not to one that
+// answered with a final rejection.
 type APIError struct {
 	Status int    // HTTP status code
 	Msg    string // server's error message (may be empty)
@@ -43,133 +42,45 @@ var ErrUnreachable = errors.New("serve: server unreachable")
 // never answered) rather than a definitive server response.
 func Unreachable(err error) bool { return errors.Is(err, ErrUnreachable) }
 
-// StatusOf returns the HTTP status of a definitive server response, or 0
-// for nil and transport errors.
-func StatusOf(err error) int {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.Status
-	}
-	return 0
-}
+// Watch reconnects a dropped stream up to watchRetries times in a row
+// without progress, waiting watchBackoff before the first retry and
+// doubling the wait before each further one.
+const (
+	watchRetries = 3
+	watchBackoff = 50 * time.Millisecond
+)
 
-// retryableStatus reports whether a definitive response is worth retrying:
-// the server is alive but momentarily unable (overload backpressure or a
-// bad gateway in front of it). 4xx rejections other than 429 are final.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// Client talks to a running server's HTTP API. The zero HTTP field uses
-// http.DefaultClient. The zero value of every knob preserves the original
-// behavior: no per-request timeout, no retries.
+// Client talks to a running server's HTTP API over http.DefaultClient.
+// Each call is bounded only by its context.
 type Client struct {
 	// Base is the server URL, e.g. "http://localhost:8080".
 	Base string
-	// Tenant, when non-empty, is stamped onto submissions that omit one.
-	Tenant string
-	// HTTP overrides the transport.
-	HTTP *http.Client
-
-	// Timeout bounds each individual HTTP attempt (0 = none beyond the
-	// caller's context). The caller's context still bounds the whole
-	// operation including retries.
-	Timeout time.Duration
-
-	// Retries is how many times a failed request is reissued after
-	// transport errors and retryable statuses (429/502/503/504), with
-	// exponential backoff and jitter between attempts. Note that retrying
-	// a submission whose response was lost can create a duplicate job
-	// record; duplicates share a content hash, so the server's dedupe and
-	// result cache make the second record cheap.
-	Retries int
-
-	// RetryBase is the first backoff delay (50ms when 0); each subsequent
-	// attempt doubles it, capped at 2s, with ±25% jitter.
-	RetryBase time.Duration
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// backoff returns the pause before retry attempt (1-based): exponential
-// from RetryBase, capped, with ±25% jitter so a fleet of clients retrying
-// against one recovering server does not stampede in lockstep.
-func (c *Client) backoff(attempt int) time.Duration {
-	base := c.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if max := 2 * time.Second; d > max {
-		d = max
-	}
-	jitter := 0.75 + 0.5*rand.Float64()
-	return time.Duration(float64(d) * jitter)
-}
-
 // do issues a request and decodes the JSON response into out (skipped when
-// out is nil), retrying transport failures and retryable statuses per the
-// client's knobs. Non-2xx responses surface as *APIError; transport
-// failures are wrapped in ErrUnreachable.
+// out is nil). Non-2xx responses surface as *APIError; transport failures
+// are wrapped in ErrUnreachable.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var payload []byte
+	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			return err
 		}
-		payload = b
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.doOnce(ctx, method, path, payload, out)
-		if err == nil || attempt >= c.Retries {
-			return err
-		}
-		if !Unreachable(err) && !retryableStatus(StatusOf(err)) {
-			return err // definitive rejection: retrying cannot change it
-		}
-		select {
-		case <-time.After(c.backoff(attempt + 1)):
-		case <-ctx.Done():
-			return err
-		}
-	}
-}
-
-// doOnce is a single HTTP attempt.
-func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
 		return err
 	}
-	if payload != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("%w: %s %s: %v", ErrUnreachable, method, path, err)
 	}
@@ -199,9 +110,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 
 // Submit enqueues a job and returns its record.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (JobRecord, error) {
-	if req.Tenant == "" {
-		req.Tenant = c.Tenant
-	}
 	var rec JobRecord
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &rec)
 	return rec, err
@@ -214,14 +122,10 @@ func (c *Client) Job(ctx context.Context, id string) (JobRecord, error) {
 	return rec, err
 }
 
-// Jobs lists job records, optionally filtered by tenant.
-func (c *Client) Jobs(ctx context.Context, tenant string) ([]JobRecord, error) {
-	path := "/v1/jobs"
-	if tenant != "" {
-		path += "?tenant=" + tenant
-	}
+// Jobs lists job records in submission order.
+func (c *Client) Jobs(ctx context.Context) ([]JobRecord, error) {
 	var recs []JobRecord
-	err := c.do(ctx, http.MethodGet, path, nil, &recs)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &recs)
 	return recs, err
 }
 
@@ -255,14 +159,10 @@ func (c *Client) Health(ctx context.Context) error {
 // with the standard Last-Event-ID header, so a momentary network blip or a
 // proxy cutting the connection resumes the stream (the server replays
 // missed events) instead of silently ending the watch; reconnection gives
-// up only when the server definitively rejects the stream or the retry
-// budget (Retries, minimum 3 for streams) is exhausted without progress.
+// up only when the server definitively rejects the stream or watchRetries
+// reconnects in a row make no progress.
 func (c *Client) Watch(ctx context.Context, id string, fn func(Event)) (JobRecord, error) {
 	lastID := int64(-1)
-	budget := c.Retries
-	if budget < 3 {
-		budget = 3
-	}
 	failures := 0
 	for {
 		last, newLastID, err := c.watchOnce(ctx, id, lastID, fn)
@@ -287,14 +187,14 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(Event)) (JobRecor
 			return rec, nil
 		}
 		failures++
-		if failures > budget {
+		if failures > watchRetries {
 			if err == nil {
 				err = fmt.Errorf("serve: watch %s: stream ended %d times without a terminal event", id, failures)
 			}
 			return JobRecord{}, err
 		}
 		select {
-		case <-time.After(c.backoff(failures)):
+		case <-time.After(watchBackoff << (failures - 1)):
 		case <-ctx.Done():
 			return JobRecord{}, ctx.Err()
 		}
@@ -312,7 +212,7 @@ func (c *Client) watchOnce(ctx context.Context, id string, after int64, fn func(
 	if after >= 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatInt(after, 10))
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, after, fmt.Errorf("%w: events %s: %v", ErrUnreachable, id, err)
 	}

@@ -1,17 +1,17 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestClientErrorSplit pins the typed-error contract the client's retry
-// policy depends on: a server that answers with an error yields *APIError
-// (not unreachable); a server that cannot be reached yields an
+// TestClientErrorSplit pins the typed-error contract Watch's reconnect
+// depends on: a server that answers with an error yields *APIError (not
+// unreachable); a server that cannot be reached yields an
 // ErrUnreachable-wrapped error (not an API error).
 func TestClientErrorSplit(t *testing.T) {
 	_, ts := sseServer(t)
@@ -29,58 +29,19 @@ func TestClientErrorSplit(t *testing.T) {
 	if Unreachable(err) {
 		t.Fatalf("definitive 404 classified as unreachable: %v", err)
 	}
-	if StatusOf(err) != http.StatusNotFound {
-		t.Fatalf("StatusOf = %d, want 404", StatusOf(err))
-	}
 
-	dead := &Client{Base: "http://127.0.0.1:1", Timeout: 2 * time.Second}
-	err = dead.Health(ctx)
+	deadCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	dead := &Client{Base: "http://127.0.0.1:1"}
+	err = dead.Health(deadCtx)
 	if err == nil {
 		t.Fatalf("health against a dead address succeeded")
 	}
 	if !Unreachable(err) {
 		t.Fatalf("dead-address error = %v, want ErrUnreachable", err)
 	}
-	if StatusOf(err) != 0 {
-		t.Fatalf("transport error carries HTTP status %d", StatusOf(err))
-	}
-}
-
-// TestClientRetriesTransient: transport failures and 503s are retried with
-// backoff until the server recovers; a definitive 404 is never retried.
-func TestClientRetriesTransient(t *testing.T) {
-	ctx := testCtx(t)
-	var calls atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"status":"ok"}`))
-	}))
-	defer flaky.Close()
-
-	c := &Client{Base: flaky.URL, Retries: 3, RetryBase: time.Millisecond}
-	if err := c.Health(ctx); err != nil {
-		t.Fatalf("health did not recover over retries: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3 (2 failures + success)", got)
-	}
-
-	var notFound atomic.Int64
-	strict := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		notFound.Add(1)
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	defer strict.Close()
-	c2 := &Client{Base: strict.URL, Retries: 5, RetryBase: time.Millisecond}
-	if err := c2.Health(ctx); StatusOf(err) != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404", err)
-	}
-	if got := notFound.Load(); got != 1 {
-		t.Fatalf("definitive 404 was retried (%d calls)", got)
+	if errors.As(err, &ae) {
+		t.Fatalf("transport error carries HTTP status %d", ae.Status)
 	}
 }
 
@@ -91,9 +52,9 @@ func TestClientRetriesTransient(t *testing.T) {
 func TestWatchReconnectsMidStream(t *testing.T) {
 	srv, ts := sseServer(t)
 	ctx := testCtx(t)
-	c := &Client{Base: ts.URL, RetryBase: 5 * time.Millisecond}
+	c := &Client{Base: ts.URL}
 
-	rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "lu", Engine: "tree", Accesses: 4000})
+	rec, err := srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 4000})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -134,7 +95,7 @@ func TestSubscribeAfterReplaysMissedEvents(t *testing.T) {
 	srv, _ := sseServer(t)
 	ctx := testCtx(t)
 
-	rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "fft", Engine: "dir", Accesses: 200})
+	rec, err := srv.Submit(SubmitRequest{Profile: "fft", Engine: "dir", Accesses: 200})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -170,13 +131,12 @@ func TestSubscribeAfterReplaysMissedEvents(t *testing.T) {
 func TestKillLeavesCrashState(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
-	req := SubmitRequest{Tenant: "t", Profile: "bar", Engine: "dir", Accesses: 2000, SuiteSeed: 16,
+	req := SubmitRequest{Profile: "bar", Engine: "dir", Accesses: 2000, SuiteSeed: 16,
 		Faults: "drop=10,timeout=1000,retries=0,backoff=16", Retries: 1}
 
 	srv1, err := New(Options{
 		DataDir:       dir,
 		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 1},
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -213,7 +173,6 @@ func TestKillLeavesCrashState(t *testing.T) {
 	srv2, err := New(Options{
 		DataDir:       dir,
 		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 1},
 		SegmentCycles: 256,
 	})
 	if err != nil {

@@ -11,12 +11,12 @@ import (
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/jobs                 submit (SubmitRequest -> JobRecord)
-//	GET  /v1/jobs                 list records (?tenant= filters)
+//	GET  /v1/jobs                 list records
 //	GET  /v1/jobs/{id}            one record
 //	GET  /v1/jobs/{id}/result     terminal result payload
 //	POST /v1/jobs/{id}/cancel     cancel queued/running job
 //	GET  /v1/jobs/{id}/events     server-sent events progress stream
-//	GET  /v1/stats                queue/tenant/cache accounting
+//	GET  /v1/stats                queue/cache accounting
 //	GET  /healthz                 liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -46,9 +46,9 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrQuotaExceeded):
+	case errors.Is(err, ErrQueueFull):
 		code = http.StatusTooManyRequests
-		// Quota pressure is transient: tell well-behaved clients when to
+		// A full queue is transient: tell well-behaved clients when to
 		// come back instead of letting them hammer the endpoint.
 		w.Header().Set("Retry-After", "1")
 	}
@@ -63,7 +63,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := s.Submit(req)
 	if err != nil {
-		if errors.Is(err, ErrQuotaExceeded) {
+		if errors.Is(err, ErrQueueFull) {
 			writeErr(w, err)
 		} else {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -74,7 +74,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs(r.URL.Query().Get("tenant")))
+	writeJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -1,3 +1,9 @@
+// Package serve is the persistent simulation-as-a-service layer: an
+// HTTP/JSON job API in front of internal/exec with a FIFO queue, streaming
+// progress, and persisted job records so a killed server reruns
+// interrupted jobs on restart, starting each at the attempt its record
+// stores. Results are stored in the same content-hash cache the batch
+// pool uses, so server runs and direct runs share one result store.
 package serve
 
 import (
@@ -25,29 +31,27 @@ type Options struct {
 	// Workers is the number of concurrent simulations (<= 0 means 1).
 	Workers int
 
-	// Tenants maps tenant names to their quotas; tenants not listed get
-	// DefaultQuota.
-	Tenants      map[string]Quota
-	DefaultQuota Quota
-
 	// SegmentCycles is the segmented runner's pause granularity: how
 	// often a running job streams progress and notices cancellation or a
 	// drain.
 	SegmentCycles int64
 }
 
-// ErrQuotaExceeded rejects a submission that would put a tenant over its
-// MaxQueued quota.
-var ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
+// maxPending caps the server's non-terminal (queued + running) jobs, so
+// outside input cannot grow the job table and the store without bound.
+const maxPending = 64
+
+// ErrQueueFull rejects a submission while maxPending jobs are pending.
+var ErrQueueFull = errors.New("serve: job queue full")
 
 // ErrUnknownJob is returned for operations on a job ID the server has no
 // record of.
 var ErrUnknownJob = errors.New("serve: unknown job")
 
 // Server is the simulation-as-a-service scheduler: it owns the job table,
-// the per-tenant accounting, the worker goroutines that drive
-// exec.RunJob, and the persistence store. HTTP handling lives in http.go
-// over the same methods the tests call directly.
+// the worker goroutines that drive exec.RunJob, and the persistence store.
+// HTTP handling lives in http.go over the same methods the tests call
+// directly.
 type Server struct {
 	opt   Options
 	store *store
@@ -60,7 +64,6 @@ type Server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*jobState
-	tenants  map[string]*tenantState
 	running  map[string]int // content hash -> running count (dedupe guard)
 	draining bool
 	seq      int64
@@ -85,16 +88,6 @@ type jobState struct {
 
 	lastEv int64   // last assigned event ID (job-local, monotonic)
 	hist   []Event // retained ring for Last-Event-ID replay
-}
-
-// tenantState is one tenant's live accounting.
-type tenantState struct {
-	quota     Quota
-	queued    int
-	running   int
-	peak      int   // high-water mark of running (introspection/tests)
-	lastSched int64 // scheduler sequence of the tenant's last pick
-	started   int64 // total jobs started
 }
 
 // New opens the data directory, loads persisted job records, requeues
@@ -124,7 +117,6 @@ func New(opt Options) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*jobState),
-		tenants:    make(map[string]*tenantState),
 		running:    make(map[string]int),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -148,7 +140,6 @@ func New(opt Options) (*Server, error) {
 				cancel()
 				return nil, err
 			}
-			s.tenant(js.rec.Tenant).queued++
 		}
 		s.jobs[js.rec.ID] = js
 		if js.rec.Seq >= s.seq {
@@ -163,29 +154,14 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// tenant returns (creating if needed) the tenant's accounting. Callers
-// hold s.mu.
-func (s *Server) tenant(name string) *tenantState {
-	t := s.tenants[name]
-	if t == nil {
-		q, ok := s.opt.Tenants[name]
-		if !ok {
-			q = s.opt.DefaultQuota
-		}
-		t = &tenantState{quota: q}
-		s.tenants[name] = t
-	}
-	return t
-}
-
 // SubmitRequest is the submission payload of POST /v1/jobs. It is a
 // convenience surface over exec.Job: the profile is named, the engine is
 // its kind string, and the machine configuration defaults to the paper's
-// Table 2 setup unless overridden.
+// Table 2 setup unless overridden. Older clients may still send the
+// retired "tenant", "priority", "shards" and "snapshot" keys; the decoder
+// ignores them.
 type SubmitRequest struct {
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority,omitempty"`
-	Key      string `json:"key,omitempty"`
+	Key string `json:"key,omitempty"`
 
 	Profile  string `json:"profile"`
 	Engine   string `json:"engine"`
@@ -256,12 +232,9 @@ func (r SubmitRequest) BuildJob() (exec.Job, error) {
 	}, nil
 }
 
-// Submit validates the request against the tenant's quota, persists the
-// job record and enqueues it. The returned record is a snapshot.
+// Submit validates the request, persists the job record and enqueues it.
+// The returned record is a snapshot.
 func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
 	job, err := req.BuildJob()
 	if err != nil {
 		return JobRecord{}, err
@@ -273,16 +246,18 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 	if s.draining {
 		return JobRecord{}, fmt.Errorf("serve: server is draining")
 	}
-	t := s.tenant(req.Tenant)
-	if t.quota.MaxQueued > 0 && t.queued+t.running >= t.quota.MaxQueued {
-		return JobRecord{}, fmt.Errorf("%w: tenant %s has %d jobs pending (max %d)",
-			ErrQuotaExceeded, req.Tenant, t.queued+t.running, t.quota.MaxQueued)
+	pending := 0
+	for _, js := range s.jobs {
+		if !js.rec.Terminal() {
+			pending++
+		}
+	}
+	if pending >= maxPending {
+		return JobRecord{}, fmt.Errorf("%w: %d jobs pending", ErrQueueFull, pending)
 	}
 	js := &jobState{
 		rec: JobRecord{
 			ID:          s.newIDLocked(hash),
-			Tenant:      req.Tenant,
-			Priority:    req.Priority,
 			State:       StateQueued,
 			Hash:        hash,
 			SubmittedAt: time.Now().UnixMilli(),
@@ -296,7 +271,6 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 		return JobRecord{}, err
 	}
 	s.jobs[js.rec.ID] = js
-	t.queued++
 	s.cond.Broadcast()
 	return js.rec, nil
 }
@@ -325,16 +299,13 @@ func (s *Server) Job(id string) (JobRecord, error) {
 	return js.rec, nil
 }
 
-// Jobs lists record snapshots, optionally filtered by tenant, in
-// submission order.
-func (s *Server) Jobs(tenant string) []JobRecord {
+// Jobs lists record snapshots in submission order.
+func (s *Server) Jobs() []JobRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]JobRecord, 0, len(s.jobs))
 	for _, js := range s.jobs {
-		if tenant == "" || js.rec.Tenant == tenant {
-			out = append(out, js.rec)
-		}
+		out = append(out, js.rec)
 	}
 	sortRecords(out)
 	return out
@@ -414,15 +385,6 @@ func (s *Server) Wait(ctx context.Context, id string) (JobRecord, error) {
 	}
 }
 
-// TenantStats is one tenant's live accounting snapshot.
-type TenantStats struct {
-	Quota       Quota `json:"quota"`
-	Queued      int   `json:"queued"`
-	Running     int   `json:"running"`
-	PeakRunning int   `json:"peakRunning"`
-	Started     int64 `json:"started"`
-}
-
 // Stats is the GET /v1/stats payload.
 type Stats struct {
 	Queued   int `json:"queued"`
@@ -430,8 +392,6 @@ type Stats struct {
 	Done     int `json:"done"`
 	Failed   int `json:"failed"`
 	Canceled int `json:"canceled"`
-
-	Tenants map[string]TenantStats `json:"tenants"`
 
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
@@ -441,7 +401,7 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Tenants: make(map[string]TenantStats, len(s.tenants))}
+	var st Stats
 	for _, js := range s.jobs {
 		switch js.rec.State {
 		case StateQueued:
@@ -454,12 +414,6 @@ func (s *Server) Stats() Stats {
 			st.Failed++
 		case StateCanceled:
 			st.Canceled++
-		}
-	}
-	for name, t := range s.tenants {
-		st.Tenants[name] = TenantStats{
-			Quota: t.quota, Queued: t.queued, Running: t.running,
-			PeakRunning: t.peak, Started: t.started,
 		}
 	}
 	st.CacheHits, st.CacheMisses = s.cache.Stats()
@@ -510,9 +464,7 @@ func (s *Server) worker() {
 }
 
 // next blocks until a job is schedulable and claims it, or returns nil on
-// drain. The pick order implements priority with tenant fairness:
-// highest priority first; among equals, the tenant scheduled least
-// recently; among equals again, submission order.
+// drain.
 func (s *Server) next() *jobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -528,49 +480,25 @@ func (s *Server) next() *jobState {
 	}
 }
 
-// pickLocked selects the best schedulable queued job, or nil. A job is
-// schedulable when its tenant is under MaxRunning and no job with the
-// same content hash is currently running (the second submitter waits and
-// is then served straight from the result cache — exactly-once
-// simulation per spec).
+// pickLocked selects the schedulable queued job submitted first, or nil.
+// A job is schedulable when no job with the same content hash is
+// currently running (the second submitter waits and is then served
+// straight from the result cache — exactly-once simulation per spec).
 func (s *Server) pickLocked() *jobState {
 	var best *jobState
-	var bestT *tenantState
 	for _, js := range s.jobs {
-		if js.rec.State != StateQueued || js.userCanceled {
+		if js.rec.State != StateQueued || js.userCanceled || s.running[js.rec.Hash] > 0 {
 			continue
 		}
-		t := s.tenant(js.rec.Tenant)
-		if t.running >= t.quota.maxRunning() || s.running[js.rec.Hash] > 0 {
-			continue
-		}
-		if best == nil || betterPick(js, t, best, bestT) {
-			best, bestT = js, t
+		if best == nil || js.rec.Seq < best.rec.Seq {
+			best = js
 		}
 	}
 	return best
 }
 
-func betterPick(a *jobState, at *tenantState, b *jobState, bt *tenantState) bool {
-	if a.rec.Priority != b.rec.Priority {
-		return a.rec.Priority > b.rec.Priority
-	}
-	if at.lastSched != bt.lastSched {
-		return at.lastSched < bt.lastSched
-	}
-	return a.rec.Seq < b.rec.Seq
-}
-
 // startLocked transitions a picked job to running.
 func (s *Server) startLocked(js *jobState) {
-	t := s.tenant(js.rec.Tenant)
-	t.queued--
-	t.running++
-	t.started++
-	if t.running > t.peak {
-		t.peak = t.running
-	}
-	t.lastSched = s.seq
 	js.rec.StartSeq = s.seq
 	s.seq++
 	s.running[js.rec.Hash]++
@@ -587,7 +515,7 @@ func (s *Server) runJob(js *jobState) {
 	rec := func() JobRecord { s.mu.Lock(); defer s.mu.Unlock(); return js.rec }()
 
 	// Result-cache fast path: an identical spec already simulated — by a
-	// previous job, another tenant, or a direct batch run.
+	// previous job or a direct batch run.
 	if r, ok := s.cache.Get(rec.Hash); ok {
 		r.Key = rec.Job.Key
 		r.Cached = true
@@ -663,14 +591,13 @@ func (s *Server) finishRun(js *jobState, res exec.Result) {
 	s.finishLocked(js, state, res.Err)
 }
 
-// releaseRunLocked returns a running job's quota and dedupe claims.
+// releaseRunLocked ends a running job's context and releases its dedupe
+// claim, waking workers that a queued copy of its spec held back.
 func (s *Server) releaseRunLocked(js *jobState) {
 	if js.cancel != nil {
 		js.cancel()
 		js.cancel = nil
 	}
-	t := s.tenant(js.rec.Tenant)
-	t.running--
 	if s.running[js.rec.Hash]--; s.running[js.rec.Hash] <= 0 {
 		delete(s.running, js.rec.Hash)
 	}
@@ -678,12 +605,8 @@ func (s *Server) releaseRunLocked(js *jobState) {
 }
 
 // finishLocked transitions to a terminal state, persists, publishes, and
-// wakes waiters. For queued jobs it also returns the queue slot.
+// wakes waiters.
 func (s *Server) finishLocked(js *jobState, state, errMsg string) {
-	if js.rec.State == StateQueued {
-		s.tenant(js.rec.Tenant).queued--
-		s.cond.Broadcast()
-	}
 	js.rec.State = state
 	js.rec.Error = errMsg
 	js.rec.FinishedAt = time.Now().UnixMilli()

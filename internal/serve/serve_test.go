@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,21 +40,14 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestServerTenantsEndToEnd is the serving acceptance test: three tenants
-// with distinct quotas submit concurrently over HTTP; quotas bound each
-// tenant's concurrency, over-quota submissions are rejected, progress
-// streams deliver events, and every result is byte-identical to a direct
-// internal/exec run of the same spec.
-func TestServerTenantsEndToEnd(t *testing.T) {
+// TestServerEndToEnd is the serving acceptance test: eight jobs submitted
+// over HTTP to a four-worker server all finish, progress streams deliver
+// events, and every result is byte-identical to a direct internal/exec run
+// of the same spec.
+func TestServerEndToEnd(t *testing.T) {
 	srv, err := New(Options{
-		DataDir: t.TempDir(),
-		Workers: 4,
-		Tenants: map[string]Quota{
-			"alice": {MaxRunning: 1, MaxQueued: 16},
-			"bob":   {MaxRunning: 2, MaxQueued: 16},
-			"carol": {MaxRunning: 1, MaxQueued: 2},
-		},
-		DefaultQuota:  Quota{MaxRunning: 1, MaxQueued: 4},
+		DataDir:       t.TempDir(),
+		Workers:       4,
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -72,14 +64,14 @@ func TestServerTenantsEndToEnd(t *testing.T) {
 	}
 
 	reqs := []SubmitRequest{
-		{Tenant: "alice", Profile: "fft", Engine: "dir", Accesses: 40},
-		{Tenant: "alice", Profile: "fft", Engine: "tree", Accesses: 40},
-		{Tenant: "alice", Profile: "lu", Engine: "dir", Accesses: 40},
-		{Tenant: "bob", Profile: "bar", Engine: "tree", Accesses: 40, Metrics: true},
-		{Tenant: "bob", Profile: "rad", Engine: "dir", Accesses: 40},
-		{Tenant: "bob", Profile: "wns", Engine: "tree", Accesses: 40},
-		{Tenant: "carol", Profile: "ocn", Engine: "dir", Accesses: 40, Priority: 3},
-		{Tenant: "carol", Profile: "ray", Engine: "tree", Accesses: 40},
+		{Profile: "fft", Engine: "dir", Accesses: 40},
+		{Profile: "fft", Engine: "tree", Accesses: 40},
+		{Profile: "lu", Engine: "dir", Accesses: 40},
+		{Profile: "bar", Engine: "tree", Accesses: 40, Metrics: true},
+		{Profile: "rad", Engine: "dir", Accesses: 40},
+		{Profile: "wns", Engine: "tree", Accesses: 40},
+		{Profile: "ocn", Engine: "dir", Accesses: 40},
+		{Profile: "ray", Engine: "tree", Accesses: 40},
 	}
 	ids := make([]string, len(reqs))
 	var wg sync.WaitGroup
@@ -138,27 +130,42 @@ func TestServerTenantsEndToEnd(t *testing.T) {
 	if st.Done != len(reqs) {
 		t.Errorf("stats.Done = %d, want %d", st.Done, len(reqs))
 	}
-	for name, want := range map[string]int{"alice": 1, "bob": 2, "carol": 1} {
-		ts := st.Tenants[name]
-		if ts.PeakRunning > want {
-			t.Errorf("tenant %s peak running %d exceeds quota %d", name, ts.PeakRunning, want)
+	if st.Queued != 0 || st.Running != 0 {
+		t.Errorf("stats not drained: %+v", st)
+	}
+}
+
+// TestWorkersBoundConcurrency: Workers alone bounds concurrency. With no
+// other option set, three distinct jobs on three workers all run at once.
+func TestWorkersBoundConcurrency(t *testing.T) {
+	srv, err := New(Options{DataDir: t.TempDir(), Workers: 3})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer srv.Drain()
+	ctx := testCtx(t)
+
+	var ids []string
+	for _, p := range []string{"fft", "lu", "bar"} {
+		rec, err := srv.Submit(SubmitRequest{Profile: p, Engine: "tree", Accesses: 8000})
+		if err != nil {
+			t.Fatalf("submit %s: %v", p, err)
 		}
-		if ts.Queued != 0 || ts.Running != 0 {
-			t.Errorf("tenant %s accounting not drained: %+v", name, ts)
+		ids = append(ids, rec.ID)
+	}
+	waitFor(t, "three jobs running at once", func() bool { return srv.Stats().Running == 3 })
+	for _, id := range ids {
+		if rec, err := srv.Wait(ctx, id); err != nil || rec.State != StateDone {
+			t.Fatalf("wait %s: %v %+v", id, err, rec)
 		}
 	}
 }
 
-// TestQuotaMaxQueuedRejects: with the only worker occupied by another
-// tenant, a tenant's submissions beyond MaxQueued are rejected over HTTP
-// with 429.
-func TestQuotaMaxQueuedRejects(t *testing.T) {
-	srv, err := New(Options{
-		DataDir:      t.TempDir(),
-		Workers:      1,
-		Tenants:      map[string]Quota{"carol": {MaxRunning: 1, MaxQueued: 2}},
-		DefaultQuota: Quota{MaxRunning: 1, MaxQueued: 16},
-	})
+// TestQueueFullRejects: once maxPending jobs are pending, a further
+// submission is rejected over HTTP with 429 and Retry-After, whatever
+// retired "tenant" key it carries.
+func TestQueueFullRejects(t *testing.T) {
+	srv, err := New(Options{DataDir: t.TempDir(), Workers: 1, SegmentCycles: 256})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
 	}
@@ -168,41 +175,39 @@ func TestQuotaMaxQueuedRejects(t *testing.T) {
 	ctx := testCtx(t)
 	client := &Client{Base: ts.URL}
 
-	blocker, err := client.Submit(ctx, SubmitRequest{Tenant: "x", Profile: "fft", Engine: "dir", Accesses: 4000})
-	if err != nil {
-		t.Fatalf("submit blocker: %v", err)
+	// One long spec, so no job finishes and frees a slot while the queue
+	// fills: the first runs, the rest wait behind it.
+	long := SubmitRequest{Profile: "fft", Engine: "dir", Accesses: 200000}
+	for i := 0; i < maxPending; i++ {
+		if _, err := client.Submit(ctx, long); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
-	for { // occupy the only worker so carol's jobs stay queued
-		rec, err := client.Job(ctx, blocker.ID)
+	for _, body := range []string{
+		`{"profile":"lu","engine":"tree","accesses":40}`,
+		`{"tenant":"someone-new","profile":"lu","engine":"tree","accesses":40}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("job: %v", err)
+			t.Fatalf("post: %v", err)
 		}
-		if rec.State == StateRunning {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := client.Submit(ctx, SubmitRequest{Tenant: "carol", Profile: "lu", Engine: "tree", Accesses: 40 + i}); err != nil {
-			t.Fatalf("in-quota submit %d: %v", i, err)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("submission %s over a full queue: status %d, Retry-After %q; want 429 with Retry-After",
+				body, resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
 	}
-	_, err = client.Submit(ctx, SubmitRequest{Tenant: "carol", Profile: "wsp", Engine: "dir", Accesses: 40})
-	if err == nil {
-		t.Fatalf("over-quota submission accepted")
-	}
-	if !strings.Contains(err.Error(), "quota") || !strings.Contains(err.Error(), "429") {
-		t.Fatalf("over-quota submission failed with wrong error: %v", err)
+	if st := srv.Stats(); st.Queued+st.Running != maxPending {
+		t.Fatalf("%d jobs pending, want %d", st.Queued+st.Running, maxPending)
 	}
 }
 
-// TestPriorityScheduling: with one worker and a long-running blocker, jobs
-// queued behind it must start in priority order, not submission order.
-func TestPriorityScheduling(t *testing.T) {
+// TestFIFOScheduling: with one worker and a long-running blocker, jobs
+// queued behind it start in submission order.
+func TestFIFOScheduling(t *testing.T) {
 	srv, err := New(Options{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 4},
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -211,33 +216,25 @@ func TestPriorityScheduling(t *testing.T) {
 	defer srv.Drain()
 	ctx := testCtx(t)
 
-	blocker, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "fft", Engine: "dir", Accesses: 2000})
+	blocker, err := srv.Submit(SubmitRequest{Profile: "fft", Engine: "dir", Accesses: 2000})
 	if err != nil {
 		t.Fatalf("submit blocker: %v", err)
 	}
-	for { // wait until the blocker occupies the only worker
+	waitFor(t, "the blocker to occupy the only worker", func() bool {
 		rec, err := srv.Job(blocker.ID)
-		if err != nil {
-			t.Fatalf("job: %v", err)
-		}
-		if rec.State != StateQueued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return err == nil && rec.State != StateQueued
+	})
 
-	// Submitted in ascending priority; must start in descending priority.
-	var ids []string
-	for _, pri := range []int{1, 5, 9} {
-		rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "lu", Engine: "tree",
-			Accesses: 40 + pri, Priority: pri})
+	ids := []string{blocker.ID}
+	for _, p := range []string{"wsp", "lu", "ray", "bar", "ocn"} {
+		rec, err := srv.Submit(SubmitRequest{Profile: p, Engine: "tree", Accesses: 40})
 		if err != nil {
-			t.Fatalf("submit p%d: %v", pri, err)
+			t.Fatalf("submit %s: %v", p, err)
 		}
 		ids = append(ids, rec.ID)
 	}
 	var starts []int64
-	for _, id := range append([]string{blocker.ID}, ids...) {
+	for _, id := range ids {
 		rec, err := srv.Wait(ctx, id)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
@@ -247,22 +244,20 @@ func TestPriorityScheduling(t *testing.T) {
 		}
 		starts = append(starts, rec.StartSeq)
 	}
-	// starts = [blocker, p1, p5, p9]; dispatch order must be
-	// blocker < p9 < p5 < p1.
-	if !(starts[0] < starts[3] && starts[3] < starts[2] && starts[2] < starts[1]) {
-		t.Fatalf("priority order violated: blocker=%d p1=%d p5=%d p9=%d",
-			starts[0], starts[1], starts[2], starts[3])
+	for i := 1; i < len(starts); i++ {
+		if starts[i] <= starts[i-1] {
+			t.Fatalf("jobs did not start in submission order: start sequence %v", starts)
+		}
 	}
 }
 
-// TestDuplicateSpecSimulatesOnce: two tenants submitting the identical
-// spec get one simulation; the second result comes from the shared cache
-// and both are byte-identical.
+// TestDuplicateSpecSimulatesOnce: two submissions of the identical spec
+// get one simulation; the second result comes from the shared cache and
+// both are byte-identical.
 func TestDuplicateSpecSimulatesOnce(t *testing.T) {
 	srv, err := New(Options{
-		DataDir:      t.TempDir(),
-		Workers:      2,
-		DefaultQuota: Quota{MaxRunning: 2},
+		DataDir: t.TempDir(),
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
@@ -271,11 +266,11 @@ func TestDuplicateSpecSimulatesOnce(t *testing.T) {
 	ctx := testCtx(t)
 
 	req := SubmitRequest{Profile: "bar", Engine: "dir", Accesses: 60}
-	a, err := srv.Submit(SubmitRequest{Tenant: "a", Profile: req.Profile, Engine: req.Engine, Accesses: req.Accesses})
+	a, err := srv.Submit(SubmitRequest{Profile: req.Profile, Engine: req.Engine, Accesses: req.Accesses})
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
-	b, err := srv.Submit(SubmitRequest{Tenant: "b", Profile: req.Profile, Engine: req.Engine, Accesses: req.Accesses})
+	b, err := srv.Submit(SubmitRequest{Profile: req.Profile, Engine: req.Engine, Accesses: req.Accesses})
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
@@ -313,15 +308,14 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
 	reqs := []SubmitRequest{
-		{Tenant: "t", Profile: "fft", Engine: "dir", Accesses: 800},
-		{Tenant: "t", Profile: "bar", Engine: "tree", Accesses: 800},
-		{Tenant: "t", Profile: "ocn", Engine: "dir", Accesses: 800},
+		{Profile: "fft", Engine: "dir", Accesses: 800},
+		{Profile: "bar", Engine: "tree", Accesses: 800},
+		{Profile: "ocn", Engine: "dir", Accesses: 800},
 	}
 
 	srv1, err := New(Options{
 		DataDir:       dir,
 		Workers:       2,
-		DefaultQuota:  Quota{MaxRunning: 2},
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -386,7 +380,6 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 	srv2, err := New(Options{
 		DataDir:       dir,
 		Workers:       2,
-		DefaultQuota:  Quota{MaxRunning: 2},
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -421,7 +414,7 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 func TestRestartSkipsFailedAttempts(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
-	req := SubmitRequest{Tenant: "t", Profile: "fft", Engine: "tree", Accesses: 60,
+	req := SubmitRequest{Profile: "fft", Engine: "tree", Accesses: 60,
 		Faults: "drop=1000000,timeout=1000,retries=0,backoff=16", Retries: 2}
 	job, err := req.BuildJob()
 	if err != nil {
@@ -431,7 +424,7 @@ func TestRestartSkipsFailedAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	rec := JobRecord{ID: "j-restart", Tenant: req.Tenant, State: StateQueued, Hash: job.Hash(), Attempt: 1, Job: job}
+	rec := JobRecord{ID: "j-restart", State: StateQueued, Hash: job.Hash(), Attempt: 1, Job: job}
 	if err := st.putJob(&rec); err != nil {
 		t.Fatalf("write record: %v", err)
 	}
@@ -473,13 +466,58 @@ func TestRestartSkipsFailedAttempts(t *testing.T) {
 	}
 }
 
+// TestRestartLoadsRetiredRecordFields: a data directory written before
+// tenants and priorities were retired holds records that still carry
+// "tenant" and "priority" keys. A restart must load such a record, left
+// running by a crash, and rerun it to done with the direct-run result.
+func TestRestartLoadsRetiredRecordFields(t *testing.T) {
+	dir := t.TempDir()
+	ctx := testCtx(t)
+	req := SubmitRequest{Profile: "fft", Engine: "tree", Accesses: 60}
+	job, err := req.BuildJob()
+	if err != nil {
+		t.Fatalf("build job: %v", err)
+	}
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	b, err := json.Marshal(JobRecord{ID: "j-old", State: StateRunning, Hash: job.Hash(), Seq: 7, Job: job})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	b = append([]byte(`{"tenant":"alice","priority":5,`), b[1:]...)
+	if err := os.WriteFile(st.jobPath("j-old"), b, 0o644); err != nil {
+		t.Fatalf("write record: %v", err)
+	}
+
+	srv, err := New(Options{DataDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer srv.Drain()
+	final, err := srv.Wait(ctx, "j-old")
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("restarted job finished %s: %s", final.State, final.Error)
+	}
+	got, err := srv.Result("j-old")
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, directResult(t, req)); g != w {
+		t.Errorf("restarted result differs from direct run\n server: %s\n direct: %s", g, w)
+	}
+}
+
 // TestCancelRunningJob: canceling a running job stops it promptly and
 // marks it canceled without caching a partial result.
 func TestCancelRunningJob(t *testing.T) {
 	srv, err := New(Options{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 1},
 		SegmentCycles: 256,
 	})
 	if err != nil {
@@ -488,7 +526,7 @@ func TestCancelRunningJob(t *testing.T) {
 	defer srv.Drain()
 	ctx := testCtx(t)
 
-	rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "wsp", Engine: "tree", Accesses: 4000})
+	rec, err := srv.Submit(SubmitRequest{Profile: "wsp", Engine: "tree", Accesses: 4000})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -520,28 +558,11 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
-func TestParseTenants(t *testing.T) {
-	q, err := ParseTenants("alice=2:8, bob=1")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if !reflect.DeepEqual(q, map[string]Quota{
-		"alice": {MaxRunning: 2, MaxQueued: 8},
-		"bob":   {MaxRunning: 1},
-	}) {
-		t.Fatalf("parsed %+v", q)
-	}
-	for _, bad := range []string{"noequals", "x=", "x=a", "x=1:b"} {
-		if _, err := ParseTenants(bad); err == nil {
-			t.Errorf("ParseTenants(%q) accepted", bad)
-		}
-	}
-}
-
 // TestRetiredShardsFieldAccepted: submissions from older clients may still
-// carry retired fields: "shards" from the sharded engine, and "snapshot"
-// from checkpoint hand-off between hosts. The server must accept such a
-// request and return the result of the same request without the field.
+// carry retired fields: "shards" from the sharded engine, "snapshot" from
+// checkpoint hand-off between hosts, and "tenant" and "priority" from
+// multi-user scheduling. The server must accept such a request and return
+// the result of the same request without the field.
 func TestRetiredShardsFieldAccepted(t *testing.T) {
 	ctx := testCtx(t)
 	run := func(body string) (JobRecord, exec.Result) {
@@ -576,6 +597,8 @@ func TestRetiredShardsFieldAccepted(t *testing.T) {
 	for field, value := range map[string]string{
 		"shards":   `2`,
 		"snapshot": `"SU5DQ0tQVAE="`,
+		"tenant":   `"alice"`,
+		"priority": `5`,
 	} {
 		withRec, with := run(`{` + base + `,"` + field + `":` + value + `}`)
 		if withRec.Hash != withoutRec.Hash {

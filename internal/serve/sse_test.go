@@ -19,7 +19,6 @@ func sseServer(t *testing.T) (*Server, *httptest.Server) {
 	srv, err := New(Options{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		DefaultQuota:  Quota{MaxRunning: 1, MaxQueued: 8},
 		SegmentCycles: 128,
 	})
 	if err != nil {
@@ -81,7 +80,7 @@ func TestSSEClientDisconnectUnsubscribes(t *testing.T) {
 	srv, ts := sseServer(t)
 	ctx := testCtx(t)
 
-	rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "fft", Engine: "tree", Accesses: 2000})
+	rec, err := srv.Submit(SubmitRequest{Profile: "fft", Engine: "tree", Accesses: 2000})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -132,7 +131,7 @@ func TestSSECancelMidStreamDeliversTerminalEvent(t *testing.T) {
 
 	// Large enough that the job cannot finish before the cancel below lands
 	// (the run never completes — it is canceled — so size costs nothing).
-	rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "lu", Engine: "tree", Accesses: 200000})
+	rec, err := srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 200000})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -180,7 +179,7 @@ func TestSSENoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	for i := 0; i < 4; i++ {
-		rec, err := srv.Submit(SubmitRequest{Tenant: "t", Profile: "fft", Engine: "dir", Accesses: 300})
+		rec, err := srv.Submit(SubmitRequest{Profile: "fft", Engine: "dir", Accesses: 300})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}

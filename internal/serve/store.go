@@ -25,12 +25,11 @@ const (
 // JobRecord is the persistent lifecycle record of one submitted job. It is
 // what the status endpoints return and what the store writes to disk; the
 // result payload itself lives in the content-hash result cache under
-// Hash.
+// Hash. Records written before tenants and priorities were retired still
+// carry "tenant" and "priority" keys; decoding ignores them.
 type JobRecord struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	State    string `json:"state"`
+	ID    string `json:"id"`
+	State string `json:"state"`
 
 	// Hash is the job's content hash: the result-cache key, shared with
 	// direct internal/exec runs of the same spec.
@@ -40,7 +39,7 @@ type JobRecord struct {
 	StartedAt   int64 `json:"startedAt,omitempty"`
 	FinishedAt  int64 `json:"finishedAt,omitempty"`
 
-	// Seq is the submission sequence number scheduling ties break on;
+	// Seq is the submission sequence number the FIFO queue orders by;
 	// StartSeq is the scheduler sequence at which the job last started
 	// running (0 while never started), making the actual dispatch order
 	// observable.

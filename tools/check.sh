@@ -119,7 +119,7 @@ SERVE_ADDR=127.0.0.1:18931
 FRESH_ADDR=127.0.0.1:18932
 go build -race -o "$SERVE_DATA/innetcc" ./cmd/innetcc
 "$SERVE_DATA/innetcc" -serve "$SERVE_ADDR" -serve-data "$SERVE_DATA/data" \
-    -tenants 'ci=2:8' -serve-workers 2 > "$SERVE_DATA/server.log" 2>&1 &
+    -serve-workers 2 > "$SERVE_DATA/server.log" 2>&1 &
 SERVE_PID=$!
 "$SERVE_DATA/innetcc" -serve "$FRESH_ADDR" -serve-data "$SERVE_DATA/fresh" \
     > "$SERVE_DATA/fresh.log" 2>&1 &
@@ -131,9 +131,9 @@ for addr in "$SERVE_ADDR" "$FRESH_ADDR"; do
     done
 done
 "$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -submit -profile fft \
-    -engine tree -accesses 120 -tenant ci -watch yes >/dev/null
+    -engine tree -accesses 120 -watch yes >/dev/null
 "$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" -stats >/dev/null
-LONG_JOB="-submit -profile ocn -engine tree -accesses 80000 -topology mesh:2x2 -tenant ci"
+LONG_JOB="-submit -profile ocn -engine tree -accesses 80000 -topology mesh:2x2"
 FRESH_ID=$("$SERVE_DATA/innetcc" -client "http://$FRESH_ADDR" $LONG_JOB | awk '{print $2}')
 LONG_ID=$("$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" $LONG_JOB | awk '{print $2}')
 for i in $(seq 1 100); do
@@ -146,7 +146,7 @@ wait "$SERVE_PID"
 grep -q 'drained' "$SERVE_DATA/server.log"
 grep -q '"state":"queued"' "$SERVE_DATA/data/jobs/$LONG_ID.json"
 "$SERVE_DATA/innetcc" -serve "$SERVE_ADDR" -serve-data "$SERVE_DATA/data" \
-    -tenants 'ci=2:8' -serve-workers 2 >> "$SERVE_DATA/server.log" 2>&1 &
+    -serve-workers 2 >> "$SERVE_DATA/server.log" 2>&1 &
 SERVE_PID=$!
 for i in $(seq 1 50); do
     if "$SERVE_DATA/innetcc" -client "http://$SERVE_ADDR" >/dev/null 2>&1; then break; fi
@@ -160,29 +160,10 @@ cmp "$SERVE_DATA/restarted.json" "$SERVE_DATA/fresh.json"
 kill -TERM "$SERVE_PID" "$FRESH_PID"
 wait "$SERVE_PID" "$FRESH_PID"
 
-# Serving-layer benchmark smoke: the 8-profile x 2-engine sweep through the
-# job server with a cold and a warm result cache, recorded as
-# BENCH_serve.json so scheduling/caching regressions show up in review
-# diffs. One iteration by default; set SERVE_BENCHTIME (e.g. 5x) to refresh
-# the committed numbers.
-: "${SERVE_BENCHTIME:=1x}"
-go test -run '^$' -bench 'ServeSweep' -benchtime "$SERVE_BENCHTIME" ./internal/serve |
-    awk '
-        $1 ~ /^BenchmarkServeSweep/ {
-            name = $1; sub(/-[0-9]+$/, "", name); sub(/^BenchmarkServeSweep/, "", name)
-            for (i = 2; i <= NF; i++) if ($(i+1) == "jobs/sec") jps[name] = $i
-        }
-        END {
-            if (jps["Cold"] == "" || jps["Warm"] == "") { print "bench output missing" > "/dev/stderr"; exit 1 }
-            printf "{\n"
-            printf "  \"benchmark\": \"ServeSweep\",\n"
-            printf "  \"config\": \"8 profiles x 2 engines, 60 accesses/node, 4 workers\",\n"
-            printf "  \"cold_jobs_per_sec\": %s,\n", jps["Cold"]
-            printf "  \"warm_jobs_per_sec\": %s,\n", jps["Warm"]
-            printf "  \"warm_speedup\": %.2f\n", jps["Warm"] / jps["Cold"]
-            printf "}\n"
-        }' > BENCH_serve.json
-cat BENCH_serve.json
+# Serving-layer benchmark smoke: one cold- and one warm-cache pass of the
+# 8-profile x 2-engine sweep through the job server. It writes no file;
+# EXPERIMENTS.md records measured throughput.
+go test -run '^$' -bench 'ServeSweep' -benchtime 1x ./internal/serve
 
 # Kernel benchmark smoke: the active-set kernel against its always-tick
 # control on the 64-node low-injection mesh, recorded as BENCH_kernel.json
