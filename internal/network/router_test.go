@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"innetcc/internal/metrics"
 	"innetcc/internal/sim"
 )
 
@@ -31,6 +32,11 @@ func TestDirString(t *testing.T) {
 // open W-by-H mesh under the destination policy (or any policy).
 func testMesh(k *sim.Kernel, w, h int, pipeline int64, vcs int, policy Policy) *Mesh {
 	return Build(k, Config{Topo: Mesh2D{W: w, H: h}, Pipeline: pipeline, VCs: vcs, Policy: policy})
+}
+
+// testNoC sizes NoC instrumentation for m.
+func testNoC(m *Mesh) *metrics.NoC {
+	return metrics.NewNoC(m.Nodes(), m.InPorts(), m.OutPorts(), m.VCCount)
 }
 
 func TestXYToResolvesXFirst(t *testing.T) {
