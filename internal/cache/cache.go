@@ -57,10 +57,6 @@ type Cache[V any] struct {
 	numSets int
 	clock   uint64
 	live    int // valid lines, so Len is O(1)
-
-	// Hits and Misses count Lookup results for miss-rate reporting.
-	Hits   int64
-	Misses int64
 }
 
 type line[V any] struct {
@@ -123,15 +119,12 @@ func (c *Cache[V]) Lookup(addr uint64) (*V, bool) {
 	if ln := c.find(addr); ln != nil {
 		c.clock++
 		ln.lru = c.clock
-		c.Hits++
 		return &ln.val, true
 	}
-	c.Misses++
 	return nil, false
 }
 
-// Peek is Lookup without LRU update or hit/miss accounting, for inspection
-// by verifiers and tests.
+// Peek is Lookup without LRU update, for inspection by verifiers and tests.
 func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
 	if ln := c.find(addr); ln != nil {
 		return &ln.val, true
@@ -314,12 +307,3 @@ func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
 
 // Len returns the number of valid lines currently held.
 func (c *Cache[V]) Len() int { return c.live }
-
-// MissRate returns Misses/(Hits+Misses), or 0 before any lookup.
-func (c *Cache[V]) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
-}

@@ -209,20 +209,15 @@ func TestScanSetAndScanAll(t *testing.T) {
 	}
 }
 
-func TestLenAndMissRate(t *testing.T) {
+func TestLen(t *testing.T) {
 	c := New[int](8, 2)
-	if c.Len() != 0 || c.MissRate() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("fresh cache not empty")
 	}
 	c.Insert(1)
 	c.Insert(2)
 	if c.Len() != 2 {
 		t.Fatalf("Len=%d, want 2", c.Len())
-	}
-	c.Lookup(1)
-	c.Lookup(99)
-	if c.MissRate() != 0.5 {
-		t.Fatalf("MissRate=%v, want 0.5", c.MissRate())
 	}
 }
 
@@ -306,8 +301,6 @@ type refCache[V any] struct {
 	sets    [][]refLine[V]
 	numSets int
 	clock   uint64
-	Hits    int64
-	Misses  int64
 }
 
 type refLine[V any] struct {
@@ -345,10 +338,8 @@ func (r *refCache[V]) Lookup(addr uint64) (*V, bool) {
 	if ln := r.find(addr); ln != nil {
 		r.clock++
 		ln.lru = r.clock
-		r.Hits++
 		return &ln.val, true
 	}
-	r.Misses++
 	return nil, false
 }
 
@@ -672,9 +663,6 @@ func diffRun(t *testing.T, g refGeom, seed int64, steps int) {
 			if g, w := c.Len(), r.Len(); g != w {
 				t.Fatalf("step %d Len: %d, reference %d", step, g, w)
 			}
-		}
-		if c.Hits != r.Hits || c.Misses != r.Misses {
-			t.Fatalf("step %d: hits/misses %d/%d, reference %d/%d", step, c.Hits, c.Misses, r.Hits, r.Misses)
 		}
 	}
 	var gseen, wseen []visit

@@ -16,10 +16,8 @@ import (
 // result depends on (including a schema version), so any semantic change
 // keys new files and old ones are simply never read again.
 type Cache struct {
-	dir            string
-	hits, misses   atomic.Int64
-	writeFailures  atomic.Int64
-	decodeFailures atomic.Int64
+	dir          string
+	hits, misses atomic.Int64
 }
 
 // OpenCache opens (creating if necessary) a cache rooted at dir.
@@ -29,9 +27,6 @@ func OpenCache(dir string) (*Cache, error) {
 	}
 	return &Cache{dir: dir}, nil
 }
-
-// Dir returns the cache root directory.
-func (c *Cache) Dir() string { return c.dir }
 
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash+".json")
@@ -48,7 +43,6 @@ func (c *Cache) Get(hash string) (Result, bool) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		// A corrupt entry (interrupted writer predating atomic rename,
 		// disk damage) is treated as a miss and overwritten by Put.
-		c.decodeFailures.Add(1)
 		c.misses.Add(1)
 		return Result{}, false
 	}
@@ -56,30 +50,26 @@ func (c *Cache) Get(hash string) (Result, bool) {
 	return r, true
 }
 
-// Put stores the result under hash. Storage failures are recorded but not
+// Put stores the result under hash. Storage failures are dropped, not
 // surfaced: the caller already holds the computed result, and a cold cache
 // next run is strictly a performance matter.
 func (c *Cache) Put(hash string, r Result) {
 	b, err := json.Marshal(r)
 	if err != nil {
-		c.writeFailures.Add(1)
 		return
 	}
 	tmp, err := os.CreateTemp(c.dir, hash+".tmp*")
 	if err != nil {
-		c.writeFailures.Add(1)
 		return
 	}
 	_, werr := tmp.Write(b)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		c.writeFailures.Add(1)
 		return
 	}
 	if err := os.Rename(tmp.Name(), c.path(hash)); err != nil {
 		os.Remove(tmp.Name())
-		c.writeFailures.Add(1)
 	}
 }
 

@@ -39,7 +39,7 @@ type goldenCounterRun struct {
 }
 
 // goldenNoC is one run's router aggregates summed over every router (and
-// port, and VC), and its Read/Write latency breakdown.
+// port), and its Read/Write latency breakdown.
 type goldenNoC struct {
 	Grants, SerialWait, BusyCycles, PolicyStalls, QueueSum int64
 	Read, Write                                            metrics.BreakdownClass

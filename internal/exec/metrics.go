@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 )
@@ -54,10 +56,9 @@ type RouterMetrics struct {
 	Links []LinkMetrics
 
 	// QueueSum is the per-input-port occupancy integral (queue length
-	// summed over every cycle and virtual channel); divided by
-	// MetricsOut.Cycles it is the mean queue depth. Input ports 0-3 are
-	// the mesh directions, 4 the injection port, 5 the protocol-spawn
-	// port.
+	// summed over every cycle); divided by MetricsOut.Cycles it is the
+	// mean queue depth. Input ports 0-3 are the mesh directions, 4 the
+	// injection port, 5 the protocol-spawn port.
 	QueueSum []int64
 }
 
@@ -144,7 +145,7 @@ func metricsOut(c *metrics.Collector, includeFlight bool) *MetricsOut {
 				Node:         r,
 				PolicyStalls: n.PolicyStalls[r],
 				Links:        make([]LinkMetrics, n.OutPorts),
-				QueueSum:     make([]int64, n.InPorts),
+				QueueSum:     slices.Clone(n.QueueSum[n.InIdx(r, 0):n.InIdx(r+1, 0)]),
 			}
 			for p := 0; p < n.OutPorts; p++ {
 				oi := n.OutIdx(r, p)
@@ -153,11 +154,6 @@ func metricsOut(c *metrics.Collector, includeFlight bool) *MetricsOut {
 					BusyCycles: n.LinkBusy[oi],
 					Grants:     n.Grants[oi],
 					SerialWait: n.SerialWait[oi],
-				}
-			}
-			for p := 0; p < n.InPorts; p++ {
-				for vc := 0; vc < n.VCs; vc++ {
-					rm.QueueSum[p] += n.QueueSum[n.InIdx(r, p, vc)]
 				}
 			}
 			out.Routers[r] = rm

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	// Registers the tree engine's builder with protocol.Build. The
 	// directory package (imported by the runner for the hop-study wiring)
@@ -15,10 +14,9 @@ import (
 // Pool runs batches of jobs across worker goroutines. The zero value is
 // usable: all cores, no cache.
 //
-// Concurrent submissions of the same spec (equal Job.Hash) are deduplicated
-// in-process: one worker simulates, everyone else waits and shares the
-// result. Combined with the on-disk cache this gives exactly-once
-// simulation per spec no matter how many callers race.
+// Every job not already in the cache is simulated, so two jobs with one
+// spec in a batch both simulate and store the same bytes. The experiment
+// batches and the examples hold distinct specs.
 type Pool struct {
 	// Workers is the parallelism level; <= 0 means GOMAXPROCS.
 	Workers int
@@ -26,23 +24,7 @@ type Pool struct {
 	// Cache, when non-nil, serves and stores results on disk keyed by
 	// Job.Hash.
 	Cache *Cache
-
-	flightMu sync.Mutex
-	flights  map[string]*flightCall
-
-	sims atomic.Int64
 }
-
-// flightCall is one in-progress simulation shared by concurrent submitters
-// of the same job hash.
-type flightCall struct {
-	done chan struct{}
-	res  Result
-}
-
-// Simulations reports how many jobs this pool actually simulated (cache
-// hits and deduplicated followers excluded).
-func (p *Pool) Simulations() int64 { return p.sims.Load() }
 
 // Run executes all jobs and returns their results in submission order.
 // Each job is isolated: a simulation error, an exceeded cycle bound, or a
@@ -103,8 +85,8 @@ func fanOut(workers, n int, run func(i int)) {
 	wg.Wait()
 }
 
-// runOne executes a single job: cache lookup, in-process deduplication,
-// simulation via the segmented runner, cache fill.
+// runOne executes a single job: cache lookup, simulation via the segmented
+// runner, cache fill.
 func (p *Pool) runOne(ctx context.Context, job Job) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Err: "exec: canceled: " + err.Error(), Canceled: true, Key: job.Key}
@@ -117,33 +99,9 @@ func (p *Pool) runOne(ctx context.Context, job Job) Result {
 			return r
 		}
 	}
-
-	p.flightMu.Lock()
-	if p.flights == nil {
-		p.flights = make(map[string]*flightCall)
-	}
-	if fc, ok := p.flights[hash]; ok {
-		p.flightMu.Unlock()
-		<-fc.done
-		res := fc.res
-		res.Key = job.Key
-		res.Cached = true
-		return res
-	}
-	fc := &flightCall{done: make(chan struct{})}
-	p.flights[hash] = fc
-	p.flightMu.Unlock()
-
-	p.sims.Add(1)
 	res := RunJob(job, RunOptions{Ctx: ctx})
-	if p.Cache != nil && !res.Canceled && !res.Cached {
+	if p.Cache != nil && !res.Canceled {
 		p.Cache.Put(hash, res)
 	}
-
-	fc.res = res
-	p.flightMu.Lock()
-	delete(p.flights, hash)
-	p.flightMu.Unlock()
-	close(fc.done)
 	return res
 }

@@ -3,11 +3,9 @@ package exec
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"innetcc/internal/protocol"
@@ -249,47 +247,5 @@ func TestCacheTreatsTruncatedEntryAsMiss(t *testing.T) {
 	// And the re-run repaired the entry.
 	if _, ok := cache.Get(hash); !ok {
 		t.Fatalf("cache not repaired after re-run")
-	}
-}
-
-// TestConcurrentIdenticalJobsSimulateOnce: many goroutines submitting the
-// same spec concurrently must trigger exactly one simulation, and every
-// caller must receive a byte-identical result.
-func TestConcurrentIdenticalJobsSimulateOnce(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatalf("open cache: %v", err)
-	}
-	pool := &Pool{Workers: 8, Cache: cache}
-	job := testJob("ray", protocol.KindTree, 60)
-
-	const callers = 16
-	results := make([]Result, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			j := job
-			j.Key = fmt.Sprintf("caller/%d", i)
-			results[i] = pool.Run([]Job{j})[0]
-		}(i)
-	}
-	wg.Wait()
-
-	if n := pool.Simulations(); n != 1 {
-		t.Fatalf("expected exactly 1 simulation, got %d", n)
-	}
-	want := resultBytes(t, results[0])
-	for i, r := range results {
-		if r.Failed() {
-			t.Fatalf("caller %d failed: %s", i, r.Err)
-		}
-		if r.Key != fmt.Sprintf("caller/%d", i) {
-			t.Fatalf("caller %d got key %q", i, r.Key)
-		}
-		if got := resultBytes(t, r); !reflect.DeepEqual(want, got) {
-			t.Fatalf("caller %d result differs:\n want %s\n got  %s", i, want, got)
-		}
 	}
 }

@@ -341,18 +341,18 @@ func TestTargetedTorusWrapLinkDrop(t *testing.T) {
 		})
 	}
 	// Control: the same target on the open 4x4 mesh names a port with no
-	// link (node 0 has no West neighbor), so no grant ever samples it and
-	// nothing can drop. The namespace really is the topology's.
+	// link (node 0 has no West neighbor), so the plan could never drop a
+	// packet and Build refuses it. The namespace really is the topology's.
 	t.Run("mesh-control", func(t *testing.T) {
 		cfg := protocol.DefaultConfig()
 		cfg.Seed = seed
-		m := buildMachine(t, protocol.KindTree, cfg, p, accesses,
-			protocol.Spec{Faults: &fault.Plan{Spec: spec, Seed: seed}})
-		if err := m.Run(40_000_000); err != nil {
-			t.Fatalf("mesh control run failed: %v", err)
-		}
-		if drops := m.Counters.Get("fault.drops"); drops != 0 {
-			t.Fatalf("mesh dropped %d packets on a link it does not have", drops)
+		_, err := protocol.Build(protocol.Spec{
+			Config: cfg, Trace: trace.Generate(p, cfg.Nodes(), accesses, cfg.Seed),
+			Think: p.Think, Engine: protocol.KindTree,
+			Faults: &fault.Plan{Spec: spec, Seed: seed},
+		})
+		if err == nil || !strings.Contains(err.Error(), "link=0:3") {
+			t.Fatalf("mesh accepted a fault target it has no link for: err = %v", err)
 		}
 	})
 }

@@ -119,14 +119,14 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 // growth amortizes allocations).
 func TestEnabledHotPathZeroAllocs(t *testing.T) {
 	c := New(Options{FlightSize: 16})
-	c.NoC = NewNoC(4, 6, 5, 1)
+	c.NoC = NewNoC(4, 6, 5)
 	var ctr stats.Counters
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(stats.MetricTreeHit, 1)
 		ctr.Inc(stats.TreeTeardowns, 1)
 		c.Event(10, EvTreeHit, 2, 0x80, 0)
 		c.NoC.LinkBusy[c.NoC.OutIdx(1, 2)] += 5
-		c.NoC.QueueSum[c.NoC.InIdx(1, 2, 0)]++
+		c.NoC.QueueSum[c.NoC.InIdx(1, 2)]++
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled hot path allocated %.1f per run, want 0", allocs)
@@ -154,7 +154,7 @@ func TestCollectorDefaults(t *testing.T) {
 }
 
 func TestNoCIndexing(t *testing.T) {
-	n := NewNoC(16, 6, 5, 2)
+	n := NewNoC(16, 6, 5)
 	seen := map[int]bool{}
 	for r := 0; r < 16; r++ {
 		for p := 0; p < 5; p++ {
@@ -168,13 +168,11 @@ func TestNoCIndexing(t *testing.T) {
 	seen = map[int]bool{}
 	for r := 0; r < 16; r++ {
 		for p := 0; p < 6; p++ {
-			for vc := 0; vc < 2; vc++ {
-				i := n.InIdx(r, p, vc)
-				if i < 0 || i >= len(n.QueueSum) || seen[i] {
-					t.Fatalf("InIdx(%d,%d,%d) = %d invalid or duplicate", r, p, vc, i)
-				}
-				seen[i] = true
+			i := n.InIdx(r, p)
+			if i < 0 || i >= len(n.QueueSum) || seen[i] {
+				t.Fatalf("InIdx(%d,%d) = %d invalid or duplicate", r, p, i)
 			}
+			seen[i] = true
 		}
 	}
 	n.Cycles = 100

@@ -1,7 +1,7 @@
 package metrics
 
 // NoC holds per-router network instrumentation in flattened arrays indexed
-// by (router, port[, vc]). The router hot loop updates the slices directly
+// by (router, port). The router hot loop updates the slices directly
 // behind a single nil check on the mesh's Metrics field, so the disabled
 // path costs one comparison per router tick and the enabled path never
 // allocates.
@@ -9,7 +9,6 @@ type NoC struct {
 	Routers  int
 	InPorts  int
 	OutPorts int
-	VCs      int
 
 	// LinkBusy[OutIdx(r,p)] accumulates flit-cycles each output link was
 	// held by granted packets; divided by Cycles it is link utilization.
@@ -20,7 +19,7 @@ type NoC struct {
 	// waiting for the output link to finish serializing a previous
 	// packet's flits (arbitration stalls).
 	SerialWait []int64
-	// QueueSum[InIdx(r,p,vc)] integrates input FIFO occupancy over time
+	// QueueSum[InIdx(r,p)] integrates input FIFO occupancy over time
 	// (packet-cycles); divided by Cycles it is mean queue depth.
 	QueueSum []int64
 	// PolicyStalls[r] counts head-packet cycles the routing policy held a
@@ -33,16 +32,15 @@ type NoC struct {
 }
 
 // NewNoC sizes the arrays for a mesh of the given shape.
-func NewNoC(routers, inPorts, outPorts, vcs int) *NoC {
+func NewNoC(routers, inPorts, outPorts int) *NoC {
 	return &NoC{
 		Routers:      routers,
 		InPorts:      inPorts,
 		OutPorts:     outPorts,
-		VCs:          vcs,
 		LinkBusy:     make([]int64, routers*outPorts),
 		Grants:       make([]int64, routers*outPorts),
 		SerialWait:   make([]int64, routers*outPorts),
-		QueueSum:     make([]int64, routers*inPorts*vcs),
+		QueueSum:     make([]int64, routers*inPorts),
 		PolicyStalls: make([]int64, routers),
 	}
 }
@@ -50,8 +48,8 @@ func NewNoC(routers, inPorts, outPorts, vcs int) *NoC {
 // OutIdx flattens (router, output port).
 func (n *NoC) OutIdx(r, p int) int { return r*n.OutPorts + p }
 
-// InIdx flattens (router, input port, vc).
-func (n *NoC) InIdx(r, p, vc int) int { return (r*n.InPorts+p)*n.VCs + vc }
+// InIdx flattens (router, input port).
+func (n *NoC) InIdx(r, p int) int { return r*n.InPorts + p }
 
 // Util returns output link (r,p)'s utilization in [0,1].
 func (n *NoC) Util(r, p int) float64 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"innetcc/internal/fault"
-	"innetcc/internal/metrics"
 	"innetcc/internal/sim"
 )
 
@@ -26,7 +25,7 @@ func (pingPongPolicy) Route(r *Router, p *Packet, _ int64) Steer {
 // neighbor hand-off, or the kernel's own event/park bookkeeping.
 func TestRouterTickZeroAllocsSteadyState(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 2, 1, 2, 1, pingPongPolicy{})
+	m := testMesh(k, 2, 1, 2, pingPongPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
 	p := m.AllocPacketFor(0)
 	p.ID = m.NextIDFor(0)
@@ -44,7 +43,7 @@ func TestRouterTickZeroAllocsSteadyState(t *testing.T) {
 // is not ticked at all).
 func TestIdleRouterTickZeroAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 4, 4, 2, 1, DestPolicy{})
+	m := testMesh(k, 4, 4, 2, DestPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
 	r := m.Routers[5]
 	allocs := testing.AllocsPerRun(1000, func() { r.Tick(10) })
@@ -62,7 +61,7 @@ func TestIdleRouterTickZeroAllocs(t *testing.T) {
 // in profiles.
 func TestSoAHotPathZeroAllocsMultiRouter(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 4, 1, 2, 2, pingPongPolicy{})
+	m := testMesh(k, 4, 1, 2, pingPongPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
 	for i := 0; i < 3; i++ {
 		p := m.AllocPacketFor(i)
@@ -78,15 +77,14 @@ func TestSoAHotPathZeroAllocsMultiRouter(t *testing.T) {
 }
 
 // TestRouterTickZeroAllocsInstrumented extends the steady-state guard to
-// the fully armed router: two VCs with traffic in both classes, metrics
-// on (queue integrals, grants, serial-wait charges) and a fault injector
-// consulted at every link grant. The per-tick arbitration record lives on
+// the fully armed router: metrics on (queue integrals, grants, serial-wait
+// charges) and a fault injector consulted at every link grant. The per-tick arbitration record lives on
 // the stack, so a steady-state step still allocates nothing.
 func TestRouterTickZeroAllocsInstrumented(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 4, 1, 2, 2, pingPongPolicy{})
+	m := testMesh(k, 4, 1, 2, pingPongPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
-	m.Metrics = metrics.NewNoC(m.Nodes(), m.InPorts(), m.OutPorts(), m.VCCount)
+	m.Metrics = testNoC(m)
 	spec := fault.DefaultSpec()
 	spec.StallPPM, spec.StallLen = 100_000, 4
 	m.Faults = &fault.Injector{Plan: spec.Plan(3)}
@@ -94,7 +92,6 @@ func TestRouterTickZeroAllocsInstrumented(t *testing.T) {
 		p := m.AllocPacketFor(i)
 		p.ID = m.NextIDFor(i)
 		p.Flits = 1 + i
-		p.Class = VC(i % 2)
 		m.Inject(i, p, k.Now())
 	}
 	k.Run(500) // warm every ring and mailbox on the packets' orbit
@@ -119,7 +116,7 @@ func TestRouterTickZeroAllocsInstrumented(t *testing.T) {
 // harness may retain) are never recycled.
 func TestPacketFreeListRecycles(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 2, 1, 1, 1, DestPolicy{})
+	m := testMesh(k, 2, 1, 1, DestPolicy{})
 	delivered := 0
 	m.EjectFn = func(int, *Packet, int64) { delivered++ }
 
@@ -156,7 +153,7 @@ func TestPacketFreeListRecycles(t *testing.T) {
 // injection wakes exactly the routers the packet traverses.
 func TestRoutersParkWhenDrained(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 4, 4, 2, 1, DestPolicy{})
+	m := testMesh(k, 4, 4, 2, DestPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
 	p := m.AllocPacketFor(0)
 	p.ID = m.NextIDFor(0)

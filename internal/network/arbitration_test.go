@@ -34,7 +34,7 @@ func TestChaserNeverOvertakesLead(t *testing.T) {
 	for _, expedited := range []bool{false, true} {
 		k := sim.NewKernel(1)
 		pol := &spawnOnSight{at: 1, expedited: expedited}
-		m := testMesh(k, 4, 1, 3, 1, pol)
+		m := testMesh(k, 4, 1, 3, pol)
 		var order []string
 		m.EjectFn = func(node int, p *Packet, now int64) {
 			order = append(order, p.Payload.(string))
@@ -55,7 +55,7 @@ func TestExpeditedSpawnSkipsPipeline(t *testing.T) {
 	depart := func(expedited bool) int64 {
 		k := sim.NewKernel(1)
 		pol := &spawnOnSight{at: 0, expedited: expedited}
-		m := testMesh(k, 2, 1, 5, 1, pol)
+		m := testMesh(k, 2, 1, 5, pol)
 		var chaserAt int64
 		m.EjectFn = func(node int, p *Packet, now int64) {
 			if p.Payload == "chaser" {
@@ -75,37 +75,9 @@ func TestExpeditedSpawnSkipsPipeline(t *testing.T) {
 	}
 }
 
-func TestMultipleVCsIsolateClasses(t *testing.T) {
-	// With two VCs, a stalled packet in class 0 must not block a class-1
-	// packet in the same physical port.
-	k := sim.NewKernel(1)
-	pol := &classStall{}
-	m := testMesh(k, 3, 1, 2, 2, pol)
-	var got []VC
-	m.EjectFn = func(node int, p *Packet, now int64) { got = append(got, p.Class) }
-	// Class 0 stalls forever at node 1; class 1 passes through.
-	m.Inject(0, &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 2, Flits: 1, Class: 0}, k.Now())
-	m.Inject(0, &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 2, Flits: 1, Class: 1}, k.Now())
-	if !k.RunUntil(func() bool { return len(got) == 1 }, 1000) {
-		t.Fatal("class-1 packet blocked behind stalled class-0 packet")
-	}
-	if got[0] != 1 {
-		t.Fatalf("delivered class %d, want 1", got[0])
-	}
-}
-
-type classStall struct{}
-
-func (classStall) Route(r *Router, p *Packet, now int64) Steer {
-	if r.NodeID == 1 && p.Class == 0 {
-		return Steer{Stall: true}
-	}
-	return Steer{Out: r.Topo().NextHop(r.NodeID, p.Dst)}
-}
-
 func TestInFlightAccounting(t *testing.T) {
 	k := sim.NewKernel(1)
-	m := testMesh(k, 2, 2, 2, 1, DestPolicy{})
+	m := testMesh(k, 2, 2, 2, DestPolicy{})
 	delivered := 0
 	m.EjectFn = func(int, *Packet, int64) { delivered++ }
 	for i := 0; i < 6; i++ {

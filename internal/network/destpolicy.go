@@ -71,7 +71,6 @@ func (m *Mesh) cloneForSet(r *Router, p *Packet, set NodeSet) *Packet {
 	c := m.AllocPacketFor(r.NodeID)
 	c.ID = m.NextIDFor(r.NodeID)
 	c.Src = p.Src
-	c.Class = p.Class
 	c.Flits = p.Flits
 	c.Retryable = p.Retryable
 	c.Expedited = true

@@ -15,7 +15,7 @@ func faultSetup(t *testing.T, spec fault.Spec, seed uint64) (*sim.Kernel, *Mesh,
 		t.Fatalf("bad spec: %v", err)
 	}
 	k := sim.NewKernel(1)
-	m := testMesh(k, 4, 4, 2, 1, DestPolicy{})
+	m := testMesh(k, 4, 4, 2, DestPolicy{})
 	delivered := make(map[uint64]int64)
 	m.EjectFn = func(node int, p *Packet, now int64) { delivered[p.ID] = now }
 	var reasons []fault.DropReason
@@ -125,7 +125,7 @@ func TestLocalEjectionNeverFaulted(t *testing.T) {
 func TestStallDelaysDelivery(t *testing.T) {
 	run := func(spec fault.Spec) int64 {
 		k := sim.NewKernel(1)
-		m := testMesh(k, 4, 4, 2, 1, DestPolicy{})
+		m := testMesh(k, 4, 4, 2, DestPolicy{})
 		var at int64 = -1
 		m.EjectFn = func(node int, p *Packet, now int64) { at = now }
 		if spec.Injecting() {
@@ -159,7 +159,7 @@ func TestFaultScheduleDeterministicAcrossRuns(t *testing.T) {
 	spec.Scope = fault.ScopeAll
 	run := func() (map[uint64]int64, int64) {
 		k := sim.NewKernel(1)
-		m := testMesh(k, 4, 4, 2, 1, DestPolicy{})
+		m := testMesh(k, 4, 4, 2, DestPolicy{})
 		delivered := make(map[uint64]int64)
 		m.EjectFn = func(node int, p *Packet, now int64) { delivered[p.ID] = now }
 		m.Faults = &fault.Injector{Plan: spec.Plan(99)}
@@ -195,7 +195,7 @@ func TestFaultScheduleDeterministicAcrossRuns(t *testing.T) {
 // immutable routing header only, so legitimate in-flight mutation (hop
 // counts, timestamps) never trips verification.
 func TestChecksumCoversRoutingHeader(t *testing.T) {
-	p := &Packet{ID: 12, Src: 1, Dst: 14, Class: 2, Flits: 3}
+	p := &Packet{ID: 12, Src: 1, Dst: 14, Flits: 3}
 	sum := ChecksumOf(p)
 	p.Hops = 5
 	p.InjectedAt = 77

@@ -19,33 +19,25 @@ import (
 // unchanged there.
 //
 // Router state lives in structure-of-arrays form on the Mesh — flat slices
-// indexed by router id (and port/VC within a router) rather than fields on
+// indexed by router id (and port within a router) rather than fields on
 // per-Router heap objects, so the kernel's ascending-ID tick walk streams
 // through contiguous memory: FIFO headers, busy counters and arbitration
 // stamps of neighboring routers share cache lines instead of being
 // scattered across individually allocated objects. The Router type remains
-// as a thin per-node handle carrying only identity and per-node
-// configuration.
+// as a thin per-node handle carrying only identity.
 
 type fifoEntry struct {
 	pkt     *Packet
 	readyAt int64 // cycle the head flit clears this router's pipeline
 }
 
-// Router is one fabric router's handle: identity plus per-node
-// configuration. The mutable hot state (FIFOs, credit counters,
-// arbitration stamps, free-lists) lives in the Mesh's flat arrays, indexed
-// by NodeID.
+// Router is one fabric router's handle. The mutable hot state (FIFOs,
+// credit counters, arbitration stamps, free-lists) lives in the Mesh's
+// flat arrays, indexed by NodeID.
 type Router struct {
 	// NodeID is the router's position, equal to the attached node's id.
 	NodeID int
 	mesh   *Mesh
-
-	// ExtraHopDelay is added to every packet's per-hop pipeline time at
-	// this router. The Figure 10 experiment uses it to model an
-	// above-network tree-cache implementation where each lookup must
-	// leave and re-enter the router.
-	ExtraHopDelay int64
 }
 
 // Topo returns the fabric the router is wired into: the narrow accessor
@@ -89,10 +81,17 @@ func (f *fifoQueue) pop() fifoEntry {
 
 // Mesh is a fabric of routers sharing one routing Policy; the name is
 // historical — the wiring is whatever Topo says.
+//
+// All traffic shares one virtual network: each input port has a single
+// FIFO. The in-network protocol depends on same-path FIFO ordering between
+// replies and the teardowns that chase them (Section 2.4's "the teardown
+// message will simply propagate out the new link as if it had been a part
+// of the tree from the start" relies on a teardown never overtaking the
+// reply that built the link), so its messages may not be split across
+// classes, and the directory baseline runs on the same fabric.
 type Mesh struct {
 	Topo     Topology
 	Pipeline int64
-	VCCount  int
 	Routers  []*Router
 	Policy   Policy
 
@@ -103,22 +102,20 @@ type Mesh struct {
 	deg, numIn, numOut int
 
 	// Structure-of-arrays router state. fifos holds every router's input
-	// FIFOs flattened as [(node*numIn + port)*VCCount + vc] — a router's
-	// slots are contiguous, port-major then VC, matching the historical
-	// per-router scan order. busyTill is the per-output-link credit state
-	// at [node*numOut + out]; queued counts packets across a router's
-	// FIFOs (its park/wake signal); routeSeq stamps routing decisions for
-	// age-based arbitration and idSeq allocates packet ids, both per
-	// router (arbitration only ever compares stamps issued by the same
-	// router, so per-router stamping grants identically to a global
+	// FIFOs flattened as [node*numIn + port] — a router's slots are
+	// contiguous, in port order. busyTill is the per-output-link credit
+	// state at [node*numOut + out]; queued counts packets across a
+	// router's FIFOs (its park/wake signal); routeSeq stamps routing
+	// decisions for age-based arbitration and idSeq allocates packet ids,
+	// both per router (arbitration only ever compares stamps issued by the
+	// same router, so per-router stamping grants identically to a global
 	// counter). freePkts is the per-router packet free-list — packets
 	// recycle at the router where they die — and tids the kernel ticker
-	// ids for wakes. occ is each router's occupied-slot mask: bit
-	// port*VCCount+vc is set exactly when that input FIFO is non-empty,
-	// so Tick visits occupied FIFOs only (Config.Validate caps a router at
-	// 64 slots). idleUntil is what each router's last Tick found: the
-	// earliest cycle one of its heads clears the pipeline, or 0 when a head
-	// was routable (see Quiescent).
+	// ids for wakes. occ is each router's occupied-slot mask: bit port is
+	// set exactly when that input FIFO is non-empty, so Tick visits
+	// occupied FIFOs only (at most MaxDegree+2 bits). idleUntil is what
+	// each router's last Tick found: the earliest cycle one of its heads
+	// clears the pipeline, or 0 when a head was routable (see Quiescent).
 	fifos     []fifoQueue
 	busyTill  []int64
 	queued    []int32
@@ -182,13 +179,11 @@ type Mesh struct {
 }
 
 // Config describes a fabric to Build: the topology it is wired into, the
-// per-router pipeline depth, the virtual-channel count and the routing
-// policy. Zero Pipeline defaults to 1 cycle and zero VCs to one channel;
-// Topo and Policy are required.
+// per-router pipeline depth and the routing policy. Zero Pipeline defaults
+// to 1 cycle; Topo and Policy are required.
 type Config struct {
 	Topo     Topology
 	Pipeline int64
-	VCs      int
 	Policy   Policy
 
 	// Clone, when set, becomes the mesh's CloneFn (payload deep-copy for
@@ -196,18 +191,11 @@ type Config struct {
 	Clone func(payload interface{}) interface{}
 }
 
-// maxSlots is the most input FIFOs (ports x VCs) one router may have: one
-// bit each in the occupied-slot mask.
-const maxSlots = 64
-
 // Validate normalizes defaults in place and reports structural errors
 // Build would panic on.
 func (c *Config) Validate() error {
 	if c.Pipeline == 0 {
 		c.Pipeline = 1
-	}
-	if c.VCs == 0 {
-		c.VCs = 1
 	}
 	switch {
 	case c.Topo == nil:
@@ -216,10 +204,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: topology %s has %d nodes, degree %d", c.Topo.Spec(), c.Topo.Nodes(), c.Topo.Degree())
 	case c.Pipeline < 1:
 		return fmt.Errorf("network: pipeline depth %d < 1", c.Pipeline)
-	case c.VCs < 1:
-		return fmt.Errorf("network: VC count %d < 1", c.VCs)
-	case (c.Topo.Degree()+2)*c.VCs > maxSlots:
-		return fmt.Errorf("network: %d ports x %d VCs is more than %d input FIFOs per router", c.Topo.Degree()+2, c.VCs, maxSlots)
 	case c.Policy == nil:
 		return fmt.Errorf("network: Config.Policy is required")
 	}
@@ -242,7 +226,6 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m := &Mesh{
 		Topo:     cfg.Topo,
 		Pipeline: cfg.Pipeline,
-		VCCount:  cfg.VCs,
 		Policy:   cfg.Policy,
 		CloneFn:  cfg.Clone,
 		kernel:   k,
@@ -250,7 +233,7 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	}
 	m.numIn = m.deg + 2  // inter-router + local + gen
 	m.numOut = m.deg + 1 // inter-router + local
-	m.fifos = make([]fifoQueue, nodes*m.numIn*cfg.VCs)
+	m.fifos = make([]fifoQueue, nodes*m.numIn)
 	m.busyTill = make([]int64, nodes*m.numOut)
 	m.queued = make([]int32, nodes)
 	m.occ = make([]uint64, nodes)
@@ -294,9 +277,9 @@ func (m *Mesh) outSlotOf(d Dir) int {
 	return -1
 }
 
-// fifoAt returns the FIFO of (node, port slot, vc) in the flat array.
-func (m *Mesh) fifoAt(node, port, vc int) *fifoQueue {
-	return &m.fifos[(node*m.numIn+port)*m.VCCount+vc]
+// fifoAt returns the FIFO of (node, port slot) in the flat array.
+func (m *Mesh) fifoAt(node, port int) *fifoQueue {
+	return &m.fifos[node*m.numIn+port]
 }
 
 // stage is the tick phase's staging state. Routers append to it as they
@@ -313,7 +296,6 @@ type stage struct {
 type xferRec struct {
 	to   int // receiving router id
 	port int // input port slot at the receiver
-	vc   int
 	e    fifoEntry
 }
 
@@ -339,7 +321,7 @@ func (m *Mesh) flush() {
 	st := &m.stage
 	for i := range st.xfers {
 		x := &st.xfers[i]
-		m.enqueueAt(x.to, x.port, x.vc, x.e)
+		m.enqueueAt(x.to, x.port, x.e)
 		st.xfers[i] = xferRec{}
 	}
 	st.xfers = st.xfers[:0]
@@ -401,14 +383,14 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 	}
 }
 
-// enqueueAt appends e to node's [port][vc] FIFO and wakes the router by
-// the cycle the entry clears the pipeline: it now has work. Until then
-// the router's ticks would pass the entry by, so a parked router stays
-// parked on the kernel's timing wheel until e.readyAt (see Quiescent),
-// unless it may not park holding packets.
-func (m *Mesh) enqueueAt(node, port, vc int, e fifoEntry) {
-	m.fifoAt(node, port, vc).push(e)
-	m.occ[node] |= 1 << (port*m.VCCount + vc)
+// enqueueAt appends e to node's port FIFO and wakes the router by the
+// cycle the entry clears the pipeline: it now has work. Until then the
+// router's ticks would pass the entry by, so a parked router stays parked
+// on the kernel's timing wheel until e.readyAt (see Quiescent), unless it
+// may not park holding packets.
+func (m *Mesh) enqueueAt(node, port int, e fifoEntry) {
+	m.fifoAt(node, port).push(e)
+	m.occ[node] |= 1 << port
 	m.queued[node]++
 	if m.mayParkQueued() {
 		m.kernel.WakeBy(e.readyAt, m.tids[node])
@@ -423,9 +405,9 @@ func (m *Mesh) enqueueAt(node, port, vc int, e fifoEntry) {
 // router holding packets must tick every cycle.
 func (m *Mesh) mayParkQueued() bool { return m.Faults == nil && m.Metrics == nil }
 
-// popAt removes the head of node's FIFO at slot (port*VCCount+vc), the one
-// pop every Tick path goes through: it keeps queued and the occupied-slot
-// mask in step with the FIFOs.
+// popAt removes the head of node's FIFO at port slot, the one pop every
+// Tick path goes through: it keeps queued and the occupied-slot mask in
+// step with the FIFOs.
 func (m *Mesh) popAt(node int, fifos []fifoQueue, slot int) fifoEntry {
 	e := fifos[slot].pop()
 	if fifos[slot].n == 0 {
@@ -468,15 +450,13 @@ func (m *Mesh) Inject(node int, p *Packet, now int64) {
 		p.Checksum = ChecksumOf(p)
 	}
 	m.InFlight++
-	m.enqueueAt(node, m.localSlot(), int(p.Class)%m.VCCount,
-		fifoEntry{pkt: p, readyAt: now + m.Pipeline + m.Routers[node].ExtraHopDelay})
+	m.enqueueAt(node, m.localSlot(), fifoEntry{pkt: p, readyAt: now + m.Pipeline})
 }
 
 // spawn places a protocol-generated packet into node's generation port.
 // Expedited packets are ready immediately (their routing work happened in
 // the pipeline pass that spawned them); others pay the router pipeline.
 func (m *Mesh) spawn(node int, p *Packet, now int64) {
-	r := m.Routers[node]
 	p.ArrivalDir = Local
 	if p.InjectedAt == 0 {
 		p.InjectedAt = now
@@ -488,11 +468,11 @@ func (m *Mesh) spawn(node int, p *Packet, now int64) {
 		p.Checksum = ChecksumOf(p)
 	}
 	m.InFlight++
-	delay := m.Pipeline + r.ExtraHopDelay
+	delay := m.Pipeline
 	if p.Expedited {
 		delay = 0
 	}
-	m.enqueueAt(node, m.genSlot(), int(p.Class)%m.VCCount, fifoEntry{pkt: p, readyAt: now + delay})
+	m.enqueueAt(node, m.genSlot(), fifoEntry{pkt: p, readyAt: now + delay})
 }
 
 // Spawn is the exported form of spawn for protocol engines that generate
@@ -505,9 +485,9 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // are staged for the end of the cycle.
 //
 // Each occupied input FIFO is visited once per cycle. Phase 1 walks the
-// router's occupied-slot mask in slot order (port-major, VC-minor) and, as
-// it routes or passes each head, records per output the slots whose routed
-// heads wait on it and the one among them routed first. Phase 2 grants
+// router's occupied-slot mask in port order and, as it routes or passes
+// each head, records per output the slots whose routed heads wait on it
+// and the one among them routed first. Phase 2 grants
 // straight from that record. The record cannot go stale: only Phase 1
 // routes, it routes only heads, a routed head leaves its FIFO only through
 // its own pop, and the entry behind a popped head is never routed. Spawns
@@ -518,13 +498,12 @@ func (r *Router) Tick(now int64) {
 	node := r.NodeID
 	stg := &m.stage
 	nm := m.Metrics
-	nSlots := m.numIn * m.VCCount
-	fifos := m.fifos[node*nSlots : (node+1)*nSlots]
+	fifos := m.fifos[node*m.numIn : (node+1)*m.numIn]
 	busy := m.busyTill[node*m.numOut : (node+1)*m.numOut]
 	if nm != nil {
-		// Integrate input-FIFO occupancy (packet-cycles) per port/VC;
+		// Integrate input-FIFO occupancy (packet-cycles) per port;
 		// empty FIFOs add nothing.
-		base := nm.InIdx(node, 0, 0)
+		base := nm.InIdx(node, 0)
 		for occ := m.occ[node]; occ != 0; occ &= occ - 1 {
 			slot := bits.TrailingZeros64(occ)
 			nm.QueueSum[base+slot] += int64(fifos[slot].n)
@@ -645,8 +624,7 @@ func (r *Router) Tick(now int64) {
 		if waiting[out] == 0 {
 			continue
 		}
-		granted := oldest[out]
-		e := m.popAt(node, fifos, granted)
+		e := m.popAt(node, fifos, oldest[out])
 		p := e.pkt
 		p.routed = false
 		if inj := m.Faults; inj != nil && out != local &&
@@ -706,8 +684,7 @@ func (r *Router) Tick(now int64) {
 		stg.xfers = append(stg.xfers, xferRec{
 			to:   nb,
 			port: int(p.ArrivalDir),
-			vc:   granted % m.VCCount,
-			e:    fifoEntry{pkt: p, readyAt: now + 1 + m.Pipeline + m.Routers[nb].ExtraHopDelay},
+			e:    fifoEntry{pkt: p, readyAt: now + 1 + m.Pipeline},
 		})
 	}
 }

@@ -30,13 +30,13 @@ func TestDirString(t *testing.T) {
 
 // testMesh is the test shorthand for the old positional constructor: an
 // open W-by-H mesh under the destination policy (or any policy).
-func testMesh(k *sim.Kernel, w, h int, pipeline int64, vcs int, policy Policy) *Mesh {
-	return Build(k, Config{Topo: Mesh2D{W: w, H: h}, Pipeline: pipeline, VCs: vcs, Policy: policy})
+func testMesh(k *sim.Kernel, w, h int, pipeline int64, policy Policy) *Mesh {
+	return Build(k, Config{Topo: Mesh2D{W: w, H: h}, Pipeline: pipeline, Policy: policy})
 }
 
 // testNoC sizes NoC instrumentation for m.
 func testNoC(m *Mesh) *metrics.NoC {
-	return metrics.NewNoC(m.Nodes(), m.InPorts(), m.OutPorts(), m.VCCount)
+	return metrics.NewNoC(m.Nodes(), m.InPorts(), m.OutPorts())
 }
 
 func TestXYToResolvesXFirst(t *testing.T) {
@@ -129,7 +129,7 @@ func TestXYRoutingConvergesProperty(t *testing.T) {
 func deliverySetup(t *testing.T, w, h int, pipeline int64) (*sim.Kernel, *Mesh, map[uint64]int64) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	m := testMesh(k, w, h, pipeline, 1, DestPolicy{})
+	m := testMesh(k, w, h, pipeline, DestPolicy{})
 	delivered := make(map[uint64]int64)
 	m.EjectFn = func(node int, p *Packet, now int64) {
 		if node != p.Dst {
@@ -266,7 +266,7 @@ func (c *consumePolicy) Route(r *Router, p *Packet, now int64) Steer {
 func TestConsumeAndSpawn(t *testing.T) {
 	k := sim.NewKernel(1)
 	pol := &consumePolicy{at: 5}
-	m := testMesh(k, 4, 4, 2, 1, pol)
+	m := testMesh(k, 4, 4, 2, pol)
 	got := 0
 	m.EjectFn = func(node int, p *Packet, now int64) {
 		if node != 0 {
@@ -307,7 +307,7 @@ func (s *stallPolicy) Route(r *Router, p *Packet, now int64) Steer {
 func TestStallHoldsPacketAndRecalls(t *testing.T) {
 	k := sim.NewKernel(1)
 	pol := &stallPolicy{at: 1, stalls: 10}
-	m := testMesh(k, 4, 1, 2, 1, pol)
+	m := testMesh(k, 4, 1, 2, pol)
 	var deliveredAt int64
 	m.EjectFn = func(node int, p *Packet, now int64) { deliveredAt = now }
 	m.Inject(0, &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 3, Flits: 1}, k.Now())
@@ -327,7 +327,7 @@ func TestStallHoldsPacketAndRecalls(t *testing.T) {
 func TestStallBlocksFIFOBehind(t *testing.T) {
 	k := sim.NewKernel(1)
 	pol := &stallPolicy{at: 1, stalls: 20}
-	m := testMesh(k, 4, 1, 2, 1, pol)
+	m := testMesh(k, 4, 1, 2, pol)
 	order := []uint64{}
 	m.EjectFn = func(node int, p *Packet, now int64) { order = append(order, p.ID) }
 	p1 := &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 3, Flits: 1}
@@ -348,19 +348,19 @@ func TestStallBlocksFIFOBehind(t *testing.T) {
 	}
 }
 
+// TestExtraHopDelay: a deep pipeline is paid at every router visit.
+// Figure 10's above-network tree adds its extra per-hop delay this way,
+// folding every tree-cache lookup's second router pass into the depth.
 func TestExtraHopDelay(t *testing.T) {
-	const pipeline = 2
+	const pipeline = 6
 	k, m, delivered := deliverySetup(t, 4, 1, pipeline)
-	for _, r := range m.Routers {
-		r.ExtraHopDelay = 4
-	}
 	p := &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 3, Flits: 1}
 	m.Inject(0, p, k.Now())
 	if !k.RunUntil(func() bool { return len(delivered) == 1 }, 1000) {
 		t.Fatal("not delivered")
 	}
-	// Base: P + 3*(1+P) + 1 = 12. Extra 4 per router visit (4 visits).
-	want := int64(12 + 4*4)
+	// P + 3*(1+P) + 1 with P = 6: four router visits at 6 cycles each.
+	want := int64(28)
 	if delivered[p.ID] != want {
 		t.Fatalf("delivered at %d, want %d", delivered[p.ID], want)
 	}
@@ -369,7 +369,7 @@ func TestExtraHopDelay(t *testing.T) {
 func TestRoundRobinFairness(t *testing.T) {
 	// Two input ports feed one output continuously; neither may starve.
 	k := sim.NewKernel(1)
-	m := testMesh(k, 3, 1, 1, 1, DestPolicy{})
+	m := testMesh(k, 3, 1, 1, DestPolicy{})
 	perSrc := map[int]int{}
 	m.EjectFn = func(node int, p *Packet, now int64) { perSrc[p.Src]++ }
 	// Nodes 0 and 2 both flood node 1.
@@ -391,7 +391,7 @@ func TestMeshPanicsOnBadShape(t *testing.T) {
 			t.Fatal("Build with zero-width mesh did not panic")
 		}
 	}()
-	testMesh(sim.NewKernel(1), 0, 4, 5, 1, DestPolicy{})
+	testMesh(sim.NewKernel(1), 0, 4, 5, DestPolicy{})
 }
 
 func TestBuildDefaultsAndValidation(t *testing.T) {
@@ -399,8 +399,8 @@ func TestBuildDefaultsAndValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("minimal config invalid: %v", err)
 	}
-	if cfg.Pipeline != 1 || cfg.VCs != 1 {
-		t.Fatalf("defaults not applied: pipeline=%d vcs=%d", cfg.Pipeline, cfg.VCs)
+	if cfg.Pipeline != 1 {
+		t.Fatalf("default pipeline not applied: %d", cfg.Pipeline)
 	}
 	if err := (&Config{Policy: DestPolicy{}}).Validate(); err == nil {
 		t.Fatal("nil Topo accepted")
@@ -410,25 +410,5 @@ func TestBuildDefaultsAndValidation(t *testing.T) {
 	}
 	if err := (&Config{Topo: Mesh2D{W: 2, H: 2}, Policy: DestPolicy{}, Pipeline: -1}).Validate(); err == nil {
 		t.Fatal("negative pipeline accepted")
-	}
-}
-
-// TestValidateSlotLimit pins the per-router input-FIFO cap: ports x VCs
-// must fit the 64-bit occupied-slot mask.
-func TestValidateSlotLimit(t *testing.T) {
-	for _, tc := range []struct {
-		topo Topology
-		vcs  int
-		ok   bool
-	}{
-		{Mesh2D{W: 4, H: 4}, 10, true},  // 6 ports x 10 = 60 slots
-		{Mesh2D{W: 4, H: 4}, 11, false}, // 66 slots
-		{Ring{N: 8}, 16, true},          // 4 ports x 16 = 64 slots
-		{Ring{N: 8}, 17, false},         // 68 slots
-	} {
-		err := (&Config{Topo: tc.topo, VCs: tc.vcs, Policy: DestPolicy{}}).Validate()
-		if (err == nil) != tc.ok {
-			t.Errorf("%s with %d VCs: err = %v, want ok=%v", tc.topo.Spec(), tc.vcs, err, tc.ok)
-		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package network implements the on-chip interconnect: a fabric of wormhole
-// routers with configurable pipeline depth, per-port virtual channel FIFOs,
+// routers with configurable pipeline depth, per-port input FIFOs,
 // age-based output arbitration and deterministic minimal routing, following
 // the canonical router organization the paper assumes (Section 2.3,
 // Figure 4). The fabric's shape lives behind the Topology interface: the
@@ -78,22 +78,12 @@ func (d Dir) Opposite() Dir {
 	return DirNone
 }
 
-// VC is a virtual-channel class. The mesh is built with a configurable
-// number of classes; the coherence protocols in this repository use a single
-// class for all message types because the in-network protocol depends on
-// same-path FIFO ordering between replies and the teardowns that chase them
-// (Section 2.4's "the teardown message will simply propagate out the new
-// link as if it had been a part of the tree from the start" relies on a
-// teardown never overtaking the reply that built the link).
-type VC uint8
-
 // Packet is one network packet. Payload carries the protocol message and is
 // opaque to the network layer.
 type Packet struct {
 	ID      uint64
 	Src     int // injecting node
 	Dst     int // destination node for destination-routed packets
-	Class   VC
 	Flits   int
 	Payload interface{}
 
@@ -163,7 +153,7 @@ type Packet struct {
 func (p *Packet) SerialWait() int64 { return p.serialWait }
 
 // ChecksumOf computes p's header integrity word: a splitmix64 mix over the
-// header fields (ID, Src, Dst, Class, Flits). The payload is excluded
+// header fields (ID, Src, Dst, Flits). The payload is excluded
 // deliberately — it is a protocol message the engines mutate hop by hop —
 // so the word is stable from injection to ejection unless a fault flips
 // it. The one legitimate in-flight mutation is a multicast fork or
@@ -171,8 +161,7 @@ func (p *Packet) SerialWait() int64 { return p.serialWait }
 // the router's own verification has already accepted the packet.
 func ChecksumOf(p *Packet) uint64 {
 	x := p.ID*0x9E3779B97F4A7C15 ^
-		uint64(p.Src)<<1 ^ uint64(p.Dst)<<17 ^
-		uint64(p.Class)<<33 ^ uint64(p.Flits)<<41
+		uint64(p.Src)<<1 ^ uint64(p.Dst)<<17 ^ uint64(p.Flits)<<41
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

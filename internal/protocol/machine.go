@@ -206,7 +206,7 @@ func (m *Machine) AttachEngine(e Engine, mesh *network.Mesh) {
 	m.Mesh = mesh
 	mesh.EjectFn = e.Eject
 	if c := m.Metrics; c != nil {
-		c.NoC = metrics.NewNoC(mesh.Nodes(), mesh.InPorts(), mesh.OutPorts(), mesh.VCCount)
+		c.NoC = metrics.NewNoC(mesh.Nodes(), mesh.InPorts(), mesh.OutPorts())
 		mesh.Metrics = c.NoC
 		mesh.DeliverFn = m.observeDelivery
 	}
@@ -410,11 +410,11 @@ func (m *Machine) observeDelivery(p *network.Packet, consumed bool, now int64) {
 		return
 	}
 	// Contention-free minimum for the path actually taken: each of the
-	// hops+1 routers costs pipeline (+ extra hop delay) cycles plus one
-	// cycle on the following link or the ejection hand-off. Expedited
-	// continuations skip their spawning router's pipeline; in-network
-	// consumption skips the ejection cycle.
-	per := m.Mesh.Pipeline + m.Mesh.Routers[0].ExtraHopDelay + 1
+	// hops+1 routers costs pipeline cycles plus one cycle on the following
+	// link or the ejection hand-off. Expedited continuations skip their
+	// spawning router's pipeline; in-network consumption skips the
+	// ejection cycle.
+	per := m.Mesh.Pipeline + 1
 	trav := int64(p.Hops+1) * per
 	if p.Expedited {
 		trav -= per - 1

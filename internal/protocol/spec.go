@@ -5,6 +5,7 @@ import (
 
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
+	"innetcc/internal/network"
 	"innetcc/internal/trace"
 )
 
@@ -182,11 +183,26 @@ func (s Spec) Validate() error {
 			MaxDirectoryNodes, s.Config.Nodes())
 	}
 	if s.Faults != nil {
-		if err := s.Faults.Spec.Validate(); err != nil {
+		fs := s.Faults.Spec
+		if err := fs.Validate(); err != nil {
 			return err
+		}
+		if fs.LinkTargeted && !hasLink(s.Config.Topology.Build(), fs.LinkRouter, fs.LinkPort) {
+			return fmt.Errorf("protocol: fault target link=%d:%d is not a link of %s",
+				fs.LinkRouter, fs.LinkPort, s.Config.Topology)
 		}
 	}
 	return nil
+}
+
+// hasLink reports whether port leaves router over a link of t: an entry of
+// t.Links(), the namespace a fault plan's link target names.
+func hasLink(t network.Topology, router, port int) bool {
+	if router >= t.Nodes() || port >= t.Degree() {
+		return false
+	}
+	_, ok := t.Neighbor(router, network.Dir(port))
+	return ok
 }
 
 // Build constructs a machine (and, unless spec.Engine is KindNone, its

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	_ "innetcc/internal/directory"
+	"innetcc/internal/fault"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 	"innetcc/internal/trace"
@@ -41,6 +42,38 @@ func TestDirectoryEngineNodeLimit(t *testing.T) {
 	}
 	if _, err := protocol.Build(meshSpec(t, 9, 9, protocol.KindTree, 1)); err != nil {
 		t.Fatalf("tree on 9x9: %v", err)
+	}
+}
+
+// TestFaultLinkTargetMustExist: a fault plan's link=router:port names an
+// entry of the job's Topology.Links, so a target the fabric does not have
+// is refused up front instead of injecting nothing.
+func TestFaultLinkTargetMustExist(t *testing.T) {
+	for _, tc := range []struct {
+		topo, link string
+		ok         bool
+	}{
+		{"mesh:4x4", "99:7", false}, // no such router or port
+		{"mesh:4x4", "0:3", false},  // node 0 has no West neighbour
+		{"mesh:4x4", "0:2", true},
+		{"torus:4x4", "0:3", true}, // the wrap link
+	} {
+		spec := meshSpec(t, 4, 4, protocol.KindTree, 1)
+		topo, err := network.ParseTopoSpec(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Config.Topology = topo
+		fs, err := fault.ParseSpec("drop=1000000,timeout=2000,link=" + tc.link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := fs.Plan(1)
+		spec.Faults = &plan
+		err = spec.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s link=%s: err = %v, want ok=%v", tc.topo, tc.link, err, tc.ok)
+		}
 	}
 }
 

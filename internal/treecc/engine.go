@@ -84,7 +84,10 @@ func New(m *protocol.Machine) *Engine {
 	}
 	pipeline := cfg.BasePipeline + cfg.TreePipeline
 	if cfg.AboveNetworkTree {
-		pipeline = cfg.BasePipeline
+		// The tree cache sits at the network interface: every hop's
+		// lookup ejects the packet, pays the cache access (DirLatency)
+		// and re-enters for a second router pass.
+		pipeline = 2*cfg.BasePipeline + cfg.DirLatency
 	}
 	e.topo = cfg.Topology.Build()
 	e.deg = e.topo.Degree()
@@ -94,11 +97,6 @@ func New(m *protocol.Machine) *Engine {
 		Policy:   e,
 		Clone:    protocol.CloneMsg,
 	})
-	if cfg.AboveNetworkTree {
-		for _, r := range mesh.Routers {
-			r.ExtraHopDelay = cfg.BasePipeline + cfg.DirLatency
-		}
-	}
 	m.AttachEngine(e, mesh)
 	return e
 }

@@ -49,8 +49,8 @@ func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, twea
 //
 // Besides the default 4x4 mesh, the configurations whose router park
 // delays sit nearest the timing wheel's edges run too: Figure 10's
-// above-network tree (ExtraHopDelay = BasePipeline + DirLatency, so a
-// router parks for up to 13 cycles, near the wheel's 15-cycle reach),
+// above-network tree (pipeline 2*BasePipeline + DirLatency, so a router
+// parks for up to 13 cycles, near the wheel's 15-cycle reach),
 // Figure 11's one-cycle pipeline (1 to 3 cycles, the shortest parks), and
 // the torus with multicast forks and the ring.
 func TestActiveSetKernelByteIdentical(t *testing.T) {

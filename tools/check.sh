@@ -166,10 +166,12 @@ wait "$SERVE_PID" "$FRESH_PID"
 go test -run '^$' -bench 'ServeSweep' -benchtime 1x ./internal/serve
 
 # Kernel benchmark smoke: the active-set kernel against its always-tick
-# control on the 64-node low-injection mesh, recorded as BENCH_kernel.json
-# so regressions in the idle-skip machinery show up in review diffs. One
+# control on the 64-node low-injection mesh, written to the gitignored
+# .bench_build/BENCH_kernel.json in the committed record's format. One
 # iteration by default (a smoke, not a measurement); set KERNEL_BENCHTIME
-# (e.g. 5x) to refresh the committed numbers.
+# (e.g. 5x) and copy the file over BENCH_kernel.json to refresh the
+# committed numbers.
+mkdir -p .bench_build
 : "${KERNEL_BENCHTIME:=1x}"
 go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
     awk -v host_cpus="$(nproc)" '
@@ -190,14 +192,15 @@ go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
             printf "  \"sim_cycles\": %s,\n", cycles["BenchmarkKernelIdleMesh"]
             printf "  \"speedup\": %.2f\n", t / a
             printf "}\n"
-        }' > BENCH_kernel.json
-cat BENCH_kernel.json
+        }' > .bench_build/BENCH_kernel.json
+cat .bench_build/BENCH_kernel.json
 
-# Topology benchmark smoke: hardware-multicast invalidation traffic against
-# its unicast control on the 8x8 torus, recorded as BENCH_topology.json so
-# regressions in the fabric's packet forking show up in review diffs. One
-# iteration by default (the packet counts are deterministic per run); set
-# TOPOLOGY_BENCHTIME (e.g. 5x) to refresh the committed timings too.
+# Topology benchmark gate: hardware-multicast invalidation traffic against
+# its unicast control on the 8x8 torus, written to the gitignored
+# .bench_build/BENCH_topology.json. The packet counts are deterministic, so
+# the stage fails unless both equal the committed BENCH_topology.json: a
+# change in the fabric's packet forking must re-record them deliberately.
+# One iteration by default; TOPOLOGY_BENCHTIME (e.g. 5x) sets more.
 : "${TOPOLOGY_BENCHTIME:=1x}"
 go test -run '^$' -bench 'TopologyMulticast' -benchtime "$TOPOLOGY_BENCHTIME" . |
     awk '
@@ -214,5 +217,12 @@ go test -run '^$' -bench 'TopologyMulticast' -benchtime "$TOPOLOGY_BENCHTIME" . 
             printf "  \"multicast_inv_packets\": %s,\n", pk["Multicast"]
             printf "  \"packet_reduction\": %.2f\n", 1 - pk["Multicast"] / pk["Unicast"]
             printf "}\n"
-        }' > BENCH_topology.json
-cat BENCH_topology.json
+        }' > .bench_build/BENCH_topology.json
+cat .bench_build/BENCH_topology.json
+for key in unicast_inv_packets multicast_inv_packets; do
+    if [ "$(grep "\"$key\"" .bench_build/BENCH_topology.json)" != \
+        "$(grep "\"$key\"" BENCH_topology.json)" ]; then
+        echo "topology benchmark: $key differs from BENCH_topology.json" >&2
+        exit 1
+    fi
+done
