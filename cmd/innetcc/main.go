@@ -43,6 +43,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -226,13 +227,41 @@ func printList(w io.Writer) {
 	}
 }
 
+// rowsFailed is the error an experiment returns after printing a table in
+// which that many rows failed. run prints every table regardless, and
+// reports the failures once at the end, so the command exits non-zero
+// without losing the rows that were measured.
+type rowsFailed int
+
+func (n rowsFailed) Error() string { return fmt.Sprintf("%d table row(s) FAILED", int(n)) }
+
+// checkRows returns rowsFailed when any of rows carries an error.
+func checkRows[T any](rows []T, errOf func(T) string) error {
+	n := 0
+	for _, r := range rows {
+		if errOf(r) != "" {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return rowsFailed(n)
+}
+
+func pairErr(r experiments.PairResult) string { return r.Err }
+
 func run(w io.Writer, exp string, opt experiments.Options, metricsOut string, flightDump bool) error {
 	var export []experiments.MetricsEntry
+	failed := 0
 	runOne := func(e experiment) error {
 		if opt.Metrics {
 			opt.MetricsLog = &experiments.MetricsLog{} // fresh per experiment
 		}
-		if err := e.run(w, opt); err != nil {
+		var rf rowsFailed
+		if err := e.run(w, opt); errors.As(err, &rf) {
+			failed += int(rf)
+		} else if err != nil {
 			return err
 		}
 		if opt.MetricsLog != nil {
@@ -265,6 +294,9 @@ func run(w io.Writer, exp string, opt experiments.Options, metricsOut string, fl
 		}
 		fmt.Fprintf(w, "metrics: wrote %d job payload(s) to %s\n", len(export), metricsOut)
 	}
+	if failed > 0 {
+		return rowsFailed(failed)
+	}
 	return nil
 }
 
@@ -294,7 +326,7 @@ func runHopCount(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintHopStudy(w, rs)
-	return nil
+	return checkRows(rs, func(r experiments.HopResult) string { return r.Err })
 }
 
 func runFigure5(w io.Writer, opt experiments.Options) error {
@@ -304,7 +336,7 @@ func runFigure5(w io.Writer, opt experiments.Options) error {
 	}
 	experiments.PrintPairs(w, "Figure 5 — latency reduction, 16 nodes (Table 2 config)", rs,
 		"(paper avg: reads -27.1%, writes -41.2%)")
-	return nil
+	return checkRows(rs, pairErr)
 }
 
 func runTable3(w io.Writer, _ experiments.Options) error {
@@ -318,7 +350,7 @@ func runFigure6(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintSweep(w, "Figure 6 — tree cache size sweep (normalized to 512K entries, victim caching off)", pts, "entries")
-	return nil
+	return checkRows(pts, sweepErr)
 }
 
 func runFigure7(w io.Writer, opt experiments.Options) error {
@@ -327,8 +359,10 @@ func runFigure7(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintSweep(w, "Figure 7 — tree cache associativity sweep (normalized to 8-way, victim caching off)", pts, "ways")
-	return nil
+	return checkRows(pts, sweepErr)
 }
+
+func sweepErr(p experiments.SweepPoint) string { return p.Err }
 
 func runFigure8(w io.Writer, opt experiments.Options) error {
 	pts, err := experiments.Figure8(opt)
@@ -336,7 +370,7 @@ func runFigure8(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintFigure8(w, pts)
-	return nil
+	return checkRows(pts, func(p experiments.Figure8Point) string { return p.Err })
 }
 
 func runFigure9(w io.Writer, opt experiments.Options) error {
@@ -346,7 +380,7 @@ func runFigure9(w io.Writer, opt experiments.Options) error {
 	}
 	experiments.PrintPairs(w, "Figure 9 — latency reduction, 64 nodes (8x8 mesh)", rs,
 		"(paper avg: reads -35%, writes -48%)")
-	return nil
+	return checkRows(rs, pairErr)
 }
 
 func runTable4(w io.Writer, opt experiments.Options) error {
@@ -355,7 +389,7 @@ func runTable4(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintTable4(w, rows)
-	return nil
+	return checkRows(rows, func(r experiments.Table4Row) string { return r.Err })
 }
 
 func runFigure10(w io.Writer, opt experiments.Options) error {
@@ -365,7 +399,7 @@ func runFigure10(w io.Writer, opt experiments.Options) error {
 	}
 	experiments.PrintPairs(w, "Figure 10 — in-network vs above-network tree implementation", rs,
 		"(paper avg: reads -31%, writes -49.1%)")
-	return nil
+	return checkRows(rs, pairErr)
 }
 
 func runFigure11(w io.Writer, opt experiments.Options) error {
@@ -374,7 +408,7 @@ func runFigure11(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintFigure11(w, pts)
-	return nil
+	return checkRows(pts, func(p experiments.Figure11Point) string { return p.Err })
 }
 
 func runAblations(w io.Writer, opt experiments.Options) error {
@@ -383,7 +417,7 @@ func runAblations(w io.Writer, opt experiments.Options) error {
 		return err
 	}
 	experiments.PrintAblations(w, rows)
-	return nil
+	return checkRows(rows, func(r experiments.AblationResult) string { return r.Err })
 }
 
 func runStorage(w io.Writer, _ experiments.Options) error {

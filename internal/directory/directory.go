@@ -61,6 +61,11 @@ type Engine struct {
 	// counts of every coherence access at issue time (the Section 1
 	// hop-count study).
 	HopRecorder func(write bool, baseHops, idealHops int)
+
+	// Kernel callbacks bound once in New: each runs a handler on (node,
+	// message), so the per-message NIC dispatches and memory fetches
+	// schedule without building a closure.
+	onReq, onFwd, onInv, onRdReply, onWrReply, onVictimRead, onMemRead func(int, any)
 }
 
 func init() {
@@ -79,6 +84,13 @@ func New(m *protocol.Machine) *Engine {
 		e.pendingInval = append(e.pendingInval, make(map[uint64]bool))
 	}
 	e.parked = make([][]*protocol.Msg, cfg.Nodes())
+	e.onReq = protocol.MsgCall(e.handleReq)
+	e.onFwd = protocol.MsgCall(e.handleFwd)
+	e.onInv = protocol.MsgCall(e.handleInv)
+	e.onRdReply = protocol.MsgCall(e.handleRdReply)
+	e.onWrReply = protocol.MsgCall(e.handleWrReply)
+	e.onVictimRead = protocol.MsgCall(e.victimRead)
+	e.onMemRead = protocol.MsgCall(e.memRead)
 	mesh := network.Build(m.Kernel, network.Config{
 		Topo:     cfg.Topology.Build(),
 		Pipeline: cfg.BasePipeline,
@@ -118,11 +130,11 @@ func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	cfg := e.m.Cfg
 	switch msg.Type {
 	case protocol.RdReq, protocol.WrReq:
-		e.m.NICSchedule(node, cfg.DirLatency, func() { e.handleReq(node, msg) })
+		e.m.NICCall(node, cfg.DirLatency, e.onReq, msg)
 	case protocol.Fwd:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.handleFwd(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onFwd, msg)
 	case protocol.Inv:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.handleInv(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onInv, msg)
 	case protocol.InvAck:
 		e.handleInvAck(node, msg)
 	case protocol.FwdDone:
@@ -132,9 +144,9 @@ func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	case protocol.WbNotice:
 		e.handleWbNotice(node, msg)
 	case protocol.RdReply:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.handleRdReply(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onRdReply, msg)
 	case protocol.WrReply:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.handleWrReply(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onWrReply, msg)
 	default:
 		panic("directory: unexpected message " + msg.Type.String())
 	}
@@ -238,32 +250,39 @@ func (e *Engine) serveFromHomeOrMemory(home int, msg *protocol.Msg, ep *dirEntry
 	if cfg.VictimCaching {
 		if _, present := e.m.PeekLine(home, msg.Addr); present {
 			e.m.Counters.Inc(stats.DirVictimHits, 1)
-			e.m.Kernel.Schedule(cfg.L2Latency, func() {
-				now := e.m.Kernel.Now()
-				line, ok := e.m.InvalidateLine(home, msg.Addr, now)
-				if ok {
-					e.m.Check.SampleRead(msg.Addr, line.Version, e.m.Mem.Peek(msg.Addr), msg.Requester, now)
-					e.finishRead(home, msg, line.Version)
-					return
-				}
-				// The victim vanished between peek and access
-				// (concurrent eviction); fall back to memory.
-				e.serveFromMemory(home, msg)
-			})
+			e.m.Kernel.ScheduleCall(cfg.L2Latency, e.onVictimRead, home, msg)
 			return
 		}
 	}
 	e.serveFromMemory(home, msg)
 }
 
+// victimRead reads the home's victim copy, one L2 access after the peek
+// that found it.
+func (e *Engine) victimRead(home int, msg *protocol.Msg) {
+	now := e.m.Kernel.Now()
+	line, ok := e.m.InvalidateLine(home, msg.Addr, now)
+	if ok {
+		e.m.Check.SampleRead(msg.Addr, line.Version, e.m.Mem.Peek(msg.Addr), msg.Requester, now)
+		e.finishRead(home, msg, line.Version)
+		return
+	}
+	// The victim vanished between peek and access (concurrent
+	// eviction); fall back to memory.
+	e.serveFromMemory(home, msg)
+}
+
 func (e *Engine) serveFromMemory(home int, msg *protocol.Msg) {
 	e.m.Counters.Inc(stats.DirMemReads, 1)
-	e.m.Kernel.Schedule(e.m.Cfg.MemLatency, func() {
-		now := e.m.Kernel.Now()
-		v := e.m.Mem.Read(msg.Addr)
-		e.m.Check.SampleRead(msg.Addr, v, v, msg.Requester, now)
-		e.finishRead(home, msg, v)
-	})
+	e.m.Kernel.ScheduleCall(e.m.Cfg.MemLatency, e.onMemRead, home, msg)
+}
+
+// memRead completes a memory fetch for msg at home.
+func (e *Engine) memRead(home int, msg *protocol.Msg) {
+	now := e.m.Kernel.Now()
+	v := e.m.Mem.Read(msg.Addr)
+	e.m.Check.SampleRead(msg.Addr, v, v, msg.Requester, now)
+	e.finishRead(home, msg, v)
 }
 
 // finishRead completes home-side read handling: record the requester as a
@@ -497,17 +516,15 @@ func (e *Engine) removeEntry(home int, addr uint64, ep *dirEntry) {
 	ep.queue = nil
 	e.dirs[home].Invalidate(addr)
 	for _, w := range waiters {
-		w := w
 		e.queued--
-		e.m.Kernel.Schedule(1, func() { e.handleReq(home, w) })
+		e.m.Kernel.ScheduleCall(1, e.onReq, home, w)
 	}
 	if len(e.parked[home]) > 0 {
 		parked := e.parked[home]
 		e.parked[home] = nil
 		for _, pmsg := range parked {
-			pmsg := pmsg
 			e.queued--
-			e.m.Kernel.Schedule(1, func() { e.handleReq(home, pmsg) })
+			e.m.Kernel.ScheduleCall(1, e.onReq, home, pmsg)
 		}
 	}
 }
@@ -520,9 +537,8 @@ func (e *Engine) drainQueue(home int, addr uint64, ep *dirEntry) {
 	waiters := ep.queue
 	ep.queue = nil
 	for _, w := range waiters {
-		w := w
 		e.queued--
-		e.m.Kernel.Schedule(1, func() { e.handleReq(home, w) })
+		e.m.Kernel.ScheduleCall(1, e.onReq, home, w)
 	}
 }
 

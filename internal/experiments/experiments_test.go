@@ -334,3 +334,39 @@ func TestFigure5CorruptPlanCompletesAtDefaultScope(t *testing.T) {
 		}
 	}
 }
+
+// When every simulation fails, the avg row has nothing to average: it must
+// carry an error and print as a failed row, not as a measured row of
+// zeros. A fault plan naming a link the fabric does not have fails every
+// job at build time.
+func TestAllRowsFailedAverageIsFailed(t *testing.T) {
+	opt := Options{AccessesPerNode: 20, AccessesPerNode64: 20, Seed: 42, Jobs: 2,
+		Faults: "drop=1000000,link=99:7,timeout=2000"}
+	rs, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if r.Err == "" {
+			t.Errorf("%s: row measured under a plan no job can build: %+v", r.Bench, r)
+		}
+	}
+	if avg := rs[len(rs)-1]; avg.Bench != "avg" || avg.Err != noneMeasured {
+		t.Fatalf("avg row = %+v, want Err %q", avg, noneMeasured)
+	}
+	var b strings.Builder
+	PrintPairs(&b, "t", rs, "")
+	if out := b.String(); !strings.Contains(out, "avg    FAILED: "+noneMeasured) || strings.Contains(out, "0.0%") {
+		t.Errorf("avg row printed as measured:\n%s", out)
+	}
+	b.Reset()
+	PrintTable4(&b, []Table4Row{{Bench: "fft", Err: "boom"}})
+	if !strings.Contains(b.String(), "avg    FAILED: "+noneMeasured) {
+		t.Errorf("table4 avg row printed as measured:\n%s", b.String())
+	}
+	b.Reset()
+	PrintHopStudy(&b, []HopResult{{Bench: "fft", Err: "boom"}})
+	if !strings.Contains(b.String(), "avg    FAILED: "+noneMeasured) {
+		t.Errorf("hop-study avg row printed as measured:\n%s", b.String())
+	}
+}

@@ -28,8 +28,11 @@ func PrintHopStudy(w io.Writer, rs []HopResult) {
 		wr += h.WritePct
 		n++
 	}
-	if n > 0 {
+	switch {
+	case n > 0:
 		fmt.Fprintf(w, "%-6s %9.1f%% %9.1f%%   (paper avg: 19.7%% / 17.3%%)\n", "avg", r/n, wr/n)
+	case len(rs) > 0:
+		failRow(w, "avg", noneMeasured)
 	}
 }
 
@@ -120,8 +123,11 @@ func PrintTable4(w io.Writer, rows []Table4Row) {
 		wr += t.WritePct
 		n++
 	}
-	if n > 0 {
+	switch {
+	case n > 0:
 		fmt.Fprintf(w, "%-6s %9.2f%% %9.2f%%   (paper avg: 0.21%% / 0.20%%)\n", "avg", r/n, wr/n)
+	case len(rows) > 0:
+		failRow(w, "avg", noneMeasured)
 	}
 }
 

@@ -230,8 +230,13 @@ func pairFrom(bench string, base, tree exec.Result) PairResult {
 	}
 }
 
+// noneMeasured is the error of a summary row with no measured row to
+// summarize.
+const noneMeasured = "no row measured"
+
 // averagePair folds a slice of pair results into an "avg" row over the
-// rows that succeeded.
+// rows that succeeded. With none succeeded the avg row is itself failed,
+// so it never prints zeros as if they were measured.
 func averagePair(rs []PairResult) PairResult {
 	var a PairResult
 	a.Bench = "avg"
@@ -246,11 +251,13 @@ func averagePair(rs []PairResult) PairResult {
 		a.TreeWrite += r.TreeWrite
 		n++
 	}
-	if n > 0 {
-		a.BaseRead /= n
-		a.BaseWrite /= n
-		a.TreeRead /= n
-		a.TreeWrite /= n
+	if n == 0 {
+		a.Err = noneMeasured
+		return a
 	}
+	a.BaseRead /= n
+	a.BaseWrite /= n
+	a.TreeRead /= n
+	a.TreeWrite /= n
 	return a
 }

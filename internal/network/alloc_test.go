@@ -38,6 +38,44 @@ func TestRouterTickZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestEjectReinjectZeroAllocsSteadyState extends the steady-state guard
+// to the delivery path: packets eject at their destination, and EjectFn
+// answers each with a fresh pool packet back to the sender, so every step
+// may route, grant the local port, run a deferred ejection on the event
+// heap and recycle a packet. Once the free-lists hold a packet per node,
+// a step allocates nothing: the ejection rides a kernel callback with the
+// packet as its operand, not a closure per packet.
+func TestEjectReinjectZeroAllocsSteadyState(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := testMesh(k, 2, 2, 2, DestPolicy{})
+	ejected := 0
+	m.EjectFn = func(node int, p *Packet, now int64) {
+		ejected++
+		q := m.AllocPacketFor(node)
+		q.ID = m.NextIDFor(node)
+		q.Src, q.Dst, q.Flits = node, p.Src, p.Flits
+		m.Inject(node, q, now)
+	}
+	for i := 0; i < 32; i++ {
+		p := m.AllocPacketFor(i % 4)
+		p.ID = m.NextIDFor(i % 4)
+		p.Src, p.Dst, p.Flits = i%4, 3-i%4, 1
+		m.Inject(i%4, p, k.Now())
+	}
+	k.Run(300) // warm the rings, the free-lists and the event heap
+	before := ejected
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() { k.Step() })
+	// AllocsPerRun rounds down, so an allocation per ejection shows only
+	// if there is at least one ejection per step.
+	if per := float64(ejected-before) / (runs + 1); per < 1 {
+		t.Fatalf("%.2f ejections per step while measuring, want >= 1", per)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state step with ejections allocated %.2f per run, want 0", allocs)
+	}
+}
+
 // TestIdleRouterTickZeroAllocs pins the idle cost: a router with drained
 // FIFOs allocates nothing when ticked (and under the active-set kernel it
 // is not ticked at all).

@@ -18,10 +18,10 @@ func (s *spawnOnSight) Route(r *Router, p *Packet, now int64) Steer {
 	st := Steer{Out: r.Topo().NextHop(r.NodeID, p.Dst)}
 	if r.NodeID == s.at && !s.spawned && p.Payload == "lead" {
 		s.spawned = true
-		st.Spawn = []*Packet{{
+		r.mesh.Spawn(r.NodeID, &Packet{
 			ID: r.mesh.NextIDFor(r.NodeID), Src: s.at, Dst: p.Dst, Flits: 1,
 			Payload: "chaser", Expedited: s.expedited,
-		}}
+		}, now)
 	}
 	return st
 }

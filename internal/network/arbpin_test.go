@@ -34,7 +34,7 @@ func (arbPinPolicy) Route(r *Router, p *Packet, now int64) Steer {
 		f.Src, f.Dst, f.Flits = p.Src, p.Dst, 1
 		f.Payload = "follower"
 		f.Expedited = true
-		st.Spawn = []*Packet{f}
+		r.mesh.Spawn(r.NodeID, f, now)
 	}
 	return st
 }

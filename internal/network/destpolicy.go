@@ -9,22 +9,22 @@ package network
 type DestPolicy struct{}
 
 // Route implements Policy.
-func (DestPolicy) Route(r *Router, p *Packet, _ int64) Steer {
+func (DestPolicy) Route(r *Router, p *Packet, now int64) Steer {
 	if p.DstSet != nil {
-		return routeMulticast(r, p)
+		return routeMulticast(r, p, now)
 	}
 	return Steer{Out: r.mesh.Topo.NextHop(r.NodeID, p.Dst)}
 }
 
 // routeMulticast steers a multicast packet one hop: partition the
 // destination set by next-hop port, keep one subset on this packet and
-// fork a clone per additional subset. The local-member subset (this router
+// fork and spawn a clone per additional subset. The local-member subset (this router
 // is a destination) always stays on the original packet so ejection
 // recycles it here; otherwise the lowest-numbered port keeps the original.
 // Clones enter the generation queue expedited — a hardware multicast
 // router replicates the flit at the crossbar, paying no second pipeline
 // traversal. A subset of one collapses to a plain unicast packet.
-func routeMulticast(r *Router, p *Packet) Steer {
+func routeMulticast(r *Router, p *Packet, now int64) Steer {
 	m := r.mesh
 	var groups [MaxDegree + 1]NodeSet
 	local := m.deg
@@ -48,12 +48,11 @@ func routeMulticast(r *Router, p *Packet) Steer {
 		p.DstSet = nil
 		return Steer{Out: m.Topo.NextHop(r.NodeID, p.Dst)}
 	}
-	var spawns []*Packet
 	for s := 0; s <= local; s++ {
 		if s == primary || groups[s] == nil {
 			continue
 		}
-		spawns = append(spawns, m.cloneForSet(r, p, groups[s]))
+		m.spawn(r.NodeID, m.cloneForSet(r, p, groups[s]), now)
 	}
 	retarget(p, groups[primary])
 	if m.Faults != nil {
@@ -61,7 +60,7 @@ func routeMulticast(r *Router, p *Packet) Steer {
 		// restamping here keeps the next router's check honest.
 		p.Checksum = ChecksumOf(p)
 	}
-	return Steer{Out: m.slotDir(primary), Spawn: spawns}
+	return Steer{Out: m.slotDir(primary)}
 }
 
 // cloneForSet builds the fork copy of p that carries subset set. The clone

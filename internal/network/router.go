@@ -130,6 +130,10 @@ type Mesh struct {
 	// applies (see flush).
 	stage stage
 
+	// ejectCall is m.eject bound once at Build, the kernel callback each
+	// ejection is deferred to.
+	ejectCall func(int, any)
+
 	// EjectFn is invoked (one cycle after the grant) when a packet
 	// leaves through a router's local ejection port. It must be set
 	// before traffic flows.
@@ -172,6 +176,13 @@ type Mesh struct {
 	// as a NACK source: a dropped request chain triggers an immediate
 	// backoff-and-reissue instead of waiting out the reply timeout.
 	DropFn func(p *Packet, reason fault.DropReason, now int64)
+
+	// RecycleFn, when non-nil, is invoked for every pool packet the mesh
+	// recycles, just before it clears the packet's Payload: after EjectFn,
+	// DeliverFn and DropFn have seen the packet. A protocol engine that
+	// pools its payloads takes them back here; such a payload must not
+	// outlive its packet.
+	RecycleFn func(p *Packet)
 
 	// TotalHops and DeliveredPackets accumulate across the run.
 	TotalHops        int64
@@ -231,6 +242,7 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 		kernel:   k,
 		deg:      cfg.Topo.Degree(),
 	}
+	m.ejectCall = m.eject
 	m.numIn = m.deg + 2  // inter-router + local + gen
 	m.numOut = m.deg + 1 // inter-router + local
 	m.fifos = make([]fifoQueue, nodes*m.numIn)
@@ -374,9 +386,13 @@ func (m *Mesh) AllocPacketFor(node int) *Packet {
 }
 
 // recycleAt returns a dead pool packet to the free-list of the router it
-// died at. Literal-built packets pass through untouched.
+// died at, handing it to RecycleFn first. Literal-built packets pass
+// through untouched.
 func (m *Mesh) recycleAt(node int, p *Packet) {
 	if p.pooled {
+		if m.RecycleFn != nil {
+			m.RecycleFn(p)
+		}
 		p.Payload = nil
 		p.DstSet = nil
 		m.freePkts[node] = append(m.freePkts[node], p)
@@ -456,6 +472,8 @@ func (m *Mesh) Inject(node int, p *Packet, now int64) {
 // spawn places a protocol-generated packet into node's generation port.
 // Expedited packets are ready immediately (their routing work happened in
 // the pipeline pass that spawned them); others pay the router pipeline.
+// The packet must be fully built: with faults armed, its checksum is
+// stamped here.
 func (m *Mesh) spawn(node int, p *Packet, now int64) {
 	p.ArrivalDir = Local
 	if p.InjectedAt == 0 {
@@ -475,8 +493,11 @@ func (m *Mesh) spawn(node int, p *Packet, now int64) {
 	m.enqueueAt(node, m.genSlot(), fifoEntry{pkt: p, readyAt: now + delay})
 }
 
-// Spawn is the exported form of spawn for protocol engines that generate
-// packets outside a Route call (e.g. releasing a queued request).
+// Spawn places a protocol-generated packet into node's generation port,
+// where it arbitrates for outputs like any other traffic. Engines call it
+// from Route as they build each packet (teardowns, replies, forks) and
+// from event-phase work (e.g. releasing a queued request); a spawn during
+// Route at the same router is routed in the same cycle (see Tick).
 func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 
 // Tick advances one router by one cycle: consult the policy for newly ready
@@ -490,9 +511,15 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // and the one among them routed first. Phase 2 grants
 // straight from that record. The record cannot go stale: only Phase 1
 // routes, it routes only heads, a routed head leaves its FIFO only through
-// its own pop, and the entry behind a popped head is never routed. Spawns
-// only append at the generation port's tail, so the mask is re-read after
-// every slot and a spawn into a slot not yet visited is routed this cycle.
+// its own pop, and the entry behind a popped head is never routed.
+//
+// The policy spawns packets into this router's generation FIFO from inside
+// Route (Mesh.Spawn). Two facts keep that safe, and both must stay true: a
+// spawn only appends at the generation FIFO's tail, never disturbing a
+// head, and Tick holds no FIFO-entry pointer across Route (a spawn may grow
+// the ring and move its entries), only the packet. The mask is re-read
+// after every slot, so a spawn into a slot not yet visited is routed this
+// cycle.
 func (r *Router) Tick(now int64) {
 	m := r.mesh
 	node := r.NodeID
@@ -557,9 +584,6 @@ func (r *Router) Tick(now int64) {
 			continue
 		}
 		st := m.Policy.Route(r, p, now)
-		for _, sp := range st.Spawn {
-			m.spawn(node, sp, now)
-		}
 		switch {
 		case st.Consume:
 			m.popAt(node, fifos, slot)
@@ -652,16 +676,7 @@ func (r *Router) Tick(now int64) {
 		if out == local {
 			// Ejection is protocol work (EjectFn reaches into controller
 			// state); it lands on the event heap one cycle out.
-			m.kernel.Defer(1, func() {
-				m.InFlight--
-				m.DeliveredPackets++
-				m.TotalHops += int64(p.Hops)
-				if m.DeliverFn != nil {
-					m.DeliverFn(p, false, m.kernelNow())
-				}
-				m.EjectFn(node, p, m.kernelNow())
-				m.recycleAt(node, p)
-			})
+			m.kernel.DeferCall(1, m.ejectCall, node, p)
 			continue
 		}
 		nb, ok := m.Topo.Neighbor(node, Dir(out))
@@ -689,7 +704,21 @@ func (r *Router) Tick(now int64) {
 	}
 }
 
-func (m *Mesh) kernelNow() int64 { return m.kernel.Now() }
+// eject is the deferred half of an ejection grant: the packet leaves the
+// network through node's local port. It reads EjectFn when it runs, so a
+// handler swapped in after Build (a timing wrapper) sees every ejection.
+func (m *Mesh) eject(node int, arg any) {
+	p := arg.(*Packet)
+	now := m.kernel.Now()
+	m.InFlight--
+	m.DeliveredPackets++
+	m.TotalHops += int64(p.Hops)
+	if m.DeliverFn != nil {
+		m.DeliverFn(p, false, now)
+	}
+	m.EjectFn(node, p, now)
+	m.recycleAt(node, p)
+}
 
 // QueuedPackets returns the number of packets waiting in this router's
 // FIFOs, for drain checks and tests.

@@ -243,7 +243,7 @@ func TestAllPairsDelivery(t *testing.T) {
 }
 
 // consumePolicy consumes everything at a chosen node and forwards otherwise,
-// exercising Steer.Consume and Steer.Spawn.
+// exercising Steer.Consume and a spawn from Route.
 type consumePolicy struct {
 	at       int
 	consumed int
@@ -255,7 +255,7 @@ func (c *consumePolicy) Route(r *Router, p *Packet, now int64) Steer {
 		st := Steer{Consume: true}
 		if !c.spawned {
 			c.spawned = true
-			st.Spawn = []*Packet{{ID: r.mesh.NextIDFor(r.NodeID), Src: c.at, Dst: p.Src, Flits: 1}}
+			r.mesh.Spawn(r.NodeID, &Packet{ID: r.mesh.NextIDFor(r.NodeID), Src: c.at, Dst: p.Src, Flits: 1}, now)
 		}
 		c.consumed++
 		return st

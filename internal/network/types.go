@@ -18,8 +18,8 @@
 // Protocol logic is injected via the Policy interface, the package's
 // rendering of the paper's central idea: the in-network protocol supplies a
 // Policy whose routing decision consults the router's virtual tree cache and
-// may consume packets, spawn new ones (teardowns, replies) or stall a packet
-// in place; the baseline protocol supplies a plain X-Y destination-routing
+// may consume packets, spawn new ones (teardowns, replies; via Mesh.Spawn)
+// or stall a packet in place; the baseline protocol supplies a plain X-Y destination-routing
 // Policy.
 package network
 
@@ -134,7 +134,7 @@ type Packet struct {
 	outSlot  int
 	routeSeq uint64
 	// pooled marks packets allocated from the mesh free-list
-	// (Mesh.AllocPacket): the mesh recycles them when they leave the
+	// (Mesh.AllocPacketFor): the mesh recycles them when they leave the
 	// network. Packets built as plain literals (tests, external drivers)
 	// have it false and are never recycled, so references a test harness
 	// retains past delivery stay valid.
@@ -193,16 +193,16 @@ type Steer struct {
 	// are blocked (head-of-line), which is what the paper's timeout
 	// mechanism exists to bound.
 	Stall bool
-	// Spawn lists packets the protocol generates at this router (e.g.
-	// teardowns). They enter the router's generation queue and arbitrate
-	// for outputs like any other traffic.
-	Spawn []*Packet
 }
 
 // Policy decides, for each packet reaching the end of a router's pipeline,
 // where it goes next. Implementations hold all protocol state (tree caches,
 // home-node queues). Route is called when the packet first becomes ready
-// and, if it stalls, once per cycle thereafter.
+// and, if it stalls, once per cycle thereafter. Packets the protocol
+// generates at this router (teardowns, replies, multicast forks) are
+// spawned from Route with Mesh.Spawn as each is built; they enter the
+// router's generation FIFO and arbitrate for outputs like any other
+// traffic.
 type Policy interface {
 	Route(r *Router, p *Packet, now int64) Steer
 }

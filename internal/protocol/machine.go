@@ -435,13 +435,34 @@ func (m *Machine) observeDelivery(p *network.Packet, consumed bool, now int64) {
 // routers — Section 3.1 — and so never pass through here; only its true
 // data-cache and memory work does.)
 func (m *Machine) NICSchedule(node int, service int64, fn func()) {
+	m.Kernel.Defer(m.nicDelay(node, service), fn)
+}
+
+// NICCall is NICSchedule for a kernel callback: call(node, arg) runs after
+// the service occupancy. Engines dispatch ejected messages through it with
+// handlers bound once at construction, so a dispatch allocates nothing.
+func (m *Machine) NICCall(node int, service int64, call func(int, any), arg any) {
+	m.Kernel.DeferCall(m.nicDelay(node, service), call, node, arg)
+}
+
+// MsgCall adapts a (node, message) handler to a kernel callback taking
+// the message as its operand. Engines bind their handlers through it once,
+// at construction.
+func MsgCall(h func(int, *Msg)) func(int, any) {
+	return func(node int, arg any) { h(node, arg.(*Msg)) }
+}
+
+// nicDelay occupies node's network interface for service cycles after any
+// work already queued there and returns the delay until that occupancy
+// ends.
+func (m *Machine) nicDelay(node int, service int64) int64 {
 	now := m.Kernel.Now()
 	start := now
 	if m.nicBusy[node] > start {
 		start = m.nicBusy[node]
 	}
 	m.nicBusy[node] = start + service
-	m.Kernel.Defer(start+service-now, fn)
+	return start + service - now
 }
 
 // OutstandingAddr returns the address and kind of node's in-flight access,

@@ -78,11 +78,12 @@ func (r *RNG) State() uint64 { return r.state }
 // still holds work that cannot complete before its wake (the Parker
 // contract), so a ticker that parked only when it held no work would be
 // active in its place; folding the two alike keeps the digest independent
-// of wheel parking. Event callbacks are closures and cannot be
+// of wheel parking. Event callbacks are functions and cannot be
 // serialized, so the timeline is represented by each event's observable
 // coordinates — fire cycle, schedule order, and whether it is a callback or
 // a wake timer (with its target) — which, under deterministic replay,
-// identify the closure population exactly. The heap's internal element
+// identify the callback population exactly. A callback folds the same
+// whether it was scheduled as a closure or as a typed call with operands. The heap's internal element
 // order is an implementation detail, so events are folded in (at, seq)
 // order.
 func (k *Kernel) DigestState(d *Digest) {
@@ -101,11 +102,11 @@ func (k *Kernel) DigestState(d *Digest) {
 	for _, e := range evs {
 		d.I64(e.at)
 		d.U64(e.seq)
-		if e.fn != nil {
+		if e.call != nil {
 			d.Bool(true)
 		} else {
 			d.Bool(false)
-			d.Int(int(e.wake))
+			d.Int(e.n)
 		}
 	}
 }

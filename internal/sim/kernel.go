@@ -105,14 +105,24 @@ type Parker interface {
 // WakeAt take it. IDs are dense indexes in registration order.
 type TickerID int
 
-// event is a delayed callback (fn != nil) or a parked-ticker wake timer
-// managed by the kernel's event heap.
+// event is a delayed callback or a parked-ticker wake timer on the
+// kernel's event heap. A callback runs call(n, arg); a wake timer has
+// call == nil and n holding the ticker's id. Carrying the callback's
+// operands beside a static function (or a method value bound once) is what
+// keeps scheduling allocation-free: a closure capturing them would be a
+// heap object per event. Schedule's closures ride in arg, behind the
+// runFunc thunk.
 type event struct {
 	at   int64
 	seq  uint64
-	fn   func()
-	wake TickerID // valid when fn == nil
+	call func(int, any)
+	n    int
+	arg  any
 }
+
+// runFunc is the thunk Schedule and Defer store their func() behind. A
+// func value is pointer-shaped, so boxing it in arg does not allocate.
+func runFunc(_ int, arg any) { arg.(func())() }
 
 // before reports heap ordering: by fire cycle, then schedule order. seq is
 // unique, so (at, seq) is a total order and the pop sequence is independent
@@ -183,10 +193,13 @@ type tickerSlot struct {
 	counted bool   // included in ShardStats (see CountTicks)
 }
 
-// deferredCall is one entry of the end-of-cycle Defer queue.
+// deferredCall is one entry of the end-of-cycle Defer queue: a callback
+// with its operands, as on an event.
 type deferredCall struct {
 	delay int64
-	fn    func()
+	call  func(int, any)
+	n     int
+	arg   any
 }
 
 // Kernel is the cycle-driven simulation engine. The zero value is not ready
@@ -196,7 +209,7 @@ type Kernel struct {
 	seq        uint64
 	slots      []tickerSlot
 	events     eventHeap
-	pending    int // scheduled callbacks (fn events) not yet fired
+	pending    int // scheduled callbacks (call events) not yet fired
 	rng        *RNG
 	alwaysTick bool
 
@@ -348,15 +361,15 @@ func (k *Kernel) wheelPending(id TickerID) bool {
 
 // WakeAt arranges for the ticker to be woken at the start of the cycle
 // delay cycles from now (clamped to the next cycle, like Schedule) and
-// returns the effective wake cycle. Unlike Schedule it allocates no
-// closure, and the timer does not count as a pending event: a wake timer
-// carries no work of its own, so drain checks (Pending) ignore it.
+// returns the effective wake cycle. The timer does not count as a pending
+// event: a wake timer carries no work of its own, so drain checks
+// (Pending) ignore it.
 func (k *Kernel) WakeAt(delay int64, id TickerID) int64 {
 	if delay < 1 {
 		delay = 1
 	}
 	k.seq++
-	k.events.push(event{at: k.now + delay, seq: k.seq, wake: id})
+	k.events.push(event{at: k.now + delay, seq: k.seq, n: int(id)})
 	return k.now + delay
 }
 
@@ -381,11 +394,21 @@ func (k *Kernel) SetAlwaysTick(on bool) {
 // comment's next-cycle guarantee); the returned cycle makes the clamp
 // observable to callers instead of silent.
 func (k *Kernel) Schedule(delay int64, fn func()) int64 {
+	return k.ScheduleCall(delay, runFunc, 0, fn)
+}
+
+// ScheduleCall is Schedule for a callback that takes its operands: call(n,
+// arg) runs at the start of the cycle delay cycles from now. call should
+// be a static function or a method value bound once, not a closure built
+// per call, so that scheduling allocates nothing; a pointer arg does not
+// allocate either. It is the kernel's one scheduling path: Schedule is
+// ScheduleCall with fn in arg behind a thunk.
+func (k *Kernel) ScheduleCall(delay int64, call func(int, any), n int, arg any) int64 {
 	if delay < 1 {
 		delay = 1
 	}
 	k.seq++
-	k.events.push(event{at: k.now + delay, seq: k.seq, fn: fn})
+	k.events.push(event{at: k.now + delay, seq: k.seq, call: call, n: n, arg: arg})
 	k.pending++
 	return k.now + delay
 }
@@ -395,11 +418,17 @@ func (k *Kernel) Schedule(delay int64, fn func()) int64 {
 // call is queued for the end-of-cycle stage: there, a delay >= 1 goes to
 // Schedule and a delay <= 0 runs fn directly, still in this cycle.
 func (k *Kernel) Defer(delay int64, fn func()) {
+	k.DeferCall(delay, runFunc, 0, fn)
+}
+
+// DeferCall is Defer for a callback that takes its operands, as
+// ScheduleCall is to Schedule.
+func (k *Kernel) DeferCall(delay int64, call func(int, any), n int, arg any) {
 	if !k.inTick {
-		k.Schedule(delay, fn)
+		k.ScheduleCall(delay, call, n, arg)
 		return
 	}
-	k.deferred = append(k.deferred, deferredCall{delay: delay, fn: fn})
+	k.deferred = append(k.deferred, deferredCall{delay: delay, call: call, n: n, arg: arg})
 }
 
 // OnCycleEnd registers a hook run at the end of every cycle, after the
@@ -421,12 +450,12 @@ func (k *Kernel) Step() {
 	k.fireWheel()
 	for len(k.events) > 0 && k.events[0].at <= k.now {
 		e := k.events.pop()
-		if e.fn != nil {
+		if e.call != nil {
 			k.pending--
 			k.fired++
-			e.fn()
+			e.call(e.n, e.arg)
 		} else {
-			k.Wake(e.wake)
+			k.Wake(TickerID(e.n))
 		}
 	}
 	k.inTick = true
@@ -437,11 +466,11 @@ func (k *Kernel) Step() {
 	}
 	for i, d := range k.deferred {
 		if d.delay <= 0 {
-			d.fn()
+			d.call(d.n, d.arg)
 		} else {
-			k.Schedule(d.delay, d.fn)
+			k.ScheduleCall(d.delay, d.call, d.n, d.arg)
 		}
-		k.deferred[i] = deferredCall{} // drop the closure reference
+		k.deferred[i] = deferredCall{} // drop the callback's references
 	}
 	k.deferred = k.deferred[:0]
 	if k.watchW > 0 && k.now >= k.watchAt {

@@ -261,3 +261,55 @@ func TestCycleEndHooksRunBeforeDrainInOrder(t *testing.T) {
 		t.Errorf("cycle sequence %v, want %v", seq, want)
 	}
 }
+
+// TestDigestFoldsEventKindsAsBefore pins the digest of the pending
+// timeline across the event representation: a closure scheduled with
+// Schedule and a typed callback scheduled with ScheduleCall at the same
+// (at, seq) fold identically, and a wake timer there folds as a timer with
+// its target. The pinned sums are the ones closure events and wake timers
+// produced before callbacks carried their operands.
+func TestDigestFoldsEventKindsAsBefore(t *testing.T) {
+	digest := func(add func(k *Kernel, id TickerID)) uint64 {
+		k := NewKernel(7)
+		id := k.Register(&busyTicker{})
+		k.Run(3)
+		add(k, id)
+		d := NewDigest()
+		k.DigestState(d)
+		return d.Sum()
+	}
+	const callback, wake = 0x1b72831acd8ac4fb, 0xbf5639a1e7481cf4
+	if got := digest(func(k *Kernel, _ TickerID) { k.Schedule(5, func() {}) }); got != callback {
+		t.Errorf("closure event digest %#x, want %#x", got, uint64(callback))
+	}
+	typed := func(int, any) {}
+	if got := digest(func(k *Kernel, _ TickerID) { k.ScheduleCall(5, typed, 9, k) }); got != callback {
+		t.Errorf("typed callback digest %#x, want %#x", got, uint64(callback))
+	}
+	if got := digest(func(k *Kernel, id TickerID) { k.WakeAt(5, id) }); got != wake {
+		t.Errorf("wake timer digest %#x, want %#x", got, uint64(wake))
+	}
+}
+
+// TestScheduleCallPassesOperands checks that a typed callback runs with
+// its operands, on the same timeline as closures: Defer and DeferCall
+// queued in one tick take their sequence numbers in append order, after
+// the callback scheduled before the run, and a zero delay runs at the end
+// of the cycle.
+func TestScheduleCallPassesOperands(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	rec := func(n int, arg any) { got = append(got, fmt.Sprintf("%d:%v", n, arg)) }
+	k.Register(&funcTicker{fn: func(now int64) {
+		if now == 1 {
+			k.DeferCall(2, rec, 1, "a")
+			k.Defer(2, func() { got = append(got, "closure") })
+			k.DeferCall(0, rec, 2, "b")
+		}
+	}})
+	k.ScheduleCall(3, rec, 3, "c")
+	k.Run(5)
+	if want := []string{"2:b", "3:c", "1:a", "closure"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("callbacks ran %v, want %v", got, want)
+	}
+}

@@ -142,10 +142,13 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("trace: unknown benchmark %q", name)
 }
 
-// lineInfo is the generator's per-line metadata.
+// lineInfo is the generator's per-line metadata. The nodes that access
+// the line (one node = private) are arena[lo:hi] of the population's
+// shared group arena: one slice for every line's group instead of a slice
+// per line.
 type lineInfo struct {
 	addr     uint64
-	group    []int // nodes that access this line (len 1 = private)
+	lo, hi   int32
 	readOnly bool
 }
 
@@ -170,30 +173,33 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		groupSize *= 2
 		radius = 2
 	}
+	side := meshSide(nodes)
 	pop := make([]lineInfo, lines)
+	arena := make([]int32, 0, lines+int(float64(lines)*(1-p.PrivateFrac))*groupSize)
 	for i := range pop {
 		home := skewedHome(rng, nodes, p.HomeSkew)
 		addr := uint64(i)*uint64(nodes) + uint64(home)
 		anchor := rng.Intn(nodes)
-		group := []int{anchor}
+		lo := len(arena)
+		arena = append(arena, int32(anchor))
 		if rng.Float64() >= p.PrivateFrac {
 			g := 2 + rng.Intn(maxInt(1, 2*groupSize-3)) // mean ~= groupSize
-			for len(group) < g {
-				cand := clusterNeighbor(rng, nodes, anchor, radius)
+			for len(arena)-lo < g {
+				cand := int32(clusterNeighbor(rng, nodes, side, anchor, radius))
 				dup := false
-				for _, x := range group {
+				for _, x := range arena[lo:] {
 					if x == cand {
 						dup = true
 					}
 				}
 				if !dup {
-					group = append(group, cand)
+					arena = append(arena, cand)
 				} else if rng.Float64() < 0.3 {
 					break // small groups stay small
 				}
 			}
 		}
-		pop[i] = lineInfo{addr: addr, group: group, readOnly: rng.Float64() < p.ReadOnlyFrac}
+		pop[i] = lineInfo{addr: addr, lo: int32(lo), hi: int32(len(arena)), readOnly: rng.Float64() < p.ReadOnlyFrac}
 	}
 
 	tr := &Trace{Name: p.Name, PerNode: make([][]Access, nodes)}
@@ -222,19 +228,20 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 			win[slot] = rng.Intn(lines) // refresh slot
 		}
 		li := &pop[win[slot]]
+		group := arena[li.lo:li.hi]
 		if li.readOnly {
 			// Read-only episode: group members (or the owner) read;
 			// the tree persists until capacity-evicted.
 			readers := 1 + poissonish(rng, p.AvgReaders)
 			for k := 0; k < readers; k++ {
-				r := li.group[rng.Intn(len(li.group))]
+				r := int(group[rng.Intn(len(group))])
 				emit(r, li.addr, false)
 			}
 			continue
 		}
-		if len(li.group) == 1 {
+		if len(group) == 1 {
 			// Private line: a short run of accesses by its owner.
-			owner := li.group[0]
+			owner := int(group[0])
 			runLen := 1 + rng.Intn(3)
 			for k := 0; k < runLen; k++ {
 				emit(owner, li.addr, rng.Float64() < p.WriteFrac)
@@ -243,7 +250,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		}
 		// Shared line: migratory episode — one writer, then reads by
 		// other group members while the line is still cached.
-		writer := li.group[rng.Intn(len(li.group))]
+		writer := int(group[rng.Intn(len(group))])
 		doWrite := rng.Float64() < p.WriteFrac*(1.0+p.AvgReaders)
 		if doWrite {
 			emit(writer, li.addr, true)
@@ -252,7 +259,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		}
 		readers := poissonish(rng, p.AvgReaders)
 		for k := 0; k < readers; k++ {
-			r := li.group[rng.Intn(len(li.group))]
+			r := int(group[rng.Intn(len(group))])
 			emit(r, li.addr, false)
 			if rng.Float64() < p.RMW {
 				// Migratory read-modify-write: the reader takes
@@ -308,9 +315,9 @@ func skewedHome(rng *sim.RNG, nodes int, skew float64) int {
 }
 
 // clusterNeighbor picks a node within radius of anchor on the mesh
-// (assumed square), falling back to uniform for odd shapes.
-func clusterNeighbor(rng *sim.RNG, nodes, anchor, radius int) int {
-	w := meshSide(nodes)
+// (assumed square, w = meshSide(nodes) nodes a side), falling back to
+// uniform for odd shapes (w == 0).
+func clusterNeighbor(rng *sim.RNG, nodes, w, anchor, radius int) int {
 	if w == 0 {
 		return rng.Intn(nodes)
 	}

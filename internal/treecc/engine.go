@@ -53,6 +53,18 @@ type Engine struct {
 	// global counter.
 	genCounters []uint64
 
+	// hopFree is the free list of teardown and acknowledgment messages
+	// (see spawnHop). A hop message lives exactly as long as its pool
+	// packet: the next router's routeHop consumes it, and the mesh's
+	// recycle hook (recycleHop) returns it here when the packet dies.
+	// Nothing may keep a hop message past that point; nothing queues one.
+	hopFree []*protocol.Msg
+
+	// Kernel callbacks bound once in New: each runs a handler on (node,
+	// message), so the per-message NIC dispatches, memory fetches and
+	// home serves schedule without building a closure.
+	onServeRead, onGrantWrite, onFinishRead, onFinishWrite, onMemRead, onHomeServe func(int, any)
+
 	// Bugs is the seeded-defect mask (see Bug). Zero — the only value
 	// anything outside the litmus/mutation test harnesses ever uses —
 	// leaves the protocol unmodified.
@@ -82,6 +94,12 @@ func New(m *protocol.Machine) *Engine {
 		e.homeQueue[i] = make(map[uint64][]*protocol.Msg)
 		e.pending[i] = make(map[uint64][]*protocol.Msg)
 	}
+	e.onServeRead = protocol.MsgCall(e.serveRead)
+	e.onGrantWrite = protocol.MsgCall(e.grantWrite)
+	e.onFinishRead = protocol.MsgCall(e.finishRead)
+	e.onFinishWrite = protocol.MsgCall(e.finishWrite)
+	e.onMemRead = protocol.MsgCall(e.memRead)
+	e.onHomeServe = protocol.MsgCall(e.homeServe)
 	pipeline := cfg.BasePipeline + cfg.TreePipeline
 	if cfg.AboveNetworkTree {
 		// The tree cache sits at the network interface: every hop's
@@ -97,6 +115,7 @@ func New(m *protocol.Machine) *Engine {
 		Policy:   e,
 		Clone:    protocol.CloneMsg,
 	})
+	mesh.RecycleFn = e.recycleHop
 	m.AttachEngine(e, mesh)
 	return e
 }
@@ -163,13 +182,13 @@ func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	cfg := e.m.Cfg
 	switch msg.Type {
 	case protocol.RdReq:
-		e.m.NICSchedule(node, e.serviceTime(node, msg.Addr), func() { e.serveRead(node, msg) })
+		e.m.NICCall(node, e.serviceTime(node, msg.Addr), e.onServeRead, msg)
 	case protocol.WrReq:
-		e.m.NICSchedule(node, e.serviceTime(node, msg.Addr), func() { e.grantWrite(node, msg) })
+		e.m.NICCall(node, e.serviceTime(node, msg.Addr), e.onGrantWrite, msg)
 	case protocol.RdReply:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.finishRead(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onFinishRead, msg)
 	case protocol.WrReply:
-		e.m.NICSchedule(node, cfg.L2Latency, func() { e.finishWrite(node, msg) })
+		e.m.NICCall(node, cfg.L2Latency, e.onFinishWrite, msg)
 	default:
 		panic("treecc: unexpected ejected message " + msg.Type.String())
 	}
@@ -251,12 +270,15 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 		}
 	}
 	e.m.Counters.Inc(stats.TreeMemReads, 1)
-	e.m.Kernel.Schedule(e.m.Cfg.MemLatency, func() {
-		now := e.m.Kernel.Now()
-		v := e.m.Mem.Read(addr)
-		e.m.Check.SampleRead(addr, v, v, msg.Requester, now)
-		e.injectHomeReply(node, msg, protocol.RdReply, v)
-	})
+	e.m.Kernel.ScheduleCall(e.m.Cfg.MemLatency, e.onMemRead, node, msg)
+}
+
+// memRead completes a home serve from main memory.
+func (e *Engine) memRead(home int, msg *protocol.Msg) {
+	now := e.m.Kernel.Now()
+	v := e.m.Mem.Read(msg.Addr)
+	e.m.Check.SampleRead(msg.Addr, v, v, msg.Requester, now)
+	e.injectHomeReply(home, msg, protocol.RdReply, v)
 }
 
 // grantWrite runs at the home node for a write to a line with no tree:
@@ -324,7 +346,6 @@ func (e *Engine) releaseHeldAck(node int, addr uint64) {
 		return
 	}
 	line.OutstandingReq = false
-	now := e.m.Kernel.Now()
 	if line.LinkCount() == 0 {
 		// A held single-node tree (or all acks already arrived).
 		e.trees[node].Invalidate(addr)
@@ -333,9 +354,7 @@ func (e *Engine) releaseHeldAck(node int, addr uint64) {
 		}
 		return
 	}
-	for _, pkt := range e.collapse(node, addr, line) {
-		e.m.Mesh.Spawn(node, pkt, now)
-	}
+	e.collapse(node, addr, line)
 }
 
 // finishWrite completes a write at the requesting node: the write
@@ -379,9 +398,7 @@ func (e *Engine) OnL2Evict(node int, addr uint64, dl protocol.DataLine, now int6
 		return
 	}
 	e.rootData[addr] = dl.Version
-	for _, p := range e.processTeardown(node, addr, network.DirNone, false) {
-		e.m.Mesh.Spawn(node, p, now)
-	}
+	e.processTeardown(node, addr, network.DirNone, false)
 }
 
 // Quiesced implements protocol.Engine.
@@ -468,15 +485,18 @@ func (e *Engine) teardownComplete(addr uint64) {
 			e.m.Metrics.Event(now, metrics.EvHomeDrained, int16(home), addr, int64(w.Requester))
 		}
 	}
-	e.m.Kernel.Defer(1, func() {
-		if first.Type == protocol.WrReq {
-			e.grantWrite(home, first)
-		} else {
-			e.serveRead(home, first)
-		}
-	})
+	e.m.Kernel.DeferCall(1, e.onHomeServe, home, first)
 	for _, w := range waiters[1:] {
 		e.queued--
 		e.queueOnPending(addr, w)
+	}
+}
+
+// homeServe runs a request released from the home queue at its home.
+func (e *Engine) homeServe(home int, msg *protocol.Msg) {
+	if msg.Type == protocol.WrReq {
+		e.grantWrite(home, msg)
+	} else {
+		e.serveRead(home, msg)
 	}
 }

@@ -9,7 +9,9 @@ import (
 
 // Route implements network.Policy: the per-hop protocol kernel of the
 // paper's Table 1, executed by the virtual-tree-cache pipeline stage of
-// every router a packet visits.
+// every router a packet visits. Packets the kernel generates here are
+// spawned at r's router as they are built, in the order the kernel makes
+// them.
 func (e *Engine) Route(r *network.Router, p *network.Packet, now int64) network.Steer {
 	msg := p.Payload.(*protocol.Msg)
 	switch msg.Type {
@@ -27,7 +29,9 @@ func (e *Engine) Route(r *network.Router, p *network.Packet, now int64) network.
 
 // routeHop moves teardown/ack packets: freshly spawned ones exit on their
 // forced link (forking first when they carry a multicast port mask);
-// arriving ones are consumed and processed here.
+// arriving ones are consumed and processed here. A consumed hop message
+// goes back to the free list with its packet (recycleHop), after Route
+// returns; nothing here keeps it.
 func (e *Engine) routeHop(r *network.Router, p *network.Packet, msg *protocol.Msg) network.Steer {
 	if p.ArrivalDir == network.Local {
 		if msg.ForcedMask != 0 {
@@ -35,13 +39,12 @@ func (e *Engine) routeHop(r *network.Router, p *network.Packet, msg *protocol.Ms
 		}
 		return network.Steer{Out: network.Dir(msg.ForcedDir)}
 	}
-	var spawns []*network.Packet
 	if msg.Type == protocol.Teardown {
-		spawns = e.processTeardown(r.NodeID, msg.Addr, p.ArrivalDir, msg.ClearArrival)
+		e.processTeardown(r.NodeID, msg.Addr, p.ArrivalDir, msg.ClearArrival)
 	} else {
-		spawns = e.processAck(r.NodeID, msg.Addr, p.ArrivalDir, msg.Unlink)
+		e.processAck(r.NodeID, msg.Addr, p.ArrivalDir, msg.Unlink)
 	}
-	return network.Steer{Consume: true, Spawn: spawns}
+	return network.Steer{Consume: true}
 }
 
 // forkHop expands a masked multicast hop message at its spawning router:
@@ -53,7 +56,6 @@ func (e *Engine) forkHop(n int, msg *protocol.Msg) network.Steer {
 	mask := msg.ForcedMask
 	msg.ForcedMask = 0
 	primary := network.DirNone
-	var spawns []*network.Packet
 	for d := 0; d < e.deg; d++ {
 		if mask&(1<<uint(d)) == 0 {
 			continue
@@ -65,13 +67,13 @@ func (e *Engine) forkHop(n int, msg *protocol.Msg) network.Steer {
 		}
 		c := *msg
 		c.ForcedDir = uint8(d)
-		spawns = append(spawns, e.hopPacket(n, &c))
+		e.spawnHop(n, c)
 	}
 	if primary == network.DirNone {
 		// Degenerate empty mask after masking to the fabric degree.
 		return network.Steer{Consume: true}
 	}
-	return network.Steer{Out: primary, Spawn: spawns}
+	return network.Steer{Out: primary}
 }
 
 // consumeToBackoff delays a deadlock-recovered request at the home node for
@@ -200,16 +202,16 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 		if ok {
 			// A tree exists: tear it down and wait for completion
 			// before granting (the home arbitrates writes).
-			spawns := e.processTeardown(n, addr, network.DirNone, false)
+			e.processTeardown(n, addr, network.DirNone, false)
 			// processTeardown may have completed instantly
 			// (single-node tree); requeue accordingly.
 			if _, stillThere := e.trees[n].Peek(addr); stillThere {
 				e.queueAtHome(addr, msg)
-				return network.Steer{Consume: true, Spawn: spawns}
+				return network.Steer{Consume: true}
 			}
 			e.setPending(addr)
 			msg.HomeServe = true
-			return network.Steer{Out: network.Local, Spawn: spawns}
+			return network.Steer{Out: network.Local}
 		}
 		// No tree: grant above network (Requirement 3 invalidation of
 		// the home's victim copy happens there).
@@ -217,11 +219,10 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 		msg.HomeServe = true
 		return network.Steer{Out: network.Local}
 	}
-	var spawns []*network.Packet
 	if ok && !line.Touched {
 		// The write bumped into the line's tree: start invalidating
 		// in-transit (the paper's Figure 1(b) optimization).
-		spawns = e.processTeardown(n, addr, network.DirNone, false)
+		e.processTeardown(n, addr, network.DirNone, false)
 		e.m.Counters.Inc(stats.TreeWriteBumps, 1)
 		e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
 	} else if !ok && e.m.Cfg.ProactiveEviction && !e.trees[n].HasFreeWay(addr) {
@@ -230,12 +231,12 @@ func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protoc
 		if vaddr, _, found := e.trees[n].LRUVictim(addr, func(_ uint64, v *TreeLine) bool {
 			return !v.Touched
 		}); found {
-			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
+			e.processTeardown(n, vaddr, network.DirNone, false)
 			e.m.Counters.Inc(stats.TreeProactiveEvictions, 1)
 			e.m.Metrics.Event(now, metrics.EvProactiveEvict, int16(n), vaddr, int64(msg.Requester))
 		}
 	}
-	return network.Steer{Out: e.topo.NextHop(n, home), Spawn: spawns}
+	return network.Steer{Out: e.topo.NextHop(n, home)}
 }
 
 // routeReply implements Table 1's RD_REPLY / WR_REPLY kernels: route toward
@@ -277,11 +278,9 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 			// the previous node: recording the mirror bit here could
 			// close a cycle, so erase the sender's dangling bit
 			// instead (see teardown.go).
-			var spawns []*network.Packet
 			if msg.BuiltLast && p.ArrivalDir != network.Local && !line.Links[p.ArrivalDir] {
-				ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
-					ForcedDir: uint8(p.ArrivalDir), Unlink: true}
-				spawns = append(spawns, e.hopPacket(n, ul))
+				e.spawnHop(n, protocol.Msg{Type: protocol.TdAck, Addr: addr,
+					ForcedDir: uint8(p.ArrivalDir), Unlink: true})
 				e.m.Counters.Inc(stats.TreeReentries, 1)
 			}
 			if e.m.Cfg.Replication && !line.LocalValid && msg.Type == protocol.RdReply {
@@ -291,12 +290,12 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 			// link that leads one hop closer to the requester.
 			if d, found := e.closerLink(n, line, msg.Requester); found {
 				msg.BuiltLast = false
-				return network.Steer{Out: d, Spawn: spawns}
+				return network.Steer{Out: d}
 			}
 			// No closer link: extend the tree along X-Y routing.
 			line.Links[out] = true
 			msg.BuiltLast = true
-			return network.Steer{Out: out, Spawn: spawns}
+			return network.Steer{Out: out}
 		}
 		// A fresh-tree reply normally never meets a valid line for
 		// its address; a remnant (e.g. an orphaned branch) can
@@ -366,7 +365,8 @@ func (e *Engine) revertToRequest(n int, msg *protocol.Msg) network.Steer {
 	req := &protocol.Msg{Type: protocol.RdReq, Addr: msg.Addr,
 		Requester: msg.Requester, IssuedAt: msg.IssuedAt,
 		DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
-	return network.Steer{Consume: true, Spawn: []*network.Packet{e.packet(n, req)}}
+	e.m.Mesh.Spawn(n, e.packet(n, req), e.m.Kernel.Now())
+	return network.Steer{Consume: true}
 }
 
 // replyAtRequester anchors the tree at the requesting node and ejects the
@@ -415,18 +415,18 @@ func (e *Engine) replyAtRequester(r *network.Router, p *network.Packet, msg *pro
 		// A grafting reply reaching a requester that is already part
 		// of the tree adds no link: if the last hop followed a tree
 		// edge the link exists, and if it was freshly built, the
-		// sender's dangling bit is erased by an unlink ack.
-		var spawns []*network.Packet
+		// sender's dangling bit is erased by an unlink ack. (A grafting
+		// reply is never freshAtHome, so the unlink and the release of
+		// pending requests below never both spawn.)
 		if !msg.RequesterIsRoot && msg.BuiltLast && p.ArrivalDir != network.Local && !line.Links[p.ArrivalDir] {
-			ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
-				ForcedDir: uint8(p.ArrivalDir), Unlink: true}
-			spawns = append(spawns, e.hopPacket(n, ul))
+			e.spawnHop(n, protocol.Msg{Type: protocol.TdAck, Addr: addr,
+				ForcedDir: uint8(p.ArrivalDir), Unlink: true})
 			e.m.Counters.Inc(stats.TreeReentries, 1)
 		}
 		if freshAtHome {
 			e.releasePending(addr, n)
 		}
-		return network.Steer{Out: network.Local, Spawn: spawns}
+		return network.Steer{Out: network.Local}
 	}
 	if !ok {
 		if !msg.RequesterIsRoot && !msg.BuiltLast && p.ArrivalDir != network.Local {
@@ -464,17 +464,16 @@ func (e *Engine) stallReply(r *network.Router, p *network.Packet, msg *protocol.
 	if p.StallCycles(now) >= e.m.Cfg.TimeoutCycles {
 		return e.abortReply(r.NodeID, p, msg, now)
 	}
-	var spawns []*network.Packet
 	if p.StallCycles(now) == 0 && !tagTouched {
 		if vaddr, _, found := e.trees[n].LRUVictim(addr, func(_ uint64, v *TreeLine) bool {
 			return !v.Touched
 		}); found {
-			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
+			e.processTeardown(n, vaddr, network.DirNone, false)
 			e.m.Counters.Inc(stats.TreeConflictEvictions, 1)
 			e.m.Metrics.Event(now, metrics.EvConflictEvict, int16(n), vaddr, int64(msg.Requester))
 		}
 	}
-	return network.Steer{Stall: true, Spawn: spawns}
+	return network.Steer{Stall: true}
 }
 
 // abortReply is the timeout path: tear down the partial tree behind the
@@ -490,16 +489,14 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		// regenerated request (and any queued ones) can be served.
 		e.releasePending(msg.Addr, n)
 	}
-	var spawns []*network.Packet
 	if p.ArrivalDir != network.Local && msg.BuiltLast {
 		// The link the reply built at the previous node dangles toward
 		// this node; clear it and tear down the partial construction.
 		// If the last hop followed an existing tree link instead, a
 		// teardown of that tree is already collapsing and will reclaim
 		// every link the reply touched — spawning nothing is correct.
-		td := &protocol.Msg{Type: protocol.Teardown, Addr: msg.Addr,
-			ForcedDir: uint8(p.ArrivalDir), ClearArrival: true}
-		spawns = append(spawns, e.hopPacket(n, td))
+		e.spawnHop(n, protocol.Msg{Type: protocol.Teardown, Addr: msg.Addr,
+			ForcedDir: uint8(p.ArrivalDir), ClearArrival: true})
 	}
 	t := protocol.RdReq
 	if msg.Type == protocol.WrReply {
@@ -511,8 +508,8 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		Attempt:        msg.Attempt}
 	reqPkt := e.ctrlPacket(n, req)
 	reqPkt.Retryable = true
-	spawns = append(spawns, reqPkt)
-	return network.Steer{Consume: true, Spawn: spawns}
+	e.m.Mesh.Spawn(n, reqPkt, now)
+	return network.Steer{Consume: true}
 }
 
 // closerLink looks for an existing tree link at node n whose neighbor is

@@ -28,18 +28,43 @@ import (
 // immediately sends an unlink acknowledgment (Msg.Unlink) back over the
 // edge, erasing the sender's dangling bit while its line is still live, so
 // teardown accounting always runs over a clean tree.
+//
+// Hop messages are the one payload the engine recycles. spawnHop takes
+// them from the engine's free list and recycleHop, the mesh's recycle
+// hook, puts them back when their packet dies, so in steady state a
+// teardown wave allocates nothing.
 
-func (e *Engine) hopMsg(node int, t protocol.MsgType, addr uint64, out network.Dir) *network.Packet {
-	return e.hopPacket(node, &protocol.Msg{Type: t, Addr: addr, ForcedDir: uint8(out)})
-}
-
-// hopPacket builds a hop-scoped packet spawning at node from the node's
-// packet pool; ids come from the node's router-local sequence so
-// route-phase construction needs no shared counter.
-func (e *Engine) hopPacket(node int, msg *protocol.Msg) *network.Packet {
+// spawnHop sends a copy of hop message m (a Teardown or TdAck) from node:
+// the copy comes from the free list, rides an expedited control packet
+// from the node's pool and is spawned at the node's router. Packet ids
+// come from the node's router-local sequence, so route-phase construction
+// needs no shared counter.
+func (e *Engine) spawnHop(node int, m protocol.Msg) {
+	var msg *protocol.Msg
+	if n := len(e.hopFree); n > 0 {
+		msg = e.hopFree[n-1]
+		e.hopFree = e.hopFree[:n-1]
+	} else {
+		msg = new(protocol.Msg)
+	}
+	*msg = m
 	p := e.ctrlPacket(node, msg)
 	p.Expedited = true
-	return p
+	e.m.Mesh.Spawn(node, p, e.m.Kernel.Now())
+}
+
+// sendHop spawns a plain hop message of type t for addr leaving node on out.
+func (e *Engine) sendHop(node int, t protocol.MsgType, addr uint64, out network.Dir) {
+	e.spawnHop(node, protocol.Msg{Type: t, Addr: addr, ForcedDir: uint8(out)})
+}
+
+// recycleHop is the mesh's RecycleFn: the hop message of a dying packet
+// returns to the free list. Every other payload is left to the collector.
+func (e *Engine) recycleHop(p *network.Packet) {
+	if msg, ok := p.Payload.(*protocol.Msg); ok &&
+		(msg.Type == protocol.Teardown || msg.Type == protocol.TdAck) {
+		e.hopFree = append(e.hopFree, msg)
+	}
 }
 
 // ctrlPacket builds a control-sized packet for msg from node's packet pool.
@@ -58,23 +83,24 @@ func (e *Engine) ctrlPacket(node int, msg *protocol.Msg) *network.Packet {
 // initiated teardowns: write requests bumping into the tree, proactive and
 // conflict evictions, root-data eviction). clearArrival marks the abort
 // teardown of a timed-out reply: the dangling link the reply had built is
-// removed before normal processing. The returned packets must be spawned
-// at the node's router.
-func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, clearArrival bool) []*network.Packet {
+// removed before normal processing. Continuations are spawned at the
+// node's router as they are built.
+func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, clearArrival bool) {
 	line, ok := e.trees[node].Peek(addr)
 	if !ok {
-		return nil
+		return
 	}
 	if line.Touched {
 		if clearArrival && arrival != network.DirNone && line.Links[arrival] {
 			// An abort teardown still owns the dangling link it came
 			// to remove; clearing it may complete the local collapse.
 			line.Links[arrival] = false
-			return e.collapse(node, addr, line)
+			e.collapse(node, addr, line)
 		}
-		// Crossing or duplicate teardown on a tree already being torn
-		// down: redundant; every edge's ack comes from the collapse.
-		return nil
+		// Otherwise a crossing or duplicate teardown on a tree already
+		// being torn down: redundant; every edge's ack comes from the
+		// collapse.
+		return
 	}
 	if arrival != network.DirNone && clearArrival {
 		line.Links[arrival] = false
@@ -92,7 +118,6 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 			e.rootData[addr] = dl.Version
 		}
 	}
-	var spawns []*network.Packet
 	var mask uint8
 	fanout := 0
 	for d := 0; d < e.deg; d++ {
@@ -105,12 +130,11 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		// Hardware multicast: one masked continuation; the router forks
 		// it into per-link copies at the crossbar (see forkHop).
 		e.m.Counters.Inc(stats.TreeTdMulticasts, 1)
-		spawns = append(spawns, e.hopPacket(node,
-			&protocol.Msg{Type: protocol.Teardown, Addr: addr, ForcedMask: mask}))
+		e.spawnHop(node, protocol.Msg{Type: protocol.Teardown, Addr: addr, ForcedMask: mask})
 	} else {
 		for d := 0; d < e.deg; d++ {
 			if mask&(1<<uint(d)) != 0 {
-				spawns = append(spawns, e.hopMsg(node, protocol.Teardown, addr, network.Dir(d)))
+				e.sendHop(node, protocol.Teardown, addr, network.Dir(d))
 			}
 		}
 	}
@@ -119,7 +143,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		// teardowns fan out, while outer nodes still hold valid data.
 		e.trees[node].Invalidate(addr)
 		e.teardownComplete(addr)
-		return spawns
+		return
 	}
 	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
 		// The local node's reply is completing above the network
@@ -128,7 +152,7 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		// completion lands, so the next grant cannot serialize ahead
 		// of the pending access.
 		e.m.Counters.Inc(stats.TreeHeldAcks, 1)
-		return spawns
+		return
 	}
 	switch n := line.LinkCount(); {
 	case n == 0:
@@ -142,78 +166,74 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		// chasing ack follows the teardown on the same FIFO link.
 		d := line.OnlyLink()
 		if !e.hasBug(BugDropTdAck) {
-			spawns = append(spawns, e.hopMsg(node, protocol.TdAck, addr, d))
+			e.sendHop(node, protocol.TdAck, addr, d)
 		}
 		line.Links[d] = false
 		e.trees[node].Invalidate(addr)
 	}
-	return spawns
 }
 
 // processAck handles a teardown acknowledgment arriving at node via link
 // arrival: remove that link and collapse. unlink acks additionally apply to
 // live lines, where they erase a freshly created dangling edge without
 // collapsing anything.
-func (e *Engine) processAck(node int, addr uint64, arrival network.Dir, unlink bool) []*network.Packet {
+func (e *Engine) processAck(node int, addr uint64, arrival network.Dir, unlink bool) {
 	line, ok := e.trees[node].Peek(addr)
 	if !ok {
 		// The line is already gone (e.g. the ack chased a teardown
 		// into a node that collapsed first); nothing to remove.
 		e.m.Counters.Inc(stats.TreeStaleAcks, 1)
-		return nil
+		return
 	}
 	if !line.Touched {
 		if unlink && arrival != network.DirNone {
 			// Erase the dangling edge on the live line.
 			line.Links[arrival] = false
 			e.m.Counters.Inc(stats.TreeUnlinks, 1)
-			return nil
+			return
 		}
 		// A plain ack can only legitimately land on a touched line; a
 		// valid line here means a new tree reused the tag after the
 		// old one fully collapsed. Leave it alone.
 		e.m.Counters.Inc(stats.TreeStaleAcks, 1)
-		return nil
+		return
 	}
 	if arrival != network.DirNone {
 		if !line.Links[arrival] {
 			// Stale or duplicate ack on an edge this node does not
 			// hold; it must not trigger a collapse step.
 			e.m.Counters.Inc(stats.TreeStaleAcks, 1)
-			return nil
+			return
 		}
 		line.Links[arrival] = false
 	}
 	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
 		// Collapse is held until the local completion lands.
-		return nil
+		return
 	}
-	return e.collapse(node, addr, line)
+	e.collapse(node, addr, line)
 }
 
 // collapse applies the post-removal rules at a touched line: the home node
 // terminates acknowledgments and completes at zero links; any other node
 // forwards the acknowledgment up its last remaining link and invalidates.
-func (e *Engine) collapse(node int, addr uint64, line *TreeLine) []*network.Packet {
+func (e *Engine) collapse(node int, addr uint64, line *TreeLine) {
 	if node == e.home(addr) {
 		if line.LinkCount() == 0 {
 			e.trees[node].Invalidate(addr)
 			e.teardownComplete(addr)
 		}
-		return nil
+		return
 	}
 	switch line.LinkCount() {
 	case 0:
 		e.trees[node].Invalidate(addr)
-		return nil
 	case 1:
 		d := line.OnlyLink()
 		line.Links[d] = false
 		e.trees[node].Invalidate(addr)
-		if e.hasBug(BugDropTdAck) {
-			return nil
+		if !e.hasBug(BugDropTdAck) {
+			e.sendHop(node, protocol.TdAck, addr, d)
 		}
-		return []*network.Packet{e.hopMsg(node, protocol.TdAck, addr, d)}
 	}
-	return nil
 }

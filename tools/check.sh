@@ -4,7 +4,8 @@
 # smoke passes over the trace-file and fault-spec parsers and over the
 # cache against its reference model, race-enabled fault-injection smokes
 # (drop-plan recovery per engine + watchdog hang post-mortem, stall and
-# corrupt faults with metrics on), a race-enabled
+# corrupt faults with metrics on, a run whose rows all fail that must exit
+# non-zero), a race-enabled
 # metrics-instrumented experiment run, and race-enabled topology and
 # router-parking experiment smokes. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
@@ -87,6 +88,15 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
 # consultation and its serial-wait charge to heads waiting on busy links.
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 -metrics \
     -faults 'corrupt=2000,stall=20000,stalllen=8,timeout=200000,retries=6,backoff=64,probe=2000' >/dev/null
+# Failed-run smoke: innetcc exits non-zero when any table row failed, so
+# the experiment smokes in this script gate on job failures, not only on
+# crashes. A plan naming a link the fabric does not have fails every row,
+# and the command MUST fail.
+if go run -race ./cmd/innetcc -exp fig5 -accesses 20 \
+    -faults 'drop=1000000,link=99:7,timeout=2000' >/dev/null 2>&1; then
+    echo "innetcc exited 0 with every fig5 row failed" >&2
+    exit 1
+fi
 
 # Observability smoke under the race detector: one metrics-instrumented
 # experiment across parallel workers, with CSV export and flight dumping.
