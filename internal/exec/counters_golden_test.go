@@ -87,9 +87,9 @@ var goldenCounters = map[string]goldenCounterRun{
 	"tree/bar/torus-multicast": {
 		Counters: map[string]int64{"tree.held_acks": 8, "tree.mem_reads": 149, "tree.rd_reqs": 305, "tree.serve_races": 1, "tree.sharer_serves": 156, "tree.td_multicasts": 52, "tree.teardowns": 530, "tree.teardowns_completed": 149, "tree.uncached_completions": 8, "tree.wr_reqs": 200, "tree.write_bumps": 106},
 		Metrics:  map[string]int64{"hops_saved": 26, "tree_bump": 306, "tree_hit": 737, "tree_miss": 1120},
-		NoC: goldenNoC{Grants: 4048, SerialWait: 89, BusyCycles: 7624, PolicyStalls: 0, QueueSum: 29953,
+		NoC: goldenNoC{Grants: 4048, SerialWait: 89, BusyCycles: 7624, PolicyStalls: 0, QueueSum: 29952,
 			Read:  metrics.BreakdownClass{N: 305, Total: 49853, Queue: 13, Serial: 35, Traversal: 14989, Controller: 34816},
-			Write: metrics.BreakdownClass{N: 200, Total: 13432, Queue: 4, Serial: 11, Traversal: 8298, Controller: 5119}},
+			Write: metrics.BreakdownClass{N: 200, Total: 13433, Queue: 4, Serial: 11, Traversal: 8298, Controller: 5120}},
 	},
 	"tree/wsp/stall-corrupt": {
 		// Corruption spares non-retryable packets at the default scope, so

@@ -64,6 +64,16 @@ func (f *fifoQueue) push(e fifoEntry) {
 	f.n++
 }
 
+// insertBehindHead places e directly behind the head entry (at the head
+// of an empty queue), shifting the entries behind the head back one.
+func (f *fifoQueue) insertBehindHead(e fifoEntry) {
+	f.push(e)
+	for j := f.n - 1; j > 1; j-- {
+		a, b := (f.head+j)%len(f.buf), (f.head+j-1)%len(f.buf)
+		f.buf[a], f.buf[b] = f.buf[b], f.buf[a]
+	}
+}
+
 func (f *fifoQueue) head0() *fifoEntry {
 	if f.n == 0 {
 		return nil
@@ -406,6 +416,12 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 // may not park holding packets.
 func (m *Mesh) enqueueAt(node, port int, e fifoEntry) {
 	m.fifoAt(node, port).push(e)
+	m.noteEnqueued(node, port, e)
+}
+
+// noteEnqueued does enqueueAt's bookkeeping for an entry e just placed in
+// node's port FIFO.
+func (m *Mesh) noteEnqueued(node, port int, e fifoEntry) {
 	m.occ[node] |= 1 << port
 	m.queued[node]++
 	if m.mayParkQueued() {
@@ -475,6 +491,12 @@ func (m *Mesh) Inject(node int, p *Packet, now int64) {
 // The packet must be fully built: with faults armed, its checksum is
 // stamped here.
 func (m *Mesh) spawn(node int, p *Packet, now int64) {
+	m.enqueueAt(node, m.genSlot(), m.genEntry(p, now))
+}
+
+// genEntry readies a protocol-generated packet for node's generation FIFO
+// and returns its entry.
+func (m *Mesh) genEntry(p *Packet, now int64) fifoEntry {
 	p.ArrivalDir = Local
 	if p.InjectedAt == 0 {
 		p.InjectedAt = now
@@ -490,7 +512,20 @@ func (m *Mesh) spawn(node int, p *Packet, now int64) {
 	if p.Expedited {
 		delay = 0
 	}
-	m.enqueueAt(node, m.genSlot(), fifoEntry{pkt: p, readyAt: now + delay})
+	return fifoEntry{pkt: p, readyAt: now + delay}
+}
+
+// Fork places p, a copy of the packet at the head of node's generation
+// FIFO, directly behind that head instead of at the tail. A policy routing
+// a multicast hop message calls it for each extra copy, so the copies keep
+// the original's place ahead of everything the router spawned after it:
+// a collapse acknowledgment spawned meanwhile can then never overtake the
+// teardown copy bound for the same link. Forking in descending port order
+// queues the copies in ascending order. The head itself is not disturbed.
+func (m *Mesh) Fork(node int, p *Packet, now int64) {
+	e := m.genEntry(p, now)
+	m.fifoAt(node, m.genSlot()).insertBehindHead(e)
+	m.noteEnqueued(node, m.genSlot(), e)
 }
 
 // Spawn places a protocol-generated packet into node's generation port,
@@ -514,10 +549,12 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // its own pop, and the entry behind a popped head is never routed.
 //
 // The policy spawns packets into this router's generation FIFO from inside
-// Route (Mesh.Spawn). Two facts keep that safe, and both must stay true: a
-// spawn only appends at the generation FIFO's tail, never disturbing a
-// head, and Tick holds no FIFO-entry pointer across Route (a spawn may grow
-// the ring and move its entries), only the packet. The mask is re-read
+// Route (Mesh.Spawn, and Mesh.Fork for the copies of a generation-FIFO
+// head). Two facts keep that safe, and both must stay true: a spawn only
+// appends at the generation FIFO's tail and a fork only inserts behind its
+// head, so neither disturbs a head, and Tick holds no FIFO-entry pointer
+// across Route (a spawn may grow the ring and move its entries), only the
+// packet. The mask is re-read
 // after every slot, so a spawn into a slot not yet visited is routed this
 // cycle.
 func (r *Router) Tick(now int64) {

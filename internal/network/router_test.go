@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -410,5 +411,36 @@ func TestBuildDefaultsAndValidation(t *testing.T) {
 	}
 	if err := (&Config{Topo: Mesh2D{W: 2, H: 2}, Policy: DestPolicy{}, Pipeline: -1}).Validate(); err == nil {
 		t.Fatal("negative pipeline accepted")
+	}
+}
+
+// TestForkQueuesBehindHead checks Mesh.Fork's placement: a fork copy goes
+// directly behind the generation FIFO's head, ahead of packets spawned
+// after that head, and forks made in descending order queue ascending. It
+// also covers the ring's wrap-around and growth.
+func TestForkQueuesBehindHead(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := testMesh(k, 2, 1, 1, DestPolicy{})
+	gen := m.fifoAt(0, m.genSlot())
+	for i := 0; i < 3; i++ { // move the ring's read point off zero
+		m.spawn(0, &Packet{Payload: "old"}, 0)
+		m.popAt(0, m.fifos[:m.numIn], m.genSlot())
+		m.InFlight--
+	}
+	for _, name := range []string{"head", "later1", "later2"} {
+		m.Spawn(0, &Packet{Payload: name}, 0)
+	}
+	m.Fork(0, &Packet{Payload: "fork2"}, 0)
+	m.Fork(0, &Packet{Payload: "fork1"}, 0)
+	var got []string
+	for gen.n > 0 {
+		got = append(got, m.popAt(0, m.fifos[:m.numIn], m.genSlot()).pkt.Payload.(string))
+	}
+	want := []string{"head", "fork1", "fork2", "later1", "later2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("generation FIFO order %v, want %v", got, want)
+	}
+	if q := m.Routers[0].QueuedPackets(); m.InFlight != 5 || q != 0 {
+		t.Fatalf("InFlight=%d queued=%d after draining, want 5 and 0", m.InFlight, q)
 	}
 }

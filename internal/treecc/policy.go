@@ -1,6 +1,8 @@
 package treecc
 
 import (
+	"math/bits"
+
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
@@ -52,28 +54,33 @@ func (e *Engine) routeHop(r *network.Router, p *network.Packet, msg *protocol.Ms
 // clone of the payload in its own expedited packet — the router-crossbar
 // replication hardware multicast buys. The mask is consumed here; each copy
 // travels on as an ordinary forced-direction hop message.
+//
+// The copies take the original's place in the generation FIFO (Mesh.Fork),
+// not its tail. Between the masked teardown's spawn and its fork the
+// router may spawn more hop messages, and a collapse acknowledgment among
+// them can be bound for one of the teardown's links; queued at the tail,
+// the teardown copy would follow that acknowledgment onto the link, the
+// neighbor would drop the acknowledgment as stale and then wait forever
+// for one. Forking in descending port order queues the copies in
+// ascending order.
 func (e *Engine) forkHop(n int, msg *protocol.Msg) network.Steer {
-	mask := msg.ForcedMask
+	mask := msg.ForcedMask & (1<<uint(e.deg) - 1)
 	msg.ForcedMask = 0
-	primary := network.DirNone
-	for d := 0; d < e.deg; d++ {
-		if mask&(1<<uint(d)) == 0 {
-			continue
-		}
-		if primary == network.DirNone {
-			primary = network.Dir(d)
-			msg.ForcedDir = uint8(d)
-			continue
-		}
-		c := *msg
-		c.ForcedDir = uint8(d)
-		e.spawnHop(n, c)
-	}
-	if primary == network.DirNone {
+	if mask == 0 {
 		// Degenerate empty mask after masking to the fabric degree.
 		return network.Steer{Consume: true}
 	}
-	return network.Steer{Out: primary}
+	primary := bits.TrailingZeros8(mask)
+	msg.ForcedDir = uint8(primary)
+	now := e.m.Kernel.Now()
+	for d := e.deg - 1; d > primary; d-- {
+		if mask&(1<<uint(d)) != 0 {
+			c := *msg
+			c.ForcedDir = uint8(d)
+			e.m.Mesh.Fork(n, e.hopPacket(n, c), now)
+		}
+	}
+	return network.Steer{Out: network.Dir(primary)}
 }
 
 // consumeToBackoff delays a deadlock-recovered request at the home node for

@@ -34,12 +34,16 @@ import (
 // hook, puts them back when their packet dies, so in steady state a
 // teardown wave allocates nothing.
 
-// spawnHop sends a copy of hop message m (a Teardown or TdAck) from node:
-// the copy comes from the free list, rides an expedited control packet
-// from the node's pool and is spawned at the node's router. Packet ids
-// come from the node's router-local sequence, so route-phase construction
-// needs no shared counter.
+// spawnHop sends hop message m (a Teardown or TdAck) from node's router.
 func (e *Engine) spawnHop(node int, m protocol.Msg) {
+	e.m.Mesh.Spawn(node, e.hopPacket(node, m), e.m.Kernel.Now())
+}
+
+// hopPacket builds the expedited control packet carrying a copy of hop
+// message m from node's packet pool; the copy comes from the free list.
+// Packet ids come from the node's router-local sequence, so route-phase
+// construction needs no shared counter.
+func (e *Engine) hopPacket(node int, m protocol.Msg) *network.Packet {
 	var msg *protocol.Msg
 	if n := len(e.hopFree); n > 0 {
 		msg = e.hopFree[n-1]
@@ -50,7 +54,7 @@ func (e *Engine) spawnHop(node int, m protocol.Msg) {
 	*msg = m
 	p := e.ctrlPacket(node, msg)
 	p.Expedited = true
-	e.m.Mesh.Spawn(node, p, e.m.Kernel.Now())
+	return p
 }
 
 // sendHop spawns a plain hop message of type t for addr leaving node on out.

@@ -49,7 +49,7 @@ var goldenRuns = map[string]golden{
 	"dir/wns":                  {Mid: 0xee76cfc5feb85a53, End: 0x994d5f4dc26c1ffa, Cycles: 5594, ReadN: 278, WriteN: 173, ReadSum: 49837, WrSum: 13561},
 	"dir/wsp":                  {Mid: 0xd7195c50d29bbf1a, End: 0xa9cc3a05cc5beeb8, Cycles: 5813, ReadN: 276, WriteN: 234, ReadSum: 43793, WrSum: 20097},
 	"tree/bar":                 {Mid: 0x6de74c36d695769d, End: 0xb29f675ac2cf1227, Cycles: 6489, ReadN: 345, WriteN: 209, ReadSum: 55494, WrSum: 15571},
-	"tree/bar/torus-multicast": {Mid: 0x1adbb92616d1c5c2, End: 0x91e10caca367670f, Cycles: 6027, ReadN: 345, WriteN: 207, ReadSum: 53032, WrSum: 14106},
+	"tree/bar/torus-multicast": {Mid: 0x1adbb92616d1c5c2, End: 0xfdc5f86fbb210186, Cycles: 6028, ReadN: 345, WriteN: 207, ReadSum: 53070, WrSum: 14114},
 	"tree/fft":                 {Mid: 0x7ae75fe9e8bc4a19, End: 0x2828eb2d49938850, Cycles: 6001, ReadN: 278, WriteN: 160, ReadSum: 52151, WrSum: 12112},
 	"tree/lu":                  {Mid: 0xb04b0bdf2e954a5f, End: 0x949a16f937989e3d, Cycles: 4652, ReadN: 193, WriteN: 155, ReadSum: 40722, WrSum: 10645},
 	"tree/ocn":                 {Mid: 0x734a93d588c87a2b, End: 0xc902499e4ee9c74d, Cycles: 6072, ReadN: 296, WriteN: 230, ReadSum: 56538, WrSum: 16886},
