@@ -18,9 +18,10 @@ func (DestPolicy) Route(r *Router, p *Packet, now int64) Steer {
 
 // routeMulticast steers a multicast packet one hop: partition the
 // destination set by next-hop port, keep one subset on this packet and
-// fork and spawn a clone per additional subset. The local-member subset (this router
-// is a destination) always stays on the original packet so ejection
-// recycles it here; otherwise the lowest-numbered port keeps the original.
+// spawn a clone per additional subset. The local-member subset (this
+// router is a destination) always stays on the original packet so
+// ejection recycles it here; otherwise the lowest-numbered port keeps the
+// original.
 // Clones enter the generation queue expedited — a hardware multicast
 // router replicates the flit at the crossbar, paying no second pipeline
 // traversal. A subset of one collapses to a plain unicast packet.

@@ -516,12 +516,10 @@ func (m *Mesh) genEntry(p *Packet, now int64) fifoEntry {
 }
 
 // Fork places p, a copy of the packet at the head of node's generation
-// FIFO, directly behind that head instead of at the tail. A policy routing
-// a multicast hop message calls it for each extra copy, so the copies keep
-// the original's place ahead of everything the router spawned after it:
-// a collapse acknowledgment spawned meanwhile can then never overtake the
-// teardown copy bound for the same link. Forking in descending port order
-// queues the copies in ascending order. The head itself is not disturbed.
+// FIFO, directly behind that head instead of at the tail, leaving the head
+// in place. A policy routing that head calls it for each extra copy, so the
+// copies keep the original's place ahead of everything the router spawned
+// after it (see treecc's forkHop for why the tree protocol needs that).
 func (m *Mesh) Fork(node int, p *Packet, now int64) {
 	e := m.genEntry(p, now)
 	m.fifoAt(node, m.genSlot()).insertBehindHead(e)
@@ -552,11 +550,10 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // Route (Mesh.Spawn, and Mesh.Fork for the copies of a generation-FIFO
 // head). Two facts keep that safe, and both must stay true: a spawn only
 // appends at the generation FIFO's tail and a fork only inserts behind its
-// head, so neither disturbs a head, and Tick holds no FIFO-entry pointer
+// head, so neither disturbs a head; and Tick holds no FIFO-entry pointer
 // across Route (a spawn may grow the ring and move its entries), only the
-// packet. The mask is re-read
-// after every slot, so a spawn into a slot not yet visited is routed this
-// cycle.
+// packet. The mask is re-read after every slot, so a spawn into a slot not
+// yet visited is routed this cycle.
 func (r *Router) Tick(now int64) {
 	m := r.mesh
 	node := r.NodeID

@@ -83,9 +83,9 @@ func (r *RNG) State() uint64 { return r.state }
 // coordinates — fire cycle, schedule order, and whether it is a callback or
 // a wake timer (with its target) — which, under deterministic replay,
 // identify the callback population exactly. A callback folds the same
-// whether it was scheduled as a closure or as a typed call with operands. The heap's internal element
-// order is an implementation detail, so events are folded in (at, seq)
-// order.
+// whether it was scheduled as a closure or as a typed call with operands.
+// The heap's internal element order is an implementation detail, so events
+// are folded in (at, seq) order.
 func (k *Kernel) DigestState(d *Digest) {
 	d.I64(k.now)
 	d.U64(k.seq)

@@ -29,7 +29,7 @@ import (
 // edge, erasing the sender's dangling bit while its line is still live, so
 // teardown accounting always runs over a clean tree.
 //
-// Hop messages are the one payload the engine recycles. spawnHop takes
+// Hop messages are the one payload the engine recycles. hopPacket takes
 // them from the engine's free list and recycleHop, the mesh's recycle
 // hook, puts them back when their packet dies, so in steady state a
 // teardown wave allocates nothing.
