@@ -22,17 +22,25 @@
 //     must return the committed-current version.
 package verify
 
+import "slices"
+
 // Checker accumulates protocol-visible events and records violations.
 // Engines are required to report every data-cache line validation and
 // invalidation so the copy registry is exact.
 //
+// Per-line state lives in one record per line the run has touched, found
+// by a single index lookup per call: the committed version, the nodes
+// holding a valid copy and the last version each node observed. A line is
+// held and observed by few nodes at a time, so both sets are small slices
+// searched linearly. Records are stored in fixed-size chunks that never
+// move, so growing the store never copies it.
+//
 // A checker belongs to one machine and is called only from the goroutine
 // running that machine's simulation, so it takes no lock.
 type Checker struct {
-	version   map[uint64]uint64       // committed version per line
-	copies    map[uint64]map[int]bool // valid cached copies per line
-	seen      map[nodeAddr]uint64     // last version observed per (node,line)
-	order     []AccessRecord          // total order of committed accesses
+	index     map[uint64]uint32 // line address -> record number
+	chunks    [][]lineRec       // record i is chunks[i/chunkRecs][i%chunkRecs]
+	order     []AccessRecord    // total order of committed accesses
 	keepOrder bool
 
 	violations []Violation
@@ -41,9 +49,51 @@ type Checker struct {
 	Reads, Writes int64
 }
 
-type nodeAddr struct {
-	node int
-	addr uint64
+// chunkRecs is the number of line records per storage chunk.
+const chunkRecs = 256
+
+// lineRec is one line's verifier state.
+type lineRec struct {
+	version uint64     // committed version; 0 until the first write
+	holders []int32    // nodes holding a valid copy, ascending
+	seen    []observed // last version observed per node, in first-seen order
+}
+
+// observed is the last version of a line one node observed.
+type observed struct {
+	node int32
+	v    uint64
+}
+
+// rec returns addr's record, or nil when the line has none and create is
+// false.
+func (c *Checker) rec(addr uint64, create bool) *lineRec {
+	i, ok := c.index[addr]
+	if !ok {
+		if !create {
+			return nil
+		}
+		n := len(c.index)
+		if n%chunkRecs == 0 {
+			c.chunks = append(c.chunks, make([]lineRec, chunkRecs))
+		}
+		i = uint32(n)
+		c.index[addr] = i
+	}
+	return &c.chunks[i/chunkRecs][i%chunkRecs]
+}
+
+// observe records that node observed version v of the line and returns
+// the version it last observed before, if any.
+func (r *lineRec) observe(node int, v uint64) (last uint64, ok bool) {
+	for i := range r.seen {
+		if o := &r.seen[i]; o.node == int32(node) {
+			last, o.v = o.v, v
+			return last, true
+		}
+	}
+	r.seen = append(r.seen, observed{node: int32(node), v: v})
+	return 0, false
 }
 
 // AccessRecord is one entry of the runtime total order.
@@ -60,9 +110,7 @@ type AccessRecord struct {
 // memory.
 func New(keepOrder bool) *Checker {
 	return &Checker{
-		version:   make(map[uint64]uint64),
-		copies:    make(map[uint64]map[int]bool),
-		seen:      make(map[nodeAddr]uint64),
+		index:     make(map[uint64]uint32),
 		keepOrder: keepOrder,
 	}
 }
@@ -85,7 +133,10 @@ func (c *Checker) Order() []AccessRecord {
 
 // CurrentVersion returns the last committed version of addr.
 func (c *Checker) CurrentVersion(addr uint64) uint64 {
-	return c.version[addr]
+	if r := c.rec(addr, false); r != nil {
+		return r.version
+	}
+	return 0
 }
 
 // VersionSnapshot returns a copy of the committed-version map: every line
@@ -93,53 +144,71 @@ func (c *Checker) CurrentVersion(addr uint64) uint64 {
 // commits exactly once, the snapshot is a pure function of the access trace
 // and must be identical across coherence engines run over the same trace.
 func (c *Checker) VersionSnapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(c.version))
-	for a, v := range c.version {
-		out[a] = v
+	out := make(map[uint64]uint64)
+	for a, i := range c.index {
+		if v := c.chunks[i/chunkRecs][i%chunkRecs].version; v > 0 {
+			out[a] = v
+		}
 	}
 	return out
 }
 
 // RegisterCopy records that node now holds a valid cached copy of addr.
 func (c *Checker) RegisterCopy(addr uint64, node int) {
-	m := c.copies[addr]
-	if m == nil {
-		m = make(map[int]bool)
-		c.copies[addr] = m
+	r := c.rec(addr, true)
+	at := len(r.holders)
+	for i, h := range r.holders {
+		if h == int32(node) {
+			return
+		}
+		if h > int32(node) {
+			at = i
+			break
+		}
 	}
-	m[node] = true
+	r.holders = slices.Insert(r.holders, at, int32(node))
 }
 
 // UnregisterCopy records that node's cached copy of addr is gone.
 func (c *Checker) UnregisterCopy(addr uint64, node int) {
-	if m := c.copies[addr]; m != nil {
-		delete(m, node)
+	r := c.rec(addr, false)
+	if r == nil {
+		return
+	}
+	for i, h := range r.holders {
+		if h == int32(node) {
+			r.holders = slices.Delete(r.holders, i, i+1)
+			return
+		}
 	}
 }
 
-// Copies returns the nodes currently holding valid copies of addr.
+// Copies returns the nodes currently holding valid copies of addr, in
+// ascending order.
 func (c *Checker) Copies(addr uint64) []int {
 	var out []int
-	for n := range c.copies[addr] {
-		out = append(out, n)
+	if r := c.rec(addr, false); r != nil {
+		for _, h := range r.holders {
+			out = append(out, int(h))
+		}
 	}
 	return out
 }
 
 // CommitWrite serializes a write by node to addr at cycle now, checks the
 // single-writer invariant, and returns the new version the writer's line
-// must carry.
+// must carry. Other holders are reported in ascending node order.
 func (c *Checker) CommitWrite(addr uint64, node int, now int64) uint64 {
-	for other := range c.copies[addr] {
-		if other != node {
+	r := c.rec(addr, true)
+	for _, other := range r.holders {
+		if int(other) != node {
 			c.fail(SoleCopyAtCommit, "write commit to %#x by node %d while node %d holds a valid copy (cycle %d)", addr, node, other, now)
 		}
 	}
-	c.version[addr]++
-	v := c.version[addr]
+	r.version++
+	v := r.version
 	c.Writes++
-	kv := nodeAddr{node, addr}
-	c.seen[kv] = v
+	r.observe(node, v)
 	if c.keepOrder {
 		c.order = append(c.order, AccessRecord{Node: node, Addr: addr, Write: true, Version: v, At: now})
 	}
@@ -169,13 +238,12 @@ func (c *Checker) SampleRead(addr uint64, sampled, memVersion uint64, node int, 
 // cached copy, which under the MSI invariant must hold the globally current
 // version, so staleness is checked strictly.
 func (c *Checker) ObserveRead(addr uint64, v uint64, node int, now int64, local bool) {
-	kv := nodeAddr{node, addr}
-	if last, ok := c.seen[kv]; ok && v < last {
+	r := c.rec(addr, true)
+	if last, ok := r.observe(node, v); ok && v < last {
 		c.fail(SCOrder, "node %d observed version %d of %#x after having observed %d (cycle %d)", node, v, addr, last, now)
 	}
-	c.seen[kv] = v
 	if local {
-		if cur := c.version[addr]; v != cur {
+		if cur := r.version; v != cur {
 			c.fail(NoStaleCopy, "node %d local copy of %#x holds version %d but committed version is %d (cycle %d)", node, addr, v, cur, now)
 		}
 		c.Reads++

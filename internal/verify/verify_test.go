@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +143,28 @@ func TestSerialExecutionAlwaysClean(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every other holder of a committed line is reported, in ascending node
+// order whatever order the copies were registered in.
+func TestCommitWriteReportsHoldersInNodeOrder(t *testing.T) {
+	c := New(false)
+	c.RegisterCopy(5, 7)
+	c.RegisterCopy(5, 1)
+	c.RegisterCopy(5, 3)
+	c.CommitWrite(5, 1, 100)
+	vs := c.Violations()
+	if len(vs) != 2 {
+		t.Fatalf("got %d violations, want 2: %v", len(vs), vs)
+	}
+	for i, node := range []int{3, 7} {
+		want := fmt.Sprintf("while node %d holds a valid copy", node)
+		if vs[i].Inv != SoleCopyAtCommit || !strings.Contains(vs[i].Detail, want) {
+			t.Fatalf("violation %d = %v, want %s ... %q", i, vs[i], SoleCopyAtCommit, want)
+		}
+	}
+	if got := c.Copies(5); !slices.Equal(got, []int{1, 3, 7}) {
+		t.Fatalf("Copies = %v, want [1 3 7]", got)
 	}
 }

@@ -20,6 +20,10 @@ package verify
 // of the full simulator, which is what makes litmus fuzzing an oracle
 // rather than a crash test. Every failure is an sc-order violation.
 func CheckWitness(order []AccessRecord) []Violation {
+	type nodeAddr struct {
+		node int
+		addr uint64
+	}
 	var out []Violation
 	bad := func(format string, args ...interface{}) {
 		if len(out) < 32 {
