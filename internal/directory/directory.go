@@ -119,7 +119,7 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 	}
 	msg := &protocol.Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now,
 		Attempt: e.m.CurrentAttempt(node)}
-	e.send(node, e.m.Cfg.Home(addr), msg, now)
+	e.send(node, e.m.Home(addr), msg, now)
 }
 
 // Eject implements protocol.Engine: protocol handling at the NICs, with the
@@ -127,7 +127,7 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	msg := p.Payload.(*protocol.Msg)
 	src := p.Src
-	cfg := e.m.Cfg
+	cfg := &e.m.Cfg
 	switch msg.Type {
 	case protocol.RdReq, protocol.WrReq:
 		e.m.NICCall(node, cfg.DirLatency, e.onReq, msg)
@@ -245,7 +245,7 @@ func (e *Engine) sendInvs(home int, targets uint64, addr uint64, requester int, 
 // from the home node's L2 victim copy if present (invalidating it per
 // sequential-consistency Requirement 2), else from main memory.
 func (e *Engine) serveFromHomeOrMemory(home int, msg *protocol.Msg, ep *dirEntry) {
-	cfg := e.m.Cfg
+	cfg := &e.m.Cfg
 	ep.busy = true
 	if cfg.VictimCaching {
 		if _, present := e.m.PeekLine(home, msg.Addr); present {
@@ -327,7 +327,7 @@ func (e *Engine) grantWrite(home int, msg *protocol.Msg, ep *dirEntry) {
 // handleFwd runs at a sharer/owner asked to supply data to msg.Requester.
 func (e *Engine) handleFwd(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	home := e.m.Cfg.Home(msg.Addr)
+	home := e.m.Home(msg.Addr)
 	line, ok := e.m.PeekLine(node, msg.Addr)
 	if !ok {
 		e.send(node, home, &protocol.Msg{Type: protocol.FwdMiss, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
@@ -378,7 +378,7 @@ func (e *Engine) handleFwdMiss(home int, msg *protocol.Msg, src int) {
 // handleInv runs at a sharer told to invalidate.
 func (e *Engine) handleInv(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	home := e.m.Cfg.Home(msg.Addr)
+	home := e.m.Home(msg.Addr)
 	ack := &protocol.Msg{Type: protocol.InvAck, Addr: msg.Addr, Requester: msg.Requester}
 	if line, ok := e.m.InvalidateLine(node, msg.Addr, now); ok {
 		ack.Version = line.Version
@@ -548,7 +548,7 @@ func (e *Engine) OnL2Evict(node int, addr uint64, line protocol.DataLine, now in
 	if line.State != protocol.Modified {
 		return
 	}
-	home := e.m.Cfg.Home(addr)
+	home := e.m.Home(addr)
 	e.send(node, home, &protocol.Msg{Type: protocol.WbNotice, Addr: addr, Requester: node, Version: line.Version}, now)
 }
 

@@ -18,7 +18,7 @@ package directory
 // requester/home round trip.
 func (e *Engine) recordHops(node int, addr uint64, write bool) {
 	topo := e.m.Mesh.Topo
-	home := e.m.Cfg.Home(addr)
+	home := e.m.Home(addr)
 	dReqHome := topo.Dist(node, home)
 	ep, ok := e.dirs[home].Peek(addr)
 

@@ -136,6 +136,9 @@ type Machine struct {
 	nextWake    int64
 	wakeTimerAt int64
 
+	// homes is the node count, cached for Home.
+	homes uint64
+
 	// Fault layer state: the live injector (nil when the spec's plan
 	// injects nothing), the plan's recovery keys (zero without a plan),
 	// whether timeout/retry is armed, the first fatal fault error
@@ -175,6 +178,7 @@ func newMachine(spec Spec) (*Machine, error) {
 		Mem:        memory.New(cfg.MemLatency),
 		Check:      verify.New(spec.KeepOrder),
 		HomeCounts: make([]int64, cfg.Nodes()),
+		homes:      uint64(cfg.Nodes()),
 		Metrics:    spec.Metrics,
 		think:      think,
 		nicBusy:    make([]int64, cfg.Nodes()),
@@ -224,6 +228,10 @@ func (m *Machine) AttachEngine(e Engine, mesh *network.Mesh) {
 
 // Engine returns the attached coherence engine.
 func (m *Machine) Engine() Engine { return m.engine }
+
+// Home returns the home node of a line address, as Config.Home does,
+// from the node count cached at construction.
+func (m *Machine) Home(addr uint64) int { return int(addr % m.homes) }
 
 // Tick implements sim.Ticker: each cycle every idle CPU considers issuing
 // its next access. The scan maintains nextWake — the earliest cycle any
@@ -294,7 +302,7 @@ func (m *Machine) Tick(now int64) {
 			n.retryAt = now + m.recovery.Timeout
 			m.noteWake(n.retryAt)
 		}
-		m.HomeCounts[m.Cfg.Home(acc.Addr)]++
+		m.HomeCounts[m.Home(acc.Addr)]++
 		if c := m.Metrics; c != nil {
 			aux := int64(0)
 			if acc.Write {

@@ -145,7 +145,7 @@ func (e *Engine) replicate(node int, addr uint64, version uint64, gen uint64) {
 	})
 }
 
-func (e *Engine) home(addr uint64) int { return e.m.Cfg.Home(addr) }
+func (e *Engine) home(addr uint64) int { return e.m.Home(addr) }
 
 // ctrlPacket wraps msg in a single-flit (or data-sized) packet originating
 // at src. Dst is advisory: the tree protocol routes per hop.
@@ -179,7 +179,7 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 // paper's Section 2.3 prescribes.
 func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	msg := p.Payload.(*protocol.Msg)
-	cfg := e.m.Cfg
+	cfg := &e.m.Cfg
 	switch msg.Type {
 	case protocol.RdReq:
 		e.m.NICCall(node, e.serviceTime(node, msg.Addr), e.onServeRead, msg)

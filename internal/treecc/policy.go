@@ -86,7 +86,7 @@ func (e *Engine) forkHop(n int, msg *protocol.Msg) network.Steer {
 // consumeToBackoff delays a deadlock-recovered request at the home node for
 // the random backoff interval before reprocessing it (Section 2.1).
 func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
-	cfg := e.m.Cfg
+	cfg := &e.m.Cfg
 	now := e.m.Kernel.Now()
 	delay := backoffDelay(uint64(cfg.Seed), msg.Addr, msg.Requester, now, cfg.BackoffMin, cfg.BackoffMax)
 	msg.Backoff = false
