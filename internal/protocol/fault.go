@@ -55,7 +55,7 @@ func (m *Machine) DropStaleReply(node int, msg *Msg) bool {
 // retryOutstanding moves node n's outstanding access to the next reissue
 // epoch: bump the attempt, charge exponential backoff, schedule a fresh
 // StartMiss, and push the reply deadline out past the new attempt's
-// timeout. Called from the Tick scan when the deadline passes, and from
+// timeout. Called from Tick when the deadline passes, and from
 // onPacketDrop as an immediate NACK. Exhausting the budget fails the run
 // with a typed, seed-carrying error.
 func (m *Machine) retryOutstanding(n *Node, now int64) {
@@ -93,8 +93,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 		shift = 20 // cap the doubling; budgets are small anyway
 	}
 	backoff <<= shift
-	n.retryAt = now + backoff + m.recovery.Timeout
-	m.noteWake(n.retryAt)
+	m.setRetryAt(n, now+backoff+m.recovery.Timeout)
 	// A NACK can arrive while the machine is parked with no wake timer;
 	// wake it so the new deadline is observed (same pattern as
 	// CompleteAccess).

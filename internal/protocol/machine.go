@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -126,9 +127,10 @@ type Machine struct {
 	accNet []netAcc
 
 	// tid is the machine's kernel ticker id, for park/wake. nextWake is
-	// the earliest cycle any idle node can issue its next access
-	// (math.MaxInt64 when every node is outstanding or done): Tick
-	// returns immediately before it, and Quiescent parks the machine
+	// the earliest cycle any node can act — issue its next access, or
+	// retry an outstanding one — as of the last Tick that acted, lowered
+	// by every due entry pushed since (math.MaxInt64 when no node can):
+	// Tick returns immediately before it, and Quiescent parks the machine
 	// until then. wakeTimerAt is the target of the wake timer currently
 	// scheduled (if any), so repeated park checks don't pile up
 	// duplicate timers.
@@ -136,8 +138,13 @@ type Machine struct {
 	nextWake    int64
 	wakeTimerAt int64
 
-	// homes is the node count, cached for Home.
-	homes uint64
+	// due is the due queue: a min-heap holding an entry for every cycle a
+	// node was set to act at (see dueEntry). acting is Tick's scratch list
+	// of the nodes due this cycle. homes is the node count, cached for
+	// Home.
+	due    dueQueue
+	acting []int
+	homes  uint64
 
 	// Fault layer state: the live injector (nil when the spec's plan
 	// injects nothing), the plan's recovery keys (zero without a plan),
@@ -198,6 +205,7 @@ func newMachine(spec Spec) (*Machine, error) {
 			stream: spec.Trace.PerNode[i],
 			rng:    k.RNG().Split(),
 		})
+		m.due.push(dueEntry{at: 0, node: int32(i)})
 	}
 	m.tid = k.Register(m)
 	return m, nil
@@ -233,10 +241,12 @@ func (m *Machine) Engine() Engine { return m.engine }
 // from the node count cached at construction.
 func (m *Machine) Home(addr uint64) int { return int(addr % m.homes) }
 
-// Tick implements sim.Ticker: each cycle every idle CPU considers issuing
-// its next access. The scan maintains nextWake — the earliest cycle any
-// idle node becomes eligible to issue — so cycles before it return without
-// walking the nodes at all, and Quiescent can park the machine until then.
+// Tick implements sim.Ticker: each cycle every CPU that is due acts — an
+// idle one whose think time has elapsed issues its next access, and an
+// outstanding one whose reply deadline has passed retries. The due queue
+// yields exactly those nodes, so Tick never visits a node that has nothing
+// to do, and nextWake lets cycles before the earliest due node return at
+// once and the machine park until then.
 func (m *Machine) Tick(now int64) {
 	if c := m.Metrics; c != nil && c.SampleDue(now) {
 		c.InFlight.Observe(now, float64(m.Mesh.InFlight))
@@ -249,78 +259,158 @@ func (m *Machine) Tick(now int64) {
 	if now < m.nextWake {
 		return
 	}
+	// Nodes act in ascending ID order, as a scan over every node would
+	// visit them.
+	acting := m.acting[:0]
+	for len(m.due) > 0 && m.due[0].at <= now {
+		if e := m.due.pop(); m.live(e) {
+			acting = append(acting, int(e.node))
+		}
+	}
+	slices.Sort(acting)
+	for i, id := range acting {
+		if i > 0 && id == acting[i-1] {
+			continue
+		}
+		m.act(m.Nodes[id], now)
+	}
+	m.acting = acting
 	m.nextWake = math.MaxInt64
-	for _, n := range m.Nodes {
-		if n.outstanding {
-			if m.retryOn {
-				if now >= n.retryAt {
-					m.retryOutstanding(n, now)
-				} else {
-					m.noteWake(n.retryAt)
-				}
-			}
-			continue
+	for len(m.due) > 0 {
+		if e := m.due[0]; m.live(e) {
+			m.nextWake = e.at
+			break
 		}
-		if n.idx >= len(n.stream) {
-			continue
-		}
-		if now < n.nextIssue {
-			m.noteWake(n.nextIssue)
-			continue
-		}
-		acc := n.stream[n.idx]
-		if line, ok := n.L2.Lookup(acc.Addr); ok {
-			if !acc.Write {
-				// Local read hit.
-				m.Check.ObserveRead(acc.Addr, line.Version, n.ID, now, true)
-				m.LocalHits++
-				n.idx++
-				n.nextIssue = now + m.Cfg.L2Latency + m.thinkTime(n)
-				if n.idx < len(n.stream) {
-					m.noteWake(n.nextIssue)
-				}
-				continue
-			}
-			if line.State == Modified {
-				// Local write hit: the node already owns the line.
-				line.Version = m.Check.CommitWrite(acc.Addr, n.ID, now)
-				m.LocalHits++
-				n.idx++
-				n.nextIssue = now + m.Cfg.L2Latency + m.thinkTime(n)
-				if n.idx < len(n.stream) {
-					m.noteWake(n.nextIssue)
-				}
-				continue
-			}
-			// Write to a Shared line: upgrade required, falls
-			// through to the coherence engine.
-		}
-		n.outstanding = true
-		n.issueAt = now
-		if m.retryOn {
-			n.attempt = 0
-			n.retryAt = now + m.recovery.Timeout
-			m.noteWake(n.retryAt)
-		}
-		m.HomeCounts[m.Home(acc.Addr)]++
-		if c := m.Metrics; c != nil {
-			aux := int64(0)
-			if acc.Write {
-				aux = 1
-			}
-			c.Event(now, metrics.EvInject, int16(n.ID), acc.Addr, aux)
-		}
-		m.engine.StartMiss(n.ID, acc.Addr, acc.Write, now)
+		m.due.pop()
 	}
 }
 
-// noteWake lowers nextWake to at if it is earlier. CompleteAccess also
-// min-updates (rather than overwriting), so a completion that lands while a
-// Tick scan is in progress can never be lost.
-func (m *Machine) noteWake(at int64) {
+// act is one due node's turn: retry its outstanding access, or issue its
+// next access, completing it at once on a local hit.
+func (m *Machine) act(n *Node, now int64) {
+	if n.outstanding {
+		m.retryOutstanding(n, now)
+		return
+	}
+	acc := n.stream[n.idx]
+	if line, ok := n.L2.Lookup(acc.Addr); ok {
+		if !acc.Write {
+			// Local read hit.
+			m.Check.ObserveRead(acc.Addr, line.Version, n.ID, now, true)
+			m.LocalHits++
+			n.idx++
+			m.setNextIssue(n, now+m.Cfg.L2Latency+m.thinkTime(n))
+			return
+		}
+		if line.State == Modified {
+			// Local write hit: the node already owns the line.
+			line.Version = m.Check.CommitWrite(acc.Addr, n.ID, now)
+			m.LocalHits++
+			n.idx++
+			m.setNextIssue(n, now+m.Cfg.L2Latency+m.thinkTime(n))
+			return
+		}
+		// Write to a Shared line: upgrade required, falls through to the
+		// coherence engine.
+	}
+	n.outstanding = true
+	n.issueAt = now
+	if m.retryOn {
+		n.attempt = 0
+		m.setRetryAt(n, now+m.recovery.Timeout)
+	}
+	m.HomeCounts[m.Home(acc.Addr)]++
+	if c := m.Metrics; c != nil {
+		aux := int64(0)
+		if acc.Write {
+			aux = 1
+		}
+		c.Event(now, metrics.EvInject, int16(n.ID), acc.Addr, aux)
+	}
+	m.engine.StartMiss(n.ID, acc.Addr, acc.Write, now)
+}
+
+// dueEntry is one due-queue entry: node may act at cycle at. It is live
+// while the node is idle with nextIssue == at and accesses left to issue,
+// or outstanding with retry armed and retryAt == at; a node that has moved
+// on since the entry was pushed leaves it stale, and Tick drops it.
+type dueEntry struct {
+	at   int64
+	node int32
+}
+
+// live reports whether e is still live (see dueEntry).
+func (m *Machine) live(e dueEntry) bool {
+	n := m.Nodes[e.node]
+	if n.outstanding {
+		return m.retryOn && n.retryAt == e.at
+	}
+	return n.idx < len(n.stream) && n.nextIssue == e.at
+}
+
+// setNextIssue sets an idle node's next issue cycle and, while it has
+// accesses left, queues it to act then.
+func (m *Machine) setNextIssue(n *Node, at int64) {
+	n.nextIssue = at
+	if n.idx < len(n.stream) {
+		m.enqueueDue(n, at)
+	}
+}
+
+// setRetryAt sets an outstanding node's reply deadline and queues it to
+// retry then.
+func (m *Machine) setRetryAt(n *Node, at int64) {
+	n.retryAt = at
+	m.enqueueDue(n, at)
+}
+
+// enqueueDue queues node n to act at cycle at and lowers nextWake to it.
+func (m *Machine) enqueueDue(n *Node, at int64) {
+	m.due.push(dueEntry{at: at, node: int32(n.ID)})
 	if at < m.nextWake {
 		m.nextWake = at
 	}
+}
+
+// dueQueue is a binary min-heap of due entries ordered by cycle.
+type dueQueue []dueEntry
+
+func (h *dueQueue) push(e dueEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent].at <= s[i].at {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *dueQueue) pop() dueEntry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && s[l].at < s[smallest].at {
+			smallest = l
+		}
+		if r < n && s[r].at < s[smallest].at {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
 }
 
 // Quiescent implements sim.Parker. The machine parks when no node can
@@ -390,9 +480,8 @@ func (m *Machine) CompleteAccess(node int, write bool, now, deadlockCycles int64
 	}
 	n.outstanding = false
 	n.idx++
-	n.nextIssue = now + m.thinkTime(n)
+	m.setNextIssue(n, now+m.thinkTime(n))
 	if n.idx < len(n.stream) {
-		m.noteWake(n.nextIssue)
 		m.Kernel.Wake(m.tid)
 	}
 }

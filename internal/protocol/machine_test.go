@@ -14,6 +14,8 @@ type echoEngine struct {
 	m       *Machine
 	service int64
 	misses  int
+	// issued records every StartMiss as {cycle, node}, in call order.
+	issued [][2]int64
 }
 
 func newEchoEngine(m *Machine) *echoEngine {
@@ -29,11 +31,12 @@ func newEchoEngine(m *Machine) *echoEngine {
 
 func (e *echoEngine) StartMiss(node int, addr uint64, write bool, now int64) {
 	e.misses++
+	e.issued = append(e.issued, [2]int64{now, int64(node)})
 	t := RdReq
 	if write {
 		t = WrReq
 	}
-	msg := &Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now}
+	msg := &Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now, Attempt: e.m.CurrentAttempt(node)}
 	e.m.Mesh.Inject(node, e.m.NewPacket(node, e.m.Cfg.Home(addr), msg), now)
 }
 
@@ -44,14 +47,24 @@ func (e *echoEngine) Eject(node int, p *network.Packet, now int64) {
 		e.m.Kernel.Schedule(e.service, func() {
 			v := e.m.Mem.Read(msg.Addr)
 			e.m.Check.SampleRead(msg.Addr, v, v, msg.Requester, e.m.Kernel.Now())
-			reply := &Msg{Type: RdReply, Addr: msg.Addr, Requester: msg.Requester, Version: v, IssuedAt: msg.IssuedAt}
+			reply := &Msg{Type: RdReply, Addr: msg.Addr, Requester: msg.Requester, Version: v, IssuedAt: msg.IssuedAt, Attempt: msg.Attempt}
 			e.m.Mesh.Inject(node, e.m.NewPacket(node, msg.Requester, reply), e.m.Kernel.Now())
 		})
 	case WrReq:
 		e.m.Kernel.Schedule(e.service, func() {
-			reply := &Msg{Type: WrReply, Addr: msg.Addr, Requester: msg.Requester, IssuedAt: msg.IssuedAt}
+			reply := &Msg{Type: WrReply, Addr: msg.Addr, Requester: msg.Requester, IssuedAt: msg.IssuedAt, Attempt: msg.Attempt}
 			e.m.Mesh.Inject(node, e.m.NewPacket(node, msg.Requester, reply), e.m.Kernel.Now())
 		})
+	case RdReply, WrReply:
+		if e.m.DropStaleReply(node, msg) {
+			return
+		}
+		e.complete(node, msg, now)
+	}
+}
+
+func (e *echoEngine) complete(node int, msg *Msg, now int64) {
+	switch msg.Type {
 	case RdReply:
 		// Complete uncached: the echo engine does not maintain
 		// invalidations, so caching would defeat the verifier.
