@@ -124,8 +124,9 @@ type Mesh struct {
 	// ids for wakes. occ is each router's occupied-slot mask: bit port is
 	// set exactly when that input FIFO is non-empty, so Tick visits
 	// occupied FIFOs only (at most MaxDegree+2 bits). idleUntil is what
-	// each router's last Tick found: the earliest cycle one of its heads
-	// clears the pipeline, or 0 when a head was routable (see Quiescent).
+	// each router's last Tick left it waiting for: the earliest cycle one
+	// of its remaining heads clears the pipeline, or 0 when a head is
+	// routed or routable (see idleAfter and Quiescent).
 	fifos     []fifoQueue
 	busyTill  []int64
 	queued    []int32
@@ -454,13 +455,15 @@ func (m *Mesh) popAt(node int, fifos []fifoQueue, slot int) fifoEntry {
 // serialization tail needs no ticking to expire), and every path that hands
 // the router a packet wakes it.
 //
-// A router whose last Tick found no head routed and every head still in
-// the pipeline until after the next cycle parks on the kernel's timing
-// wheel until the earliest of them clears it: until then Phase 1 passes
-// every head and Phase 2 has nothing to grant. Its heads cannot leave
-// before that cycle, so it keeps its packets until the wake, as the
-// wheel's contract requires; enqueueAt extends the same wait to packets
-// handed to a parked router. Neither applies when mayParkQueued is false.
+// A router whose last Tick left no head routed or routable, and every
+// remaining head still in the pipeline until after the next cycle, parks
+// on the kernel's timing wheel until the earliest of them clears it: until
+// then Phase 1 passes every head and Phase 2 has nothing to grant. That
+// includes a router that has just granted its last routed head. Its heads
+// cannot leave before that cycle, so it keeps its packets until the wake,
+// as the wheel's contract requires; enqueueAt extends the same wait to
+// packets handed to a parked router. Neither applies when mayParkQueued is
+// false.
 func (r *Router) Quiescent() bool {
 	m := r.mesh
 	if m.queued[r.NodeID] == 0 {
@@ -541,10 +544,13 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // Each occupied input FIFO is visited once per cycle. Phase 1 walks the
 // router's occupied-slot mask in port order and, as it routes or passes
 // each head, records per output the slots whose routed heads wait on it
-// and the one among them routed first. Phase 2 grants
-// straight from that record. The record cannot go stale: only Phase 1
-// routes, it routes only heads, a routed head leaves its FIFO only through
-// its own pop, and the entry behind a popped head is never routed.
+// and the one among them routed first. Phase 2 grants straight from that
+// record, visiting only the outputs a head waits on (every output when the
+// stall plan is armed). The record cannot go stale: only Phase 1 routes,
+// it routes only heads, a routed head leaves its FIFO only through its own
+// pop, and the entry behind a popped head is never routed. After the
+// grants, idleAfter records what the remaining heads wait for, which
+// Quiescent parks on.
 //
 // The policy spawns packets into this router's generation FIFO from inside
 // Route (Mesh.Spawn, and Mesh.Fork for the copies of a generation-FIFO
@@ -571,21 +577,21 @@ func (r *Router) Tick(now int64) {
 		}
 	}
 	// Per output: waiting is the set of slots whose routed head is bound
-	// there, oldest the one of them with the smallest routing stamp.
+	// there, oldest the one of them with the smallest routing stamp. outs
+	// has bit o set when waiting[o] is non-empty.
 	var waiting [MaxDegree + 1]uint64
 	var oldest [MaxDegree + 1]int
 	var oldestSeq [MaxDegree + 1]uint64
+	var outs uint64
 	wait := func(slot int, p *Packet) {
 		o := p.outSlot
 		if waiting[o] == 0 || p.routeSeq < oldestSeq[o] {
 			oldest[o], oldestSeq[o] = slot, p.routeSeq
 		}
 		waiting[o] |= 1 << slot
+		outs |= 1 << o
 	}
 	// Phase 1: routing decisions for FIFO heads that cleared the pipeline.
-	// idle is the earliest cycle a passed head clears the pipeline, and
-	// drops to 0 once a head is routed or routable.
-	idle := int64(math.MaxInt64)
 	for slot := -1; ; {
 		rest := m.occ[node] &^ (1<<(slot+1) - 1)
 		if rest == 0 {
@@ -596,14 +602,11 @@ func (r *Router) Tick(now int64) {
 		p := h.pkt
 		if p.routed {
 			wait(slot, p)
-			idle = 0
 			continue
 		}
 		if h.readyAt > now {
-			idle = min(idle, h.readyAt)
 			continue
 		}
-		idle = 0
 		if inj := m.Faults; inj != nil && p.Checksum != ChecksumOf(p) {
 			// Corruption detected: discard before the policy (and
 			// its tree-cache side effects) ever sees the packet.
@@ -649,18 +652,20 @@ func (r *Router) Tick(now int64) {
 			wait(slot, p)
 		}
 	}
-	if !m.mayParkQueued() {
-		idle = 0
-	}
-	m.idleUntil[node] = idle
 	// Phase 2: output arbitration, one grant per output port per cycle.
 	// Arbitration is age-based (oldest routing decision wins): a message
 	// spawned by the protocol in reaction to a routed packet (e.g. a
 	// teardown chasing the reply that just built a virtual link) can
 	// then never overtake that packet onto the link, which the
-	// in-network protocol's correctness argument requires.
+	// in-network protocol's correctness argument requires. Only outputs
+	// with a waiting head have work, except that the stall plan is
+	// consulted for every output each cycle.
 	local := m.localSlot()
-	for out := 0; out < m.numOut; out++ {
+	if m.Faults != nil {
+		outs = 1<<m.numOut - 1
+	}
+	for ; outs != 0; outs &= outs - 1 {
+		out := bits.TrailingZeros64(outs)
 		if inj := m.Faults; inj != nil && out != local &&
 			inj.StallAt(now, node, out) {
 			// The link is frozen by a stall fault this cycle: no grant,
@@ -736,6 +741,29 @@ func (r *Router) Tick(now int64) {
 			e:    fifoEntry{pkt: p, readyAt: now + 1 + m.Pipeline},
 		})
 	}
+	m.idleUntil[node] = m.idleAfter(node, fifos, now)
+}
+
+// idleAfter returns what node's Tick at now leaves it waiting for: the
+// earliest cycle one of its remaining heads clears the pipeline, or 0 when
+// a head is routed (waiting for a grant), routable (stalled by the policy,
+// or exposed behind a head that left this cycle), or the router may not
+// park holding packets. Computed after the grants, so a router that grants
+// its last routed head while a packet is still in its pipeline parks at
+// once instead of spending its next tick doing nothing.
+func (m *Mesh) idleAfter(node int, fifos []fifoQueue, now int64) int64 {
+	if !m.mayParkQueued() {
+		return 0
+	}
+	idle := int64(math.MaxInt64)
+	for occ := m.occ[node]; occ != 0; occ &= occ - 1 {
+		h := fifos[bits.TrailingZeros64(occ)].head0()
+		if h.pkt.routed || h.readyAt <= now {
+			return 0
+		}
+		idle = min(idle, h.readyAt)
+	}
+	return idle
 }
 
 // eject is the deferred half of an ejection grant: the packet leaves the

@@ -444,3 +444,33 @@ func TestForkQueuesBehindHead(t *testing.T) {
 		t.Fatalf("InFlight=%d queued=%d after draining, want 5 and 0", m.InFlight, q)
 	}
 }
+
+// A router that grants its last routed head while a later packet is still
+// in its pipeline parks after that tick, instead of ticking once more to
+// find nothing to do, and wakes when the packet clears the pipeline.
+func TestRouterParksAfterLastGrant(t *testing.T) {
+	k, m, delivered := deliverySetup(t, 2, 1, 5)
+	ticks := func() int64 { return k.ShardStats().ActiveSum }
+	k.Step() // cycle 1: both routers tick with empty FIFOs and park
+	p1 := &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 0, Flits: 1}
+	m.Inject(0, p1, k.Now()) // routable at cycle 6
+	k.Step()
+	k.Step()
+	p2 := &Packet{ID: m.NextIDFor(0), Src: 0, Dst: 0, Flits: 1}
+	m.Inject(0, p2, k.Now()) // routable at cycle 8
+	var perCycle []int64
+	for k.Now() < 10 {
+		before := ticks()
+		k.Step()
+		perCycle = append(perCycle, ticks()-before)
+	}
+	// Cycles 4..10: router 0 ticks at 6 (routes and grants p1) and at 8
+	// (p2), and at no other cycle.
+	want := []int64{0, 0, 1, 0, 1, 0, 0}
+	if !reflect.DeepEqual(perCycle, want) {
+		t.Fatalf("router ticks per cycle 4..10 = %v, want %v", perCycle, want)
+	}
+	if delivered[p1.ID] != 7 || delivered[p2.ID] != 9 {
+		t.Fatalf("ejected at cycles %d and %d, want 7 and 9", delivered[p1.ID], delivered[p2.ID])
+	}
+}
