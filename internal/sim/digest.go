@@ -84,8 +84,9 @@ func (r *RNG) State() uint64 { return r.state }
 // a wake timer (with its target) — which, under deterministic replay,
 // identify the callback population exactly. A callback folds the same
 // whether it was scheduled as a closure or as a typed call with operands.
-// The heap's internal element order is an implementation detail, so events
-// are folded in (at, seq) order.
+// Where an event waits (heap or calendar bucket) and the heap's internal
+// element order are implementation details, so events are folded in
+// (at, seq) order.
 func (k *Kernel) DigestState(d *Digest) {
 	d.I64(k.now)
 	d.U64(k.seq)
@@ -95,8 +96,9 @@ func (k *Kernel) DigestState(d *Digest) {
 	for i := range k.slots {
 		d.Bool(k.isActive(TickerID(i)) || k.wheelPending(TickerID(i)))
 	}
-	evs := make([]event, len(k.events))
+	evs := make([]event, len(k.events), len(k.events)+k.cal.n)
 	copy(evs, k.events)
+	k.cal.each(func(e event) { evs = append(evs, e) })
 	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
 	d.Int(len(evs))
 	for _, e := range evs {

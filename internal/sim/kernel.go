@@ -185,6 +185,107 @@ func (h *eventHeap) pop() event {
 // wheelSlots-1 cycles out. It must be a power of two.
 const wheelSlots = 16
 
+// calSlots is the calendar ring's size: events 1 to calSlots-1 cycles out
+// go into the ring's per-cycle buckets, later ones onto the heap. It must
+// be a power of two and a multiple of 64.
+const calSlots = 256
+
+// calNode is one bucketed event in the calendar's node slab; next links
+// the bucket's list in append order, or the free list.
+type calNode struct {
+	e    event
+	next int32
+}
+
+// calendar holds the events due fewer than calSlots cycles out in a ring
+// of per-cycle buckets. Bucket at%calSlots is a list of the events due at
+// cycle at, in append order, threaded through a slab of nodes that freed
+// nodes return to; bits has bit s set exactly when bucket s is non-empty.
+type calendar struct {
+	nodes      []calNode
+	free       int32 // head of the free-node list, -1 when empty
+	head, tail [calSlots]int32
+	bits       [calSlots / 64]uint64
+	n          int // bucketed events
+}
+
+func (c *calendar) init() {
+	c.free = -1
+	for i := range c.head {
+		c.head[i], c.tail[i] = -1, -1
+	}
+}
+
+// add appends e to its cycle's bucket.
+func (c *calendar) add(e event) {
+	i := c.free
+	if i >= 0 {
+		c.free = c.nodes[i].next
+		c.nodes[i] = calNode{e: e, next: -1}
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, calNode{e: e, next: -1})
+	}
+	s := e.at & (calSlots - 1)
+	if t := c.tail[s]; t >= 0 {
+		c.nodes[t].next = i
+	} else {
+		c.head[s] = i
+		c.bits[s>>6] |= 1 << (uint(s) & 63)
+	}
+	c.tail[s] = i
+	c.n++
+}
+
+// take detaches and returns the head of cycle at's bucket.
+func (c *calendar) take(at int64) (event, bool) {
+	s := at & (calSlots - 1)
+	i := c.head[s]
+	if i < 0 {
+		return event{}, false
+	}
+	nd := &c.nodes[i]
+	e := nd.e
+	c.head[s] = nd.next
+	if nd.next < 0 {
+		c.tail[s] = -1
+		c.bits[s>>6] &^= 1 << (uint(s) & 63)
+	}
+	*nd = calNode{next: c.free} // drop the callback reference
+	c.free = i
+	c.n--
+	return e, true
+}
+
+// next returns the cycle of the earliest bucketed event, searching the
+// ring from cycle now+1, or false when no event is bucketed.
+func (c *calendar) next(now int64) (int64, bool) {
+	if c.n == 0 {
+		return 0, false
+	}
+	start := int((now + 1) & (calSlots - 1))
+	w := start >> 6
+	word := c.bits[w] &^ (1<<(uint(start)&63) - 1)
+	for i := 0; i <= len(c.bits); i++ {
+		if word != 0 {
+			s := w<<6 + bits.TrailingZeros64(word)
+			return now + 1 + int64((s-start)&(calSlots-1)), true
+		}
+		w = (w + 1) % len(c.bits)
+		word = c.bits[w]
+	}
+	return 0, false
+}
+
+// each calls fn on every bucketed event.
+func (c *calendar) each(fn func(event)) {
+	for s := range c.head {
+		for i := c.head[s]; i >= 0; i = c.nodes[i].next {
+			fn(c.nodes[i].e)
+		}
+	}
+}
+
 // tickerSlot is one registered ticker. Its activation state is the
 // ticker's bit in Kernel.active.
 type tickerSlot struct {
@@ -205,11 +306,16 @@ type deferredCall struct {
 // Kernel is the cycle-driven simulation engine. The zero value is not ready
 // for use; construct with NewKernel.
 type Kernel struct {
-	now        int64
-	seq        uint64
-	slots      []tickerSlot
-	events     eventHeap
-	pending    int // scheduled callbacks (call events) not yet fired
+	now     int64
+	seq     uint64
+	slots   []tickerSlot
+	pending int // scheduled callbacks (call events) not yet fired
+
+	// Pending events: those due fewer than calSlots cycles out are in
+	// the calendar ring, the rest on the heap (see push).
+	cal    calendar
+	events eventHeap
+
 	rng        *RNG
 	alwaysTick bool
 
@@ -251,7 +357,29 @@ type Kernel struct {
 // seed. Two kernels built with the same seed and the same component
 // registration order produce bit-identical simulations.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), stats: ShardStats{Width: 1}}
+	k := &Kernel{rng: NewRNG(seed), stats: ShardStats{Width: 1}}
+	k.cal.init()
+	return k
+}
+
+// push adds e to the pending events: into the calendar bucket of its
+// cycle when that is fewer than calSlots cycles out, else onto the heap.
+func (k *Kernel) push(e event) {
+	if e.at-k.now < calSlots {
+		k.cal.add(e)
+	} else {
+		k.events.push(e)
+	}
+}
+
+// nextEvent returns the cycle of the earliest pending event, or false when
+// none is pending.
+func (k *Kernel) nextEvent() (int64, bool) {
+	at, ok := k.cal.next(k.now)
+	if len(k.events) > 0 && (!ok || k.events[0].at < at) {
+		return k.events[0].at, true
+	}
+	return at, ok
 }
 
 // Now returns the current cycle.
@@ -369,7 +497,7 @@ func (k *Kernel) WakeAt(delay int64, id TickerID) int64 {
 		delay = 1
 	}
 	k.seq++
-	k.events.push(event{at: k.now + delay, seq: k.seq, n: int(id)})
+	k.push(event{at: k.now + delay, seq: k.seq, n: int(id)})
 	return k.now + delay
 }
 
@@ -408,7 +536,7 @@ func (k *Kernel) ScheduleCall(delay int64, call func(int, any), n int, arg any) 
 		delay = 1
 	}
 	k.seq++
-	k.events.push(event{at: k.now + delay, seq: k.seq, call: call, n: n, arg: arg})
+	k.push(event{at: k.now + delay, seq: k.seq, call: call, n: n, arg: arg})
 	k.pending++
 	return k.now + delay
 }
@@ -445,18 +573,24 @@ func (k *Kernel) OnCycleEnd(fn func()) {
 // registration order, then the end-of-cycle stage runs the OnCycleEnd
 // hooks and drains the Defer queue. Active Parkers reporting quiescence
 // are parked as they tick.
+//
+// The cycle's events are the heap's due events, then the calendar bucket's.
+// A heap event for a cycle was scheduled at least calSlots cycles before
+// it, and a bucketed one fewer, so every heap event for a cycle precedes
+// every bucketed one in schedule order: firing the heap first, then the
+// bucket in append order, is (at, seq) order.
 func (k *Kernel) Step() {
 	k.now++
 	k.fireWheel()
 	for len(k.events) > 0 && k.events[0].at <= k.now {
-		e := k.events.pop()
-		if e.call != nil {
-			k.pending--
-			k.fired++
-			e.call(e.n, e.arg)
-		} else {
-			k.Wake(TickerID(e.n))
+		k.fire(k.events.pop())
+	}
+	for {
+		e, ok := k.cal.take(k.now)
+		if !ok {
+			break
 		}
+		k.fire(e)
 	}
 	k.inTick = true
 	k.tick()
@@ -483,6 +617,17 @@ func (k *Kernel) Step() {
 		}
 		k.watchLast = p
 		k.watchAt = k.now + k.watchW
+	}
+}
+
+// fire runs a due event: a callback, or a wake timer's Wake.
+func (k *Kernel) fire(e event) {
+	if e.call != nil {
+		k.pending--
+		k.fired++
+		e.call(e.n, e.arg)
+	} else {
+		k.Wake(TickerID(e.n))
 	}
 }
 
@@ -587,8 +732,8 @@ func (k *Kernel) skipIdle(limit int64) bool {
 		return false
 	}
 	target := limit
-	if len(k.events) > 0 && k.events[0].at-1 < target {
-		target = k.events[0].at - 1
+	if at, ok := k.nextEvent(); ok && at-1 < target {
+		target = at - 1
 	}
 	if target > k.now {
 		k.now = target
