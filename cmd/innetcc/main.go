@@ -378,9 +378,23 @@ func runFigure9(w io.Writer, opt experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	experiments.PrintPairs(w, "Figure 9 — latency reduction, 64 nodes (8x8 mesh)", rs,
+	fabric := network.MeshSpec(8, 8) // experiments.Figure9's own fabric
+	if opt.Topology != "" {
+		if fabric, err = network.ParseTopoSpec(opt.Topology); err != nil {
+			return err
+		}
+	}
+	experiments.PrintPairs(w, "Figure 9 — latency reduction, "+fabricTitle(fabric), rs,
 		"(paper avg: reads -35%, writes -48%)")
 	return checkRows(rs, pairErr)
+}
+
+// fabricTitle names a fabric for a figure title: "64 nodes (8x8 mesh)".
+func fabricTitle(t network.TopoSpec) string {
+	if t.Kind == "ring" {
+		return fmt.Sprintf("%d nodes (ring)", t.Nodes())
+	}
+	return fmt.Sprintf("%d nodes (%dx%d %s)", t.Nodes(), t.W, t.H, t.Kind)
 }
 
 func runTable4(w io.Writer, opt experiments.Options) error {

@@ -33,7 +33,12 @@ const DefaultMaxCycles = 200_000_000
 // specVersion invalidates cached results when the result schema or the
 // simulation semantics change incompatibly. Bump it on any change that
 // alters what a given spec computes.
-const specVersion = 9 // v9: a fault plan's scope gates corruption as it gates drops
+//
+// v10: a tree-engine multicast teardown's fork copies queue directly behind
+// the forked head in the generation FIFO, ahead of packets the router
+// spawned after it (Mesh.Fork), which changes every -multicast tree job.
+// v9: a fault plan's scope gates corruption as it gates drops.
+const specVersion = 10
 
 // Job describes one hermetic simulation: which engine to run, on which
 // configuration, over which synthetic trace. Everything the simulation

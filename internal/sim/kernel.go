@@ -19,12 +19,27 @@
 // that care (tests, schedulers layering their own timelines) can see the
 // clamp instead of silently mispredicting it.
 //
+// # Event queue
+//
+// Most events are due soon: ejections, NIC service times, L2, directory
+// and memory latencies. An event fewer than 256 cycles out goes into a
+// calendar ring of per-cycle buckets, a list per cycle in append order;
+// later ones go onto a binary heap. A heap event for a cycle was scheduled
+// at least 256 cycles before it and a bucketed one fewer, so each cycle
+// fires its heap events and then its bucket, which is schedule order.
+// Which of the two holds an event never shows in the simulation or its
+// digest.
+//
 // # Active-set ticking
 //
 // Most tickers in a large simulation are idle in any given cycle: a 64-node
 // mesh at low injection has a handful of routers carrying flits while the
 // rest have empty FIFOs, and a router holding flits spends most cycles
-// waiting for them to clear its pipeline. Tickers that additionally
+// waiting for them to clear its pipeline. (The network parks a router on
+// the timing wheel below as soon as a tick leaves it only such packets,
+// its last grant included; the protocol machine, one ticker for every
+// CPU, keeps a due queue of the cycles its CPUs can next act at and parks
+// until the earliest.) Tickers that additionally
 // implement Parker are therefore parked as soon as they report quiescence
 // after a tick, and skip the per-cycle virtual call until woken. Three wake
 // sources exist:

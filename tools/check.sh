@@ -6,8 +6,8 @@
 # (drop-plan recovery per engine + watchdog hang post-mortem, stall and
 # corrupt faults with metrics on, a run whose rows all fail that must exit
 # non-zero), a race-enabled
-# metrics-instrumented experiment run, and race-enabled topology and
-# router-parking experiment smokes. CI runs exactly this script
+# metrics-instrumented experiment run, and race-enabled topology,
+# router-parking and 64-node experiment smokes. CI runs exactly this script
 # (.github/workflows/ci.yml) so local and CI results agree.
 set -eux
 
@@ -117,6 +117,10 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
 # parks them for the shortest delays.
 go run -race ./cmd/innetcc -exp fig10 -accesses 80 -jobs 2 >/dev/null
 go run -race ./cmd/innetcc -exp fig11 -accesses 80 -jobs 2 >/dev/null
+# Figure 9's 8x8 jobs register 65 tickers (64 routers and the machine), so
+# the kernel's active bitmap spills into a second word, and the machine's
+# due queue serves 64 CPUs.
+go run -race ./cmd/innetcc -exp fig9 -accesses 40 -jobs 2 >/dev/null
 
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
