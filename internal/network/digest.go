@@ -24,7 +24,7 @@ func (m *Mesh) DigestState(d *sim.Digest) {
 			q := &m.fifos[node*m.numIn+port]
 			d.Int(q.n)
 			for i := 0; i < q.n; i++ {
-				e := &q.buf[(q.head+i)%len(q.buf)]
+				e := &q.buf[q.at(i)]
 				p := e.pkt
 				d.I64(e.readyAt)
 				d.U64(p.ID)

@@ -47,20 +47,25 @@ func (r *Router) Topo() Topology { return r.mesh.Topo }
 // fifoQueue is a growable ring buffer of fifoEntries. Unlike the obvious
 // `q = q[1:]` slice queue, a ring never strands capacity behind the read
 // point, so a router in steady state pushes and pops with zero allocations.
+// The buffer's length is a power of two, so positions wrap with a mask
+// rather than a division.
 type fifoQueue struct {
 	buf     []fifoEntry
 	head, n int
 }
 
+// at returns the position of the i-th entry from the head.
+func (f *fifoQueue) at(i int) int { return (f.head + i) & (len(f.buf) - 1) }
+
 func (f *fifoQueue) push(e fifoEntry) {
 	if f.n == len(f.buf) {
 		grown := make([]fifoEntry, max(4, 2*len(f.buf)))
 		for i := 0; i < f.n; i++ {
-			grown[i] = f.buf[(f.head+i)%len(f.buf)]
+			grown[i] = f.buf[f.at(i)]
 		}
 		f.buf, f.head = grown, 0
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = e
+	f.buf[f.at(f.n)] = e
 	f.n++
 }
 
@@ -69,7 +74,7 @@ func (f *fifoQueue) push(e fifoEntry) {
 func (f *fifoQueue) insertBehindHead(e fifoEntry) {
 	f.push(e)
 	for j := f.n - 1; j > 1; j-- {
-		a, b := (f.head+j)%len(f.buf), (f.head+j-1)%len(f.buf)
+		a, b := f.at(j), f.at(j-1)
 		f.buf[a], f.buf[b] = f.buf[b], f.buf[a]
 	}
 }
@@ -84,7 +89,7 @@ func (f *fifoQueue) head0() *fifoEntry {
 func (f *fifoQueue) pop() fifoEntry {
 	e := f.buf[f.head]
 	f.buf[f.head] = fifoEntry{}
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = f.at(1)
 	f.n--
 	return e
 }

@@ -649,9 +649,10 @@ func (m *Machine) AllDone() bool {
 }
 
 // Quiesced reports full-system quiescence: CPUs drained, network empty,
-// engine queues empty, no pending events.
+// engine queues empty, no pending events. Run polls it every cycle, so the
+// checks that almost always fail mid-run come first.
 func (m *Machine) Quiesced() bool {
-	return m.AllDone() && m.Mesh.InFlight == 0 && m.engine.Quiesced() && m.Kernel.Pending() == 0
+	return m.Kernel.Pending() == 0 && m.Mesh.InFlight == 0 && m.AllDone() && m.engine.Quiesced()
 }
 
 // Run executes the simulation until quiescence, a fatal fault-layer error

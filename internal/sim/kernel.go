@@ -252,26 +252,6 @@ func (c *calendar) add(e event) {
 	c.n++
 }
 
-// take detaches and returns the head of cycle at's bucket.
-func (c *calendar) take(at int64) (event, bool) {
-	s := at & (calSlots - 1)
-	i := c.head[s]
-	if i < 0 {
-		return event{}, false
-	}
-	nd := &c.nodes[i]
-	e := nd.e
-	c.head[s] = nd.next
-	if nd.next < 0 {
-		c.tail[s] = -1
-		c.bits[s>>6] &^= 1 << (uint(s) & 63)
-	}
-	*nd = calNode{next: c.free} // drop the callback reference
-	c.free = i
-	c.n--
-	return e, true
-}
-
 // next returns the cycle of the earliest bucketed event, searching the
 // ring from cycle now+1, or false when no event is bucketed.
 func (c *calendar) next(now int64) (int64, bool) {
@@ -600,13 +580,7 @@ func (k *Kernel) Step() {
 	for len(k.events) > 0 && k.events[0].at <= k.now {
 		k.fire(k.events.pop())
 	}
-	for {
-		e, ok := k.cal.take(k.now)
-		if !ok {
-			break
-		}
-		k.fire(e)
-	}
+	k.fireBucket()
 	k.inTick = true
 	k.tick()
 	k.inTick = false
@@ -632,6 +606,29 @@ func (k *Kernel) Step() {
 		}
 		k.watchLast = p
 		k.watchAt = k.now + k.watchW
+	}
+}
+
+// fireBucket fires the current cycle's calendar bucket in append order.
+// It detaches the whole list first: an event fired here schedules nothing
+// into this cycle's bucket, since every delay is 1 to calSlots-1 cycles.
+func (k *Kernel) fireBucket() {
+	c := &k.cal
+	s := k.now & (calSlots - 1)
+	i := c.head[s]
+	if i < 0 {
+		return
+	}
+	c.head[s], c.tail[s] = -1, -1
+	c.bits[s>>6] &^= 1 << (uint(s) & 63)
+	for i >= 0 {
+		nd := &c.nodes[i]
+		e, next := nd.e, nd.next
+		*nd = calNode{next: c.free} // drop the callback reference
+		c.free = i
+		c.n--
+		k.fire(e) // may grow c.nodes: nd is not used past here
+		i = next
 	}
 }
 
