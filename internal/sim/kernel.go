@@ -610,8 +610,8 @@ func (k *Kernel) Step() {
 }
 
 // fireBucket fires the current cycle's calendar bucket in append order.
-// It detaches the whole list first: an event fired here schedules nothing
-// into this cycle's bucket, since every delay is 1 to calSlots-1 cycles.
+// It detaches the whole list first: whatever a fired event schedules is at
+// least one cycle out, so it lands in another bucket or on the heap.
 func (k *Kernel) fireBucket() {
 	c := &k.cal
 	s := k.now & (calSlots - 1)
