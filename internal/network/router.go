@@ -418,7 +418,7 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 // enqueueAt appends e to node's port FIFO and wakes the router by the
 // cycle the entry clears the pipeline: it now has work. Until then the
 // router's ticks would pass the entry by, so a parked router stays parked
-// on the kernel's timing wheel until e.readyAt (see Quiescent), unless it
+// on a kernel slot wake until e.readyAt (see Quiescent), unless it
 // may not park holding packets.
 func (m *Mesh) enqueueAt(node, port int, e fifoEntry) {
 	m.fifoAt(node, port).push(e)
@@ -462,11 +462,11 @@ func (m *Mesh) popAt(node int, fifos []fifoQueue, slot int) fifoEntry {
 //
 // A router whose last Tick left no head routed or routable, and every
 // remaining head still in the pipeline until after the next cycle, parks
-// on the kernel's timing wheel until the earliest of them clears it: until
+// on a kernel slot wake until the earliest of them clears it: until
 // then Phase 1 passes every head and Phase 2 has nothing to grant. That
 // includes a router that has just granted its last routed head. Its heads
 // cannot leave before that cycle, so it keeps its packets until the wake,
-// as the wheel's contract requires; enqueueAt extends the same wait to
+// as the slot wake's contract requires; enqueueAt extends the same wait to
 // packets handed to a parked router. Neither applies when mayParkQueued is
 // false.
 func (r *Router) Quiescent() bool {

@@ -17,9 +17,19 @@ func logEvent(k *Kernel, log *[]firing, delay int64, label int) {
 	k.Schedule(delay, func() { *log = append(*log, firing{k.Now(), label}) })
 }
 
-// Events 255, 256 and 257 cycles out straddle the calendar ring's reach
-// (the first is bucketed, the others go to the heap) and still fire in
-// (cycle, schedule order) order.
+// bucketAts lists the fire cycles of the events waiting in bucket s, in
+// the bucket's order.
+func bucketAts(k *Kernel, s int) []int64 {
+	var ats []int64
+	for i := k.cal.head[s]; i >= 0; i = k.cal.nodes[i].next {
+		ats = append(ats, k.cal.nodes[i].e.at)
+	}
+	return ats
+}
+
+// Events 255, 256 and 257 cycles out straddle a lap of the calendar ring
+// (the first lands in the current lap, the others in the next) and still
+// fire in (cycle, schedule order) order.
 func TestCalendarReachBoundaryOrder(t *testing.T) {
 	k := NewKernel(1)
 	k.Run(100)
@@ -27,8 +37,10 @@ func TestCalendarReachBoundaryOrder(t *testing.T) {
 	for i, d := range []int64{257, 255, 256, 255, 257, 256} {
 		logEvent(k, &log, d, i)
 	}
-	if k.cal.n != 2 || len(k.events) != 4 {
-		t.Fatalf("%d bucketed and %d heap events, want 2 and 4", k.cal.n, len(k.events))
+	for s, want := range map[int][]int64{99: {355, 355}, 100: {356, 356}, 101: {357, 357}} {
+		if got := bucketAts(k, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bucket %d holds %v, want %v", s, got, want)
+		}
 	}
 	k.Run(400)
 	want := []firing{{355, 1}, {355, 3}, {356, 2}, {356, 5}, {357, 0}, {357, 4}}
@@ -37,19 +49,19 @@ func TestCalendarReachBoundaryOrder(t *testing.T) {
 	}
 }
 
-// An event scheduled onto the heap and events later bucketed for the same
-// cycle fire in schedule order: the heap's first.
-func TestCalendarHeapAndBucketShareCycle(t *testing.T) {
+// An event scheduled more than a lap out and events later scheduled for
+// the same cycle share its bucket, in schedule order.
+func TestCalendarLapsShareBucketInScheduleOrder(t *testing.T) {
 	k := NewKernel(1)
 	k.Run(10)
 	var log []firing
-	logEvent(k, &log, 300, 0) // cycle 310, on the heap
-	k.Run(150)
-	logEvent(k, &log, 160, 1) // cycle 310, bucketed
-	logEvent(k, &log, 159, 2) // cycle 309, bucketed
-	logEvent(k, &log, 160, 3) // cycle 310, bucketed
-	if k.cal.n != 3 || len(k.events) != 1 {
-		t.Fatalf("%d bucketed and %d heap events, want 3 and 1", k.cal.n, len(k.events))
+	logEvent(k, &log, 300, 0) // cycle 310, a lap out
+	k.Run(150)                // passes bucket 54 at cycle 54, leaving it
+	logEvent(k, &log, 160, 1) // cycle 310
+	logEvent(k, &log, 159, 2) // cycle 309
+	logEvent(k, &log, 160, 3) // cycle 310
+	if got, want := bucketAts(k, 310%calSlots), []int64{310, 310, 310}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bucket %d holds %v, want %v", 310%calSlots, got, want)
 	}
 	k.Run(400)
 	want := []firing{{309, 2}, {310, 0}, {310, 1}, {310, 3}}
@@ -58,9 +70,52 @@ func TestCalendarHeapAndBucketShareCycle(t *testing.T) {
 	}
 }
 
+// One bucket holding events of three laps and a slot wake: the wake fires
+// first, then the due lap's events in schedule order, and the later laps
+// stay in place, ahead of what the fired events schedule a lap out.
+func TestCalendarBucketOfThreeLapsFiresInOrder(t *testing.T) {
+	k := NewKernel(1)
+	w := newWheelTicker(k)
+	k.Run(1) // ticks at 1, then parks with no plan
+	var log []firing
+	var wokenFirst []bool
+	// Cycles 601, 89, 345, 89, 601, 345: all in bucket 89.
+	for i, d := range []int64{600, 88, 344, 88, 600, 344} {
+		i := i
+		k.Schedule(d, func() {
+			log = append(log, firing{k.Now(), i})
+			if k.Now() == 89 {
+				wokenFirst = append(wokenFirst, k.isActive(w.id))
+				logEvent(k, &log, 512, 10+i) // cycle 601, behind labels 0 and 4
+			}
+		})
+	}
+	if !k.ParkUntil(89, w.id) {
+		t.Fatal("ParkUntil(89) refused")
+	}
+	k.Run(100)
+	if got, want := bucketAts(k, 89), []int64{601, 345, 601, 345, 601, 601}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after cycle 89, bucket 89 holds %v, want %v", got, want)
+	}
+	k.Run(700)
+	want := []firing{{89, 1}, {89, 3}, {345, 2}, {345, 5}, {601, 0}, {601, 4}, {601, 11}, {601, 13}}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
+	if want := []bool{true, true}; !reflect.DeepEqual(wokenFirst, want) {
+		t.Fatalf("ticker active when cycle 89's events fired: %v, want %v", wokenFirst, want)
+	}
+	if want := []int64{1, 89}; !reflect.DeepEqual(w.ticks, want) {
+		t.Fatalf("ticks %v, want %v", w.ticks, want)
+	}
+	if k.cal.head[89] >= 0 || k.cal.events.has(89) {
+		t.Fatalf("bucket 89 not emptied: %v", bucketAts(k, 89))
+	}
+}
+
 // skipIdle lands on the cycle before the earliest pending event wherever
-// the events wait: only in buckets (including past the ring's wrap), only
-// on the heap, or in both with either one earlier.
+// it waits: in the current lap (including past the ring's wrap), in a
+// later lap, or behind a non-empty bucket that holds only later laps.
 func TestSkipIdleFindsEarliestEvent(t *testing.T) {
 	// Each case schedules from cycle 1, where the ticker has parked, or
 	// from a later cycle the clock skips to first.
@@ -69,11 +124,12 @@ func TestSkipIdleFindsEarliestEvent(t *testing.T) {
 		delays [][2]int64 // {schedule at cycle, delay}
 		want   int64
 	}{
-		{"bucket", [][2]int64{{0, 100}, {0, 200}}, 100},
-		{"bucket across the wrap", [][2]int64{{250, 10}}, 259},
-		{"heap", [][2]int64{{0, 1000}, {0, 700}}, 700},
-		{"bucket before heap", [][2]int64{{0, 300}, {0, 200}}, 200},
-		{"heap before bucket", [][2]int64{{0, 300}, {100, 250}}, 300},
+		{"current lap", [][2]int64{{0, 100}, {0, 200}}, 100},
+		{"current lap across the wrap", [][2]int64{{250, 10}}, 259},
+		{"later laps only", [][2]int64{{0, 1000}, {0, 700}}, 700},
+		{"later lap in a nearer bucket", [][2]int64{{0, 300}, {0, 200}}, 200},
+		{"scheduled a lap out, now within one", [][2]int64{{0, 300}, {100, 250}}, 300},
+		{"three laps in one bucket", [][2]int64{{0, 600}, {0, 344}, {0, 856}}, 344},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -97,7 +153,7 @@ func TestSkipIdleFindsEarliestEvent(t *testing.T) {
 }
 
 // churnTicker schedules events and wake timers at delays on both sides of
-// the calendar's reach from its RNG, and parks between them, so runs
+// a lap of the calendar ring from its RNG, and parks between them, so runs
 // fast-forward across idle stretches.
 type churnTicker struct {
 	k   *Kernel

@@ -74,30 +74,36 @@ func (r *RNG) State() uint64 { return r.state }
 // DigestState folds the kernel's core state into d: the clock, the
 // scheduling sequence, the RNG position, per-ticker activation flags and
 // the pending event timeline. A ticker's flag is its logical activation:
-// set when it is active or has a wheel wake pending. A wheel-parked ticker
+// set when it is active or has a slot wake pending. A slot-parked ticker
 // still holds work that cannot complete before its wake (the Parker
 // contract), so a ticker that parked only when it held no work would be
 // active in its place; folding the two alike keeps the digest independent
-// of wheel parking. Event callbacks are functions and cannot be
+// of slot parking. Event callbacks are functions and cannot be
 // serialized, so the timeline is represented by each event's observable
 // coordinates — fire cycle, schedule order, and whether it is a callback or
 // a wake timer (with its target) — which, under deterministic replay,
 // identify the callback population exactly. A callback folds the same
 // whether it was scheduled as a closure or as a typed call with operands.
-// Where an event waits (heap or calendar bucket) and the heap's internal
-// element order are implementation details, so events are folded in
-// (at, seq) order.
+// Which bucket an event waits in is an implementation detail, so events
+// are folded in (at, seq) order.
 func (k *Kernel) DigestState(d *Digest) {
 	d.I64(k.now)
 	d.U64(k.seq)
 	d.Int(k.pending)
 	d.U64(k.rng.State())
 	d.Int(len(k.slots))
+	var woken uint64 // word w of every slot's wake bitmap, ORed
 	for i := range k.slots {
-		d.Bool(k.isActive(TickerID(i)) || k.wheelPending(TickerID(i)))
+		w := i >> 6
+		if i&63 == 0 {
+			woken = 0
+			for _, x := range k.cal.wakes[w*calSlots : (w+1)*calSlots] {
+				woken |= x
+			}
+		}
+		d.Bool((k.active[w]|woken)&(1<<(uint(i)&63)) != 0)
 	}
-	evs := make([]event, len(k.events), len(k.events)+k.cal.n)
-	copy(evs, k.events)
+	var evs []event
 	k.cal.each(func(e event) { evs = append(evs, e) })
 	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
 	d.Int(len(evs))

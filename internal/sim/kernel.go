@@ -19,44 +19,44 @@
 // that care (tests, schedulers layering their own timelines) can see the
 // clamp instead of silently mispredicting it.
 //
-// # Event queue
+// # The calendar ring
 //
-// Most events are due soon: ejections, NIC service times, L2, directory
-// and memory latencies. An event fewer than 256 cycles out goes into a
-// calendar ring of per-cycle buckets, a list per cycle in append order;
-// later ones go onto a binary heap. A heap event for a cycle was scheduled
-// at least 256 cycles before it and a bucketed one fewer, so each cycle
-// fires its heap events and then its bucket, which is schedule order.
-// Which of the two holds an event never shows in the simulation or its
-// digest.
+// The kernel's one timeline is a calendar ring of 256 per-cycle slots
+// (Brown's calendar queue with one-cycle buckets). Each slot holds a
+// bucket of events and a wake bitmap. Every event goes into the bucket of
+// its cycle modulo 256, in append order, so all the events of one cycle
+// share a bucket in schedule order. An event 256 or more cycles out — a
+// fault plan's timeout or probe; the paper's traffic schedules none —
+// waits in its bucket through the laps before its own: a cycle fires only
+// its bucket's events whose cycle is now, and leaves later laps in place.
 //
 // # Active-set ticking
 //
 // Most tickers in a large simulation are idle in any given cycle: a 64-node
 // mesh at low injection has a handful of routers carrying flits while the
 // rest have empty FIFOs, and a router holding flits spends most cycles
-// waiting for them to clear its pipeline. (The network parks a router on
-// the timing wheel below as soon as a tick leaves it only such packets,
-// its last grant included; the protocol machine, one ticker for every
-// CPU, keeps a due queue of the cycles its CPUs can next act at and parks
-// until the earliest.) Tickers that additionally
+// waiting for them to clear its pipeline. (The network parks a router on a
+// slot wake as soon as a tick leaves it only such packets, its last grant
+// included; the protocol machine, one ticker for every CPU, keeps a due
+// queue of the cycles its CPUs can next act at and parks until the
+// earliest.) Tickers that additionally
 // implement Parker are therefore parked as soon as they report quiescence
 // after a tick, and skip the per-cycle virtual call until woken. Three wake
 // sources exist:
 //
 //   - Wake, edge-triggered and idempotent: components wake a ticker
 //     whenever they hand it new work (packet enqueue, access completion).
-//   - The timing wheel: Quiescent may call ParkUntil to be woken at a cycle
-//     fewer than 16 cycles out, and a producer handing a parked ticker
+//   - Slot wakes: Quiescent may call ParkUntil to be woken at a cycle
+//     fewer than 256 cycles out, and a producer handing a parked ticker
 //     work it cannot act on yet calls WakeBy to arm such a wake instead of
-//     waking it now. The wheel is 16 per-cycle wake bitmaps (Varghese and
-//     Lauck's timing wheel, one slot per cycle); Step ORs the due slot into
-//     the active set before events fire. Arming a wake costs one bit and
-//     no sequence number, so a router can park for the few cycles its
-//     oldest packet spends in the pipeline.
-//   - WakeAt, a wake timer on the event heap for any delay. It bumps the
-//     schedule sequence, so a ticker that parks on it is digested
-//     differently from one that stays active; the wheel has no such effect.
+//     waking it now. The wake is the ticker's bit in the ring slot of that
+//     cycle (a timing wheel in Varghese and Lauck's sense); Step ORs the
+//     due slot into the active set before events fire. Arming a wake costs
+//     one bit and no sequence number, so a router can park for the few
+//     cycles its oldest packet spends in the pipeline.
+//   - WakeAt, a wake timer event for any delay. It bumps the schedule
+//     sequence, so a ticker that parks on it is digested differently from
+//     one that stays active; a slot wake has no such effect.
 //
 // A wake during the cycle's event phase — or from an earlier ticker in the
 // same cycle — means the woken ticker still ticks in that same cycle,
@@ -66,29 +66,32 @@
 // everything every cycle; SetAlwaysTick(true) restores the exhaustive
 // behavior for differential testing.
 //
-// When every ticker is parked and no wheel wake is pending, Run and
+// When every ticker is parked and no slot wake is pending, Run and
 // RunUntil fast-forward the clock to the next scheduled event instead of
-// stepping through cycles in which nothing can happen. A pending wheel wake
+// stepping through cycles in which nothing can happen. A pending slot wake
 // counts as activity there and for the hang watchdog.
 //
 // # Tick order and the end-of-cycle stage
 //
-// A cycle has three phases. First, the due wheel slot reactivates its
-// tickers and due events fire in schedule order. Second, the tick phase:
-// active tickers tick in registration order, found by walking a dense
-// active bitmap so parked tickers cost nothing. Third, the end-of-cycle
-// stage: OnCycleEnd hooks run in registration order (the network's link
-// hand-offs, fault drops and in-network deliveries), then the Defer queue
-// drains in append order. Work a ticker hands to the event heap with Defer
-// therefore gets its schedule sequence number after the cycle's drop
-// handling, and the state digest, which folds that sequence counter and
-// every ticker's activation flag, depends on this order. A wheel-parked
-// ticker is digested as active: its wake targets a cycle no later than the
-// work it waits on could complete, so it still holds that work. See
-// DESIGN.md's tick-order section.
+// A cycle has three phases. First, the cycle's ring slot fires: its wakes
+// reactivate their tickers, then its due events fire in schedule order.
+// Second, the tick phase: active tickers tick in registration order, found
+// by walking a dense active bitmap so parked tickers cost nothing. Third,
+// the end-of-cycle stage: OnCycleEnd hooks run in registration order (the
+// network's link hand-offs, fault drops and in-network deliveries), then
+// the Defer queue drains in append order. Work a ticker schedules with
+// Defer therefore gets its schedule sequence number after the cycle's
+// drop handling, and the state digest, which folds that sequence counter
+// and every ticker's activation flag, depends on this order. A
+// slot-parked ticker is digested as active: its wake targets a cycle no
+// later than the work it waits on could complete, so it still holds that
+// work. See DESIGN.md's tick-order section.
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Ticker is implemented by components that need to perform work every cycle,
 // such as routers and network interfaces.
@@ -98,7 +101,7 @@ type Ticker interface {
 
 // Parker is optionally implemented by tickers that can report quiescence.
 // After ticking a Parker that reports Quiescent, the kernel parks it: the
-// ticker is skipped every cycle until Kernel.Wake, a wheel wake armed with
+// ticker is skipped every cycle until Kernel.Wake, a slot wake armed with
 // ParkUntil or WakeBy, or a WakeAt timer reactivates it. A Parker must only
 // report quiescence when its Tick would be a no-op for every cycle until
 // one of its wake sources fires, so that parking never changes simulation
@@ -106,7 +109,7 @@ type Ticker interface {
 // wake with WakeAt, or arming one with ParkUntil and reporting quiescence
 // only when that returns true.
 //
-// A ticker with a wheel wake pending, armed by its own Quiescent or by a
+// A ticker with a slot wake pending, armed by its own Quiescent or by a
 // producer's WakeBy, promises more: it holds work that cannot complete
 // before the armed cycle, so it still holds work when the wake fires,
 // whatever else wakes it meanwhile. The state digest relies on this when
@@ -120,8 +123,8 @@ type Parker interface {
 // WakeAt take it. IDs are dense indexes in registration order.
 type TickerID int
 
-// event is a delayed callback or a parked-ticker wake timer on the
-// kernel's event heap. A callback runs call(n, arg); a wake timer has
+// event is a delayed callback or a parked-ticker wake timer in the
+// kernel's calendar ring. A callback runs call(n, arg); a wake timer has
 // call == nil and n holding the ticker's id. Carrying the callback's
 // operands beside a static function (or a method value bound once) is what
 // keeps scheduling allocation-free: a closure capturing them would be a
@@ -139,9 +142,8 @@ type event struct {
 // func value is pointer-shaped, so boxing it in arg does not allocate.
 func runFunc(_ int, arg any) { arg.(func())() }
 
-// before reports heap ordering: by fire cycle, then schedule order. seq is
-// unique, so (at, seq) is a total order and the pop sequence is independent
-// of heap implementation details.
+// before reports schedule order: by fire cycle, then schedule sequence.
+// seq is unique, so (at, seq) is a total order.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -149,79 +151,57 @@ func (e event) before(o event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is a hand-rolled binary min-heap. container/heap would box every
-// pushed and popped event in an interface{}, allocating on the simulation's
-// hottest non-tick path; the explicit version keeps Schedule/fire
-// allocation-free outside slice growth.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the callback reference
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s[l].before(s[smallest]) {
-			smallest = l
-		}
-		if r < n && s[r].before(s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}
-
-// wheelSlots is the timing wheel's size: ParkUntil arms wakes 1 to
-// wheelSlots-1 cycles out. It must be a power of two.
-const wheelSlots = 16
-
-// calSlots is the calendar ring's size: events 1 to calSlots-1 cycles out
-// go into the ring's per-cycle buckets, later ones onto the heap. It must
-// be a power of two and a multiple of 64.
+// calSlots is the calendar ring's size: one bucket and one wake slot per
+// cycle of a lap. It must be a power of two and a multiple of 64.
 const calSlots = 256
 
-// calNode is one bucketed event in the calendar's node slab; next links
-// the bucket's list in append order, or the free list.
+// slotBits is a bitmap with one bit per ring slot.
+type slotBits [calSlots / 64]uint64
+
+func (b *slotBits) set(s int)      { b[s>>6] |= 1 << (uint(s) & 63) }
+func (b *slotBits) clear(s int)    { b[s>>6] &^= 1 << (uint(s) & 63) }
+func (b *slotBits) has(s int) bool { return b[s>>6]&(1<<(uint(s)&63)) != 0 }
+func (b *slotBits) any() bool      { return *b != slotBits{} }
+
+// next returns the least distance in [d, calSlots) from slot start to a
+// set bit, going round the ring, or -1 when there is none.
+func (b *slotBits) next(start, d int) int {
+	for d < calSlots {
+		s := (start + d) & (calSlots - 1)
+		if word := b[s>>6] >> (uint(s) & 63); word != 0 {
+			if d += bits.TrailingZeros64(word); d < calSlots {
+				return d
+			}
+			return -1
+		}
+		d += 64 - s&63
+	}
+	return -1
+}
+
+// calNode is one event in the calendar's node slab; next links the
+// bucket's list in append order, or the free list.
 type calNode struct {
 	e    event
 	next int32
 }
 
-// calendar holds the events due fewer than calSlots cycles out in a ring
-// of per-cycle buckets. Bucket at%calSlots is a list of the events due at
-// cycle at, in append order, threaded through a slab of nodes that freed
-// nodes return to; bits has bit s set exactly when bucket s is non-empty.
+// calendar is the kernel's timeline: every pending event and every slot
+// wake. Bucket s lists the events due at cycles congruent to s modulo
+// calSlots in append order, threaded through a slab of nodes that freed
+// nodes return to; events has bit s set exactly when bucket s is
+// non-empty. Slot s's wake bitmap is laid out like Kernel.active, word w
+// at wakes[w*calSlots+s], so one flat slice grows by a word per 64
+// tickers; woken has bit s set exactly when that bitmap is non-zero. Every
+// armed wake targets a cycle in (now, now+calSlots), so a slot's wakes
+// are all for the slot's next cycle.
 type calendar struct {
 	nodes      []calNode
 	free       int32 // head of the free-node list, -1 when empty
 	head, tail [calSlots]int32
-	bits       [calSlots / 64]uint64
-	n          int // bucketed events
+	events     slotBits
+	wakes      []uint64
+	woken      slotBits
 }
 
 func (c *calendar) init() {
@@ -241,38 +221,38 @@ func (c *calendar) add(e event) {
 		i = int32(len(c.nodes))
 		c.nodes = append(c.nodes, calNode{e: e, next: -1})
 	}
-	s := e.at & (calSlots - 1)
+	s := int(e.at & (calSlots - 1))
 	if t := c.tail[s]; t >= 0 {
 		c.nodes[t].next = i
 	} else {
 		c.head[s] = i
-		c.bits[s>>6] |= 1 << (uint(s) & 63)
+		c.events.set(s)
 	}
 	c.tail[s] = i
-	c.n++
 }
 
-// next returns the cycle of the earliest bucketed event, searching the
-// ring from cycle now+1, or false when no event is bucketed.
+// next returns the cycle of the earliest pending event, or false when
+// none is pending. Walking the non-empty buckets from cycle now+1, the
+// first to hold an event of its own cycle holds the earliest; buckets
+// passed on the way hold only later laps, which the result must still
+// beat.
 func (c *calendar) next(now int64) (int64, bool) {
-	if c.n == 0 {
-		return 0, false
-	}
 	start := int((now + 1) & (calSlots - 1))
-	w := start >> 6
-	word := c.bits[w] &^ (1<<(uint(start)&63) - 1)
-	for i := 0; i <= len(c.bits); i++ {
-		if word != 0 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			return now + 1 + int64((s-start)&(calSlots-1)), true
+	best := int64(math.MaxInt64)
+	for d := c.events.next(start, 0); d >= 0; d = c.events.next(start, d+1) {
+		at := now + 1 + int64(d)
+		for i := c.head[(start+d)&(calSlots-1)]; i >= 0; i = c.nodes[i].next {
+			if e := c.nodes[i].e.at; e == at {
+				return at, true
+			} else if e < best {
+				best = e
+			}
 		}
-		w = (w + 1) % len(c.bits)
-		word = c.bits[w]
 	}
-	return 0, false
+	return best, best != math.MaxInt64
 }
 
-// each calls fn on every bucketed event.
+// each calls fn on every pending event.
 func (c *calendar) each(fn func(event)) {
 	for s := range c.head {
 		for i := c.head[s]; i >= 0; i = c.nodes[i].next {
@@ -306,10 +286,8 @@ type Kernel struct {
 	slots   []tickerSlot
 	pending int // scheduled callbacks (call events) not yet fired
 
-	// Pending events: those due fewer than calSlots cycles out are in
-	// the calendar ring, the rest on the heap (see push).
-	cal    calendar
-	events eventHeap
+	// cal holds every pending event and slot wake.
+	cal calendar
 
 	rng        *RNG
 	alwaysTick bool
@@ -319,13 +297,6 @@ type Kernel struct {
 	// every slot. nActive counts the set bits.
 	active  []uint64
 	nActive int
-
-	// wheel is the timing wheel: slot at%wheelSlots holds the bitmap of
-	// tickers ParkUntil wakes at cycle at, laid out like active. Every
-	// pending bit targets a cycle in (now, now+wheelSlots), and wheelMask
-	// has bit s set exactly when slot s holds a pending bit.
-	wheel     [wheelSlots][]uint64
-	wheelMask uint16
 
 	// inTick is set during the tick phase; Defer consults it. endFns and
 	// deferred are the end-of-cycle stage's hooks and queue.
@@ -357,26 +328,6 @@ func NewKernel(seed uint64) *Kernel {
 	return k
 }
 
-// push adds e to the pending events: into the calendar bucket of its
-// cycle when that is fewer than calSlots cycles out, else onto the heap.
-func (k *Kernel) push(e event) {
-	if e.at-k.now < calSlots {
-		k.cal.add(e)
-	} else {
-		k.events.push(e)
-	}
-}
-
-// nextEvent returns the cycle of the earliest pending event, or false when
-// none is pending.
-func (k *Kernel) nextEvent() (int64, bool) {
-	at, ok := k.cal.next(k.now)
-	if len(k.events) > 0 && (!ok || k.events[0].at < at) {
-		return k.events[0].at, true
-	}
-	return at, ok
-}
-
 // Now returns the current cycle.
 func (k *Kernel) Now() int64 { return k.now }
 
@@ -395,9 +346,7 @@ func (k *Kernel) Register(t Ticker) TickerID {
 	k.slots = append(k.slots, s)
 	if int(id)>>6 >= len(k.active) {
 		k.active = append(k.active, 0)
-		for i := range k.wheel {
-			k.wheel[i] = append(k.wheel[i], 0)
-		}
+		k.cal.wakes = append(k.cal.wakes, make([]uint64, calSlots)...)
 	}
 	k.Wake(id)
 	return id
@@ -424,62 +373,52 @@ func (k *Kernel) Wake(id TickerID) {
 	}
 }
 
-// ParkUntil arms a timing-wheel wake for ticker id at the start of cycle
-// at and reports whether it did. It arms one only when at is 1 to
-// wheelSlots-1 cycles from now; otherwise it returns false and the caller
-// should stay active rather than fall back to WakeAt, whose heap event and
-// sequence bump would change the state digest. Quiescent calls it and
-// reports quiescence when it returns true; the wake then reactivates the
-// ticker at cycle at, before that cycle's events fire. A wheel wake is not
-// a pending event (Pending ignores it), but Run, RunUntil and the watchdog
-// treat it as activity.
+// ParkUntil arms a slot wake for ticker id at the start of cycle at and
+// reports whether it did. It arms one only when at is 1 to calSlots-1
+// cycles from now; otherwise it returns false and the caller should stay
+// active rather than fall back to WakeAt, whose event and sequence bump
+// would change the state digest. Quiescent calls it and reports
+// quiescence when it returns true; the wake then reactivates the ticker at
+// cycle at, before that cycle's events fire. A slot wake is not a pending
+// event (Pending ignores it), but Run, RunUntil and the watchdog treat it
+// as activity.
 func (k *Kernel) ParkUntil(at int64, id TickerID) bool {
-	if d := at - k.now; d < 1 || d >= wheelSlots {
+	if d := at - k.now; d < 1 || d >= calSlots {
 		return false
 	}
-	s := at & (wheelSlots - 1)
-	k.wheel[s][id>>6] |= 1 << (uint(id) & 63)
-	k.wheelMask |= 1 << s
+	s := int(at & (calSlots - 1))
+	k.cal.wakes[int(id>>6)*calSlots+s] |= 1 << (uint(id) & 63)
+	k.cal.woken.set(s)
 	return true
 }
 
 // WakeBy hands ticker id work it cannot act on before cycle at. An active
 // ticker is left alone: it sees the work at its next tick. A parked one
-// gets a wheel wake for at, so it sleeps through the cycles in which its
-// Tick would be a no-op; when at is not 1 to wheelSlots-1 cycles out it is
+// gets a slot wake for at, so it sleeps through the cycles in which its
+// Tick would be a no-op; when at is not 1 to calSlots-1 cycles out it is
 // woken now, exactly as by Wake. The work must stay with the ticker until
-// at, which is the promise a wheel-parked ticker makes (see Parker).
+// at, which is the promise a slot-parked ticker makes (see Parker).
 func (k *Kernel) WakeBy(at int64, id TickerID) {
 	if !k.isActive(id) && !k.ParkUntil(at, id) {
 		k.Wake(id)
 	}
 }
 
-// fireWheel moves the due wheel slot into the active set.
-func (k *Kernel) fireWheel() {
-	s := k.now & (wheelSlots - 1)
-	if k.wheelMask&(1<<s) == 0 {
+// fireWakes moves the current cycle's slot wakes into the active set.
+func (k *Kernel) fireWakes() {
+	c := &k.cal
+	s := int(k.now & (calSlots - 1))
+	if !c.woken.has(s) {
 		return
 	}
-	k.wheelMask &^= 1 << s
-	slot := k.wheel[s]
-	for w, due := range slot {
-		if due != 0 {
+	c.woken.clear(s)
+	for w := range k.active {
+		if due := c.wakes[w*calSlots+s]; due != 0 {
 			k.nActive += bits.OnesCount64(due &^ k.active[w])
 			k.active[w] |= due
-			slot[w] = 0
+			c.wakes[w*calSlots+s] = 0
 		}
 	}
-}
-
-// wheelPending reports whether ticker id has a wheel wake armed.
-func (k *Kernel) wheelPending(id TickerID) bool {
-	for s := range k.wheel {
-		if k.wheel[s][id>>6]&(1<<(uint(id)&63)) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // WakeAt arranges for the ticker to be woken at the start of the cycle
@@ -492,7 +431,7 @@ func (k *Kernel) WakeAt(delay int64, id TickerID) int64 {
 		delay = 1
 	}
 	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, n: int(id)})
+	k.cal.add(event{at: k.now + delay, seq: k.seq, n: int(id)})
 	return k.now + delay
 }
 
@@ -531,7 +470,7 @@ func (k *Kernel) ScheduleCall(delay int64, call func(int, any), n int, arg any) 
 		delay = 1
 	}
 	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, call: call, n: n, arg: arg})
+	k.cal.add(event{at: k.now + delay, seq: k.seq, call: call, n: n, arg: arg})
 	k.pending++
 	return k.now + delay
 }
@@ -563,23 +502,14 @@ func (k *Kernel) OnCycleEnd(fn func()) {
 }
 
 // Step advances the clock one cycle: the cycle counter increments, the
-// due wheel slot reactivates its tickers, due events fire in schedule
+// cycle's slot wakes reactivate their tickers, its events fire in schedule
 // order (wake timers reactivate their tickers), active tickers tick in
 // registration order, then the end-of-cycle stage runs the OnCycleEnd
 // hooks and drains the Defer queue. Active Parkers reporting quiescence
 // are parked as they tick.
-//
-// The cycle's events are the heap's due events, then the calendar bucket's.
-// A heap event for a cycle was scheduled at least calSlots cycles before
-// it, and a bucketed one fewer, so every heap event for a cycle precedes
-// every bucketed one in schedule order: firing the heap first, then the
-// bucket in append order, is (at, seq) order.
 func (k *Kernel) Step() {
 	k.now++
-	k.fireWheel()
-	for len(k.events) > 0 && k.events[0].at <= k.now {
-		k.fire(k.events.pop())
-	}
+	k.fireWakes()
 	k.fireBucket()
 	k.inTick = true
 	k.tick()
@@ -601,7 +531,7 @@ func (k *Kernel) Step() {
 		if k.watchFn != nil {
 			p += k.watchFn()
 		}
-		if p == k.watchLast && (k.nActive > 0 || k.wheelMask != 0) {
+		if p == k.watchLast && (k.nActive > 0 || k.cal.woken.any()) {
 			k.hung = true
 		}
 		k.watchLast = p
@@ -609,26 +539,38 @@ func (k *Kernel) Step() {
 	}
 }
 
-// fireBucket fires the current cycle's calendar bucket in append order.
-// It detaches the whole list first: whatever a fired event schedules is at
-// least one cycle out, so it lands in another bucket or on the heap.
+// fireBucket fires the events of the current cycle's bucket in append
+// order, which is schedule order, unlinking each before it fires.
+// Later-lap events stay in place. Whatever a fired event schedules is at
+// least one cycle out, so it lands in another bucket or, a lap or more
+// out, behind them in this one, where the walk passes it by.
 func (k *Kernel) fireBucket() {
 	c := &k.cal
-	s := k.now & (calSlots - 1)
-	i := c.head[s]
-	if i < 0 {
-		return
-	}
-	c.head[s], c.tail[s] = -1, -1
-	c.bits[s>>6] &^= 1 << (uint(s) & 63)
-	for i >= 0 {
+	s := int(k.now & (calSlots - 1))
+	prev := int32(-1)
+	for i := c.head[s]; i >= 0; {
 		nd := &c.nodes[i]
-		e, next := nd.e, nd.next
+		next := nd.next
+		if nd.e.at != k.now {
+			prev, i = i, next
+			continue
+		}
+		e := nd.e
+		if prev < 0 {
+			c.head[s] = next
+		} else {
+			c.nodes[prev].next = next
+		}
+		if next < 0 {
+			c.tail[s] = prev
+		}
 		*nd = calNode{next: c.free} // drop the callback reference
 		c.free = i
-		c.n--
 		k.fire(e) // may grow c.nodes: nd is not used past here
 		i = next
+	}
+	if c.head[s] < 0 {
+		c.events.clear(s)
 	}
 }
 
@@ -713,9 +655,9 @@ func (k *Kernel) Shards() int { return 1 }
 
 // SetWatchdog arms the hang watchdog: if, over any window cycles, no event
 // fires and the caller-supplied progress counter does not advance while at
-// least one ticker remains active or wheel-parked, the kernel declares the
+// least one ticker remains active or slot-parked, the kernel declares the
 // simulation hung — Run and RunUntil stop stepping and Hung reports true.
-// Tickers that stay active, or keep parking on the wheel, without making
+// Tickers that stay active, or keep parking on slot wakes, without making
 // progress is the livelock signature; a fully parked system is
 // legitimately idle (it fast-forwards) and never trips. progress may be
 // nil; window <= 0 disarms. The watchdog is pure observation: it never
@@ -733,18 +675,18 @@ func (k *Kernel) SetWatchdog(window int64, progress func() int64) {
 func (k *Kernel) Hung() bool { return k.hung }
 
 // skipIdle fast-forwards the clock when every ticker is parked and no
-// wheel wake is pending: nothing can change state until the next scheduled
+// slot wake is pending: nothing can change state until the next scheduled
 // event (or timer), so jump to the cycle before it and let Step fire it.
 // When nothing is scheduled before limit the clock lands on limit itself:
 // the Steps skipped on the way, that one included, would have changed
 // nothing, so a run split at limit steps exactly the cycles an unsplit run
 // steps. The clock never passes limit. Reports whether it reached limit.
 func (k *Kernel) skipIdle(limit int64) bool {
-	if k.nActive != 0 || k.wheelMask != 0 || k.alwaysTick {
+	if k.nActive != 0 || k.cal.woken.any() || k.alwaysTick {
 		return false
 	}
 	target := limit
-	if at, ok := k.nextEvent(); ok && at-1 < target {
+	if at, ok := k.cal.next(k.now); ok && at-1 < target {
 		target = at - 1
 	}
 	if target > k.now {

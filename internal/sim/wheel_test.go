@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// wheelTicker parks on the timing wheel until the next cycle of its plan
+// wheelTicker parks on slot wakes until the next cycle of its plan
 // and records the cycles it ticks at. With no plan left it parks for good.
 type wheelTicker struct {
 	k     *Kernel
@@ -48,15 +48,15 @@ func checkActiveCount(t *testing.T, k *Kernel) {
 
 func TestWheelWakeFiresAtRequestedCycle(t *testing.T) {
 	k := NewKernel(1)
-	// Delays 3, 15 (the horizon's last slot) and 1, so every slot distance
-	// the wheel accepts at its edges is exercised.
-	w := newWheelTicker(k, 4, 19, 20)
-	k.Run(100)
-	if want := []int64{1, 4, 19, 20}; !reflect.DeepEqual(w.ticks, want) {
+	// Delays 3, 255 (the ring's last slot ahead) and 1, so every distance
+	// ParkUntil accepts at its edges is exercised.
+	w := newWheelTicker(k, 4, 259, 260)
+	k.Run(300)
+	if want := []int64{1, 4, 259, 260}; !reflect.DeepEqual(w.ticks, want) {
 		t.Fatalf("ticks %v, want %v", w.ticks, want)
 	}
-	if k.Now() != 100 {
-		t.Fatalf("clock %d, want 100", k.Now())
+	if k.Now() != 300 {
+		t.Fatalf("clock %d, want 300", k.Now())
 	}
 	checkActiveCount(t, k)
 }
@@ -64,24 +64,24 @@ func TestWheelWakeFiresAtRequestedCycle(t *testing.T) {
 func TestParkUntilRefusesOutsideHorizon(t *testing.T) {
 	k := NewKernel(1)
 	w := newWheelTicker(k)
-	for _, at := range []int64{-1, 0, wheelSlots, wheelSlots + 1, 1 << 40} {
+	for _, at := range []int64{-1, 0, 256, 257, 1 << 40} {
 		if k.ParkUntil(at, w.id) {
 			t.Errorf("ParkUntil(%d) at cycle 0 armed a wake", at)
 		}
 	}
-	if k.wheelMask != 0 {
-		t.Fatalf("refused wakes left wheel bits %016b", k.wheelMask)
+	if k.cal.woken.any() {
+		t.Fatalf("refused wakes left slot bits %x", k.cal.woken)
 	}
-	if !k.ParkUntil(wheelSlots-1, w.id) {
-		t.Fatalf("ParkUntil(%d) refused the horizon's last slot", wheelSlots-1)
+	if !k.ParkUntil(255, w.id) {
+		t.Fatal("ParkUntil(255) refused the ring's last slot ahead")
 	}
 
-	// A ticker asking for a wake at or past the horizon is refused and
+	// A ticker asking for a wake 256 or more cycles out is refused and
 	// stays active, ticking every cycle until the wake comes within reach.
 	k2 := NewKernel(1)
-	far := newWheelTicker(k2, wheelSlots+4)
-	k2.Run(30)
-	if want := []int64{1, 2, 3, 4, 5, wheelSlots + 4}; !reflect.DeepEqual(far.ticks, want) {
+	far := newWheelTicker(k2, 260)
+	k2.Run(300)
+	if want := []int64{1, 2, 3, 4, 5, 260}; !reflect.DeepEqual(far.ticks, want) {
 		t.Fatalf("ticks %v, want %v (a refused park must stay active)", far.ticks, want)
 	}
 }
@@ -91,7 +91,7 @@ func TestIdleFastForwardStopsAtWheelWake(t *testing.T) {
 	w := newWheelTicker(k, 10)
 	fired := int64(-1)
 	k.Schedule(50, func() { fired = k.Now() })
-	// Only the wheel wake separates cycle 1 from the event at 50: a
+	// Only the slot wake separates cycle 1 from the event at 50: a
 	// fast-forward that ignored it would jump to 49 and skip the tick.
 	k.Run(100)
 	if want := []int64{1, 10}; !reflect.DeepEqual(w.ticks, want) {
@@ -105,7 +105,7 @@ func TestIdleFastForwardStopsAtWheelWake(t *testing.T) {
 	w2 := newWheelTicker(k2, 10)
 	k2.Schedule(50, func() {})
 	if !k2.RunUntil(func() bool { return len(w2.ticks) == 2 }, 100) {
-		t.Fatal("RunUntil never saw the wheel-woken tick")
+		t.Fatal("RunUntil never saw the slot-woken tick")
 	}
 	if k2.Now() != 10 {
 		t.Fatalf("RunUntil stopped at %d, want 10", k2.Now())
@@ -115,7 +115,7 @@ func TestIdleFastForwardStopsAtWheelWake(t *testing.T) {
 func TestWheelWakeOfWokenTickerKeepsCount(t *testing.T) {
 	k := NewKernel(1)
 	w := newWheelTicker(k, 10)
-	// A Wake at 5 finds the ticker parked with its wheel wake pending; the
+	// A Wake at 5 finds the ticker parked with its slot wake pending; the
 	// wake at 10 then finds it parked again and must count it once.
 	k.Schedule(5, func() { k.Wake(w.id) })
 	k.Run(7)
@@ -127,7 +127,7 @@ func TestWheelWakeOfWokenTickerKeepsCount(t *testing.T) {
 	checkActiveCount(t, k)
 }
 
-// livelockParker re-parks on the wheel five cycles out forever: always
+// livelockParker re-parks on a slot wake five cycles out forever: always
 // busy, never progressing, and parked at every end-of-cycle check.
 type livelockParker struct {
 	k  *Kernel
@@ -144,7 +144,7 @@ func TestWatchdogTripsOnWheelParkedLivelock(t *testing.T) {
 	k.SetWatchdog(20, nil)
 	k.Run(1000)
 	if !k.Hung() {
-		t.Fatal("watchdog did not trip on a wheel-parked ticker making no progress")
+		t.Fatal("watchdog did not trip on a slot-parked ticker making no progress")
 	}
 	if k.Now() >= 1000 {
 		t.Fatalf("run burned its full bound (now=%d) despite the trip", k.Now())
@@ -152,13 +152,13 @@ func TestWatchdogTripsOnWheelParkedLivelock(t *testing.T) {
 }
 
 // TestDigestFoldsWheelParkedAsActive checks the digest rule: a ticker
-// parked on the wheel digests exactly like the same ticker left active, at
+// parked on a slot wake digests exactly like the same ticker left active, at
 // every cycle before and after its wake.
 func TestDigestFoldsWheelParkedAsActive(t *testing.T) {
 	parked := NewKernel(9)
-	// Parked from cycle 1 until 8; then 30 is past the horizon, so it stays
-	// active.
-	newWheelTicker(parked, 8, 30)
+	// Parked from cycle 1 until 8; then 300 is out of ParkUntil's reach,
+	// so it stays active.
+	newWheelTicker(parked, 8, 300)
 	active := NewKernel(9)
 	active.Register(&busyTicker{})
 	for c := int64(1); c <= 12; c++ {
@@ -168,7 +168,7 @@ func TestDigestFoldsWheelParkedAsActive(t *testing.T) {
 		parked.DigestState(dp)
 		active.DigestState(da)
 		if dp.Sum() != da.Sum() {
-			t.Fatalf("cycle %d: wheel-parked digest %#x != active digest %#x", c, dp.Sum(), da.Sum())
+			t.Fatalf("cycle %d: slot-parked digest %#x != active digest %#x", c, dp.Sum(), da.Sum())
 		}
 	}
 }
@@ -183,8 +183,8 @@ func TestWakeByParksUntilWorkIsDue(t *testing.T) {
 		t.Fatalf("parked ticker: ticks %v, want %v", w.ticks, want)
 	}
 
-	// Past the horizon, or due now, WakeBy wakes at once.
-	for _, at := range []int64{k.Now() + wheelSlots, k.Now()} {
+	// Out of ParkUntil's reach, or due now, WakeBy wakes at once.
+	for _, at := range []int64{k.Now() + 256, k.Now()} {
 		w.ticks = nil
 		k.WakeBy(at, w.id)
 		k.Run(k.Now() + 1)
@@ -193,13 +193,13 @@ func TestWakeByParksUntilWorkIsDue(t *testing.T) {
 		}
 	}
 
-	// An active ticker is left alone: no wheel bit is armed for it.
+	// An active ticker is left alone: no slot wake is armed for it.
 	k2 := NewKernel(1)
 	b := &busyTicker{}
 	id := k2.Register(b)
 	k2.WakeBy(5, id)
-	if k2.wheelMask != 0 {
-		t.Fatalf("WakeBy armed wheel bits %016b for an active ticker", k2.wheelMask)
+	if k2.cal.woken.any() {
+		t.Fatalf("WakeBy armed slot bits %x for an active ticker", k2.cal.woken)
 	}
 	checkActiveCount(t, k)
 	checkActiveCount(t, k2)

@@ -47,12 +47,11 @@ func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, twea
 // same coherence end state. Parking is only legal for a component whose
 // tick would have been a no-op, so any divergence here is a park/wake bug.
 //
-// Besides the default 4x4 mesh, the configurations whose router park
-// delays sit nearest the timing wheel's edges run too: Figure 10's
-// above-network tree (pipeline 2*BasePipeline + DirLatency, so a router
-// parks for up to 13 cycles, near the wheel's 15-cycle reach),
-// Figure 11's one-cycle pipeline (1 to 3 cycles, the shortest parks), and
-// the torus with multicast forks and the ring.
+// Besides the default 4x4 mesh, the configurations with the longest and
+// shortest router parks run too: Figure 10's above-network tree
+// (pipeline 2*BasePipeline + DirLatency, so a router parks on a slot wake
+// for up to 13 cycles), Figure 11's one-cycle pipeline (1 to 3 cycles,
+// the shortest parks), and the torus with multicast forks and the ring.
 func TestActiveSetKernelByteIdentical(t *testing.T) {
 	profiles := []string{"bar", "wsp", "fft"}
 	configs := []struct {
