@@ -334,7 +334,11 @@ func runFigure5(w io.Writer, opt experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	experiments.PrintPairs(w, "Figure 5 — latency reduction, 16 nodes (Table 2 config)", rs,
+	fabric, err := fabricLabel(opt, "16 nodes (Table 2 config)")
+	if err != nil {
+		return err
+	}
+	experiments.PrintPairs(w, "Figure 5 — latency reduction, "+fabric, rs,
 		"(paper avg: reads -27.1%, writes -41.2%)")
 	return checkRows(rs, pairErr)
 }
@@ -378,15 +382,27 @@ func runFigure9(w io.Writer, opt experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	fabric := network.MeshSpec(8, 8) // experiments.Figure9's own fabric
-	if opt.Topology != "" {
-		if fabric, err = network.ParseTopoSpec(opt.Topology); err != nil {
-			return err
-		}
+	// experiments.Figure9's own fabric is the 8x8 mesh.
+	fabric, err := fabricLabel(opt, fabricTitle(network.MeshSpec(8, 8)))
+	if err != nil {
+		return err
 	}
-	experiments.PrintPairs(w, "Figure 9 — latency reduction, "+fabricTitle(fabric), rs,
+	experiments.PrintPairs(w, "Figure 9 — latency reduction, "+fabric, rs,
 		"(paper avg: reads -35%, writes -48%)")
 	return checkRows(rs, pairErr)
+}
+
+// fabricLabel names a figure's fabric in its title: def when opt has no
+// -topology override, else the override through fabricTitle.
+func fabricLabel(opt experiments.Options, def string) (string, error) {
+	if opt.Topology == "" {
+		return def, nil
+	}
+	t, err := network.ParseTopoSpec(opt.Topology)
+	if err != nil {
+		return "", err
+	}
+	return fabricTitle(t), nil
 }
 
 // fabricTitle names a fabric for a figure title: "64 nodes (8x8 mesh)".
