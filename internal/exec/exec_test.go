@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,5 +211,25 @@ func TestCacheStoresFailures(t *testing.T) {
 	rs := (&Pool{Workers: 1, Cache: cache}).Run([]Job{slow})
 	if !rs[0].Cached || !rs[0].Failed() {
 		t.Fatalf("cached failure not replayed: cached=%v err=%q", rs[0].Cached, rs[0].Err)
+	}
+}
+
+// A job whose trace exceeds trace.MaxAccesses fails its row with the size
+// error on its first attempt, before any trace is generated.
+func TestOversizedTraceFailsBeforeGeneration(t *testing.T) {
+	job := testJob("fft", protocol.KindTree, 2_000_000_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunJob(job, RunOptions{})
+	runtime.ReadMemStats(&after)
+	want := trace.CheckSize(job.Config.Nodes(), job.Accesses)
+	if want == nil || res.Err != want.Error() {
+		t.Fatalf("Err = %q, want the size error %v", res.Err, want)
+	}
+	if res.Transient || res.Attempts != 1 {
+		t.Fatalf("transient=%v after %d attempts, want one deterministic failure", res.Transient, res.Attempts)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("refusing the job allocated %d bytes", grew)
 	}
 }

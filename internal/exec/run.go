@@ -155,7 +155,7 @@ func runAttempt(job Job, attempt int, opt RunOptions) (res Result) {
 }
 
 // buildAttempt constructs the machine for one attempt of the job: seed
-// derivation, fault plan, trace generation, engine wiring and the optional
+// derivation, the trace size check, fault plan, trace generation, engine wiring and the optional
 // hop-study recorder. Attempt 0 uses the job seed; retry attempts derive a
 // sub-seed from it, so every attempt is reproducible in isolation. A non-nil
 // error Result means the job cannot run.
@@ -166,6 +166,9 @@ func buildAttempt(job Job, attempt int, col *metrics.Collector) (*protocol.Machi
 	}
 	cfg := job.Config
 	cfg.Seed = seed
+	if err := trace.CheckSize(cfg.Nodes(), job.Accesses); err != nil {
+		return nil, nil, &Result{Err: err.Error()}
+	}
 	var plan *fault.Plan
 	if job.Faults != "" {
 		fspec, err := fault.ParseSpec(job.Faults)

@@ -152,9 +152,40 @@ type lineInfo struct {
 	readOnly bool
 }
 
+// MaxAccesses caps a generated trace's total accesses, nodes times
+// accesses per node: 1<<26, about 1 GiB of accesses. The largest traces
+// the repository runs (a 16-node job of 200,000 accesses per node, a
+// 64x64 mesh at 100 per node) are a twentieth of it or less.
+const MaxAccesses = 1 << 26
+
+// SizeError reports a trace above MaxAccesses.
+type SizeError struct {
+	Nodes, AccessesPerNode int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("trace: %d nodes x %d accesses per node exceeds the %d-access trace cap",
+		e.Nodes, e.AccessesPerNode, MaxAccesses)
+}
+
+// CheckSize returns a *SizeError when a trace of accessesPerNode accesses
+// on each of nodes nodes would exceed MaxAccesses, and nil otherwise. It
+// allocates nothing, so callers check a spec before generating it.
+func CheckSize(nodes, accessesPerNode int) error {
+	if nodes > 0 && accessesPerNode > MaxAccesses/nodes {
+		return &SizeError{Nodes: nodes, AccessesPerNode: accessesPerNode}
+	}
+	return nil
+}
+
 // Generate builds a trace for the given profile on a nodes-node system,
-// accessesPerNode references per node, deterministically from seed.
+// accessesPerNode references per node, deterministically from seed. It
+// panics with a *SizeError, before allocating, when the trace would exceed
+// MaxAccesses; callers that take sizes from users check CheckSize first.
 func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
+	if err := CheckSize(nodes, accessesPerNode); err != nil {
+		panic(err)
+	}
 	rng := sim.NewRNG(seed ^ hashName(p.Name))
 	lines := p.Lines
 	if lines < 64 {

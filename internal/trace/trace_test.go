@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"testing"
 
 	"innetcc/internal/stats"
@@ -157,4 +158,37 @@ func TestWindowCreatesLocality(t *testing.T) {
 	if !(d(narrow) < d(wide)) {
 		t.Fatal("narrow working window did not shrink per-node footprint")
 	}
+}
+
+func TestCheckSizeRefusesAboveTheCap(t *testing.T) {
+	for _, c := range []struct {
+		nodes, perNode int
+		ok             bool
+	}{
+		{16, MaxAccesses / 16, true},
+		{16, MaxAccesses/16 + 1, false},
+		{4096, MaxAccesses / 4096, true},
+		{16, 2_000_000_000, false},
+		{1 << 20, 1 << 50, false}, // the product overflows int64
+	} {
+		err := CheckSize(c.nodes, c.perNode)
+		var se *SizeError
+		if c.ok != (err == nil) || (err != nil && (!errors.As(err, &se) || se.Nodes != c.nodes || se.AccessesPerNode != c.perNode)) {
+			t.Errorf("CheckSize(%d, %d) = %v, want ok=%v", c.nodes, c.perNode, err, c.ok)
+		}
+	}
+}
+
+// Generate refuses an oversized trace with a *SizeError before it
+// allocates one.
+func TestGenerateRefusesOversizedTrace(t *testing.T) {
+	defer func() {
+		var se *SizeError
+		if err, _ := recover().(error); !errors.As(err, &se) {
+			t.Fatalf("Generate panicked with %v, want a *SizeError", err)
+		}
+	}()
+	p, _ := ProfileByName("fft")
+	Generate(p, 16, 2_000_000_000, 1)
+	t.Fatal("Generate returned an oversized trace")
 }
