@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sort"
 	"strings"
@@ -61,12 +62,15 @@ func nocOf(mo *MetricsOut) goldenNoC {
 	return g
 }
 
+// goldenCountersPin ties goldenCounters to SpecVersion (see checkPin).
+var goldenCountersPin = tablePin{version: 10, hash: 0x5760dc34710c583f}
+
 // goldenCounters pins the counter maps and NoC aggregates of five 4x4 runs
 // at suite seed 42 with 60 accesses per node and metrics enabled. The
 // digest table pins simulated behaviour; this one pins what the counters
 // report about it, so a change that miscounts without changing behaviour
 // fails here. A deliberate change re-records the table from the failure
-// messages.
+// messages, bumps SpecVersion and re-pins goldenCountersPin.
 var goldenCounters = map[string]goldenCounterRun{
 	"dir/wsp": {
 		Counters: map[string]int64{"dir.fwds": 175, "dir.inv_packets": 188, "dir.invals": 188, "dir.mem_reads": 132},
@@ -154,6 +158,7 @@ func goMap(m map[string]int64) string {
 // TestGoldenCounters replays each pinned run and compares both counter
 // maps and the NoC aggregates with goldenCounters.
 func TestGoldenCounters(t *testing.T) {
+	checkPin(t, "goldenCounters", goldenCounters, goldenCountersPin)
 	for _, j := range goldenCounterJobs() {
 		j := j
 		t.Run(j.Key, func(t *testing.T) {
@@ -168,5 +173,27 @@ func TestGoldenCounters(t *testing.T) {
 					j.Key, got.Err, goMap(got.Counters), goMap(got.Metrics), got.NoC)
 			}
 		})
+	}
+}
+
+// tablePin is a golden table's hash and the SpecVersion it was
+// recorded at.
+type tablePin struct {
+	version int
+	hash    uint64
+}
+
+// checkPin fails t unless table, hashed as FNV-1a over its Go syntax (%#v
+// prints map keys sorted), matches pin at the current SpecVersion.
+func checkPin(t *testing.T, name string, table any, pin tablePin) {
+	t.Helper()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", table)
+	got := tablePin{SpecVersion, h.Sum64()}
+	switch {
+	case got.hash != pin.hash && got.version == pin.version:
+		t.Fatalf("%s changed (hash %#x, pinned %#x), but exec.SpecVersion is still %d: re-recorded goldens change what a spec computes, so bump it, then re-pin the table", name, got.hash, pin.hash, pin.version)
+	case got != pin:
+		t.Fatalf("%s is pinned at spec version %d; re-pin it as tablePin{version: %d, hash: %#x}", name, pin.version, got.version, got.hash)
 	}
 }

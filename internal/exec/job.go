@@ -30,15 +30,18 @@ import (
 // protocol bug (or a diverging configuration) and fails that job's row.
 const DefaultMaxCycles = 200_000_000
 
-// specVersion invalidates cached results when the result schema or the
+// SpecVersion invalidates cached results when the result schema or the
 // simulation semantics change incompatibly. Bump it on any change that
-// alters what a given spec computes.
+// alters what a given spec computes. The golden tables of
+// TestGoldenDigests (internal/verify), TestGoldenCounters and
+// TestGenerateGolden (internal/trace) each pin their hash with the version
+// they were recorded at, so re-recording one without a bump fails its test.
 //
 // v10: a tree-engine multicast teardown's fork copies queue directly behind
 // the forked head in the generation FIFO, ahead of packets the router
 // spawned after it (Mesh.Fork), which changes every -multicast tree job.
 // v9: a fault plan's scope gates corruption as it gates drops.
-const specVersion = 10
+const SpecVersion = 10
 
 // Job describes one hermetic simulation: which engine to run, on which
 // configuration, over which synthetic trace. Everything the simulation
@@ -157,7 +160,7 @@ type hashSpec struct {
 // Two jobs with equal hashes compute identical results.
 func (j Job) Hash() string {
 	spec := hashSpec{
-		Version:     specVersion,
+		Version:     SpecVersion,
 		Engine:      j.Engine,
 		Config:      j.Config,
 		Profile:     j.Profile,

@@ -1,13 +1,17 @@
-package trace
+package trace_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
+
+	"innetcc/internal/exec"
+	"innetcc/internal/trace"
 )
 
 // traceHash folds every access of t, stream by stream, into one FNV-1a
 // 64-bit word.
-func traceHash(t *Trace) uint64 {
+func traceHash(t *trace.Trace) uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(v uint64) {
 		for i := 0; i < 64; i += 8 {
@@ -34,17 +38,23 @@ func traceHash(t *Trace) uint64 {
 // (non-square, as on an 8x4 mesh, where clusterNeighbor falls back to
 // uniform draws) and 64 nodes. Any change to the generator's RNG draw
 // sequence or line population moves these hashes, and with them every
-// simulated figure.
+// simulated figure, so re-recording them bumps exec.SpecVersion and
+// re-pins goldenGeneratePin.
 func TestGenerateGolden(t *testing.T) {
+	checkPin(t, "goldenGenerate", goldenGenerate, goldenGeneratePin)
 	for _, nodes := range []int{16, 32, 64} {
-		for _, p := range Benchmarks() {
+		for _, p := range trace.Benchmarks() {
 			key := fmt.Sprintf("%s/%d", p.Name, nodes)
-			if got := traceHash(Generate(p, nodes, 150, 7)); got != goldenGenerate[key] {
+			if got := traceHash(trace.Generate(p, nodes, 150, 7)); got != goldenGenerate[key] {
 				t.Errorf("Generate %s = %#x, want %#x", key, got, goldenGenerate[key])
 			}
 		}
 	}
 }
+
+// goldenGeneratePin ties goldenGenerate to exec.SpecVersion: a trace
+// change changes what every spec computes.
+var goldenGeneratePin = tablePin{version: 10, hash: 0x70b478b1f6da96db}
 
 var goldenGenerate = map[string]uint64{
 	"fft/16": 0x2b1b742e2977f48,
@@ -71,4 +81,26 @@ var goldenGenerate = map[string]uint64{
 	"wsp/64": 0x410adfb0a6411ec4,
 	"ocn/64": 0x8f9c2e4b9eeb67f8,
 	"ray/64": 0xb040f8ff4e132ceb,
+}
+
+// tablePin is a golden table's hash and the exec.SpecVersion it was
+// recorded at.
+type tablePin struct {
+	version int
+	hash    uint64
+}
+
+// checkPin fails t unless table, hashed as FNV-1a over its Go syntax (%#v
+// prints map keys sorted), matches pin at the current exec.SpecVersion.
+func checkPin(t *testing.T, name string, table any, pin tablePin) {
+	t.Helper()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", table)
+	got := tablePin{exec.SpecVersion, h.Sum64()}
+	switch {
+	case got.hash != pin.hash && got.version == pin.version:
+		t.Fatalf("%s changed (hash %#x, pinned %#x), but exec.SpecVersion is still %d: re-recorded goldens change what a spec computes, so bump it, then re-pin the table", name, got.hash, pin.hash, pin.version)
+	case got != pin:
+		t.Fatalf("%s is pinned at spec version %d; re-pin it as tablePin{version: %d, hash: %#x}", name, pin.version, got.version, got.hash)
+	}
 }

@@ -2,8 +2,10 @@ package verify_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"innetcc/internal/exec"
 	"innetcc/internal/fault"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
@@ -33,12 +35,16 @@ const goldenMidCycle = 1500
 // recovery and the invariant probe armed.
 const goldenDrops = "drop=2500,timeout=200000,retries=6,backoff=64,probe=2000"
 
+// goldenRunsPin ties goldenRuns to exec.SpecVersion (see checkPin).
+var goldenRunsPin = tablePin{version: 10, hash: 0x6c46cf51f0cd444}
+
 // goldenRuns pins results across commits. Every other byte-identity test
 // compares two configurations inside one binary, so a change that shifts
 // every configuration alike passes them all; this table catches it. Keys
 // are engine/profile, plus one drop-plan run and one multicast run on a
 // 4x4 torus. A deliberate change to simulated behaviour re-records the
-// table from the failure messages, which print each run in this syntax.
+// table from the failure messages, which print each run in this syntax,
+// bumps exec.SpecVersion and re-pins goldenRunsPin.
 var goldenRuns = map[string]golden{
 	"dir/bar":                  {Mid: 0x38b7f002f7ecb3cb, End: 0x268dcac891c33936, Cycles: 6387, ReadN: 341, WriteN: 208, ReadSum: 53399, WrSum: 17076},
 	"dir/fft":                  {Mid: 0x4e6c648ba2b8d8e6, End: 0xec041526576cb2e9, Cycles: 5952, ReadN: 278, WriteN: 158, ReadSum: 51396, WrSum: 12394},
@@ -103,6 +109,7 @@ func runGolden(t *testing.T, kind protocol.EngineKind, p trace.Profile, topo net
 // TestGoldenDigests replays every pinned configuration and compares it
 // with goldenRuns.
 func TestGoldenDigests(t *testing.T) {
+	checkPin(t, "goldenRuns", goldenRuns, goldenRunsPin)
 	type run struct {
 		key       string
 		kind      protocol.EngineKind
@@ -136,5 +143,27 @@ func TestGoldenDigests(t *testing.T) {
 				t.Errorf("results diverged from the pinned run:\n got  %q: %v,\n want %q: %v", r.key, got, r.key, want)
 			}
 		})
+	}
+}
+
+// tablePin is a golden table's hash and the exec.SpecVersion it was
+// recorded at.
+type tablePin struct {
+	version int
+	hash    uint64
+}
+
+// checkPin fails t unless table, hashed as FNV-1a over its Go syntax (%#v
+// prints map keys sorted), matches pin at the current exec.SpecVersion.
+func checkPin(t *testing.T, name string, table any, pin tablePin) {
+	t.Helper()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", table)
+	got := tablePin{exec.SpecVersion, h.Sum64()}
+	switch {
+	case got.hash != pin.hash && got.version == pin.version:
+		t.Fatalf("%s changed (hash %#x, pinned %#x), but exec.SpecVersion is still %d: re-recorded goldens change what a spec computes, so bump it, then re-pin the table", name, got.hash, pin.hash, pin.version)
+	case got != pin:
+		t.Fatalf("%s is pinned at spec version %d; re-pin it as tablePin{version: %d, hash: %#x}", name, pin.version, got.version, got.hash)
 	}
 }

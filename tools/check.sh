@@ -112,10 +112,14 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology ring:16 >/dev/null
 
 # Router-parking smoke under the race detector: Figure 10's above-network
-# tree parks routers on the kernel's timing wheel for up to 13 cycles, near
-# its 15-cycle reach, and Figure 11's pipeline sweep down to one cycle
-# parks them for the shortest delays.
+# tree parks routers on slot wakes of the kernel's calendar ring for up to
+# 13 cycles, its longest parks, and Figure 11's pipeline sweep down to one
+# cycle parks them for the shortest delays. The fault-plan run adds
+# timeouts and probes 2,000 to 200,000 cycles out, which wait in the
+# ring's buckets through many laps beside the parked routers' wakes.
 go run -race ./cmd/innetcc -exp fig10 -accesses 80 -jobs 2 >/dev/null
+go run -race ./cmd/innetcc -exp fig10 -accesses 80 -jobs 2 \
+    -faults 'timeout=200000,probe=2000' >/dev/null
 go run -race ./cmd/innetcc -exp fig11 -accesses 80 -jobs 2 >/dev/null
 # Figure 9's 8x8 jobs register 65 tickers (64 routers and the machine), so
 # the kernel's active bitmap spills into a second word, and the machine's
