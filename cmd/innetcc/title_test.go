@@ -18,11 +18,9 @@ func TestFabricTitleNamesTheFabric(t *testing.T) {
 			t.Errorf("fabricTitle(%s) = %q, want %q", ts, got, want)
 		}
 	}
-}
 
-// A figure's title keeps its own fabric name without a -topology override
-// and names the override's fabric with one.
-func TestFabricLabelNamesTheOverride(t *testing.T) {
+	// A figure's title keeps its own fabric name without a -topology
+	// override and names the override's fabric with one.
 	for _, c := range []struct{ topology, def, want string }{
 		{"", "16 nodes (Table 2 config)", "16 nodes (Table 2 config)"},
 		{"torus:4x4", "16 nodes (Table 2 config)", "16 nodes (4x4 torus)"},
