@@ -155,10 +155,11 @@ func runAttempt(job Job, attempt int, opt RunOptions) (res Result) {
 }
 
 // buildAttempt constructs the machine for one attempt of the job: seed
-// derivation, the trace size check, fault plan, trace generation, engine wiring and the optional
-// hop-study recorder. Attempt 0 uses the job seed; retry attempts derive a
-// sub-seed from it, so every attempt is reproducible in isolation. A non-nil
-// error Result means the job cannot run.
+// derivation, the trace size check, fault plan, trace generation, engine
+// wiring and the optional hop-study recorder. Attempt 0 uses the job seed;
+// retry attempts derive a sub-seed from it, so every attempt is
+// reproducible in isolation. A non-nil error Result means the job cannot
+// run.
 func buildAttempt(job Job, attempt int, col *metrics.Collector) (*protocol.Machine, *HopAgg, *Result) {
 	seed := job.Seed()
 	if attempt > 0 {

@@ -153,7 +153,7 @@ type lineInfo struct {
 }
 
 // MaxAccesses caps a generated trace's total accesses, nodes times
-// accesses per node: 1<<26, about 1 GiB of accesses. The largest traces
+// accesses per node: 1<<26, 1 GiB of 16-byte accesses. The largest traces
 // the repository runs (a 16-node job of 200,000 accesses per node, a
 // 64x64 mesh at 100 per node) are a twentieth of it or less.
 const MaxAccesses = 1 << 26
