@@ -118,17 +118,21 @@ func TestCalendarBucketOfThreeLapsFiresInOrder(t *testing.T) {
 // later lap, or behind a non-empty bucket that holds only later laps.
 func TestSkipIdleFindsEarliestEvent(t *testing.T) {
 	// Each case schedules from cycle 1, where the ticker has parked, or
-	// from a later cycle the clock skips to first.
+	// from a later cycle the clock skips to first. In the case names, a
+	// "bucket" event is scheduled within one lap and a "heap" event a lap
+	// or more out; the names are kept as stable subtest IDs.
 	cases := []struct {
 		name   string
 		delays [][2]int64 // {schedule at cycle, delay}
 		want   int64
 	}{
-		{"current lap", [][2]int64{{0, 100}, {0, 200}}, 100},
-		{"current lap across the wrap", [][2]int64{{250, 10}}, 259},
-		{"later laps only", [][2]int64{{0, 1000}, {0, 700}}, 700},
-		{"later lap in a nearer bucket", [][2]int64{{0, 300}, {0, 200}}, 200},
-		{"scheduled a lap out, now within one", [][2]int64{{0, 300}, {100, 250}}, 300},
+		{"bucket", [][2]int64{{0, 100}, {0, 200}}, 100},
+		{"bucket across the wrap", [][2]int64{{250, 10}}, 259},
+		{"heap", [][2]int64{{0, 1000}, {0, 700}}, 700},
+		// The nearest non-empty bucket holds only the heap event.
+		{"bucket before heap", [][2]int64{{0, 300}, {0, 200}}, 200},
+		// The heap event is within a lap when the bucket event is added.
+		{"heap before bucket", [][2]int64{{0, 300}, {100, 250}}, 300},
 		{"three laps in one bucket", [][2]int64{{0, 600}, {0, 344}, {0, 856}}, 344},
 	}
 	for _, c := range cases {
