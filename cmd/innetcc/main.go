@@ -111,7 +111,6 @@ func main() {
 	flag.StringVar(&lf.replay, "litmus-replay", "", "replay a saved litmus reproducer spec file and report the oracle outcome")
 
 	flag.StringVar(&mcheckMesh, "mcheck-mesh", "2x2", "mcheck: fabric for the model-checking run — WxH or mesh:WxH, torus:WxH, ring:N")
-	flag.IntVar(&mcheckWorkers, "mcheck-workers", 0, "mcheck: parallel BFS workers (0 = all cores, 1 = serial); counts identical at any setting")
 
 	var sf serveFlags
 	flag.StringVar(&sf.addr, "serve", "", "run the persistent job server on this listen address (e.g. :8080) instead of an experiment")
@@ -455,12 +454,9 @@ func runStorage(w io.Writer, _ experiments.Options) error {
 	return nil
 }
 
-// mcheckMesh and mcheckWorkers are the -mcheck-mesh / -mcheck-workers flag
-// values (registered in main, read by runMCheck through the registry).
-var (
-	mcheckMesh    string
-	mcheckWorkers int
-)
+// mcheckMesh is the -mcheck-mesh flag value (registered in main, read by
+// runMCheck through the registry).
+var mcheckMesh string
 
 func runMCheck(w io.Writer, _ experiments.Options) error {
 	ts, err := network.ParseTopoSpec(mcheckMesh)
@@ -471,17 +467,15 @@ func runMCheck(w io.Writer, _ experiments.Options) error {
 	if topo.Nodes() < 4 {
 		return fmt.Errorf("mcheck: fabric %s too small for the default program (needs >= 4 nodes)", ts)
 	}
-	workers := mcheckWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	home, ops := mcheck.DefaultProgram()
 	fmt.Fprintln(w, "Section 2.4 — exhaustive model checking of the reduced protocol")
 	c := mcheck.NewTopology(topo, home, ops)
-	c.Workers = workers
+	// Counts are identical at any worker count, so the BFS takes every
+	// available core, as the pool does at -jobs 0.
+	c.Workers = runtime.GOMAXPROCS(0)
 	res := c.Run()
-	fmt.Fprintf(w, "program: 2 concurrent reads + 2 concurrent writes, home=%d, fabric %s, %d worker(s)\n",
-		home, topo.Spec(), workers)
+	fmt.Fprintf(w, "program: 2 concurrent reads + 2 concurrent writes, home=%d, fabric %s\n",
+		home, topo.Spec())
 	fmt.Fprintf(w, "%v\n", res)
 	for _, v := range res.Violations {
 		fmt.Fprintln(w, "VIOLATION:", v)

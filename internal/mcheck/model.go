@@ -254,16 +254,14 @@ type Result struct {
 
 // Checker runs the exploration.
 type Checker struct {
-	// Topo is the fabric the model routes over. When nil, Run builds a
-	// MeshW×MeshH mesh (the historical configuration surface); setting
-	// Topo directly (or using NewTopology) checks the protocol over any
+	// Topo is the fabric the model routes over: NewMesh sets a mesh, and
+	// NewTopology (or setting Topo directly) checks the protocol over any
 	// fabric — torus wraparound routes, ring two-port routers — with the
 	// same transition relation.
-	Topo         network.Topology
-	MeshW, MeshH int
-	Home         int
-	Ops          []Op
-	MaxStates    int
+	Topo      network.Topology
+	Home      int
+	Ops       []Op
+	MaxStates int
 
 	// Workers fans each BFS level out across this many goroutines
 	// (<=1 explores serially). Results are merged in deterministic
@@ -308,8 +306,7 @@ func New(home int, ops []Op) *Checker {
 // counterexample traces are on by default; Workers defaults to serial.
 func NewMesh(w, h, home int, ops []Op) *Checker {
 	return &Checker{
-		MeshW:      w,
-		MeshH:      h,
+		Topo:       network.Mesh2D{W: w, H: h},
 		Home:       home,
 		Ops:        ops,
 		MaxStates:  2_000_000,
@@ -340,21 +337,11 @@ func DefaultProgram() (home int, ops []Op) {
 	}
 }
 
-// resolve materializes the fabric: a nil Topo becomes the MeshW×MeshH
-// mesh, and the mesh shape fields are re-derived from the topology for the
-// symmetry enumeration (a placeholder N×1 for non-mesh fabrics, whose axis
-// flips are disabled anyway). Idempotent; Run and buildGroup both call it.
+// resolve reads the node count off the fabric. Idempotent; Run and
+// buildGroup both call it.
 func (c *Checker) resolve() {
 	if c.Topo == nil {
-		if c.MeshW < 1 || c.MeshH < 1 {
-			panic("mcheck: empty mesh")
-		}
-		c.Topo = network.Mesh2D{W: c.MeshW, H: c.MeshH}
-	}
-	if m, ok := c.Topo.(network.Mesh2D); ok {
-		c.MeshW, c.MeshH = m.W, m.H
-	} else {
-		c.MeshW, c.MeshH = c.Topo.Nodes(), 1
+		panic("mcheck: no fabric")
 	}
 	c.nodes = c.Topo.Nodes()
 }

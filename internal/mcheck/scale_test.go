@@ -11,7 +11,7 @@ import (
 // string-keyed visited set allocated a copy of every state).
 
 // TestExhaustive3x3 fully explores three writers racing two readers on a
-// 3×3 mesh (131k canonical states) on every test run. The home sits at
+// 3×3 mesh (131,540 canonical states) on every test run. The home sits at
 // the mesh center so the axis-flip group applies when the program allows
 // it; this particular program pins the group to the identity, making the
 // counts comparable with the unreduced search.
@@ -37,8 +37,8 @@ func TestExhaustive3x3(t *testing.T) {
 	if res.Terminals == 0 {
 		t.Error("no terminal state reached")
 	}
-	if res.States < 100_000 {
-		t.Errorf("state space unexpectedly small: %d", res.States)
+	if res.States != 131_540 || res.Transitions != 337_316 {
+		t.Errorf("got %d states / %d transitions, want 131540 / 337316", res.States, res.Transitions)
 	}
 	if res.PeakFrontier == 0 || res.Explored != res.States {
 		t.Errorf("inconsistent bookkeeping: %+v", res)
@@ -46,7 +46,7 @@ func TestExhaustive3x3(t *testing.T) {
 }
 
 // TestScale3x3SixOps explores four readers and two writers on the 3×3
-// mesh: 2.5M raw states, folded to 1.27M canonical classes by the
+// mesh: 2.5M raw states, folded to 1,274,792 canonical classes by the
 // 180°-rotation automorphism (flip-both fixing the center home). Skipped
 // under -short and under the race detector, where the ~20s exploration
 // balloons past CI budgets; the clean-build tier-1 run still covers it.
@@ -75,8 +75,8 @@ func TestScale3x3SixOps(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated")
 	}
-	if res.States < 1_000_000 {
-		t.Errorf("expected >1M canonical states, got %d", res.States)
+	if res.States != 1_274_792 || res.Transitions != 4_189_807 {
+		t.Errorf("got %d states / %d transitions, want 1274792 / 4189807", res.States, res.Transitions)
 	}
 }
 

@@ -93,28 +93,34 @@ func (c *Checker) newElem() symElem {
 // false restricts to the identity flip (the op-permutation subgroup).
 func (c *Checker) enumerate(withFlips bool) []symElem {
 	var out []symElem
-	hx, hy := c.Home%c.MeshW, c.Home/c.MeshW
+	// The mesh's shape; other fabrics take a placeholder N×1, whose axis
+	// flips withFlips already disables.
+	w, h := c.nodes, 1
+	if m, ok := c.Topo.(network.Mesh2D); ok {
+		w, h = m.W, m.H
+	}
+	hx, hy := c.Home%w, c.Home/w
 	for _, f := range [4][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		fx, fy := f[0], f[1]
 		if (fx || fy) && !withFlips {
 			continue
 		}
 		// The flip must fix the home node.
-		if fx && 2*hx != c.MeshW-1 {
+		if fx && 2*hx != w-1 {
 			continue
 		}
-		if fy && 2*hy != c.MeshH-1 {
+		if fy && 2*hy != h-1 {
 			continue
 		}
 		sigma := func(n int) int {
-			x, y := n%c.MeshW, n/c.MeshW
+			x, y := n%w, n/w
 			if fx {
-				x = c.MeshW - 1 - x
+				x = w - 1 - x
 			}
 			if fy {
-				y = c.MeshH - 1 - y
+				y = h - 1 - y
 			}
-			return y*c.MeshW + x
+			return y*w + x
 		}
 		// Image of each op under σ; π must map op i to an identical op at
 		// the image node.

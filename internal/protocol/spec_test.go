@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -100,27 +101,47 @@ func TestLargeMeshBuildFitsInMemory(t *testing.T) {
 	}
 }
 
-// TestLargeMeshTreeRunCompletes: a 1024-node tree machine runs one access
-// per node to quiescence within a small heap, because cache storage grows
-// with the lines live, not with the sets touched.
+// TestLargeMeshTreeRunCompletes: large tree machines run to quiescence
+// within a small heap, because cache storage grows with the lines live,
+// not with the sets touched. The 64x64 row (4096 nodes, 81,920 accesses)
+// is skipped under -short, and under the race detector, whose shadow
+// memory would swamp the bound.
 func TestLargeMeshTreeRunCompletes(t *testing.T) {
-	m, err := protocol.Build(meshSpec(t, 32, 32, protocol.KindTree, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if err := m.Run(10_000_000); err != nil {
-		t.Fatalf("32x32 tree run: %v", err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(m)
-	const limit = 16 << 20
-	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("32x32 tree run raised HeapAlloc by %.1f MB", float64(grew)/(1<<20))
-	if grew >= limit {
-		t.Fatalf("32x32 tree run raised HeapAlloc by %d MB, want < %d MB", grew>>20, limit>>20)
+	for _, tc := range []struct {
+		w, h, accesses int
+		limit          int64 // bound on the run's HeapAlloc growth
+		long           bool
+	}{
+		{w: 32, h: 32, accesses: 1, limit: 16 << 20},
+		{w: 64, h: 64, accesses: 20, limit: 48 << 20, long: true},
+	} {
+		name := fmt.Sprintf("%dx%d", tc.w, tc.h)
+		t.Run(name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("4096-node run")
+			}
+			if tc.long && raceEnabled {
+				t.Skip("heap bound is meaningless under the race detector")
+			}
+			m, err := protocol.Build(meshSpec(t, tc.w, tc.h, protocol.KindTree, tc.accesses))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := m.Run(10_000_000); err != nil {
+				t.Fatalf("%s tree run: %v", name, err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(m)
+			grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			t.Logf("%s tree run (%d accesses/node, %d cycles) raised HeapAlloc by %.1f MB",
+				name, tc.accesses, m.Kernel.Now(), float64(grew)/(1<<20))
+			if grew >= tc.limit {
+				t.Fatalf("%s tree run raised HeapAlloc by %d MB, want < %d MB", name, grew>>20, tc.limit>>20)
+			}
+		})
 	}
 }

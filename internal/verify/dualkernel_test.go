@@ -52,12 +52,22 @@ func runKernelMode(t *testing.T, kind protocol.EngineKind, p trace.Profile, twea
 // (pipeline 2*BasePipeline + DirLatency, so a router parks on a slot wake
 // for up to 13 cycles), Figure 11's one-cycle pipeline (1 to 3 cycles,
 // the shortest parks), and the torus with multicast forks and the ring.
+//
+// The idle-mesh row is the active set's justification: a 64-node tree run
+// at low injection (bar at think 200), where most routers idle most
+// cycles. Besides agreeing exactly, the active-set kernel must tick
+// routers at most 5% as often as the always-tick kernel does.
 func TestActiveSetKernelByteIdentical(t *testing.T) {
-	profiles := []string{"bar", "wsp", "fft"}
+	defaultProfiles := []string{"bar", "wsp", "fft"}
 	configs := []struct {
 		name     string // subtest suffix; empty for the default config
 		tweak    func(*protocol.Config)
-		treeOnly bool // the tweak changes nothing for the directory engine
+		treeOnly bool     // the tweak changes nothing for the directory engine
+		profiles []string // nil runs defaultProfiles
+		think    int64    // overrides the profile's think time when > 0
+		// maxTickFrac, when > 0, bounds active-set router ticks as a
+		// fraction of always-tick router ticks.
+		maxTickFrac float64
 	}{
 		{name: ""},
 		{name: "torus-multicast", tweak: func(c *protocol.Config) {
@@ -67,11 +77,17 @@ func TestActiveSetKernelByteIdentical(t *testing.T) {
 		{name: "ring16", tweak: func(c *protocol.Config) { c.Topology = network.RingSpec(16) }},
 		{name: "above-network", tweak: func(c *protocol.Config) { c.AboveNetworkTree = true }, treeOnly: true},
 		{name: "pipeline1", tweak: func(c *protocol.Config) { c.BasePipeline = 1 }},
+		{name: "idle-mesh8x8", tweak: func(c *protocol.Config) { c.Topology = network.MeshSpec(8, 8) },
+			treeOnly: true, profiles: []string{"bar"}, think: 200, maxTickFrac: 0.05},
 	}
 	for _, c := range configs {
 		for _, kind := range protocol.EngineKinds() {
 			if c.treeOnly && kind != protocol.KindTree {
 				continue
+			}
+			profiles := c.profiles
+			if profiles == nil {
+				profiles = defaultProfiles
 			}
 			for _, name := range profiles {
 				c, kind, name := c, kind, name
@@ -85,9 +101,21 @@ func TestActiveSetKernelByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if c.think > 0 {
+						p.Think = c.think
+					}
 					active := runKernelMode(t, kind, p, c.tweak, false)
 					exhaustive := runKernelMode(t, kind, p, c.tweak, true)
 					compareKernelModes(t, label, active, exhaustive)
+					if c.maxTickFrac > 0 {
+						a, e := active.Kernel.ShardStats().ActiveSum, exhaustive.Kernel.ShardStats().ActiveSum
+						t.Logf("router ticks over %d cycles: active-set %d, always-tick %d (%.1f%%)",
+							active.Kernel.Now(), a, e, 100*float64(a)/float64(e))
+						if float64(a) > c.maxTickFrac*float64(e) {
+							t.Errorf("active-set router ticks %d exceed %.0f%% of always-tick's %d",
+								a, 100*c.maxTickFrac, e)
+						}
+					}
 				})
 			}
 		}

@@ -100,15 +100,29 @@ func TestMulticastEndStateEquivalent(t *testing.T) {
 // trace must invalidate the same sharers (dir.invals) while injecting
 // measurably fewer invalidation packets (dir.inv_packets), because
 // multi-sharer rounds ride one router-forked packet.
+//
+// wsp, the heaviest-sharing profile, pins the fan-out saving (PAPERS.md,
+// 1610.00751) exactly: the counts are deterministic, so a change in how the
+// fabric forks invalidations must re-record them deliberately.
 func TestMulticastReducesInvalidationPackets(t *testing.T) {
 	const accesses, seed = 150, 42
+	const wspUnicast, wspMulticast = 2929, 2067
 	ts := network.TorusSpec(8, 8)
 	var offPkts, onPkts, offInv, onInv int64
-	for _, p := range trace.Benchmarks()[:2] {
+	for _, name := range []string{"fft", "lu", "wsp"} {
+		p, err := trace.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, moff := runEngineOn(t, protocol.KindDirectory, ts, false, p, accesses, seed)
 		_, mon := runEngineOn(t, protocol.KindDirectory, ts, true, p, accesses, seed)
-		offPkts += moff.Counters.Get("dir.inv_packets")
-		onPkts += mon.Counters.Get("dir.inv_packets")
+		off, on := moff.Counters.Get("dir.inv_packets"), mon.Counters.Get("dir.inv_packets")
+		if name == "wsp" && (off != wspUnicast || on != wspMulticast) {
+			t.Errorf("torus:8x8 wsp dir.inv_packets = %d unicast, %d multicast; want %d, %d",
+				off, on, wspUnicast, wspMulticast)
+		}
+		offPkts += off
+		onPkts += on
 		offInv += moff.Counters.Get("dir.invals")
 		onInv += mon.Counters.Get("dir.invals")
 	}
