@@ -10,7 +10,7 @@ import (
 var sink *cache.Cache[protocol.DataLine]
 
 // TestNewAllocatesNoLines: building the default 2 MB, 8-way L2 is a
-// single allocation, the cache header: the slab and its tables wait for the
+// single allocation, the cache header: the slab and its table wait for the
 // first insert.
 func TestNewAllocatesNoLines(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {

@@ -11,7 +11,7 @@
 //
 // Memory follows the most lines held at once, not the configured capacity:
 // Table 2's 65,536-line L2 holding a few hundred lines costs a few hundred
-// line slots plus two small hash tables.
+// line slots plus one small hash table of the sets in use.
 //
 // The tree cache needs operations a plain cache does not: allocate only into
 // an invalid way (tree construction must never silently evict another tree),
@@ -31,7 +31,7 @@ import (
 // valid until its line is evicted or invalidated. It is a constant, not a
 // knob, because it changes no observable behaviour, only memory footprint.
 const (
-	chunkShift = 5
+	chunkShift = 3
 	chunkLines = 1 << chunkShift
 )
 
@@ -45,13 +45,13 @@ const noSlot int32 = -1
 // Storage is proportional to the most lines held at once, not to the sets
 // ever touched. Lines sit in a slab of fixed-size chunks; a slot freed by
 // Invalidate goes on a free list and is reused by the next allocation. An
-// open-addressed table maps each live line's address to its slot, and a
-// second one maps each non-empty set to the head of a chain that lists the
-// set's lines in way order. Slab and tables are built by the first insert.
+// open-addressed table maps each non-empty set to the head of a chain that
+// lists the set's lines in way order, and a lookup walks that chain
+// comparing line addresses, as a tag store compares tags within the set.
+// Slab and table are built by the first insert.
 type Cache[V any] struct {
 	chunks  [][]line[V]
 	free    int32 // first slot of the free list, or noSlot
-	index   table // line address -> slot
 	heads   table // set index -> slot of the set's lowest-way line
 	ways    int
 	numSets int
@@ -69,8 +69,8 @@ type line[V any] struct {
 
 // New returns a cache with the given total number of entries and
 // associativity. It panics if entries is not a positive multiple of ways,
-// or too many for an int32 slot number. Neither the slab nor either table
-// is allocated until the first insert.
+// or too many for an int32 slot number. Neither the slab nor the table is
+// allocated until the first insert.
 func New[V any](entries, ways int) *Cache[V] {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 || entries > math.MaxInt32 {
 		panic("cache: entries must be a positive multiple of ways, at most 2^31-1")
@@ -87,7 +87,13 @@ func (c *Cache[V]) Sets() int { return c.numSets }
 // Entries returns the total capacity in lines.
 func (c *Cache[V]) Entries() int { return c.numSets * c.ways }
 
-func (c *Cache[V]) setIndex(addr uint64) uint64 { return addr % uint64(c.numSets) }
+func (c *Cache[V]) setIndex(addr uint64) uint32 { return uint32(addr % uint64(c.numSets)) }
+
+// head returns the slot of the lowest-way line of addr's set, or noSlot.
+func (c *Cache[V]) head(addr uint64) int32 {
+	_, s := c.heads.find(c.setIndex(addr))
+	return s
+}
 
 func (c *Cache[V]) at(s int32) *line[V] { return &c.chunks[s>>chunkShift][s&(chunkLines-1)] }
 
@@ -107,8 +113,10 @@ func (c *Cache[V]) alloc() int32 {
 }
 
 func (c *Cache[V]) find(addr uint64) *line[V] {
-	if s := c.index.get(addr); s != noSlot {
-		return c.at(s)
+	for s := c.head(addr); s != noSlot; s = c.at(s).next {
+		if ln := c.at(s); ln.addr == addr {
+			return ln
+		}
 	}
 	return nil
 }
@@ -137,26 +145,17 @@ func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
 // evicted line's address and payload if an eviction occurred. If addr is
 // already present its payload is returned unchanged (treated as a hit).
 func (c *Cache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal V, evicted bool) {
-	if ln := c.find(addr); ln != nil {
-		c.clock++
-		ln.lru = c.clock
-		return &ln.val, 0, evictedVal, false
+	ln, hit := c.claim(addr, true)
+	if !hit && ln.addr != addr {
+		// The victim's slot takes the new line in place: same way, same
+		// place in the set's chain.
+		evictedAddr, evictedVal, evicted = ln.addr, ln.val, true
+		var zero V
+		ln.addr, ln.val = addr, zero
 	}
-	set := c.setIndex(addr)
-	if ln := c.fill(addr, set); ln != nil {
-		return &ln.val, 0, evictedVal, false
-	}
-	// The victim's slot takes the new line in place: same way, same place
-	// in the set's chain.
-	s := c.lru(set, addr, nil)
-	ln := c.at(s)
-	evictedAddr, evictedVal = ln.addr, ln.val
-	c.index.del(ln.addr)
-	c.index.put(addr, s)
 	c.clock++
-	var zero V
-	ln.addr, ln.lru, ln.val = addr, c.clock, zero
-	return &ln.val, evictedAddr, evictedVal, true
+	ln.lru = c.clock
+	return &ln.val, evictedAddr, evictedVal, evicted
 }
 
 // InsertNoEvict allocates a line for addr only if the set has an invalid
@@ -164,63 +163,77 @@ func (c *Cache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal V, 
 // Tree construction uses this: a reply must explicitly tear down a victim
 // tree rather than silently replace it.
 func (c *Cache[V]) InsertNoEvict(addr uint64) (*V, bool) {
-	if ln := c.find(addr); ln != nil {
-		c.clock++
-		ln.lru = c.clock
-		return &ln.val, true
+	ln, _ := c.claim(addr, false)
+	if ln == nil {
+		return nil, false
 	}
-	if ln := c.fill(addr, c.setIndex(addr)); ln != nil {
-		return &ln.val, true
-	}
-	return nil, false
+	c.clock++
+	ln.lru = c.clock
+	return &ln.val, true
 }
 
-// fill allocates absent addr into the lowest free way of set, linking it
-// into the set's chain after the lines of lower ways, or returns nil if the
-// set is full.
-func (c *Cache[V]) fill(addr, set uint64) *line[V] {
-	prev, next, way := noSlot, c.heads.get(set), int32(0)
-	for next != noSlot && c.at(next).way == way {
-		prev, next, way = next, c.at(next).next, way+1
+// claim finds addr's line with one probe of the set table and one walk of
+// the set's chain, and reports whether addr was present. If it was not,
+// claim links a new line for addr into the lowest free way, after the lines
+// of lower ways. With the set full it returns the set's LRU line, still
+// holding the victim's address and payload, if evict is set, and nil if not.
+func (c *Cache[V]) claim(addr uint64, evict bool) (*line[V], bool) {
+	set := c.setIndex(addr)
+	i, head := c.heads.find(set)
+	prev, next, way := noSlot, head, int32(0)
+	var victim *line[V]
+	for s := head; s != noSlot; s = c.at(s).next {
+		ln := c.at(s)
+		if ln.addr == addr {
+			return ln, true
+		}
+		if s == next && ln.way == way {
+			prev, next, way = s, ln.next, way+1
+		}
+		if victim == nil || ln.lru < victim.lru {
+			victim = ln
+		}
 	}
-	if int(way) == c.ways {
-		return nil
+	if int(way) < c.ways {
+		s := c.alloc()
+		c.live++
+		ln := c.at(s)
+		*ln = line[V]{addr: addr, way: way, next: next}
+		if prev == noSlot {
+			c.heads.putAt(i, set, s)
+		} else {
+			c.at(prev).next = s
+		}
+		return ln, false
 	}
-	s := c.alloc()
-	c.clock++
-	c.live++
-	ln := c.at(s)
-	*ln = line[V]{addr: addr, lru: c.clock, way: way, next: next}
-	if prev == noSlot {
-		c.heads.put(set, s)
-	} else {
-		c.at(prev).next = s
+	if evict {
+		return victim, false
 	}
-	c.index.put(addr, s)
-	return ln
+	return nil, false
 }
 
 // Invalidate removes addr from the cache, returning its payload and whether
 // it was present.
 func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 	var zero V
-	s := c.index.del(addr)
+	set := c.setIndex(addr)
+	i, s := c.heads.find(set)
+	prev := noSlot
+	for s != noSlot && c.at(s).addr != addr {
+		prev, s = s, c.at(s).next
+	}
 	if s == noSlot {
 		return zero, false
 	}
 	ln := c.at(s)
 	v := ln.val
-	set := c.setIndex(addr)
-	if h := c.heads.get(set); h != s {
-		p := c.at(h)
-		for p.next != s {
-			p = c.at(p.next)
-		}
-		p.next = ln.next
-	} else if ln.next != noSlot {
-		c.heads.put(set, ln.next)
-	} else {
-		c.heads.del(set)
+	switch {
+	case prev != noSlot:
+		c.at(prev).next = ln.next
+	case ln.next != noSlot:
+		c.heads.putAt(i, set, ln.next)
+	default:
+		c.heads.delAt(i)
 	}
 	ln.val = zero
 	ln.next = c.free
@@ -233,45 +246,37 @@ func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 // way.
 func (c *Cache[V]) HasFreeWay(addr uint64) bool {
 	n := 0
-	for s := c.heads.get(c.setIndex(addr)); s != noSlot; s = c.at(s).next {
+	for s := c.head(addr); s != noSlot; s = c.at(s).next {
 		n++
 	}
 	return n < c.ways
 }
 
-// lru returns the slot of the least-recently-used line of set, other than
-// the line addressed by skip, for which keep (if not nil) returns true, or
-// noSlot if there is none. keep sees the lines in way order.
-func (c *Cache[V]) lru(set, skip uint64, keep func(lineAddr uint64, v *V) bool) int32 {
-	best := noSlot
-	for s := c.heads.get(set); s != noSlot; s = c.at(s).next {
-		ln := c.at(s)
-		if ln.addr == skip || keep != nil && !keep(ln.addr, &ln.val) {
-			continue
-		}
-		if best == noSlot || ln.lru < c.at(best).lru {
-			best = s
-		}
-	}
-	return best
-}
-
 // LRUVictim returns the least-recently-used valid line in addr's set for
 // which keep returns true, as (lineAddress, payload pointer, ok). A nil keep
-// accepts every valid line. The line addressed by addr itself is excluded.
+// accepts every valid line; keep sees the lines in way order. The line
+// addressed by addr itself is excluded.
 func (c *Cache[V]) LRUVictim(addr uint64, keep func(lineAddr uint64, v *V) bool) (uint64, *V, bool) {
-	s := c.lru(c.setIndex(addr), addr, keep)
-	if s == noSlot {
+	var best *line[V]
+	for s := c.head(addr); s != noSlot; s = c.at(s).next {
+		ln := c.at(s)
+		if ln.addr == addr || keep != nil && !keep(ln.addr, &ln.val) {
+			continue
+		}
+		if best == nil || ln.lru < best.lru {
+			best = ln
+		}
+	}
+	if best == nil {
 		return 0, nil, false
 	}
-	ln := c.at(s)
-	return ln.addr, &ln.val, true
+	return best.addr, &best.val, true
 }
 
 // ScanSet calls fn for every valid line in addr's set, in way order, until
 // fn returns false. fn must not insert or invalidate lines.
 func (c *Cache[V]) ScanSet(addr uint64, fn func(lineAddr uint64, v *V) bool) {
-	c.scanChain(c.heads.get(c.setIndex(addr)), fn)
+	c.scanChain(c.head(addr), fn)
 }
 
 // scanChain calls fn along the chain starting at slot s and reports

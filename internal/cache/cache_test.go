@@ -140,6 +140,51 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestFullSetWalksTheChain: in a full 4-way set every way is found by a
+// walk of the set's chain, an absent address of the set misses, and
+// Invalidate of a mid-chain line unlinks it alone, leaving its way to the
+// next fill.
+func TestFullSetWalksTheChain(t *testing.T) {
+	c := New[int](8, 4) // 2 sets; even addresses share set 0
+	for a := 0; a < 4; a++ {
+		v, _, _, ev := c.Insert(uint64(2 * a))
+		if ev {
+			t.Fatalf("fill of way %d evicted", a)
+		}
+		*v = 100 + a
+	}
+	for a := 0; a < 4; a++ {
+		if v, ok := c.Lookup(uint64(2 * a)); !ok || *v != 100+a {
+			t.Fatalf("Lookup(%d) = (%v,%v), want payload %d", 2*a, v, ok, 100+a)
+		}
+	}
+	if _, ok := c.Peek(8); ok {
+		t.Fatal("absent address 8 hit in a full set")
+	}
+	if _, ok := c.InsertNoEvict(8); ok || c.HasFreeWay(8) {
+		t.Fatal("full set took address 8 without an eviction")
+	}
+	if v, ok := c.Invalidate(4); !ok || v != 102 {
+		t.Fatalf("Invalidate(4) = (%d,%v), want (102,true)", v, ok)
+	}
+	if _, ok := c.Peek(4); ok {
+		t.Fatal("line 4 still present after Invalidate")
+	}
+	if v, ok := c.InsertNoEvict(8); !ok {
+		t.Fatal("InsertNoEvict(8) failed with way 2 free")
+	} else {
+		*v = 108
+	}
+	var got []int
+	c.ScanSet(0, func(a uint64, v *int) bool {
+		got = append(got, int(a), *v)
+		return true
+	})
+	if want := []int{0, 100, 2, 101, 8, 108, 6, 103}; !slices.Equal(got, want) || c.Len() != 4 {
+		t.Fatalf("set 0 holds %v (Len %d), want %v: ways 0, 1, 2, 3", got, c.Len(), want)
+	}
+}
+
 func TestHasFreeWay(t *testing.T) {
 	c := New[int](2, 2)
 	if !c.HasFreeWay(0) {
@@ -469,15 +514,15 @@ func (r *refCache[V]) Len() int {
 // and the payload seen there.
 type visit struct{ addr, val uint64 }
 
-// refGeoms are the differential test's cache shapes. With 32-slot slab
-// chunks they cover one set, caches smaller than a chunk, and slabs of
-// many chunks whose address tables grow through several doublings. The
-// churn shape draws mostly inserts and invalidates, the latter mostly of
-// lines inserted earlier, so the address index both grows repeatedly and
-// shifts entries back on deletion while the free list recycles slots.
+// refGeoms are the differential test's cache shapes. With 8-slot slab
+// chunks they cover one set, a cache smaller than a chunk, and slabs of
+// many chunks whose set tables grow through several doublings. The churn
+// shape draws mostly inserts and invalidates, the latter mostly of lines
+// inserted earlier, so the set table both grows repeatedly and shifts
+// entries back on deletion while the free list recycles slots.
 var refGeoms = []refGeom{
-	{entries: 4, ways: 4},     // one set
-	{entries: 12, ways: 2},    // 6 sets, fewer lines than a chunk
+	{entries: 4, ways: 4},     // one set, fewer lines than a chunk
+	{entries: 12, ways: 2},    // 6 sets
 	{entries: 24, ways: 2},    // 12 sets
 	{entries: 200, ways: 2},   // 100 sets, several chunks
 	{entries: 130, ways: 1},   // direct mapped
@@ -698,7 +743,7 @@ func TestPayloadPointerStable(t *testing.T) {
 }
 
 // TestProbesNeverAllocate: lookups, set probes and a missing Invalidate
-// allocate nothing, on an empty cache (no slab, no tables yet) and on a
+// allocate nothing, on an empty cache (no slab, no table yet) and on a
 // populated one, whether the probed address is present or not.
 func TestProbesNeverAllocate(t *testing.T) {
 	probe := func(c *Cache[int], a uint64) {
@@ -727,7 +772,7 @@ func TestProbesNeverAllocate(t *testing.T) {
 
 // TestChurnKeepsStorageToLiveLines: 100k insert/invalidate rounds over
 // distinct addresses, at most k lines live at once, leave the slab at the
-// chunks k lines need and both tables at most four times k entries: freed
+// chunks k lines need and the set table at most four times k entries: freed
 // slots are reused and deletions leave no tombstones.
 func TestChurnKeepsStorageToLiveLines(t *testing.T) {
 	const k, rounds = 100, 100_000
@@ -752,7 +797,7 @@ func TestChurnKeepsStorageToLiveLines(t *testing.T) {
 	if want := (k + chunkLines - 1) / chunkLines; len(c.chunks) > want {
 		t.Errorf("slab holds %d chunks, want <= %d", len(c.chunks), want)
 	}
-	if len(c.index.ents) > 4*k || len(c.heads.ents) > 4*k {
-		t.Errorf("index %d entries, set heads %d, want each <= %d", len(c.index.ents), len(c.heads.ents), 4*k)
+	if len(c.heads.ents) > 4*k {
+		t.Errorf("set heads %d entries, want <= %d", len(c.heads.ents), 4*k)
 	}
 }

@@ -48,19 +48,6 @@ func TestWritesToHomeLine(t *testing.T) {
 	check(t, 0, []Op{{Node: 0, Write: true}, {Node: 3, Write: true}})
 }
 
-func TestPaperBound(t *testing.T) {
-	// The paper's Murφ run: multiple concurrent reads, two concurrent
-	// writes; ~100k states there, same order of magnitude here.
-	if testing.Short() {
-		t.Skip("full exploration is slow")
-	}
-	home, ops := DefaultProgram()
-	res := check(t, home, ops)
-	if res.States < 10_000 {
-		t.Logf("note: state space smaller than expected (%d states)", res.States)
-	}
-}
-
 func TestReadersAcrossAllNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exploration is slow")

@@ -27,7 +27,7 @@ func TestRouterTickZeroAllocsSteadyState(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := testMesh(k, 2, 1, 2, pingPongPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID = m.NextIDFor(0)
 	p.Flits = 1
 	m.Inject(0, p, k.Now())
@@ -42,8 +42,8 @@ func TestRouterTickZeroAllocsSteadyState(t *testing.T) {
 // to the delivery path: packets eject at their destination, and EjectFn
 // answers each with a fresh pool packet back to the sender, so every step
 // may route, grant the local port, run a deferred ejection on the event
-// heap and recycle a packet. Once the free-lists hold a packet per node,
-// a step allocates nothing: the ejection rides a kernel callback with the
+// heap and recycle a packet. Once the free-list holds the packets in
+// flight, a step allocates nothing: the ejection rides a kernel callback with the
 // packet as its operand, not a closure per packet.
 func TestEjectReinjectZeroAllocsSteadyState(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -51,18 +51,18 @@ func TestEjectReinjectZeroAllocsSteadyState(t *testing.T) {
 	ejected := 0
 	m.EjectFn = func(node int, p *Packet, now int64) {
 		ejected++
-		q := m.AllocPacketFor(node)
+		q := m.AllocPacket()
 		q.ID = m.NextIDFor(node)
 		q.Src, q.Dst, q.Flits = node, p.Src, p.Flits
 		m.Inject(node, q, now)
 	}
 	for i := 0; i < 32; i++ {
-		p := m.AllocPacketFor(i % 4)
+		p := m.AllocPacket()
 		p.ID = m.NextIDFor(i % 4)
 		p.Src, p.Dst, p.Flits = i%4, 3-i%4, 1
 		m.Inject(i%4, p, k.Now())
 	}
-	k.Run(300) // warm the rings, the free-lists and the event heap
+	k.Run(300) // warm the rings, the free-list and the event heap
 	before := ejected
 	const runs = 1000
 	allocs := testing.AllocsPerRun(runs, func() { k.Step() })
@@ -102,7 +102,7 @@ func TestSoAHotPathZeroAllocsMultiRouter(t *testing.T) {
 	m := testMesh(k, 4, 1, 2, pingPongPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
 	for i := 0; i < 3; i++ {
-		p := m.AllocPacketFor(i)
+		p := m.AllocPacket()
 		p.ID = m.NextIDFor(i)
 		p.Flits = 1 + i
 		m.Inject(i, p, k.Now())
@@ -127,7 +127,7 @@ func TestRouterTickZeroAllocsInstrumented(t *testing.T) {
 	spec.StallPPM, spec.StallLen = 100_000, 4
 	m.Faults = &fault.Injector{Plan: spec.Plan(3)}
 	for i := 0; i < 4; i++ {
-		p := m.AllocPacketFor(i)
+		p := m.AllocPacket()
 		p.ID = m.NextIDFor(i)
 		p.Flits = 1 + i
 		m.Inject(i, p, k.Now())
@@ -158,7 +158,7 @@ func TestPacketFreeListRecycles(t *testing.T) {
 	delivered := 0
 	m.EjectFn = func(int, *Packet, int64) { delivered++ }
 
-	pooled := m.AllocPacketFor(0)
+	pooled := m.AllocPacket()
 	pooled.ID = m.NextIDFor(0)
 	pooled.Dst = 1
 	pooled.Flits = 1
@@ -168,8 +168,8 @@ func TestPacketFreeListRecycles(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("pooled packet not delivered (delivered=%d)", delivered)
 	}
-	// Packets recycle at the router where they die — the destination.
-	if got := m.AllocPacketFor(1); got != pooled {
+	// The free-list is a LIFO stack: the next allocation reuses it.
+	if got := m.AllocPacket(); got != pooled {
 		t.Error("delivered pool packet was not recycled to the free-list")
 	} else if got.Payload != nil || got.Dst != 0 || !got.pooled {
 		t.Errorf("recycled packet not reset: %+v", got)
@@ -181,8 +181,37 @@ func TestPacketFreeListRecycles(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("literal packet not delivered (delivered=%d)", delivered)
 	}
-	if got := m.AllocPacketFor(1); got == literal {
+	if got := m.AllocPacket(); got == literal {
 		t.Error("literal-built packet was recycled; external references would be corrupted")
+	}
+}
+
+// TestPoolHoldsPeakInFlight: router 0 streams packets to router 3 for
+// many rounds. Each packet is allocated at the sender and dies at the
+// receiver, so only a fabric-wide free-list lets the sender reuse it: the
+// pool creates no more packets than were ever in flight at once.
+func TestPoolHoldsPeakInFlight(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := testMesh(k, 4, 1, 2, DestPolicy{})
+	delivered := 0
+	m.EjectFn = func(int, *Packet, int64) { delivered++ }
+	const rounds = 500
+	created := map[*Packet]bool{}
+	peak := 0
+	for i := 0; i < rounds; i++ {
+		p := m.AllocPacket()
+		created[p] = true
+		p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 0, 3, 1+i%2
+		m.Inject(0, p, k.Now())
+		peak = max(peak, m.InFlight)
+		k.Run(k.Now() + 2)
+	}
+	k.Run(k.Now() + 100)
+	if delivered != rounds || m.InFlight != 0 {
+		t.Fatalf("delivered %d of %d, %d in flight", delivered, rounds, m.InFlight)
+	}
+	if len(created) > peak {
+		t.Fatalf("pool created %d packets for a peak of %d in flight", len(created), peak)
 	}
 }
 
@@ -193,7 +222,7 @@ func TestRoutersParkWhenDrained(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := testMesh(k, 4, 4, 2, DestPolicy{})
 	m.EjectFn = func(int, *Packet, int64) {}
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID = m.NextIDFor(0)
 	p.Dst = 15
 	p.Flits = 3

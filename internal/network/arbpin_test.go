@@ -29,7 +29,7 @@ func (arbPinPolicy) Route(r *Router, p *Packet, now int64) Steer {
 	}
 	st := Steer{Out: r.Topo().NextHop(r.NodeID, p.Dst)}
 	if !follower && r.NodeID == p.Src && p.Hops == 0 && p.ID%5 == 0 {
-		f := r.mesh.AllocPacketFor(r.NodeID)
+		f := r.mesh.AllocPacket()
 		f.ID = r.mesh.NextIDFor(r.NodeID)
 		f.Src, f.Dst, f.Flits = p.Src, p.Dst, 1
 		f.Payload = "follower"
@@ -82,7 +82,7 @@ func runArbPin() arbPinResult {
 		if c < 1500 && c%2 == 0 {
 			for i := 0; i < 3; i++ {
 				src, dst := next(16), next(16)
-				p := m.AllocPacketFor(src)
+				p := m.AllocPacket()
 				p.ID = m.NextIDFor(src)
 				p.Src, p.Dst = src, dst
 				p.Flits = 1 + next(4)

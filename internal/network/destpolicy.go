@@ -68,7 +68,7 @@ func routeMulticast(r *Router, p *Packet, now int64) Steer {
 // keeps the original's hop and injection accounting (it has traversed the
 // same links) and is expedited so the fork costs no extra pipeline pass.
 func (m *Mesh) cloneForSet(r *Router, p *Packet, set NodeSet) *Packet {
-	c := m.AllocPacketFor(r.NodeID)
+	c := m.AllocPacket()
 	c.ID = m.NextIDFor(r.NodeID)
 	c.Src = p.Src
 	c.Flits = p.Flits

@@ -29,7 +29,7 @@ func TestInjectedDropRemovesPacket(t *testing.T) {
 	spec.DropPPM = 1_000_000
 	spec.Scope = fault.ScopeAll
 	k, m, delivered, reasons := faultSetup(t, spec, 7)
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 0, 3, 1
 	m.Inject(0, p, k.Now())
 	k.Run(200)
@@ -53,7 +53,7 @@ func TestScopeRetryableSparesNonRetryablePackets(t *testing.T) {
 	spec.CorruptPPM = 1_000_000
 	spec.Scope = fault.ScopeRetryable
 	k, m, delivered, _ := faultSetup(t, spec, 7)
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 0, 3, 1
 	// ...but the packet is not retryable, so the request scope spares it.
 	m.Inject(0, p, k.Now())
@@ -71,7 +71,7 @@ func TestScopeRetryableDropsMarkedPackets(t *testing.T) {
 	spec.DropPPM = 1_000_000
 	spec.Scope = fault.ScopeRetryable
 	k, m, delivered, reasons := faultSetup(t, spec, 7)
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID, p.Src, p.Dst, p.Flits, p.Retryable = m.NextIDFor(0), 0, 3, 1, true
 	m.Inject(0, p, k.Now())
 	k.Run(200)
@@ -85,7 +85,7 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	spec := fault.DefaultSpec()
 	spec.CorruptPPM = 1_000_000
 	k, m, delivered, reasons := faultSetup(t, spec, 7)
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	// Retryable, so the default request scope lets the plan corrupt it.
 	p.ID, p.Src, p.Dst, p.Flits, p.Retryable = m.NextIDFor(0), 0, 3, 1, true
 	m.Inject(0, p, k.Now())
@@ -113,7 +113,7 @@ func TestLocalEjectionNeverFaulted(t *testing.T) {
 	spec.DropPPM, spec.CorruptPPM, spec.StallPPM = 1_000_000, 1_000_000, 1_000_000
 	spec.Scope = fault.ScopeAll
 	k, m, delivered, _ := faultSetup(t, spec, 7)
-	p := m.AllocPacketFor(0)
+	p := m.AllocPacket()
 	p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 6, 6, 1
 	m.Inject(6, p, k.Now())
 	k.Run(200)
@@ -131,7 +131,7 @@ func TestStallDelaysDelivery(t *testing.T) {
 		if spec.Injecting() {
 			m.Faults = &fault.Injector{Plan: spec.Plan(7)}
 		}
-		p := m.AllocPacketFor(0)
+		p := m.AllocPacket()
 		p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), 0, 3, 1
 		m.Inject(0, p, k.Now())
 		k.Run(2000)
@@ -168,7 +168,7 @@ func TestFaultScheduleDeterministicAcrossRuns(t *testing.T) {
 				if s == d {
 					continue
 				}
-				p := m.AllocPacketFor(0)
+				p := m.AllocPacket()
 				p.ID, p.Src, p.Dst, p.Flits = m.NextIDFor(0), s, d, 1
 				m.Inject(s, p, k.Now())
 			}

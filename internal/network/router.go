@@ -124,21 +124,23 @@ type Mesh struct {
 	// decisions for age-based arbitration and idSeq allocates packet ids,
 	// both per router (arbitration only ever compares stamps issued by the
 	// same router, so per-router stamping grants identically to a global
-	// counter). freePkts is the per-router packet free-list — packets
-	// recycle at the router where they die — and tids the kernel ticker
-	// ids for wakes. occ is each router's occupied-slot mask: bit port is
-	// set exactly when that input FIFO is non-empty, so Tick visits
-	// occupied FIFOs only (at most MaxDegree+2 bits). idleUntil is what
-	// each router's last Tick left it waiting for: the earliest cycle one
-	// of its remaining heads clears the pipeline, or 0 when a head is
-	// routed or routable (see idleAfter and Quiescent).
+	// counter). freePkts is the fabric's one packet free-list: a packet
+	// that dies at one router serves the next allocation at any router,
+	// so the pool holds no more packets than were ever in flight at once.
+	// tids are the kernel ticker ids for wakes. occ is each
+	// router's occupied-slot mask: bit port is set exactly when that input
+	// FIFO is non-empty, so Tick visits occupied FIFOs only (at most
+	// MaxDegree+2 bits). idleUntil is what each router's last Tick left it
+	// waiting for: the earliest cycle one of its remaining heads clears the
+	// pipeline, or 0 when a head is routed or routable (see idleAfter and
+	// Quiescent).
 	fifos     []fifoQueue
 	busyTill  []int64
 	queued    []int32
 	occ       []uint64
 	routeSeq  []uint64
 	idSeq     []uint64
-	freePkts  [][]*Packet
+	freePkts  []*Packet
 	tids      []sim.TickerID
 	idleUntil []int64
 
@@ -267,7 +269,6 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m.occ = make([]uint64, nodes)
 	m.routeSeq = make([]uint64, nodes)
 	m.idSeq = make([]uint64, nodes)
-	m.freePkts = make([][]*Packet, nodes)
 	m.tids = make([]sim.TickerID, nodes)
 	m.idleUntil = make([]int64, nodes)
 	for i := 0; i < nodes; i++ {
@@ -313,9 +314,12 @@ func (m *Mesh) fifoAt(node, port int) *fifoQueue {
 // stage is the tick phase's staging state. Routers append to it as they
 // tick, in router-id order, and flush applies it at the end of the cycle.
 type stage struct {
-	xfers    []xferRec
-	drops    []dropRec
-	delivers []deliverRec
+	xfers []xferRec
+	drops []dropRec
+	// delivers defers in-network consumptions' DeliverFn callbacks (and
+	// recycles) to the end of the cycle. Only staged when DeliverFn is
+	// armed.
+	delivers []*Packet
 }
 
 // xferRec is a flit hand-off crossing a router boundary: the link mailbox.
@@ -330,16 +334,8 @@ type xferRec struct {
 // dropRec defers a fault-layer removal's DropFn callback (and the recycle
 // that must follow it) to the end of the cycle.
 type dropRec struct {
-	node   int // router the packet died at
 	p      *Packet
 	reason fault.DropReason
-}
-
-// deliverRec defers an in-network consumption's DeliverFn callback (and
-// recycle) to the end of the cycle. Only staged when DeliverFn is armed.
-type deliverRec struct {
-	node int
-	p    *Packet
 }
 
 // flush is the mesh's end-of-cycle hook: apply the staged link hand-offs,
@@ -355,14 +351,14 @@ func (m *Mesh) flush() {
 	st.xfers = st.xfers[:0]
 	for i, d := range st.drops {
 		m.DropFn(d.p, d.reason, now)
-		m.recycleAt(d.node, d.p)
+		m.recycle(d.p)
 		st.drops[i] = dropRec{}
 	}
 	st.drops = st.drops[:0]
-	for i, d := range st.delivers {
-		m.DeliverFn(d.p, true, now)
-		m.recycleAt(d.node, d.p)
-		st.delivers[i] = deliverRec{}
+	for i, p := range st.delivers {
+		m.DeliverFn(p, true, now)
+		m.recycle(p)
+		st.delivers[i] = nil
 	}
 	st.delivers = st.delivers[:0]
 }
@@ -384,34 +380,32 @@ func (m *Mesh) NextIDFor(node int) uint64 {
 	return uint64(node)<<40 | m.idSeq[node]
 }
 
-// AllocPacketFor returns a zeroed packet from node's router-local free-list
-// (or a fresh one). The mesh recycles it automatically when it leaves the
+// AllocPacket returns a zeroed packet from the fabric's free-list (or a
+// fresh one). The mesh recycles it automatically when it leaves the
 // network — through a local ejection port, after EjectFn returns, or when
 // the policy consumes it in-network — so callers must not retain pool
 // packets past those points. Protocol engines build all their traffic
 // through this.
-func (m *Mesh) AllocPacketFor(node int) *Packet {
-	free := m.freePkts[node]
-	if n := len(free); n > 0 {
-		p := free[n-1]
-		m.freePkts[node] = free[:n-1]
+func (m *Mesh) AllocPacket() *Packet {
+	if n := len(m.freePkts); n > 0 {
+		p := m.freePkts[n-1]
+		m.freePkts = m.freePkts[:n-1]
 		*p = Packet{pooled: true}
 		return p
 	}
 	return &Packet{pooled: true}
 }
 
-// recycleAt returns a dead pool packet to the free-list of the router it
-// died at, handing it to RecycleFn first. Literal-built packets pass
-// through untouched.
-func (m *Mesh) recycleAt(node int, p *Packet) {
+// recycle returns a dead pool packet to the free-list, handing it to
+// RecycleFn first. Literal-built packets pass through untouched.
+func (m *Mesh) recycle(p *Packet) {
 	if p.pooled {
 		if m.RecycleFn != nil {
 			m.RecycleFn(p)
 		}
 		p.Payload = nil
 		p.DstSet = nil
-		m.freePkts[node] = append(m.freePkts[node], p)
+		m.freePkts = append(m.freePkts, p)
 	}
 }
 
@@ -619,9 +613,9 @@ func (r *Router) Tick(now int64) {
 			m.popAt(node, fifos, slot)
 			m.InFlight--
 			if m.DropFn != nil {
-				stg.drops = append(stg.drops, dropRec{node: node, p: p, reason: fault.DropChecksum})
+				stg.drops = append(stg.drops, dropRec{p: p, reason: fault.DropChecksum})
 			} else {
-				m.recycleAt(node, p)
+				m.recycle(p)
 			}
 			continue
 		}
@@ -633,9 +627,9 @@ func (r *Router) Tick(now int64) {
 			m.DeliveredPackets++
 			m.TotalHops += int64(p.Hops)
 			if m.DeliverFn != nil {
-				stg.delivers = append(stg.delivers, deliverRec{node: node, p: p})
+				stg.delivers = append(stg.delivers, p)
 			} else {
-				m.recycleAt(node, p)
+				m.recycle(p)
 			}
 		case st.Stall:
 			if p.stallStart == 0 {
@@ -705,9 +699,9 @@ func (r *Router) Tick(now int64) {
 			// free the cycle for the next-oldest packet.
 			m.InFlight--
 			if m.DropFn != nil {
-				stg.drops = append(stg.drops, dropRec{node: node, p: p, reason: fault.DropInjected})
+				stg.drops = append(stg.drops, dropRec{p: p, reason: fault.DropInjected})
 			} else {
-				m.recycleAt(node, p)
+				m.recycle(p)
 			}
 			continue
 		}
@@ -784,7 +778,7 @@ func (m *Mesh) eject(node int, arg any) {
 		m.DeliverFn(p, false, now)
 	}
 	m.EjectFn(node, p, now)
-	m.recycleAt(node, p)
+	m.recycle(p)
 }
 
 // QueuedPackets returns the number of packets waiting in this router's

@@ -134,7 +134,7 @@ type Packet struct {
 	outSlot  int
 	routeSeq uint64
 	// pooled marks packets allocated from the mesh free-list
-	// (Mesh.AllocPacketFor): the mesh recycles them when they leave the
+	// (Mesh.AllocPacket): the mesh recycles them when they leave the
 	// network. Packets built as plain literals (tests, external drivers)
 	// have it false and are never recycled, so references a test harness
 	// retains past delivery stay valid.

@@ -625,7 +625,7 @@ func (m *Machine) NewPacket(src, dst int, msg *Msg) *network.Packet {
 	if msg.Type.IsData() {
 		flits = m.Cfg.DataFlits
 	}
-	p := m.Mesh.AllocPacketFor(src)
+	p := m.Mesh.AllocPacket()
 	p.ID = m.Mesh.NextIDFor(src)
 	p.Src = src
 	p.Dst = dst

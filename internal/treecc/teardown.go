@@ -75,7 +75,7 @@ func (e *Engine) recycleHop(p *network.Packet) {
 // The mesh recycles it when it leaves the network, so the engine keeps no
 // pointer to it.
 func (e *Engine) ctrlPacket(node int, msg *protocol.Msg) *network.Packet {
-	p := e.m.Mesh.AllocPacketFor(node)
+	p := e.m.Mesh.AllocPacket()
 	p.ID = e.m.Mesh.NextIDFor(node)
 	p.Flits = e.m.Cfg.CtrlFlits
 	p.Payload = msg

@@ -18,6 +18,13 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Scratch directories for the litmus reproducers, the metrics CSV and the
+# serving smoke (its data and a race-built binary), removed on any exit.
+LITMUS_OUT=$(mktemp -d)
+METRICS_OUT=$(mktemp -d)
+SERVE_DATA=$(mktemp -d)
+trap 'rm -rf "$LITMUS_OUT" "$METRICS_OUT" "$SERVE_DATA"' EXIT
+
 gofmt_out=$(gofmt -l .)
 if [ -n "$gofmt_out" ]; then
     echo "gofmt needed on:" "$gofmt_out" >&2
@@ -67,7 +74,6 @@ go test ./internal/cache -fuzz '^FuzzMatchesReferenceModel$' -fuzztime 10s
 go run -race ./cmd/innetcc -litmus 25 -jobs 2 >/dev/null
 go run -race ./cmd/innetcc -litmus 25 -jobs 2 \
     -faults 'drop=5000,timeout=4000,retries=8,backoff=32,probe=100' >/dev/null
-LITMUS_OUT=$(mktemp -d)
 if go run -race ./cmd/innetcc -litmus 4 -litmus-engine tree \
     -litmus-bug skip-invalidate -litmus-out "$LITMUS_OUT" >/dev/null 2>&1; then
     echo "litmus mutation campaign failed to detect the seeded defect" >&2
@@ -106,7 +112,7 @@ fi
 # Observability smoke under the race detector: one metrics-instrumented
 # experiment across parallel workers, with CSV export and flight dumping.
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 -metrics \
-    -metrics-out "$(mktemp -d)/metrics.csv" -flight-dump >/dev/null
+    -metrics-out "$METRICS_OUT/metrics.csv" -flight-dump >/dev/null
 
 # Topology smoke under the race detector: the fig5 sweep on a torus with
 # hardware multicast and on a ring, exercising the non-mesh routing and the
@@ -137,7 +143,6 @@ go run -race ./cmd/innetcc -exp fig9 -accesses 40 -jobs 2 >/dev/null
 # 1,048,576-cycle segment and SIGTERM the server while it runs. The drain
 # must requeue it on disk; a restart on the same data directory must rerun
 # it to done with a result identical to a fresh server's for the same spec.
-SERVE_DATA=$(mktemp -d)
 SERVE_ADDR=127.0.0.1:18931
 FRESH_ADDR=127.0.0.1:18932
 go build -race -o "$SERVE_DATA/innetcc" ./cmd/innetcc
