@@ -24,10 +24,10 @@
 //	innetcc -exp fig5 -faults drop=2000,retries=4 -watchdog 2000000 -retries 1
 //
 // Server mode (-serve) runs the persistent simulation-as-a-service layer
-// (internal/serve): an HTTP/JSON job API with a FIFO queue, streaming
-// progress, and persisted job records so interrupted jobs rerun after a
-// restart. -serve-workers jobs simulate at once. Client mode (-client)
-// talks to it:
+// (internal/serve): an HTTP/JSON job API with a FIFO queue and persisted
+// job records, so interrupted jobs rerun after a restart. -serve-workers
+// jobs simulate at once. Client mode (-client) talks to it; -watch polls a
+// job's record to completion:
 //
 //	innetcc -serve :8080 -serve-data ./serve-data -serve-workers 4
 //	innetcc -client http://localhost:8080 -submit -profile fft -engine tree \
@@ -117,10 +117,10 @@ func main() {
 	flag.StringVar(&sf.dataDir, "serve-data", defaultServeData(), "server persistence root (job records, result cache)")
 	flag.IntVar(&sf.workers, "serve-workers", 0, "concurrent simulations in server mode (0 = 1)")
 	flag.StringVar(&sf.client, "client", "", "talk to a running job server at this URL instead of running an experiment")
-	flag.BoolVar(&sf.submit, "submit", false, "client: submit a job (-profile, -engine, -accesses; add -watch to stream it)")
+	flag.BoolVar(&sf.submit, "submit", false, "client: submit a job (-profile, -engine, -accesses; add -watch to follow it)")
 	flag.StringVar(&sf.profile, "profile", "fft", "client: trace profile name for -submit")
 	flag.StringVar(&sf.engine, "engine", "tree", "client: coherence engine for -submit (dir|tree)")
-	flag.StringVar(&sf.watch, "watch", "", "client: stream a job's progress to completion (with -submit: any non-empty value watches the new job)")
+	flag.StringVar(&sf.watch, "watch", "", "client: poll a job's record to completion, then print its result (with -submit: any non-empty value watches the new job)")
 	flag.StringVar(&sf.status, "status", "", "client: print one job's record")
 	flag.StringVar(&sf.result, "result", "", "client: print a finished job's result")
 	flag.StringVar(&sf.cancel, "cancel", "", "client: cancel a queued or running job")

@@ -130,22 +130,21 @@ func runClient(w io.Writer, sf serveFlags, accesses int, seed uint64, faults str
 	}
 }
 
-// watchJob follows the job's progress stream to a terminal state, then
-// prints the result.
+// watchJob polls the job's record to a terminal state, printing each
+// state change and each new cycle or attempt of a running job, then prints
+// the result.
 func watchJob(ctx context.Context, w io.Writer, c *serve.Client, id string) error {
-	final, err := c.Watch(ctx, id, func(ev serve.Event) {
-		switch {
-		case ev.Type == "progress" && ev.Progress != nil:
-			fmt.Fprintf(w, "  cycle %d (attempt %d)\n", ev.Progress.Cycle, ev.Progress.Attempt+1)
-		case ev.Type == "state" && ev.Record != nil:
-			fmt.Fprintf(w, "  state: %s\n", ev.Record.State)
+	state := ""
+	final, err := c.Watch(ctx, id, func(rec serve.JobRecord) {
+		if rec.State != state {
+			state = rec.State
+			fmt.Fprintf(w, "  state: %s\n", rec.State)
+		} else {
+			fmt.Fprintf(w, "  cycle %d (attempt %d)\n", rec.Cycle, rec.Attempt+1)
 		}
 	})
 	if err != nil {
 		return err
-	}
-	if !final.Terminal() {
-		return fmt.Errorf("stream ended with job %s still %s (server draining?)", id, final.State)
 	}
 	if final.State != serve.StateDone {
 		return errors.New("job " + id + " " + final.State + ": " + final.Error)

@@ -20,18 +20,12 @@ import (
 const DefaultSegmentCycles = 1 << 20
 
 // Progress is one mid-run observation of a job, delivered between
-// simulation segments. The series points are present only when the job's
-// MetricsSpec enabled collection.
+// simulation segments.
 type Progress struct {
 	// Cycle is the simulated cycle reached so far.
 	Cycle int64 `json:"cycle"`
 	// Attempt is the current transient-retry epoch (0-based).
 	Attempt int `json:"attempt"`
-
-	// Latest non-empty bucket of each collector time series.
-	InFlight   *metrics.SeriesPoint `json:"inFlight,omitempty"`
-	Occupancy  *metrics.SeriesPoint `json:"occupancy,omitempty"`
-	QueueDepth *metrics.SeriesPoint `json:"queueDepth,omitempty"`
 }
 
 // RunOptions controls a segmented RunJob execution. The zero value runs the
@@ -121,7 +115,7 @@ func runAttempt(job Job, attempt int, opt RunOptions) (res Result) {
 			break
 		}
 		if opt.Progress != nil {
-			opt.Progress(progressOf(m, col, attempt))
+			opt.Progress(Progress{Cycle: m.Kernel.Now(), Attempt: attempt})
 		}
 	}
 	if runErr != nil {
@@ -132,7 +126,7 @@ func runAttempt(job Job, attempt int, opt RunOptions) (res Result) {
 		}
 	}
 	if opt.Progress != nil {
-		opt.Progress(progressOf(m, col, attempt))
+		opt.Progress(Progress{Cycle: m.Kernel.Now(), Attempt: attempt})
 	}
 
 	res = Result{
@@ -215,22 +209,6 @@ func buildAttempt(job Job, attempt int, col *metrics.Collector) (*protocol.Machi
 		}
 	}
 	return m, hops, nil
-}
-
-func progressOf(m *protocol.Machine, col *metrics.Collector, attempt int) Progress {
-	pr := Progress{Cycle: m.Kernel.Now(), Attempt: attempt}
-	if col != nil {
-		if p, ok := col.InFlight.Last(); ok {
-			pr.InFlight = &p
-		}
-		if p, ok := col.Occupancy.Last(); ok {
-			pr.Occupancy = &p
-		}
-		if p, ok := col.QueueDepth.Last(); ok {
-			pr.QueueDepth = &p
-		}
-	}
-	return pr
 }
 
 // dist folds an accumulator (and, when available, its sample set for

@@ -34,22 +34,6 @@ func (s *Series) Observe(cycle int64, v float64) {
 	s.cnt[idx]++
 }
 
-// Last returns the most recent non-empty bucket, if any. Streaming
-// progress consumers (the serving layer's SSE feed) poll it between
-// simulation segments instead of exporting the whole series.
-func (s *Series) Last() (SeriesPoint, bool) {
-	for i := len(s.cnt) - 1; i >= 0; i-- {
-		if s.cnt[i] > 0 {
-			return SeriesPoint{
-				Cycle: int64(i) * s.Bucket,
-				Mean:  s.sum[i] / float64(s.cnt[i]),
-				N:     s.cnt[i],
-			}, true
-		}
-	}
-	return SeriesPoint{}, false
-}
-
 // Points exports the non-empty buckets in cycle order.
 func (s *Series) Points() []SeriesPoint {
 	var out []SeriesPoint

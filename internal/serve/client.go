@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -19,8 +17,8 @@ import (
 // APIError is a definitive answer from the server: the request arrived,
 // was processed, and was refused (or failed) with an HTTP status. It is
 // distinct from transport-level failures (wrapped in ErrUnreachable): a
-// watch reconnects to a server it could not reach, but not to one that
-// answered with a final rejection.
+// watch retries a server it could not reach, but not one that answered
+// with a final rejection.
 type APIError struct {
 	Status int    // HTTP status code
 	Msg    string // server's error message (may be empty)
@@ -42,10 +40,11 @@ var ErrUnreachable = errors.New("serve: server unreachable")
 // never answered) rather than a definitive server response.
 func Unreachable(err error) bool { return errors.Is(err, ErrUnreachable) }
 
-// Watch reconnects a dropped stream up to watchRetries times in a row
-// without progress, waiting watchBackoff before the first retry and
-// doubling the wait before each further one.
+// Watch reads the job record every watchPoll. It retries an unreachable
+// server up to watchRetries times in a row, waiting watchBackoff before the
+// first retry and doubling the wait before each further one.
 const (
+	watchPoll    = 50 * time.Millisecond
 	watchRetries = 3
 	watchBackoff = 50 * time.Millisecond
 )
@@ -153,108 +152,42 @@ func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
-// Watch consumes the job's server-sent events stream, invoking fn for each
-// event, until the job reaches a terminal state (returning its final
-// record) or ctx is canceled. fn may be nil. A dropped stream reconnects
-// with the standard Last-Event-ID header, so a momentary network blip or a
-// proxy cutting the connection resumes the stream (the server replays
-// missed events) instead of silently ending the watch; reconnection gives
-// up only when the server definitively rejects the stream or watchRetries
-// reconnects in a row make no progress.
-func (c *Client) Watch(ctx context.Context, id string, fn func(Event)) (JobRecord, error) {
-	lastID := int64(-1)
+// Watch polls the job's record every watchPoll until the job reaches a
+// terminal state, and returns that record. fn, when non-nil, sees every
+// polled record whose state, cycle or attempt differs from the previous
+// one it saw, the terminal record included. A definitive server answer
+// (*APIError, such as 404 for an unknown ID) ends the watch at once; an
+// ErrUnreachable failure is retried on the watchRetries budget.
+func (c *Client) Watch(ctx context.Context, id string, fn func(JobRecord)) (JobRecord, error) {
+	var seen JobRecord
 	failures := 0
 	for {
-		last, newLastID, err := c.watchOnce(ctx, id, lastID, fn)
-		if newLastID > lastID {
-			lastID = newLastID
-			failures = 0 // the stream made progress: reset the budget
-		}
-		if last != nil && last.Terminal() {
-			return *last, nil
-		}
-		if ctx.Err() != nil {
-			return JobRecord{}, ctx.Err()
-		}
-		if err != nil && !Unreachable(err) {
-			return JobRecord{}, err // definitive rejection (404, ...)
-		}
-		// Stream ended without a terminal event: either the connection was
-		// cut (err != nil) or the server closed it early (drain). Check
-		// the record once — the job may have finished while we were blind.
-		rec, recErr := c.Job(ctx, id)
-		if recErr == nil && rec.Terminal() {
-			return rec, nil
-		}
-		failures++
-		if failures > watchRetries {
-			if err == nil {
-				err = fmt.Errorf("serve: watch %s: stream ended %d times without a terminal event", id, failures)
+		rec, err := c.Job(ctx, id)
+		wait := watchPoll
+		switch {
+		case err == nil:
+			failures = 0
+			if rec.State != seen.State || rec.Cycle != seen.Cycle || rec.Attempt != seen.Attempt {
+				seen = rec
+				if fn != nil {
+					fn(rec)
+				}
 			}
+			if rec.Terminal() {
+				return rec, nil
+			}
+		case ctx.Err() != nil:
+			return JobRecord{}, ctx.Err()
+		case !Unreachable(err) || failures == watchRetries:
 			return JobRecord{}, err
+		default:
+			wait = watchBackoff << failures
+			failures++
 		}
 		select {
-		case <-time.After(watchBackoff << (failures - 1)):
+		case <-time.After(wait):
 		case <-ctx.Done():
 			return JobRecord{}, ctx.Err()
 		}
 	}
-}
-
-// watchOnce runs one SSE connection. It returns the last state record seen
-// (nil if none), the last event ID seen (-1 if none), and the transport
-// error that ended the stream (nil on server-side close).
-func (c *Client) watchOnce(ctx context.Context, id string, after int64, fn func(Event)) (*JobRecord, int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
-	if err != nil {
-		return nil, after, err
-	}
-	if after >= 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatInt(after, 10))
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, after, fmt.Errorf("%w: events %s: %v", ErrUnreachable, id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, after, &APIError{Status: resp.StatusCode, Msg: "GET /v1/jobs/" + id + "/events"}
-	}
-	var last *JobRecord
-	lastID := after
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if idv, ok := strings.CutPrefix(line, "id: "); ok {
-			if n, err := strconv.ParseInt(idv, 10, 64); err == nil {
-				lastID = n
-			}
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			continue
-		}
-		if ev.ID > lastID {
-			lastID = ev.ID
-		}
-		if fn != nil {
-			fn(ev)
-		}
-		if ev.Type == "state" && ev.Record != nil {
-			last = ev.Record
-			if last.Terminal() {
-				return last, lastID, nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, lastID, fmt.Errorf("%w: events %s: %v", ErrUnreachable, id, err)
-	}
-	return last, lastID, nil
 }

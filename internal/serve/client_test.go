@@ -4,17 +4,19 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestClientErrorSplit pins the typed-error contract Watch's reconnect
-// depends on: a server that answers with an error yields *APIError (not
+// TestClientErrorSplit pins the typed-error contract Watch's retries
+// depend on: a server that answers with an error yields *APIError (not
 // unreachable); a server that cannot be reached yields an
 // ErrUnreachable-wrapped error (not an API error).
 func TestClientErrorSplit(t *testing.T) {
-	_, ts := sseServer(t)
+	_, ts := httpServer(t)
 	ctx := testCtx(t)
 
 	c := &Client{Base: ts.URL}
@@ -45,12 +47,26 @@ func TestClientErrorSplit(t *testing.T) {
 	}
 }
 
-// TestWatchReconnectsMidStream is the dropped-stream regression test: the
-// connection carrying a job's SSE stream is killed mid-run; the watch must
-// reconnect with Last-Event-ID and still deliver the terminal state
-// instead of silently ending.
-func TestWatchReconnectsMidStream(t *testing.T) {
-	srv, ts := sseServer(t)
+// TestWatchSurvivesDroppedConnections: every client connection is cut
+// while a watch follows a running job, and the next two requests are
+// dropped without an answer, so at least one poll fails as unreachable.
+// The watch must retry and still return the done record. A second watch
+// of the finished job returns its terminal record at once, handing it to
+// the callback exactly once.
+func TestWatchSurvivesDroppedConnections(t *testing.T) {
+	srv, _ := httpServer(t)
+	var drops atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if drops.Add(-1) >= 0 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
 	ctx := testCtx(t)
 	c := &Client{Base: ts.URL}
 
@@ -59,18 +75,20 @@ func TestWatchReconnectsMidStream(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	var events atomic.Int64
+	var records atomic.Int64
 	killed := make(chan struct{})
 	watchDone := make(chan error, 1)
 	var final JobRecord
 	go func() {
-		f, err := c.Watch(ctx, rec.ID, func(Event) { events.Add(1) })
+		f, err := c.Watch(ctx, rec.ID, func(JobRecord) { records.Add(1) })
 		final = f
 		watchDone <- err
 	}()
 
-	// Once the stream is demonstrably live, cut every client connection.
-	waitFor(t, "first events", func() bool { return events.Load() >= 1 })
+	// Once the watch has seen a record, cut every client connection and
+	// drop the next two requests.
+	waitFor(t, "first record", func() bool { return records.Load() >= 1 })
+	drops.Store(2)
 	ts.CloseClientConnections()
 	close(killed)
 
@@ -85,113 +103,110 @@ func TestWatchReconnectsMidStream(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("final state = %s (%s), want done", final.State, final.Error)
 	}
-}
+	if drops.Load() >= 0 {
+		t.Fatalf("the watch made no request after the connections were cut")
+	}
 
-// TestSubscribeAfterReplaysMissedEvents pins the server half of stream
-// resumption: a subscriber reconnecting with the ID it last saw receives
-// every retained event after it — including the terminal state of a job
-// that finished while the subscriber was away.
-func TestSubscribeAfterReplaysMissedEvents(t *testing.T) {
-	srv, _ := sseServer(t)
-	ctx := testCtx(t)
-
-	rec, err := srv.Submit(SubmitRequest{Profile: "fft", Engine: "dir", Accesses: 200})
+	var seen []JobRecord
+	again, err := c.Watch(ctx, rec.ID, func(r JobRecord) { seen = append(seen, r) })
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatalf("watch of the finished job: %v", err)
 	}
-	if _, err := srv.Wait(ctx, rec.ID); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-
-	// Reconnect claiming to have seen nothing after event 0: the replay
-	// must end in the terminal record.
-	ch, unsub, err := srv.SubscribeAfter(rec.ID, 0)
-	if err != nil {
-		t.Fatalf("subscribe after: %v", err)
-	}
-	defer unsub()
-	var last Event
-	for ev := range ch {
-		if ev.ID <= 0 {
-			t.Errorf("replayed event without a positive ID: %+v", ev)
-		}
-		last = ev
-	}
-	if last.Type != "state" || last.Record == nil || !last.Record.Terminal() {
-		t.Fatalf("replay ended with %+v, want terminal state event", last)
+	if len(seen) != 1 || seen[0].State != StateDone || again.FinishedAt != final.FinishedAt {
+		t.Fatalf("watch of the finished job saw %d records and returned %s, want one done record", len(seen), again.State)
 	}
 }
 
-// TestKillLeavesCrashState: Kill must leave the store as a crash would —
-// record still "running", no terminal transition — with the attempt the
-// job had reached already persisted, and a restart over the same directory
-// reruns the job from its spec, at that attempt, to the direct-run result.
-// At suite seed 16 the job's attempt 0 drops a packet with no retry budget
-// and fails transiently; attempt 1 runs clean for ~100k cycles.
-func TestKillLeavesCrashState(t *testing.T) {
-	dir := t.TempDir()
+// TestWatchRetriesOnlyUnreachable: a watch of a server that cannot be
+// reached gives up with an ErrUnreachable error once its retry budget is
+// spent, within a few seconds; a watch of an ID the server does not know
+// returns its 404 *APIError after one request, without retrying.
+func TestWatchRetriesOnlyUnreachable(t *testing.T) {
 	ctx := testCtx(t)
-	req := SubmitRequest{Profile: "bar", Engine: "dir", Accesses: 2000, SuiteSeed: 16,
-		Faults: "drop=10,timeout=1000,retries=0,backoff=16", Retries: 1}
+	start := time.Now()
+	_, err := (&Client{Base: "http://127.0.0.1:1"}).Watch(ctx, "j-any", nil)
+	if !Unreachable(err) {
+		t.Fatalf("watch of a dead address returned %v, want ErrUnreachable", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("watch of a dead address gave up after %v, want a few seconds at most", d)
+	}
 
-	srv1, err := New(Options{
-		DataDir:       dir,
-		Workers:       1,
-		SegmentCycles: 256,
-	})
-	if err != nil {
-		t.Fatalf("new server 1: %v", err)
+	srv, _ := httpServer(t)
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	_, err = (&Client{Base: ts.URL}).Watch(ctx, "no-such-job", nil)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("watch of an unknown job returned %v, want *APIError 404", err)
 	}
-	rec, err := srv1.Submit(req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("watch of an unknown job made %d requests, want 1", n)
 	}
-	waitFor(t, "attempt 1 running past its first segment", func() bool {
-		r, err := srv1.Job(rec.ID)
-		return err == nil && r.State == StateRunning && r.Attempt == 1 && r.Cycle > 0
-	})
-	srv1.Kill()
+}
 
-	recs, err := (&store{dir: dir}).loadJobs()
-	if err != nil {
-		t.Fatalf("load records: %v", err)
-	}
-	found := false
-	for _, r := range recs {
-		if r.ID == rec.ID {
-			found = true
-			if r.State != StateRunning || r.Attempt != 1 {
-				t.Fatalf("killed server left record %q at attempt %d, want running at attempt 1 (crash state)",
-					r.State, r.Attempt)
+// TestWatchNoGoroutineLeak runs submit/watch cycles that end two ways and
+// requires the goroutine count to settle back to its baseline. Half the
+// cycles abandon the watch mid-run, and the job still finishes done; the
+// other half cancel the running job, and the watch returns the canceled
+// record.
+func TestWatchNoGoroutineLeak(t *testing.T) {
+	srv, ts := httpServer(t)
+	ctx := testCtx(t)
+	c := &Client{Base: ts.URL}
+	base := runtime.NumGoroutine()
+
+	for i := 0; i < 4; i++ {
+		if i%2 == 0 {
+			// A seed of its own per cycle, so the cache cannot serve it.
+			rec, err := srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 4000, SuiteSeed: uint64(i + 1)})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
 			}
+			watchCtx, cancelWatch := context.WithCancel(ctx)
+			var records atomic.Int64
+			watchDone := make(chan error, 1)
+			go func() {
+				_, err := c.Watch(watchCtx, rec.ID, func(JobRecord) { records.Add(1) })
+				watchDone <- err
+			}()
+			waitFor(t, "first record", func() bool { return records.Load() >= 1 })
+			cancelWatch()
+			if err := <-watchDone; !errors.Is(err, context.Canceled) {
+				t.Fatalf("abandoned watch returned %v, want context.Canceled", err)
+			}
+			if final, err := srv.Wait(ctx, rec.ID); err != nil || final.State != StateDone {
+				t.Fatalf("job under an abandoned watch: %v %+v", err, final)
+			}
+			continue
+		}
+		// Large enough that the job cannot finish before the cancel lands.
+		rec, err := srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 20000})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		waitFor(t, "job running", func() bool {
+			r, err := srv.Job(rec.ID)
+			return err == nil && r.State == StateRunning
+		})
+		if err := srv.Cancel(rec.ID); err != nil {
+			t.Fatalf("cancel: %v", err)
+		}
+		final, err := c.Watch(ctx, rec.ID, nil)
+		if err != nil || final.State != StateCanceled {
+			t.Fatalf("watch of a canceled job: %v, state %s, want %s", err, final.State, StateCanceled)
 		}
 	}
-	if !found {
-		t.Fatalf("record vanished after kill")
-	}
 
-	srv2, err := New(Options{
-		DataDir:       dir,
-		Workers:       1,
-		SegmentCycles: 256,
+	// Goroutine accounting: allow scheduler noise to drain, then require
+	// the count back at (or below) baseline plus idle-connection slack.
+	waitFor(t, "goroutines to settle", func() bool {
+		runtime.GC()
+		http.DefaultClient.CloseIdleConnections()
+		return runtime.NumGoroutine() <= base+2
 	})
-	if err != nil {
-		t.Fatalf("new server 2: %v", err)
-	}
-	defer srv2.Drain()
-	final, err := srv2.Wait(ctx, rec.ID)
-	if err != nil {
-		t.Fatalf("wait after restart: %v", err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("restarted job finished %s: %s", final.State, final.Error)
-	}
-	got, err := srv2.Result(rec.ID)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	want := directResult(t, req)
-	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
-		t.Errorf("post-crash result differs from direct run")
-	}
 }

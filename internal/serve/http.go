@@ -3,19 +3,16 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/jobs                 submit (SubmitRequest -> JobRecord)
 //	GET  /v1/jobs                 list records
-//	GET  /v1/jobs/{id}            one record
+//	GET  /v1/jobs/{id}            one record (state, cycle, attempt)
 //	GET  /v1/jobs/{id}/result     terminal result payload
 //	POST /v1/jobs/{id}/cancel     cancel queued/running job
-//	GET  /v1/jobs/{id}/events     server-sent events progress stream
 //	GET  /v1/stats                queue/cache accounting
 //	GET  /healthz                 liveness
 func (s *Server) Handler() http.Handler {
@@ -25,7 +22,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
@@ -107,51 +103,4 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
-}
-
-// handleEvents streams the job's Event feed as server-sent events until the
-// job reaches a terminal state or the client disconnects. A reconnecting
-// client sends the standard Last-Event-ID header and the stream resumes
-// after that event (replayed from the server's retained ring) instead of
-// restarting or silently missing the terminal transition.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	after := int64(-1)
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
-			after = n
-		}
-	}
-	ch, unsub, err := s.SubscribeAfter(r.PathValue("id"), after)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	defer unsub()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, b); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

@@ -1,17 +1,21 @@
 // Package serve is the persistent simulation-as-a-service layer: an
-// HTTP/JSON job API in front of internal/exec with a FIFO queue, streaming
-// progress, and persisted job records so a killed server reruns
-// interrupted jobs on restart, starting each at the attempt its record
-// stores. Results are stored in the same content-hash cache the batch
-// pool uses, so server runs and direct runs share one result store.
+// HTTP/JSON job API in front of internal/exec with a FIFO queue and
+// persisted job records, so a killed server reruns interrupted jobs on
+// restart, starting each at the attempt its record stores. The record is
+// also how a client follows a job: it carries the state, the progress
+// cycle and the attempt. Results are stored in the same content-hash cache
+// the batch pool uses, so server runs and direct runs share one result
+// store.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +36,8 @@ type Options struct {
 	Workers int
 
 	// SegmentCycles is the segmented runner's pause granularity: how
-	// often a running job streams progress and notices cancellation or a
-	// drain.
+	// often a running job updates its record's cycle and notices
+	// cancellation or a drain.
 	SegmentCycles int64
 }
 
@@ -72,22 +76,22 @@ type Server struct {
 	// written to the store — no attempt updates, no record transitions —
 	// so the on-disk state is exactly what a kill -9 would leave behind.
 	killed atomic.Bool
+
+	// observe, when set before start, sees every progress observation of
+	// every run, under mu. Only the package's tests set it.
+	observe func(id string, p exec.Progress)
 }
 
-// jobState pairs the persistent record with the in-process lifecycle:
-// cancellation, the last result, the progress subscribers, and the
-// retained event ring reconnecting SSE clients replay from.
+// jobState pairs the persistent record, the one thing clients read, with
+// the in-process lifecycle: cancellation, the last result, and the channel
+// Wait blocks on.
 type jobState struct {
 	rec          JobRecord
 	runCtx       context.Context    // set while running
 	cancel       context.CancelFunc // non-nil while running
 	userCanceled bool
-	result       *exec.Result // set in terminal states (also cached on disk)
-	subs         []chan Event
+	result       *exec.Result  // set in terminal states (also cached on disk)
 	done         chan struct{} // closed on terminal state
-
-	lastEv int64   // last assigned event ID (job-local, monotonic)
-	hist   []Event // retained ring for Last-Event-ID replay
 }
 
 // New opens the data directory, loads persisted job records, requeues
@@ -95,6 +99,16 @@ type jobState struct {
 // starts the worker pool. An interrupted job reruns from its spec,
 // starting at the attempt its record stores.
 func New(opt Options) (*Server, error) {
+	s, err := open(opt)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// open is New without the worker pool.
+func open(opt Options) (*Server, error) {
 	if opt.DataDir == "" {
 		return nil, fmt.Errorf("serve: Options.DataDir is required")
 	}
@@ -146,12 +160,15 @@ func New(opt Options) (*Server, error) {
 			s.seq = js.rec.Seq + 1
 		}
 	}
+	return s, nil
+}
 
-	for i := 0; i < opt.Workers; i++ {
+// start launches the worker pool.
+func (s *Server) start() {
+	for i := 0; i < s.opt.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	return s, nil
 }
 
 // SubmitRequest is the submission payload of POST /v1/jobs. It is a
@@ -307,7 +324,7 @@ func (s *Server) Jobs() []JobRecord {
 	for _, js := range s.jobs {
 		out = append(out, js.rec)
 	}
-	sortRecords(out)
+	slices.SortFunc(out, func(a, b JobRecord) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -506,7 +523,6 @@ func (s *Server) startLocked(js *jobState) {
 	js.rec.StartedAt = time.Now().UnixMilli()
 	js.runCtx, js.cancel = context.WithCancel(s.baseCtx)
 	s.store.putJob(&js.rec)
-	s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
 }
 
 // runJob drives one claimed job to a terminal state (or back to queued on
@@ -540,7 +556,9 @@ func (s *Server) runJob(js *jobState) {
 					s.store.putJob(&js.rec)
 				}
 			}
-			s.publishLocked(js, Event{Type: "progress", Progress: &p})
+			if s.observe != nil {
+				s.observe(js.rec.ID, p)
+			}
 		},
 	})
 
@@ -562,7 +580,6 @@ func (s *Server) runJob(js *jobState) {
 			js.rec.State = StateQueued
 			js.rec.StartedAt = 0
 			s.store.putJob(&js.rec)
-			s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
 		}
 		s.mu.Unlock()
 		return
@@ -604,24 +621,12 @@ func (s *Server) releaseRunLocked(js *jobState) {
 	s.cond.Broadcast()
 }
 
-// finishLocked transitions to a terminal state, persists, publishes, and
-// wakes waiters.
+// finishLocked transitions to a terminal state, persists, and wakes
+// waiters.
 func (s *Server) finishLocked(js *jobState, state, errMsg string) {
 	js.rec.State = state
 	js.rec.Error = errMsg
 	js.rec.FinishedAt = time.Now().UnixMilli()
 	s.store.putJob(&js.rec)
-	s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
-	s.closeSubsLocked(js)
 	close(js.done)
-}
-
-func recPtr(r JobRecord) *JobRecord { return &r }
-
-func sortRecords(recs []JobRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Seq < recs[j-1].Seq; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"innetcc/internal/exec"
+	"innetcc/internal/trace"
 )
 
 func testCtx(t testing.TB) context.Context {
@@ -20,6 +21,37 @@ func testCtx(t testing.TB) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// httpServer builds a one-worker server with fine-grained segments (so
+// cancellation and progress land quickly) behind an httptest server.
+func httpServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := New(Options{
+		DataDir:       t.TempDir(),
+		Workers:       1,
+		SegmentCycles: 128,
+	})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	t.Cleanup(srv.Drain)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 func directResult(t *testing.T, req SubmitRequest) exec.Result {
@@ -41,9 +73,10 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestServerEndToEnd is the serving acceptance test: eight jobs submitted
-// over HTTP to a four-worker server all finish, progress streams deliver
-// events, and every result is byte-identical to a direct internal/exec run
-// of the same spec.
+// over HTTP to a four-worker server all finish, each watch hands its
+// callback the terminal record it returns, every result is byte-identical
+// to a direct internal/exec run of the same spec, and the retired
+// progress-stream endpoint answers 404.
 func TestServerEndToEnd(t *testing.T) {
 	srv, err := New(Options{
 		DataDir:       t.TempDir(),
@@ -75,7 +108,6 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	ids := make([]string, len(reqs))
 	var wg sync.WaitGroup
-	var progressEvents sync.Map
 	for i, req := range reqs {
 		rec, err := client.Submit(ctx, req)
 		if err != nil {
@@ -88,11 +120,8 @@ func TestServerEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			final, err := client.Watch(ctx, id, func(ev Event) {
-				if ev.Type == "progress" {
-					progressEvents.Store(id, true)
-				}
-			})
+			var seen JobRecord
+			final, err := client.Watch(ctx, id, func(rec JobRecord) { seen = rec })
 			if err != nil {
 				t.Errorf("watch %s: %v", id, err)
 				return
@@ -100,16 +129,13 @@ func TestServerEndToEnd(t *testing.T) {
 			if final.State != StateDone {
 				t.Errorf("job %s finished %s: %s", id, final.State, final.Error)
 			}
+			if seen.State != final.State || seen.FinishedAt != final.FinishedAt {
+				t.Errorf("watch %s: callback last saw a %s record, want the terminal %s one", id, seen.State, final.State)
+			}
 		}(rec.ID)
 	}
 
 	wg.Wait()
-
-	anyProgress := false
-	progressEvents.Range(func(_, _ any) bool { anyProgress = true; return false })
-	if !anyProgress {
-		t.Errorf("no progress events streamed")
-	}
 
 	// Every result must be byte-identical to a direct exec run.
 	for i, req := range reqs {
@@ -132,6 +158,76 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if st.Queued != 0 || st.Running != 0 {
 		t.Errorf("stats not drained: %+v", st)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[0] + "/events")
+	if err != nil {
+		t.Fatalf("get events: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/{id}/events answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRepeatSweepServedFromCache: the shared result cache serves a repeat
+// of a whole sweep. After one 8-profile x 2-engine sweep at 60
+// accesses/node, a second identical sweep simulates nothing: every record
+// is Cached, the cache's miss count stays at the first sweep's 16, and
+// every result is byte-identical to the first sweep's.
+func TestRepeatSweepServedFromCache(t *testing.T) {
+	srv, err := New(Options{DataDir: t.TempDir(), Workers: 4})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer srv.Drain()
+	ctx := testCtx(t)
+	sweep := func() []JobRecord {
+		t.Helper()
+		var ids []string
+		for _, p := range trace.Benchmarks() {
+			for _, engine := range []string{"dir", "tree"} {
+				rec, err := srv.Submit(SubmitRequest{Profile: p.Name, Engine: engine, Accesses: 60})
+				if err != nil {
+					t.Fatalf("submit %s/%s: %v", p.Name, engine, err)
+				}
+				ids = append(ids, rec.ID)
+			}
+		}
+		recs := make([]JobRecord, len(ids))
+		for i, id := range ids {
+			rec, err := srv.Wait(ctx, id)
+			if err != nil || rec.State != StateDone {
+				t.Fatalf("wait %s: %v %+v", id, err, rec)
+			}
+			recs[i] = rec
+		}
+		return recs
+	}
+
+	cold := sweep()
+	if misses := srv.Stats().CacheMisses; misses != 16 || len(cold) != 16 {
+		t.Fatalf("cold sweep of %d jobs missed the cache %d times, want 16 of 16", len(cold), misses)
+	}
+	warm := sweep()
+	if misses := srv.Stats().CacheMisses; misses != 16 {
+		t.Errorf("cache misses after the repeat sweep = %d, want 16", misses)
+	}
+	for i := range warm {
+		if !warm[i].Cached {
+			t.Errorf("repeat job %s (%s) simulated instead of hitting the cache", warm[i].ID, warm[i].Job.Key)
+		}
+		first, err := srv.Result(cold[i].ID)
+		if err != nil {
+			t.Fatalf("result %s: %v", cold[i].ID, err)
+		}
+		again, err := srv.Result(warm[i].ID)
+		if err != nil {
+			t.Fatalf("result %s: %v", warm[i].ID, err)
+		}
+		if g, w := mustJSON(t, again), mustJSON(t, first); g != w {
+			t.Errorf("repeat %s result differs from the first sweep's\n repeat: %s\n first:  %s", warm[i].Job.Key, g, w)
+		}
 	}
 }
 
@@ -408,9 +504,10 @@ func TestServerRestartResumesInterruptedJobs(t *testing.T) {
 // TestRestartSkipsFailedAttempts: a requeued record's Attempt is where the
 // rerun starts. A queued record of a job whose every attempt fails
 // transiently is written at Attempt 1, as a previous server that saw
-// attempt 0 fail would leave it. After a restart the job's first progress
-// must report attempt 1, and its result must still equal a direct run's,
-// which went through attempts 0, 1 and 2.
+// attempt 0 fail would leave it. After a restart the job's first progress,
+// seen through the server's progress observer, must report attempt 1, and
+// its result must still equal a direct run's, which went through attempts
+// 0, 1 and 2.
 func TestRestartSkipsFailedAttempts(t *testing.T) {
 	dir := t.TempDir()
 	ctx := testCtx(t)
@@ -430,29 +527,26 @@ func TestRestartSkipsFailedAttempts(t *testing.T) {
 	}
 
 	// An all-drop attempt fails within a few cycles, so only one-cycle
-	// segments stream its progress.
-	srv, err := New(Options{DataDir: dir, Workers: 1, SegmentCycles: 1})
+	// segments observe its progress. The observer is set before the
+	// workers start, so it sees the rerun's first observation.
+	srv, err := open(Options{DataDir: dir, Workers: 1, SegmentCycles: 1})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
 	}
-	defer srv.Drain()
-	ch, unsub, err := srv.SubscribeAfter(rec.ID, 0)
-	if err != nil {
-		t.Fatalf("subscribe: %v", err)
-	}
-	defer unsub()
 	first := -1
-	for ev := range ch {
-		if ev.Type == "progress" && first < 0 {
-			first = ev.Progress.Attempt
+	srv.observe = func(id string, p exec.Progress) {
+		if id == rec.ID && first < 0 {
+			first = p.Attempt
 		}
 	}
-	if first != 1 {
-		t.Fatalf("first progress after restart reported attempt %d, want 1", first)
-	}
+	srv.start()
+	defer srv.Drain()
 	final, err := srv.Wait(ctx, rec.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
+	}
+	if first != 1 {
+		t.Fatalf("first progress after restart reported attempt %d, want 1", first)
 	}
 	if final.State != StateFailed || final.Attempt != 2 {
 		t.Fatalf("restarted job finished %s at attempt %d, want failed at attempt 2", final.State, final.Attempt)

@@ -46,8 +46,8 @@ type JobRecord struct {
 	Seq      int64 `json:"seq"`
 	StartSeq int64 `json:"startSeq,omitempty"`
 
-	// Cycle is the simulated cycle of the latest streamed progress, and
-	// the final cycle once a result is in. Attempt is the 0-based index
+	// Cycle is the simulated cycle of the latest progress observation,
+	// and the final cycle once a result is in. Attempt is the 0-based index
 	// of the transient-retry attempt running, or of the one that produced
 	// the result; a restarted job resumes at it, since every earlier
 	// attempt already failed transiently.
