@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,12 +150,68 @@ func TestWatchRetriesOnlyUnreachable(t *testing.T) {
 	}
 }
 
-// TestWatchNoGoroutineLeak runs submit/watch cycles that end two ways and
-// requires the goroutine count to settle back to its baseline. Half the
-// cycles abandon the watch mid-run, and the job still finishes done; the
-// other half cancel the running job, and the watch returns the canceled
-// record.
-func TestWatchNoGoroutineLeak(t *testing.T) {
+// TestSSECancelMidStreamDeliversTerminalEvent (named when watches were
+// event streams): a watch attached to a running job that is then canceled
+// sees the running record first, hands the canceled record to its callback
+// last, and returns it.
+func TestSSECancelMidStreamDeliversTerminalEvent(t *testing.T) {
+	srv, ts := httpServer(t)
+	ctx := testCtx(t)
+	c := &Client{Base: ts.URL}
+
+	// Large enough that the job cannot finish before the cancel below lands
+	// (the run never completes — it is canceled — so size costs nothing).
+	rec, err := srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 200000})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitFor(t, "job running", func() bool {
+		r, err := srv.Job(rec.ID)
+		return err == nil && r.State == StateRunning
+	})
+
+	var mu sync.Mutex
+	var seen []JobRecord
+	watchDone := make(chan error, 1)
+	var final JobRecord
+	go func() {
+		f, err := c.Watch(ctx, rec.ID, func(r JobRecord) {
+			mu.Lock()
+			seen = append(seen, r)
+			mu.Unlock()
+		})
+		final = f
+		watchDone <- err
+	}()
+	waitFor(t, "watch attached", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= 1
+	})
+
+	if err := srv.Cancel(rec.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if err := <-watchDone; err != nil {
+		t.Fatalf("watch of a canceled job: %v", err)
+	}
+	if final.State != StateCanceled {
+		t.Fatalf("watch returned state %s, want %s", final.State, StateCanceled)
+	}
+	if first := seen[0]; first.State != StateRunning {
+		t.Fatalf("first record seen = %s, want %s (watch attached mid-run)", first.State, StateRunning)
+	}
+	if last := seen[len(seen)-1]; last.State != StateCanceled || !last.Terminal() {
+		t.Fatalf("last record seen = %s, want terminal %s", last.State, StateCanceled)
+	}
+}
+
+// TestSSENoGoroutineLeak (named when watches were event streams) runs
+// submit/watch cycles that end two ways and requires the goroutine count to
+// settle back to its baseline. Half the cycles abandon the watch mid-run,
+// and the job still finishes done; the other half cancel the running job,
+// and the watch returns the canceled record.
+func TestSSENoGoroutineLeak(t *testing.T) {
 	srv, ts := httpServer(t)
 	ctx := testCtx(t)
 	c := &Client{Base: ts.URL}
@@ -209,4 +266,78 @@ func TestWatchNoGoroutineLeak(t *testing.T) {
 		http.DefaultClient.CloseIdleConnections()
 		return runtime.NumGoroutine() <= base+2
 	})
+}
+
+// TestKillLeavesCrashState: Kill must leave the store as a crash would —
+// record still "running", no terminal transition — with the attempt the
+// job had reached already persisted, and a restart over the same directory
+// reruns the job from its spec, at that attempt, to the direct-run result.
+// At suite seed 16 the job's attempt 0 drops a packet with no retry budget
+// and fails transiently; attempt 1 runs clean for ~100k cycles.
+func TestKillLeavesCrashState(t *testing.T) {
+	dir := t.TempDir()
+	ctx := testCtx(t)
+	req := SubmitRequest{Profile: "bar", Engine: "dir", Accesses: 2000, SuiteSeed: 16,
+		Faults: "drop=10,timeout=1000,retries=0,backoff=16", Retries: 1}
+
+	srv1, err := New(Options{
+		DataDir:       dir,
+		Workers:       1,
+		SegmentCycles: 256,
+	})
+	if err != nil {
+		t.Fatalf("new server 1: %v", err)
+	}
+	rec, err := srv1.Submit(req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitFor(t, "attempt 1 running past its first segment", func() bool {
+		r, err := srv1.Job(rec.ID)
+		return err == nil && r.State == StateRunning && r.Attempt == 1 && r.Cycle > 0
+	})
+	srv1.Kill()
+
+	recs, err := (&store{dir: dir}).loadJobs()
+	if err != nil {
+		t.Fatalf("load records: %v", err)
+	}
+	found := false
+	for _, r := range recs {
+		if r.ID == rec.ID {
+			found = true
+			if r.State != StateRunning || r.Attempt != 1 {
+				t.Fatalf("killed server left record %q at attempt %d, want running at attempt 1 (crash state)",
+					r.State, r.Attempt)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("record vanished after kill")
+	}
+
+	srv2, err := New(Options{
+		DataDir:       dir,
+		Workers:       1,
+		SegmentCycles: 256,
+	})
+	if err != nil {
+		t.Fatalf("new server 2: %v", err)
+	}
+	defer srv2.Drain()
+	final, err := srv2.Wait(ctx, rec.ID)
+	if err != nil {
+		t.Fatalf("wait after restart: %v", err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("restarted job finished %s: %s", final.State, final.Error)
+	}
+	got, err := srv2.Result(rec.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	want := directResult(t, req)
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Errorf("post-crash result differs from direct run")
+	}
 }
