@@ -16,6 +16,8 @@
 package directory
 
 import (
+	"math/bits"
+
 	"innetcc/internal/cache"
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
@@ -202,7 +204,7 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 	}
 	ep.busy = true
 	ep.pendingWr = msg
-	ep.pendingAcks = popcount(targets)
+	ep.pendingAcks = bits.OnesCount64(targets)
 	e.sendInvs(home, targets, msg.Addr, msg.Requester, now)
 }
 
@@ -216,12 +218,11 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 // the quantity hardware multicast shrinks.
 func (e *Engine) sendInvs(home int, targets uint64, addr uint64, requester int, now int64) {
 	var set network.NodeSet
-	for n := 0; n < e.m.Cfg.Nodes(); n++ {
-		if targets&bit(n) != 0 {
-			e.m.Metrics.Add(stats.MetricDirInval, 1)
-			e.m.Metrics.Event(now, metrics.EvDirInval, int16(home), addr, int64(n))
-			set = set.Add(n)
-		}
+	for rest := targets; rest != 0; rest &= rest - 1 {
+		n := bits.TrailingZeros64(rest)
+		e.m.Metrics.Add(stats.MetricDirInval, 1)
+		e.m.Metrics.Event(now, metrics.EvDirInval, int16(home), addr, int64(n))
+		set = set.Add(n)
 	}
 	count := set.Count()
 	if count == 0 {
@@ -502,7 +503,7 @@ func (e *Engine) allocEntry(home int, msg *protocol.Msg) *dirEntry {
 		})
 		return nil
 	}
-	vep.pendingAcks = popcount(targets)
+	vep.pendingAcks = bits.OnesCount64(targets)
 	e.sendInvs(home, targets, vaddr, 0, now)
 	e.parked[home] = append(e.parked[home], msg)
 	e.queued++
@@ -565,19 +566,8 @@ func (e *Engine) MetricsGauges() (occupancy, queueDepth int) {
 }
 
 func firstSharer(set uint64) int {
-	for n := 0; n < 64; n++ {
-		if set&bit(n) != 0 {
-			return n
-		}
+	if set == 0 {
+		return -1
 	}
-	return -1
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return bits.TrailingZeros64(set)
 }

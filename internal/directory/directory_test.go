@@ -40,7 +40,7 @@ func handTrace(scripts map[int][]trace.Access) *trace.Trace {
 }
 
 func TestSingleReadFromMemory(t *testing.T) {
-	tr := handTrace(map[int][]trace.Access{3: {{Addr: 0x40, Write: false}}})
+	tr := handTrace(map[int][]trace.Access{3: {trace.NewAccess(0x40, false)}})
 	m, _ := runTrace(t, smallConfig(), tr, 5)
 	if m.Lat.Read.N != 1 {
 		t.Fatalf("read count %d, want 1", m.Lat.Read.N)
@@ -55,7 +55,7 @@ func TestSingleReadFromMemory(t *testing.T) {
 }
 
 func TestSingleWriteGrant(t *testing.T) {
-	tr := handTrace(map[int][]trace.Access{2: {{Addr: 0x41, Write: true}}})
+	tr := handTrace(map[int][]trace.Access{2: {trace.NewAccess(0x41, true)}})
 	m, _ := runTrace(t, smallConfig(), tr, 5)
 	if m.Lat.Write.N != 1 {
 		t.Fatalf("write count %d, want 1", m.Lat.Write.N)
@@ -77,8 +77,8 @@ func TestReadAfterRemoteWriteSeesNewVersion(t *testing.T) {
 	// interleaves them; whichever order the home serializes, the final
 	// state must be coherent and the verifier quiet (runTrace checks).
 	tr := handTrace(map[int][]trace.Access{
-		1: {{Addr: 0x80, Write: true}},
-		2: {{Addr: 0x80, Write: false}, {Addr: 0x80, Write: false}},
+		1: {trace.NewAccess(0x80, true)},
+		2: {trace.NewAccess(0x80, false), trace.NewAccess(0x80, false)},
 	})
 	m, _ := runTrace(t, smallConfig(), tr, 3)
 	if m.Check.CurrentVersion(0x80) != 1 {
@@ -94,9 +94,9 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	// Several nodes read a line; then one writes it. After quiescence
 	// only the writer holds a copy.
 	tr := handTrace(map[int][]trace.Access{
-		4: {{Addr: 0x100, Write: false}, {Addr: 0x200, Write: false}, {Addr: 0x100, Write: true}},
-		5: {{Addr: 0x100, Write: false}},
-		6: {{Addr: 0x100, Write: false}},
+		4: {trace.NewAccess(0x100, false), trace.NewAccess(0x200, false), trace.NewAccess(0x100, true)},
+		5: {trace.NewAccess(0x100, false)},
+		6: {trace.NewAccess(0x100, false)},
 	})
 	m, _ := runTrace(t, smallConfig(), tr, 3)
 	copies := m.Check.Copies(0x100)
@@ -113,8 +113,8 @@ func TestThreeHopReadFromOwner(t *testing.T) {
 	// must receive the owner's version; the owner downgrades to Shared
 	// and memory receives the writeback.
 	tr := handTrace(map[int][]trace.Access{
-		0:  {{Addr: 0x300, Write: true}},
-		15: {{Addr: 0x300, Write: false}, {Addr: 0x300, Write: false}, {Addr: 0x300, Write: false}},
+		0:  {trace.NewAccess(0x300, true)},
+		15: {trace.NewAccess(0x300, false), trace.NewAccess(0x300, false), trace.NewAccess(0x300, false)},
 	})
 	m, _ := runTrace(t, smallConfig(), tr, 2)
 	if v := m.Mem.Peek(0x300); v != 1 {
@@ -132,7 +132,7 @@ func TestDirectoryEvictionInvalidatesSharers(t *testing.T) {
 	cfg.DirEntries, cfg.DirWays = 16, 1
 	var accs []trace.Access
 	for a := 0; a < 200; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a * 16), Write: a%4 == 0})
+		accs = append(accs, trace.NewAccess(uint64(a*16), a%4 == 0))
 	}
 	tr := handTrace(map[int][]trace.Access{7: accs, 9: accs})
 	m, e := runTrace(t, cfg, tr, 2)
@@ -149,11 +149,11 @@ func TestVictimCacheServesSecondRead(t *testing.T) {
 	cfg.DirEntries, cfg.DirWays = 16, 1
 	var accs []trace.Access
 	for a := 0; a < 100; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a * 16), Write: true})
+		accs = append(accs, trace.NewAccess(uint64(a*16), true))
 	}
 	// Revisit the early lines.
 	for a := 0; a < 20; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a * 16), Write: false})
+		accs = append(accs, trace.NewAccess(uint64(a*16), false))
 	}
 	tr := handTrace(map[int][]trace.Access{1: accs})
 	m, _ := runTrace(t, cfg, tr, 2)
@@ -168,10 +168,10 @@ func TestVictimCachingOffGoesToMemory(t *testing.T) {
 	cfg.VictimCaching = false
 	var accs []trace.Access
 	for a := 0; a < 100; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a * 16), Write: true})
+		accs = append(accs, trace.NewAccess(uint64(a*16), true))
 	}
 	for a := 0; a < 20; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a * 16), Write: false})
+		accs = append(accs, trace.NewAccess(uint64(a*16), false))
 	}
 	tr := handTrace(map[int][]trace.Access{1: accs})
 	m, _ := runTrace(t, cfg, tr, 2)
@@ -187,8 +187,8 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 	scripts := map[int][]trace.Access{}
 	for n := 0; n < 16; n++ {
 		scripts[n] = []trace.Access{
-			{Addr: 0x500, Write: true},
-			{Addr: 0x500, Write: true},
+			trace.NewAccess(0x500, true),
+			trace.NewAccess(0x500, true),
 		}
 	}
 	tr := handTrace(scripts)

@@ -1,5 +1,7 @@
 package directory
 
+import "math/bits"
+
 // recordHops feeds the Section 1 hop-count characterization: for each
 // coherence access at issue time it computes the baseline protocol's hop
 // count and the oracle-ideal hop count given perfect knowledge of where the
@@ -61,11 +63,9 @@ func (e *Engine) recordHops(node int, addr uint64, write bool) {
 			set |= bit(ep.owner)
 		}
 		set &^= bit(node)
-		for n := 0; n < e.m.Cfg.Nodes(); n++ {
-			if set&bit(n) != 0 {
-				if d := topo.Dist(home, n); d > furthest {
-					furthest = d
-				}
+		for ; set != 0; set &= set - 1 {
+			if d := topo.Dist(home, bits.TrailingZeros64(set)); d > furthest {
+				furthest = d
 			}
 		}
 	}

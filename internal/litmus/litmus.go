@@ -94,6 +94,9 @@ func (p Program) Validate() error {
 		if op.Node < 0 || op.Node >= nodes {
 			return fmt.Errorf("litmus: op %d node %d outside %d-node fabric", i, op.Node, nodes)
 		}
+		if op.Addr > trace.MaxAddr {
+			return fmt.Errorf("litmus: op %d address %#x above the %#x trace address cap", i, op.Addr, uint64(trace.MaxAddr))
+		}
 	}
 	return nil
 }
@@ -102,7 +105,7 @@ func (p Program) Validate() error {
 func (p Program) Trace() *trace.Trace {
 	per := make([][]trace.Access, p.Nodes())
 	for _, op := range p.Ops {
-		per[op.Node] = append(per[op.Node], trace.Access{Addr: op.Addr, Write: op.Write})
+		per[op.Node] = append(per[op.Node], trace.NewAccess(op.Addr, op.Write))
 	}
 	return &trace.Trace{Name: "litmus", PerNode: per}
 }

@@ -19,6 +19,16 @@ const (
 // engines under test; litmus replays every program on both.
 var engines = []protocol.EngineKind{protocol.KindDirectory, protocol.KindTree}
 
+// A reproducer file is outside input: an op address whose top bit a
+// trace access keeps for its write flag is a validation error from Run,
+// not a panic while the trace is built.
+func TestRunRejectsAddressAboveTraceCap(t *testing.T) {
+	prog := Program{Topology: "mesh:2x2", Ops: []Op{{Node: 1, Addr: 1 << 63, Write: true}}}
+	if _, err := Run(RunSpec{Engine: protocol.KindTree, Seed: 1, Program: prog}); err == nil {
+		t.Fatal("Run accepted op address 1<<63")
+	}
+}
+
 // TestCleanCampaignPasses is the no-false-positives half of the oracle
 // story: randomly generated conflict programs on the unmodified protocols
 // must pass every oracle, clean and with the invariant probe armed.

@@ -16,7 +16,7 @@ func TestDueNodesIssueInIDOrder(t *testing.T) {
 	scripts := map[int][]trace.Access{}
 	for n := 0; n < 16; n++ {
 		for i := 0; i < perNode; i++ {
-			scripts[n] = append(scripts[n], trace.Access{Addr: uint64((n*7 + i*13) % 50), Write: i%3 == 0})
+			scripts[n] = append(scripts[n], trace.NewAccess(uint64((n*7+i*13)%50), i%3 == 0))
 		}
 	}
 	m, err := Build(Spec{Config: DefaultConfig(), Trace: echoTrace(scripts), Think: 3})
@@ -54,7 +54,7 @@ func TestDropRetryLeavesNoStaleWake(t *testing.T) {
 	// Node 3 is the only node with work, so the machine parks on a wake
 	// timer for the first attempt's deadline; the retry's later deadline
 	// needs no timer of its own until that one fires.
-	scripts := map[int][]trace.Access{3: {{Addr: 0x40, Write: true}, {Addr: 0x41}}}
+	scripts := map[int][]trace.Access{3: {trace.NewAccess(0x40, true), trace.NewAccess(0x41, false)}}
 	plan := &fault.Plan{Spec: fault.Spec{StallLen: 1, Timeout: 400, Budget: 3, Backoff: 8}, Seed: 1}
 	m, err := Build(Spec{Config: DefaultConfig(), Trace: echoTrace(scripts), Think: 5, Faults: plan})
 	if err != nil {

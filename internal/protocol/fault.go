@@ -45,7 +45,7 @@ func (m *Machine) DropStaleReply(node int, msg *Msg) bool {
 		return false
 	}
 	n := m.Nodes[node]
-	if acc, ok := n.Pending(); ok && acc.Addr == msg.Addr && n.attempt == msg.Attempt {
+	if acc, ok := n.Pending(); ok && acc.Addr() == msg.Addr && n.attempt == msg.Attempt {
 		return false
 	}
 	m.Counters.Inc(stats.RetryStaleReplies, 1)
@@ -70,8 +70,8 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 	if int(n.attempt) >= m.recovery.Budget {
 		m.fail(&fault.RetryExhaustedError{
 			Node:     n.ID,
-			Addr:     acc.Addr,
-			Write:    acc.Write,
+			Addr:     acc.Addr(),
+			Write:    acc.Write(),
 			Attempts: int(n.attempt) + 1,
 			Cycle:    now,
 			Seed:     m.Cfg.Seed,
@@ -82,7 +82,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 	n.attempt++
 	m.Counters.Inc(stats.RetryReissues, 1)
 	if c := m.Metrics; c != nil {
-		c.Event(now, metrics.EvRetry, int16(n.ID), acc.Addr, int64(n.attempt))
+		c.Event(now, metrics.EvRetry, int16(n.ID), acc.Addr(), int64(n.attempt))
 	}
 	backoff := m.recovery.Backoff
 	if backoff < 1 {
@@ -99,7 +99,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 	// CompleteAccess).
 	m.Kernel.Wake(m.tid)
 	attempt := n.attempt
-	addr, write := acc.Addr, acc.Write
+	addr, write := acc.Addr(), acc.Write()
 	m.Kernel.Schedule(backoff, func() {
 		// Reissue only if this epoch is still the live one: the access
 		// may have completed (a straggler reply of the old epoch
@@ -107,7 +107,7 @@ func (m *Machine) retryOutstanding(n *Node, now int64) {
 		if !n.outstanding || n.attempt != attempt {
 			return
 		}
-		if cur, ok := n.Pending(); !ok || cur.Addr != addr {
+		if cur, ok := n.Pending(); !ok || cur.Addr() != addr {
 			return
 		}
 		m.engine.StartMiss(n.ID, addr, write, m.Kernel.Now())
@@ -148,7 +148,7 @@ func (m *Machine) onPacketDrop(p *network.Packet, reason fault.DropReason, now i
 	}
 	n := m.Nodes[req]
 	acc, pending := n.Pending()
-	if !pending || acc.Addr != msg.Addr || n.attempt != msg.Attempt {
+	if !pending || acc.Addr() != msg.Addr || n.attempt != msg.Attempt {
 		return
 	}
 	m.retryOutstanding(n, now)

@@ -86,7 +86,7 @@ func (n *Node) Done() bool { return n.idx >= len(n.stream) && !n.outstanding }
 // Pending returns the access the node is currently blocked on.
 func (n *Node) Pending() (trace.Access, bool) {
 	if !n.outstanding || n.idx >= len(n.stream) {
-		return trace.Access{}, false
+		return 0, false
 	}
 	return n.stream[n.idx], true
 }
@@ -108,8 +108,9 @@ type Machine struct {
 	HomeCounts []int64
 	LocalHits  int64
 
-	// ReadSamples/WriteSamples, when non-nil, retain every access
-	// latency for percentile reporting (attach with stats.Sampler).
+	// ReadSamples/WriteSamples, when non-nil, record every access
+	// latency's distribution for percentile reporting (attach with
+	// stats.Sampler).
 	ReadSamples  *stats.Sampler
 	WriteSamples *stats.Sampler
 
@@ -293,10 +294,11 @@ func (m *Machine) act(n *Node, now int64) {
 		return
 	}
 	acc := n.stream[n.idx]
-	if line, ok := n.L2.Lookup(acc.Addr); ok {
-		if !acc.Write {
+	addr, write := acc.Addr(), acc.Write()
+	if line, ok := n.L2.Lookup(addr); ok {
+		if !write {
 			// Local read hit.
-			m.Check.ObserveRead(acc.Addr, line.Version, n.ID, now, true)
+			m.Check.ObserveRead(addr, line.Version, n.ID, now, true)
 			m.LocalHits++
 			n.idx++
 			m.setNextIssue(n, now+m.Cfg.L2Latency+m.thinkTime(n))
@@ -304,7 +306,7 @@ func (m *Machine) act(n *Node, now int64) {
 		}
 		if line.State == Modified {
 			// Local write hit: the node already owns the line.
-			line.Version = m.Check.CommitWrite(acc.Addr, n.ID, now)
+			line.Version = m.Check.CommitWrite(addr, n.ID, now)
 			m.LocalHits++
 			n.idx++
 			m.setNextIssue(n, now+m.Cfg.L2Latency+m.thinkTime(n))
@@ -319,15 +321,15 @@ func (m *Machine) act(n *Node, now int64) {
 		n.attempt = 0
 		m.setRetryAt(n, now+m.recovery.Timeout)
 	}
-	m.HomeCounts[m.Home(acc.Addr)]++
+	m.HomeCounts[m.Home(addr)]++
 	if c := m.Metrics; c != nil {
 		aux := int64(0)
-		if acc.Write {
+		if write {
 			aux = 1
 		}
-		c.Event(now, metrics.EvInject, int16(n.ID), acc.Addr, aux)
+		c.Event(now, metrics.EvInject, int16(n.ID), addr, aux)
 	}
-	m.engine.StartMiss(n.ID, acc.Addr, acc.Write, now)
+	m.engine.StartMiss(n.ID, addr, write, now)
 }
 
 // dueEntry is one due-queue entry: node may act at cycle at. It is live
@@ -473,7 +475,7 @@ func (m *Machine) CompleteAccess(node int, write bool, now, deadlockCycles int64
 		c.Breakdown.Record(write, lat, a.net, a.trav, a.serial)
 		var addr uint64
 		if acc, ok := n.Pending(); ok {
-			addr = acc.Addr
+			addr = acc.Addr()
 		}
 		c.Event(now, metrics.EvComplete, int16(node), addr, lat)
 		m.accNet[node] = netAcc{}
@@ -566,7 +568,7 @@ func (m *Machine) nicDelay(node int, service int64) int64 {
 // if any. Protocol engines use it to detect invalidation/reply races.
 func (m *Machine) OutstandingAddr(node int) (addr uint64, write bool, ok bool) {
 	acc, ok := m.Nodes[node].Pending()
-	return acc.Addr, acc.Write, ok
+	return acc.Addr(), acc.Write(), ok
 }
 
 // InstallLine places a line into node's L2 in the given state, handling the
@@ -725,7 +727,7 @@ func (m *Machine) stuckReport() string {
 		if !n.Done() {
 			waiting++
 			if acc, ok := n.Pending(); ok && sample == "" {
-				sample = fmt.Sprintf("node %d blocked on addr %#x write=%v", n.ID, acc.Addr, acc.Write)
+				sample = fmt.Sprintf("node %d blocked on addr %#x write=%v", n.ID, acc.Addr(), acc.Write())
 			}
 		}
 	}

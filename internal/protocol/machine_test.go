@@ -144,7 +144,7 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 	// returns: with the echo engine, misses arrive one at a time.
 	cfg := DefaultConfig()
 	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
-		3: {{Addr: 1}, {Addr: 2}, {Addr: 3}},
+		3: {trace.NewAccess(1, false), trace.NewAccess(2, false), trace.NewAccess(3, false)},
 	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 func TestLocalHitsBypassEngine(t *testing.T) {
 	cfg := DefaultConfig()
 	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
-		2: {{Addr: 8, Write: true}, {Addr: 8, Write: true}, {Addr: 8}},
+		2: {trace.NewAccess(8, true), trace.NewAccess(8, true), trace.NewAccess(8, false)},
 	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestLocalHitsBypassEngine(t *testing.T) {
 func TestUpgradeMissForSharedWrite(t *testing.T) {
 	cfg := DefaultConfig()
 	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
-		2: {{Addr: 8, Write: true}},
+		2: {trace.NewAccess(8, true)},
 	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestInstallEvictionWritesBackDirty(t *testing.T) {
 
 func TestStuckReportNamesBlockedAccess(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{5: {{Addr: 0x77}}}), Think: 1})
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{5: {trace.NewAccess(0x77, false)}}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,9 +65,15 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     map[string]*jobState
+	mu   sync.Mutex
+	cond *sync.Cond
+	jobs map[string]*jobState // every job, terminal ones included
+	// live holds the non-terminal (queued or running) jobs, at most
+	// maxPending, and ended counts the terminal ones by state, so
+	// submission, dispatch and Stats cost the pending jobs, not every
+	// job the data directory has ever run.
+	live     map[string]*jobState
+	ended    map[string]int
 	running  map[string]int // content hash -> running count (dedupe guard)
 	draining bool
 	seq      int64
@@ -131,6 +137,8 @@ func open(opt Options) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*jobState),
+		live:       make(map[string]*jobState),
+		ended:      make(map[string]int),
 		running:    make(map[string]int),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -144,6 +152,7 @@ func open(opt Options) (*Server, error) {
 		js := &jobState{rec: *rec, done: make(chan struct{})}
 		if js.rec.Terminal() {
 			close(js.done)
+			s.ended[js.rec.State]++
 		} else {
 			// The previous process died (or drained) with this job
 			// pending; requeue it. The rerun starts at the record's
@@ -154,6 +163,7 @@ func open(opt Options) (*Server, error) {
 				cancel()
 				return nil, err
 			}
+			s.live[js.rec.ID] = js
 		}
 		s.jobs[js.rec.ID] = js
 		if js.rec.Seq >= s.seq {
@@ -263,13 +273,7 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 	if s.draining {
 		return JobRecord{}, fmt.Errorf("serve: server is draining")
 	}
-	pending := 0
-	for _, js := range s.jobs {
-		if !js.rec.Terminal() {
-			pending++
-		}
-	}
-	if pending >= maxPending {
+	if pending := len(s.live); pending >= maxPending {
 		return JobRecord{}, fmt.Errorf("%w: %d jobs pending", ErrQueueFull, pending)
 	}
 	js := &jobState{
@@ -288,6 +292,7 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 		return JobRecord{}, err
 	}
 	s.jobs[js.rec.ID] = js
+	s.live[js.rec.ID] = js
 	s.cond.Broadcast()
 	return js.rec, nil
 }
@@ -418,19 +423,13 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st Stats
-	for _, js := range s.jobs {
+	st := Stats{Done: s.ended[StateDone], Failed: s.ended[StateFailed], Canceled: s.ended[StateCanceled]}
+	for _, js := range s.live {
 		switch js.rec.State {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
 			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCanceled:
-			st.Canceled++
 		}
 	}
 	st.CacheHits, st.CacheMisses = s.cache.Stats()
@@ -503,7 +502,7 @@ func (s *Server) next() *jobState {
 // straight from the result cache — exactly-once simulation per spec).
 func (s *Server) pickLocked() *jobState {
 	var best *jobState
-	for _, js := range s.jobs {
+	for _, js := range s.live {
 		if js.rec.State != StateQueued || js.userCanceled || s.running[js.rec.Hash] > 0 {
 			continue
 		}
@@ -621,9 +620,11 @@ func (s *Server) releaseRunLocked(js *jobState) {
 	s.cond.Broadcast()
 }
 
-// finishLocked transitions to a terminal state, persists, and wakes
-// waiters.
+// finishLocked transitions to a terminal state, persists, moves the job
+// from the live set to the terminal counts, and wakes waiters.
 func (s *Server) finishLocked(js *jobState, state, errMsg string) {
+	delete(s.live, js.rec.ID)
+	s.ended[state]++
 	js.rec.State = state
 	js.rec.Error = errMsg
 	js.rec.FinishedAt = time.Now().UnixMilli()

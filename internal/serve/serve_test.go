@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -603,6 +605,98 @@ func TestRestartLoadsRetiredRecordFields(t *testing.T) {
 	}
 	if g, w := mustJSON(t, got), mustJSON(t, directResult(t, req)); g != w {
 		t.Errorf("restarted result differs from direct run\n server: %s\n direct: %s", g, w)
+	}
+}
+
+// TestTerminalRecordsStayOutOfTheLiveSet: a data directory holding 1,000
+// finished records, written as raw JSON, opens with the per-state Stats a
+// scan of those records gives. Only pending jobs count against
+// maxPending: submission maxPending+1 is rejected, a canceled job frees
+// its slot, and dispatch picks the pending jobs in submission order.
+func TestTerminalRecordsStayOutOfTheLiveSet(t *testing.T) {
+	dir := t.TempDir()
+	job, err := SubmitRequest{Profile: "fft", Engine: "tree", Accesses: 60}.BuildJob()
+	if err != nil {
+		t.Fatalf("build job: %v", err)
+	}
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	var want Stats
+	for i := 0; i < 1000; i++ {
+		rec := JobRecord{ID: fmt.Sprintf("j-old-%04d", i), Hash: job.Hash(), Seq: int64(i), Job: job}
+		switch i % 3 {
+		case 0:
+			rec.State, want.Done = StateDone, want.Done+1
+		case 1:
+			rec.State, want.Failed = StateFailed, want.Failed+1
+		default:
+			rec.State, want.Canceled = StateCanceled, want.Canceled+1
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		if err := os.WriteFile(st.jobPath(rec.ID), b, 0o644); err != nil {
+			t.Fatalf("write record: %v", err)
+		}
+	}
+
+	// No workers: every submitted job stays queued until picked below.
+	srv, err := open(Options{DataDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("open server: %v", err)
+	}
+	t.Cleanup(srv.Drain)
+	if got := srv.Stats(); got != want {
+		t.Fatalf("stats over 1,000 terminal records = %+v, want %+v", got, want)
+	}
+	submit := func(i int) (JobRecord, error) {
+		return srv.Submit(SubmitRequest{Profile: "lu", Engine: "tree", Accesses: 40 + i})
+	}
+	var ids []string
+	for i := 0; i < maxPending; i++ {
+		rec, err := submit(i)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	if _, err := submit(maxPending); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission %d returned %v, want ErrQueueFull", maxPending+1, err)
+	}
+	if err := srv.Cancel(ids[0]); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	want.Canceled++
+	rec, err := submit(maxPending)
+	if err != nil {
+		t.Fatalf("submission after a cancel freed a slot: %v", err)
+	}
+	ids = append(ids[1:], rec.ID)
+	if _, err := submit(maxPending + 1); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission over a refilled queue returned %v, want ErrQueueFull", err)
+	}
+	want.Queued = maxPending
+	if got := srv.Stats(); got != want {
+		t.Fatalf("stats with a full queue = %+v, want %+v", got, want)
+	}
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for i, id := range ids {
+		js := srv.pickLocked()
+		if js == nil {
+			t.Fatalf("pick %d chose nothing, want %s", i, id)
+		}
+		if js.rec.ID != id {
+			t.Fatalf("pick %d chose %s, want %s", i, js.rec.ID, id)
+		}
+		srv.startLocked(js)
+	}
+	if js := srv.pickLocked(); js != nil {
+		t.Fatalf("pick with every job running chose %s", js.rec.ID)
 	}
 }
 

@@ -118,68 +118,104 @@ func Reduction(base, measured float64) float64 {
 	return 100 * (base - measured) / base
 }
 
-// Sampler retains all samples for distribution queries (percentiles); the
-// simulator attaches one per access class when detailed reporting is on.
-// A running sum makes Mean O(1), and the sorted flag makes a Summarize (or
-// any burst of Percentile calls) sort at most once until the next Add.
+// Sampler records a distribution for percentile queries; the simulator
+// attaches one per access class when detailed reporting is on. It keeps a
+// count per distinct value, not every sample: miss latencies are whole
+// cycles that repeat (a wsp/tree run of 30,000 accesses per node has
+// 40,912 read samples but 424 distinct values), so its memory grows with
+// the number of distinct values. The running sum is added in sample order,
+// as a slice of every sample would be, so Mean is the same bit for bit,
+// and the nearest-rank percentiles are exact.
 type Sampler struct {
-	vals   []float64
+	counts map[uint64]int64 // math.Float64bits(value) -> samples of it
+	keys   []float64        // the distinct values, ascending when sorted
+	n      int64
 	sum    float64
 	sorted bool
 }
 
 // Add records one sample.
 func (s *Sampler) Add(v float64) {
-	s.vals = append(s.vals, v)
+	if s.counts == nil {
+		s.counts = make(map[uint64]int64)
+	}
+	distinct := len(s.counts)
+	s.counts[math.Float64bits(v)]++
+	if len(s.counts) != distinct {
+		s.keys = append(s.keys, v)
+		s.sorted = false
+	}
+	s.n++
 	s.sum += v
-	s.sorted = false
 }
 
 // N returns the number of samples.
-func (s *Sampler) N() int { return len(s.vals) }
+func (s *Sampler) N() int { return int(s.n) }
 
-// ensureSorted sorts the sample vector if an Add invalidated it. It is the
-// single sort site: Percentile and Summarize both go through it, so a
-// summary costs one sort, not one per percentile.
+// ensureSorted sorts the distinct values if an Add of a new value
+// invalidated their order. It is the single sort site: Percentile and
+// Summarize both go through it, so a summary costs at most one sort of
+// the distinct values, and none until a new value arrives.
 func (s *Sampler) ensureSorted() {
 	if !s.sorted {
-		sort.Float64s(s.vals)
+		sort.Float64s(s.keys)
 		s.sorted = true
 	}
 }
 
-// rank returns the nearest-rank index value for percentile p on the sorted
-// vector; callers guarantee at least one sample.
-func (s *Sampler) rank(p float64) float64 {
+// nearestRank returns the 1-based nearest-rank position of percentile p
+// among n samples: the smallest rank whose sample is at least p percent
+// of the distribution, clamped to [1, n].
+func nearestRank(p float64, n int64) int64 {
 	if p <= 0 {
-		return s.vals[0]
+		return 1
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.vals))))
+	rank := int64(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > len(s.vals) {
-		rank = len(s.vals)
+	if rank > n {
+		rank = n
 	}
-	return s.vals[rank-1]
+	return rank
+}
+
+// ranks fills out[i] with the value at the i-th ascending 1-based rank of
+// want in one walk of the sorted distinct values; callers guarantee at
+// least one sample and sorted keys.
+func (s *Sampler) ranks(want []int64, out []float64) {
+	var seen int64
+	i := 0
+	for _, k := range s.keys {
+		seen += s.counts[math.Float64bits(k)]
+		for i < len(want) && want[i] <= seen {
+			out[i] = k
+			i++
+		}
+		if i == len(want) {
+			return
+		}
+	}
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using
 // nearest-rank, or 0 with no samples.
 func (s *Sampler) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	s.ensureSorted()
-	return s.rank(p)
+	var out [1]float64
+	s.ranks([]int64{nearestRank(p, s.n)}, out[:])
+	return out[0]
 }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (s *Sampler) Mean() float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.vals))
+	return s.sum / float64(s.n)
 }
 
 // Summary is the standard latency report: the mean the paper's tables use
@@ -192,20 +228,22 @@ type Summary struct {
 }
 
 // Summarize computes the sampler's summary (zero value with no samples).
-// It sorts at most once per Add burst and reads every statistic off the
-// sorted vector and the running sum, so repeated summaries allocate
+// It sorts the distinct values at most once per new value and reads all
+// three percentiles off one walk of them, so repeated summaries allocate
 // nothing and do no re-sorting.
 func (s *Sampler) Summarize() Summary {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return Summary{}
 	}
 	s.ensureSorted()
+	var p [3]float64
+	s.ranks([]int64{nearestRank(50, s.n), nearestRank(95, s.n), nearestRank(99, s.n)}, p[:])
 	return Summary{
-		N:    int64(len(s.vals)),
-		Mean: s.sum / float64(len(s.vals)),
-		P50:  s.rank(50),
-		P95:  s.rank(95),
-		P99:  s.rank(99),
+		N:    s.n,
+		Mean: s.sum / float64(s.n),
+		P50:  p[0],
+		P95:  p[1],
+		P99:  p[2],
 	}
 }
 

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -366,7 +369,8 @@ func TestSummarizeDoesNotAllocate(t *testing.T) {
 
 func BenchmarkSummarize(b *testing.B) {
 	// The per-summary hot path: after the first sort, Summarize must be
-	// allocation-free and O(1) (run with -benchmem to see 0 allocs/op).
+	// allocation-free and one walk of the distinct values (run with
+	// -benchmem to see 0 allocs/op).
 	var s Sampler
 	for i := 0; i < 1<<16; i++ {
 		s.Add(float64((i * 2654435761) % 100000))
@@ -382,8 +386,9 @@ func BenchmarkSummarize(b *testing.B) {
 }
 
 func BenchmarkSamplerAdd(b *testing.B) {
-	// Steady-state Add is an append plus a sum update; amortized it must
-	// stay well under one allocation per sample.
+	// Steady-state Add of a value already seen is a map increment plus a
+	// sum update; amortized it must stay well under one allocation per
+	// sample.
 	b.ReportAllocs()
 	var s Sampler
 	for i := 0; i < b.N; i++ {
@@ -520,5 +525,129 @@ func TestSamplerPercentileMonotoneProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// percentileRefs are the percentiles the differential tests query: the
+// nearest-rank boundaries (p <= 0, the smallest positive p, 100) and the
+// three a Summary reports.
+var percentileRefs = []float64{0, math.SmallestNonzeroFloat64, 1e-9, 1, 50, 95, 99, 100}
+
+// checkMatchesSort compares a Sampler fed vals against the nearest-rank
+// definition: every sample kept in a slice, sorted, and read at its
+// nearest rank, with the mean summed in sample order.
+func checkMatchesSort(t *testing.T, vals []float64) {
+	t.Helper()
+	var s Sampler
+	sum := 0.0
+	for i, v := range vals {
+		s.Add(v)
+		sum += v
+		if i == len(vals)/2 {
+			s.Summarize() // sort mid-stream; later Adds must re-sort
+		}
+	}
+	ref := slices.Clone(vals)
+	slices.Sort(ref)
+	at := func(p float64) float64 {
+		if len(ref) == 0 {
+			return 0
+		}
+		if p <= 0 {
+			return ref[0]
+		}
+		rank := int(math.Ceil(p / 100 * float64(len(ref))))
+		return ref[min(max(rank, 1), len(ref))-1]
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for _, p := range percentileRefs {
+		if got, want := s.Percentile(p), at(p); !same(got, want) {
+			t.Fatalf("Percentile(%v) over %d samples = %v, want %v", p, len(vals), got, want)
+		}
+	}
+	want := Summary{}
+	if len(vals) > 0 {
+		want = Summary{N: int64(len(vals)), Mean: sum / float64(len(vals)), P50: at(50), P95: at(95), P99: at(99)}
+	}
+	got := s.Summarize()
+	if got.N != want.N || !same(got.Mean, want.Mean) || !same(got.P50, want.P50) ||
+		!same(got.P95, want.P95) || !same(got.P99, want.P99) {
+		t.Fatalf("Summarize over %d samples = %+v, want %+v", len(vals), got, want)
+	}
+	if s.N() != len(vals) || !same(s.Mean(), want.Mean) {
+		t.Fatalf("N/Mean = %d/%v, want %d/%v", s.N(), s.Mean(), len(vals), want.Mean)
+	}
+}
+
+func TestSamplerMatchesSort(t *testing.T) {
+	cases := map[string][]float64{
+		"empty":             nil,
+		"single":            {7},
+		"two":               {20, 10},
+		"all duplicates":    {3, 3, 3, 3, 3},
+		"duplicate runs":    {5, 1, 5, 1, 9, 5, 1, 1, 9, 5},
+		"negative and zero": {-4, 0, -4, 2, 0, 0},
+		"fractions":         {0.5, 0.25, 0.5, 1e-300, 0.25},
+	}
+	// Latency-like: 5,000 draws over 40 distinct cycle counts, skewed
+	// toward the low ones as miss latencies are.
+	rng := uint64(12345)
+	var lat []float64
+	for i := 0; i < 5000; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		r := int(rng>>33) % 40
+		lat = append(lat, float64(20+r*r/8))
+	}
+	cases["latency-like"] = lat
+	for name, vals := range cases {
+		t.Run(name, func(t *testing.T) { checkMatchesSort(t, vals) })
+	}
+}
+
+// FuzzSamplerMatchesSort runs checkMatchesSort on fuzzed sample streams.
+// Each input byte pair is one sample, so short inputs repeat values; a
+// leading 0xff byte switches to raw 8-byte floats (NaN, infinities and
+// signed zeros included).
+func FuzzSamplerMatchesSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 7})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 2})
+	f.Add([]byte{1, 200, 0, 3, 1, 200, 9, 9, 0, 3, 0, 3})
+	f.Add(append([]byte{0xff}, []byte("\x00\x00\x00\x00\x00\x00\xf8\x7f\x00\x00\x00\x00\x00\x00\x00\x80")...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vals []float64
+		if len(data) > 0 && data[0] == 0xff {
+			for b := data[1:]; len(b) >= 8; b = b[8:] {
+				vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
+		} else {
+			for b := data; len(b) >= 2; b = b[2:] {
+				vals = append(vals, float64(binary.LittleEndian.Uint16(b)))
+			}
+		}
+		checkMatchesSort(t, vals)
+	})
+}
+
+// A Sampler's memory follows its distinct values, not its samples:
+// 200,000 samples over 500 values retain a few tens of kilobytes, where a
+// vector of every sample would hold 1.6 MB.
+func TestSamplerMemoryFollowsDistinctValues(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := &Sampler{}
+	for i := 0; i < 200000; i++ {
+		s.Add(float64(100 + (i*7919)%500))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if sum := s.Summarize(); sum.N != 200000 || sum.P50 != 349 {
+		t.Fatalf("summary %+v, want n=200000 p50=349", sum)
+	}
+	runtime.KeepAlive(s)
+	if retained > 64<<10 {
+		t.Fatalf("200,000 samples of 500 values retain %d bytes, want at most %d", retained, 64<<10)
 	}
 }

@@ -33,10 +33,10 @@ func (t *Trace) Write(w io.Writer) error {
 	for n, stream := range t.PerNode {
 		for _, a := range stream {
 			op := "R"
-			if a.Write {
+			if a.Write() {
 				op = "W"
 			}
-			if _, err := fmt.Fprintf(bw, "%d %s %x\n", n, op, a.Addr); err != nil {
+			if _, err := fmt.Fprintf(bw, "%d %s %x\n", n, op, a.Addr()); err != nil {
 				return err
 			}
 		}
@@ -56,9 +56,9 @@ func sanitizeName(s string) string {
 // slice table before a single record is parsed.
 const MaxFileNodes = 1 << 16
 
-// Read parses a trace from r. It validates node indices and access
-// operations and returns a descriptive error with the offending line
-// number.
+// Read parses a trace from r. It validates node indices, access
+// operations and addresses (at most MaxAddr) and returns a descriptive
+// error with the offending line number.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -99,10 +99,10 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[1])
 		}
 		addr, err := strconv.ParseUint(fields[2], 16, 64)
-		if err != nil {
+		if err != nil || addr > MaxAddr {
 			return nil, fmt.Errorf("trace: line %d: bad address %q", lineNo, fields[2])
 		}
-		tr.PerNode[node] = append(tr.PerNode[node], Access{Addr: addr, Write: write})
+		tr.PerNode[node] = append(tr.PerNode[node], NewAccess(addr, write))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -127,21 +127,38 @@ trace demo 4
 	if len(tr.PerNode[0]) != 2 || len(tr.PerNode[1]) != 1 || len(tr.PerNode[3]) != 1 {
 		t.Fatalf("stream lengths wrong: %d/%d/%d", len(tr.PerNode[0]), len(tr.PerNode[1]), len(tr.PerNode[3]))
 	}
-	if tr.PerNode[3][0].Addr != 0xabc || !tr.PerNode[3][0].Write {
+	if tr.PerNode[3][0].Addr() != 0xabc || !tr.PerNode[3][0].Write() {
 		t.Fatalf("parsed access wrong: %+v", tr.PerNode[3][0])
+	}
+}
+
+// The largest 63-bit line address survives a write/read round trip with
+// either flag; one above it is the file's bad-address error.
+func TestReadAddressCap(t *testing.T) {
+	tr, err := Read(strings.NewReader("trace x 1\n0 W 7fffffffffffffff\n0 R 7fffffffffffffff\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := tr.PerNode[0]; s[0] != NewAccess(MaxAddr, true) || s[1] != NewAccess(MaxAddr, false) {
+		t.Fatalf("parsed %#x/%#x, want MaxAddr W then R", uint64(s[0]), uint64(s[1]))
+	}
+	_, err = Read(strings.NewReader("trace x 1\n0 R 8000000000000000\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2: bad address") {
+		t.Fatalf("address 2^63 gave error %v, want line 2's bad address", err)
 	}
 }
 
 func TestReadRejectsMalformedInput(t *testing.T) {
 	cases := []string{
-		"",                    // empty
-		"0 R 10\n",            // missing header
-		"trace x zero\n",      // bad node count
-		"trace x 2\n5 R 10\n", // node out of range
-		"trace x 2\n0 X 10\n", // bad op
-		"trace x 2\n0 R zz\n", // bad address
-		"trace x 2\n0 R\n",    // missing field
-		"trace x -1\n",        // negative nodes
+		"",                                  // empty
+		"0 R 10\n",                          // missing header
+		"trace x zero\n",                    // bad node count
+		"trace x 2\n5 R 10\n",               // node out of range
+		"trace x 2\n0 X 10\n",               // bad op
+		"trace x 2\n0 R zz\n",               // bad address
+		"trace x 2\n0 R\n",                  // missing field
+		"trace x -1\n",                      // negative nodes
+		"trace x 1\n0 W 8000000000000000\n", // address would set the write bit
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

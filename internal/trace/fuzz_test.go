@@ -34,6 +34,8 @@ func FuzzRead(f *testing.F) {
 		"trace t 2\n0 X 10\n",
 		"trace t 2\n0 R zz\n",
 		"trace t 2\n0 R\n",
+		// Address 2^63, whose top bit is an Access's write flag.
+		"trace t 1\n0 R 8000000000000000\n",
 		// Empty and comment-only inputs.
 		"",
 		"# nothing\n\n",

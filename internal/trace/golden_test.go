@@ -23,8 +23,8 @@ func traceHash(t *trace.Trace) uint64 {
 		mix(uint64(n))
 		mix(uint64(len(s)))
 		for _, a := range s {
-			mix(a.Addr)
-			if a.Write {
+			mix(a.Addr())
+			if a.Write() {
 				mix(1)
 			} else {
 				mix(0)

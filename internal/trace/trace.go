@@ -32,12 +32,35 @@ import (
 	"innetcc/internal/sim"
 )
 
-// Access is one memory reference. Addr is a line address (block offset
-// already stripped).
-type Access struct {
-	Addr  uint64
-	Write bool
+// Access is one memory reference packed into one 8-byte word: the line
+// address (block offset already stripped) in the low 63 bits and the write
+// flag in the top bit. A trace holds one Access per reference, so the
+// packing halves the largest store a run keeps.
+type Access uint64
+
+// MaxAddr is the largest line address an Access holds.
+const MaxAddr = 1<<63 - 1
+
+const writeBit Access = 1 << 63
+
+// NewAccess packs a reference to line addr. It panics when addr exceeds
+// MaxAddr; Read rejects such addresses before calling it.
+func NewAccess(addr uint64, write bool) Access {
+	if addr > MaxAddr {
+		panic("trace: line address exceeds MaxAddr")
+	}
+	a := Access(addr)
+	if write {
+		a |= writeBit
+	}
+	return a
 }
+
+// Addr returns the line address.
+func (a Access) Addr() uint64 { return uint64(a &^ writeBit) }
+
+// Write reports whether the reference is a write.
+func (a Access) Write() bool { return a&writeBit != 0 }
 
 // Trace is a complete multi-threaded access trace: one in-order stream per
 // node.
@@ -145,15 +168,16 @@ func ProfileByName(name string) (Profile, error) {
 // lineInfo is the generator's per-line metadata. The nodes that access
 // the line (one node = private) are arena[lo:hi] of the population's
 // shared group arena: one slice for every line's group instead of a slice
-// per line.
+// per line. Line i homed at node home has address i*nodes+home, so the
+// home is all that is kept of the address.
 type lineInfo struct {
-	addr     uint64
+	home     int32
 	lo, hi   int32
 	readOnly bool
 }
 
 // MaxAccesses caps a generated trace's total accesses, nodes times
-// accesses per node: 1<<26, 1 GiB of 16-byte accesses. The largest traces
+// accesses per node: 1<<26, 512 MiB of 8-byte accesses. The largest traces
 // the repository runs (a 16-node job of 200,000 accesses per node, a
 // 64x64 mesh at 100 per node) are a twentieth of it or less.
 const MaxAccesses = 1 << 26
@@ -209,7 +233,6 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 	arena := make([]int32, 0, lines+int(float64(lines)*(1-p.PrivateFrac))*groupSize)
 	for i := range pop {
 		home := skewedHome(rng, nodes, p.HomeSkew)
-		addr := uint64(i)*uint64(nodes) + uint64(home)
 		anchor := rng.Intn(nodes)
 		lo := len(arena)
 		arena = append(arena, int32(anchor))
@@ -230,7 +253,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 				}
 			}
 		}
-		pop[i] = lineInfo{addr: addr, lo: int32(lo), hi: int32(len(arena)), readOnly: rng.Float64() < p.ReadOnlyFrac}
+		pop[i] = lineInfo{home: int32(home), lo: int32(lo), hi: int32(len(arena)), readOnly: rng.Float64() < p.ReadOnlyFrac}
 	}
 
 	tr := &Trace{Name: p.Name, PerNode: make([][]Access, nodes)}
@@ -243,7 +266,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		if len(tr.PerNode[node]) >= accessesPerNode {
 			return
 		}
-		tr.PerNode[node] = append(tr.PerNode[node], Access{Addr: addr, Write: write})
+		tr.PerNode[node] = append(tr.PerNode[node], NewAccess(addr, write))
 		emitted++
 	}
 
@@ -258,7 +281,9 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		if rng.Float64() < 0.02 {
 			win[slot] = rng.Intn(lines) // refresh slot
 		}
-		li := &pop[win[slot]]
+		line := win[slot]
+		li := &pop[line]
+		addr := lineAddr(line, nodes, li.home)
 		group := arena[li.lo:li.hi]
 		if li.readOnly {
 			// Read-only episode: group members (or the owner) read;
@@ -266,7 +291,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 			readers := 1 + poissonish(rng, p.AvgReaders)
 			for k := 0; k < readers; k++ {
 				r := int(group[rng.Intn(len(group))])
-				emit(r, li.addr, false)
+				emit(r, addr, false)
 			}
 			continue
 		}
@@ -275,7 +300,7 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 			owner := int(group[0])
 			runLen := 1 + rng.Intn(3)
 			for k := 0; k < runLen; k++ {
-				emit(owner, li.addr, rng.Float64() < p.WriteFrac)
+				emit(owner, addr, rng.Float64() < p.WriteFrac)
 			}
 			continue
 		}
@@ -284,18 +309,18 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		writer := int(group[rng.Intn(len(group))])
 		doWrite := rng.Float64() < p.WriteFrac*(1.0+p.AvgReaders)
 		if doWrite {
-			emit(writer, li.addr, true)
+			emit(writer, addr, true)
 		} else {
-			emit(writer, li.addr, false)
+			emit(writer, addr, false)
 		}
 		readers := poissonish(rng, p.AvgReaders)
 		for k := 0; k < readers; k++ {
 			r := int(group[rng.Intn(len(group))])
-			emit(r, li.addr, false)
+			emit(r, addr, false)
 			if rng.Float64() < p.RMW {
 				// Migratory read-modify-write: the reader takes
 				// ownership right after reading.
-				emit(r, li.addr, true)
+				emit(r, addr, true)
 			}
 		}
 	}
@@ -303,11 +328,18 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 	// has exactly accessesPerNode accesses.
 	for n := range tr.PerNode {
 		for len(tr.PerNode[n]) < accessesPerNode {
-			li := &pop[rng.Intn(lines)]
-			tr.PerNode[n] = append(tr.PerNode[n], Access{Addr: li.addr, Write: rng.Float64() < p.WriteFrac})
+			line := rng.Intn(lines)
+			addr := lineAddr(line, nodes, pop[line].home)
+			tr.PerNode[n] = append(tr.PerNode[n], NewAccess(addr, rng.Float64() < p.WriteFrac))
 		}
 	}
 	return tr
+}
+
+// lineAddr returns the address of population line i homed at node home:
+// consecutive lines are nodes addresses apart, so addr%nodes is the home.
+func lineAddr(i, nodes int, home int32) uint64 {
+	return uint64(i)*uint64(nodes) + uint64(home)
 }
 
 // poissonish draws a small non-negative integer with the given mean.
@@ -387,13 +419,14 @@ func (t *Trace) Stats(nodes int) (meanSharers float64, homeCounts []int64) {
 	homeCounts = make([]int64, nodes)
 	for n, stream := range t.PerNode {
 		for _, a := range stream {
-			m, ok := touched[a.Addr]
+			addr := a.Addr()
+			m, ok := touched[addr]
 			if !ok {
 				m = map[int]bool{}
-				touched[a.Addr] = m
+				touched[addr] = m
 			}
 			m[n] = true
-			homeCounts[int(a.Addr%uint64(nodes))]++
+			homeCounts[int(addr%uint64(nodes))]++
 		}
 	}
 	if len(touched) == 0 {

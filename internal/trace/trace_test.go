@@ -2,10 +2,56 @@ package trace
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"innetcc/internal/stats"
 )
+
+// An Access is one 8-byte word: a trace holds one per reference, so its
+// size is the run's memory per access.
+func TestAccessIsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Access(0)); got != 8 {
+		t.Fatalf("Access is %d bytes, want 8", got)
+	}
+}
+
+// The packing keeps every 63-bit line address and the write flag apart,
+// and refuses an address the flag bit would overwrite.
+func TestAccessPacking(t *testing.T) {
+	for _, addr := range []uint64{0, 1, 0xabc, 1 << 62, MaxAddr} {
+		for _, write := range []bool{false, true} {
+			a := NewAccess(addr, write)
+			if a.Addr() != addr || a.Write() != write {
+				t.Errorf("NewAccess(%#x, %v) reads back (%#x, %v)", addr, write, a.Addr(), a.Write())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewAccess accepted an address above MaxAddr")
+		}
+	}()
+	NewAccess(MaxAddr+1, false)
+}
+
+// Generating a 16-node wsp trace of 30,000 accesses per node allocates
+// the 3.84 MB of its 8-byte accesses plus the 16-byte-per-line population
+// and its group arena; 16-byte accesses alone would be 7.68 MB.
+func TestGenerateAllocation(t *testing.T) {
+	p, _ := ProfileByName("wsp")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := Generate(p, 16, 30000, 42)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 5<<20 {
+		t.Fatalf("Generate(wsp, 16, 30000) allocated %d bytes, want under %d", got, 5<<20)
+	}
+	if tr.TotalAccesses() != 16*30000 {
+		t.Fatalf("%d accesses, want %d", tr.TotalAccesses(), 16*30000)
+	}
+}
 
 func TestBenchmarksCoverPaperSet(t *testing.T) {
 	want := []string{"fft", "lu", "bar", "rad", "wns", "wsp", "ocn", "ray"}
@@ -77,7 +123,7 @@ func TestWriteFractionRoughlyMatchesProfile(t *testing.T) {
 	writes := 0
 	for _, s := range tr.PerNode {
 		for _, a := range s {
-			if a.Write {
+			if a.Write() {
 				writes++
 			}
 		}
@@ -151,7 +197,7 @@ func TestWindowCreatesLocality(t *testing.T) {
 		tr := Generate(p, 16, 500, 11)
 		m := map[uint64]bool{}
 		for _, a := range tr.PerNode[0] {
-			m[a.Addr] = true
+			m[a.Addr()] = true
 		}
 		return len(m)
 	}

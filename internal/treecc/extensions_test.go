@@ -27,9 +27,9 @@ func TestReplicationProducesExtraServePoints(t *testing.T) {
 	// the reply crosses nodes 1 and 2 and should leave copies there, so
 	// a later read by node 2's neighbour can be served midway.
 	scripts := map[int][]trace.Access{
-		0: {{Addr: 0x30, Write: true}},
-		3: {{Addr: 0x30}, {Addr: 0x30}},
-		2: {{Addr: 0x30}},
+		0: {trace.NewAccess(0x30, true)},
+		3: {trace.NewAccess(0x30, false), trace.NewAccess(0x30, false)},
+		2: {trace.NewAccess(0x30, false)},
 	}
 	cfg := smallConfig()
 	cfg.Replication = true
@@ -54,7 +54,7 @@ func TestProactiveEvictionSwitch(t *testing.T) {
 	cfg.ProactiveEviction = false
 	var accs []trace.Access
 	for a := 0; a < 300; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a*16 + 2), Write: a%3 == 0})
+		accs = append(accs, trace.NewAccess(uint64(a*16+2), a%3 == 0))
 	}
 	tr := handTrace(map[int][]trace.Access{8: accs, 2: accs})
 	m, _ := runTrace(t, cfg, tr, 2)

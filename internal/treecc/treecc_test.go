@@ -38,7 +38,7 @@ func TestReadBuildsFreshTree(t *testing.T) {
 	// Figure 2(a): a first read loads from memory and constructs a
 	// virtual tree from the home node to the requester, who becomes
 	// root.
-	tr := handTrace(map[int][]trace.Access{3: {{Addr: 0x40}}})
+	tr := handTrace(map[int][]trace.Access{3: {trace.NewAccess(0x40, false)}})
 	m, e := runTrace(t, smallConfig(), tr, 5)
 	if m.Lat.Read.Mean() < 200 {
 		t.Fatalf("first read latency %.0f below memory latency", m.Lat.Read.Mean())
@@ -62,8 +62,8 @@ func TestSecondReadJoinsTree(t *testing.T) {
 	// Figure 2(b): a second reader grafts onto the existing tree and is
 	// served without an off-chip access.
 	tr := handTrace(map[int][]trace.Access{
-		1: {{Addr: 0x80}},
-		9: {{Addr: 0x80}, {Addr: 0x80}},
+		1: {trace.NewAccess(0x80, false)},
+		9: {trace.NewAccess(0x80, false), trace.NewAccess(0x80, false)},
 	})
 	m, e := runTrace(t, smallConfig(), tr, 30)
 	if got := m.Counters.Get("tree.mem_reads"); got != 1 {
@@ -83,9 +83,9 @@ func TestWriteTearsDownTree(t *testing.T) {
 	// Figure 2(c): a write to a shared line tears the tree down
 	// in-transit, then builds a fresh tree rooted at the writer.
 	tr := handTrace(map[int][]trace.Access{
-		2:  {{Addr: 0x100}},
-		5:  {{Addr: 0x100}},
-		12: {{Addr: 0x100}, {Addr: 0x200}, {Addr: 0x100, Write: true}},
+		2:  {trace.NewAccess(0x100, false)},
+		5:  {trace.NewAccess(0x100, false)},
+		12: {trace.NewAccess(0x100, false), trace.NewAccess(0x200, false), trace.NewAccess(0x100, true)},
 	})
 	m, e := runTrace(t, smallConfig(), tr, 8)
 	copies := m.Check.Copies(0x100)
@@ -106,8 +106,8 @@ func TestWriteTearsDownTree(t *testing.T) {
 
 func TestReadOfDirtyLineWritesBack(t *testing.T) {
 	tr := handTrace(map[int][]trace.Access{
-		0: {{Addr: 0x140, Write: true}},
-		7: {{Addr: 0x140}, {Addr: 0x140}, {Addr: 0x140}},
+		0: {trace.NewAccess(0x140, true)},
+		7: {trace.NewAccess(0x140, false), trace.NewAccess(0x140, false), trace.NewAccess(0x140, false)},
 	})
 	m, _ := runTrace(t, smallConfig(), tr, 3)
 	if v := m.Mem.Peek(0x140); v != 1 {
@@ -119,7 +119,7 @@ func TestWriteUpgradeFromShared(t *testing.T) {
 	// A node reads (Shared) then writes the same line: its write request
 	// bumps into its own tree at its own router and tears it down.
 	tr := handTrace(map[int][]trace.Access{
-		6: {{Addr: 0x180}, {Addr: 0x300}, {Addr: 0x180, Write: true}},
+		6: {trace.NewAccess(0x180, false), trace.NewAccess(0x300, false), trace.NewAccess(0x180, true)},
 	})
 	m, _ := runTrace(t, smallConfig(), tr, 4)
 	if got := m.Check.CurrentVersion(0x180); got != 1 {
@@ -133,7 +133,7 @@ func TestWriteUpgradeFromShared(t *testing.T) {
 func TestConcurrentWritersSerialize(t *testing.T) {
 	scripts := map[int][]trace.Access{}
 	for n := 0; n < 16; n++ {
-		scripts[n] = []trace.Access{{Addr: 0x500, Write: true}, {Addr: 0x500, Write: true}}
+		scripts[n] = []trace.Access{trace.NewAccess(0x500, true), trace.NewAccess(0x500, true)}
 	}
 	m, _ := runTrace(t, smallConfig(), handTrace(scripts), 2)
 	if got := m.Check.CurrentVersion(0x500); got != 32 {
@@ -144,9 +144,9 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 func TestManySharersThenWrite(t *testing.T) {
 	scripts := map[int][]trace.Access{}
 	for n := 0; n < 16; n++ {
-		scripts[n] = []trace.Access{{Addr: 0x240}}
+		scripts[n] = []trace.Access{trace.NewAccess(0x240, false)}
 	}
-	scripts[10] = append(scripts[10], trace.Access{Addr: 0x999}, trace.Access{Addr: 0x240, Write: true})
+	scripts[10] = append(scripts[10], trace.NewAccess(0x999, false), trace.NewAccess(0x240, true))
 	m, _ := runTrace(t, smallConfig(), handTrace(scripts), 5)
 	copies := m.Check.Copies(0x240)
 	if len(copies) != 1 || copies[0] != 10 {
@@ -163,10 +163,10 @@ func TestVictimCachingServesFromHome(t *testing.T) {
 	cfg.TreeEntries, cfg.TreeWays = 64, 2
 	var accs []trace.Access
 	for a := 0; a < 300; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a*16 + 1)})
+		accs = append(accs, trace.NewAccess(uint64(a*16+1), false))
 	}
 	for a := 0; a < 40; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a*16 + 1)})
+		accs = append(accs, trace.NewAccess(uint64(a*16+1), false))
 	}
 	tr := handTrace(map[int][]trace.Access{4: accs})
 	m, _ := runTrace(t, cfg, tr, 2)
@@ -180,7 +180,7 @@ func TestProactiveEvictionFires(t *testing.T) {
 	cfg.TreeEntries, cfg.TreeWays = 32, 1
 	var accs []trace.Access
 	for a := 0; a < 300; a++ {
-		accs = append(accs, trace.Access{Addr: uint64(a*16 + 2), Write: a%3 == 0})
+		accs = append(accs, trace.NewAccess(uint64(a*16+2), a%3 == 0))
 	}
 	tr := handTrace(map[int][]trace.Access{8: accs, 2: accs})
 	m, _ := runTrace(t, cfg, tr, 2)
@@ -264,7 +264,7 @@ func TestDeadlockRecoveryAccounting(t *testing.T) {
 	for n := 0; n < 16; n++ {
 		var accs []trace.Access
 		for a := 0; a < 60; a++ {
-			accs = append(accs, trace.Access{Addr: uint64((a%24)*16 + n%4), Write: a%2 == 0})
+			accs = append(accs, trace.NewAccess(uint64((a%24)*16+n%4), a%2 == 0))
 		}
 		scripts[n] = accs
 	}

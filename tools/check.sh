@@ -2,7 +2,8 @@
 # Repository check, in order: gofmt, build and vet; a build and vet of the
 # perfbench module; a no-printing guard over the simulator packages;
 # race-enabled tests; fuzz smokes over the trace-file and fault-spec
-# parsers and the cache reference model; race-enabled litmus campaigns
+# parsers, the cache reference model and the latency histogram's
+# sorted-sample reference; race-enabled litmus campaigns
 # (clean, under a drop plan, and a seeded defect that must be caught and
 # replayed) and a litmus-program fuzz smoke; race-enabled fault smokes
 # (drop-plan recovery per engine, the watchdog hang post-mortem, stall and
@@ -64,6 +65,10 @@ go test ./internal/fault -fuzz '^FuzzParseSpec$' -fuzztime 5s
 # Cache fuzz smoke: the differential test against the one-slice-per-set
 # reference model on fuzzed geometry, seed and run length.
 go test ./internal/cache -fuzz '^FuzzMatchesReferenceModel$' -fuzztime 10s
+
+# Sampler fuzz smoke: the per-value latency histogram against every sample
+# kept, sorted and read at its nearest rank, on fuzzed sample streams.
+go test ./internal/stats -fuzz '^FuzzSamplerMatchesSort$' -fuzztime 5s
 
 # Litmus smoke under the race detector: a fixed-seed campaign of generated
 # conflict programs on both engines, clean and under a drop plan with
