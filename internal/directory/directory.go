@@ -97,7 +97,7 @@ func New(m *protocol.Machine) *Engine {
 		Topo:     cfg.Topology.Build(),
 		Pipeline: cfg.BasePipeline,
 		Policy:   network.DestPolicy{},
-		Clone:    protocol.CloneMsg,
+		Clone:    m.CloneMsg,
 	})
 	m.AttachEngine(e, mesh)
 	return e
@@ -119,8 +119,8 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 	if write {
 		t = protocol.WrReq
 	}
-	msg := &protocol.Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now,
-		Attempt: e.m.CurrentAttempt(node)}
+	msg := e.m.NewMsg(protocol.Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now,
+		Attempt: e.m.CurrentAttempt(node)})
 	e.send(node, e.m.Home(addr), msg, now)
 }
 
@@ -154,7 +154,9 @@ func (e *Engine) Eject(node int, p *network.Packet, now int64) {
 	}
 }
 
-// handleReq runs at the home node after the directory access latency.
+// handleReq runs at the home node after the directory access latency. A
+// read the home forwards becomes the forward; a request it serves becomes
+// the reply (finishRead, grantWrite).
 func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 	d := e.dirs[home]
 	now := e.m.Kernel.Now()
@@ -171,13 +173,13 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 			e.m.Counters.Inc(stats.DirFwds, 1)
 			e.m.Metrics.Add(stats.MetricDirFwd, 1)
 			e.m.Metrics.Event(now, metrics.EvDirFwd, int16(home), msg.Addr, int64(ep.owner))
-			e.send(home, ep.owner, &protocol.Msg{Type: protocol.Fwd, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
+			e.forward(home, ep.owner, msg, now)
 		case ok && ep.sharers != 0:
 			ep.busy = true
 			e.m.Counters.Inc(stats.DirFwds, 1)
 			e.m.Metrics.Add(stats.MetricDirFwd, 1)
 			e.m.Metrics.Event(now, metrics.EvDirFwd, int16(home), msg.Addr, int64(firstSharer(ep.sharers)))
-			e.send(home, firstSharer(ep.sharers), &protocol.Msg{Type: protocol.Fwd, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
+			e.forward(home, firstSharer(ep.sharers), msg, now)
 		default:
 			if !ok {
 				if ep = e.allocEntry(home, msg); ep == nil {
@@ -208,6 +210,13 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 	e.sendInvs(home, targets, msg.Addr, msg.Requester, now)
 }
 
+// forward rewrites read request msg as the forward that asks node to serve
+// it and sends it there. A forward carries no issue or recovery cycles.
+func (e *Engine) forward(home, node int, msg *protocol.Msg, now int64) {
+	*msg = protocol.Msg{Type: protocol.Fwd, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}
+	e.send(home, node, msg, now)
+}
+
 // sendInvs delivers an invalidation to every node in the targets bitset.
 // Per-target invalidation metrics (MetricDirInval, the per-node events) are
 // recorded identically on both paths — the protocol work is the same — but
@@ -217,29 +226,34 @@ func (e *Engine) handleReq(home int, msg *protocol.Msg) {
 // DirInvPackets counter records injected invalidation packets, which is
 // the quantity hardware multicast shrinks.
 func (e *Engine) sendInvs(home int, targets uint64, addr uint64, requester int, now int64) {
-	var set network.NodeSet
 	for rest := targets; rest != 0; rest &= rest - 1 {
 		n := bits.TrailingZeros64(rest)
 		e.m.Metrics.Add(stats.MetricDirInval, 1)
 		e.m.Metrics.Event(now, metrics.EvDirInval, int16(home), addr, int64(n))
-		set = set.Add(n)
 	}
-	count := set.Count()
+	count := bits.OnesCount64(targets)
 	if count == 0 {
 		return
 	}
 	e.m.Counters.Inc(stats.DirInvals, int64(count))
 	if e.m.Cfg.Multicast && count > 1 {
+		// Only the multicast packet needs the targets as a NodeSet;
+		// unicast rounds build none.
+		var set network.NodeSet
+		for rest := targets; rest != 0; rest &= rest - 1 {
+			set = set.Add(bits.TrailingZeros64(rest))
+		}
 		e.m.Counters.Inc(stats.DirInvPackets, 1)
-		p := e.m.NewPacket(home, set.Min(), &protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester})
+		p := e.m.NewPacket(home, set.Min(), e.m.NewMsg(protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester}))
 		p.DstSet = set
 		e.m.Mesh.Inject(home, p, now)
 		return
 	}
 	e.m.Counters.Inc(stats.DirInvPackets, int64(count))
-	set.ForEach(func(n int) {
-		e.send(home, n, &protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester}, now)
-	})
+	for rest := targets; rest != 0; rest &= rest - 1 {
+		n := bits.TrailingZeros64(rest)
+		e.send(home, n, e.m.NewMsg(protocol.Msg{Type: protocol.Inv, Addr: addr, Requester: requester}), now)
+	}
 }
 
 // serveFromHomeOrMemory answers a read for a line with no cached copies:
@@ -287,10 +301,12 @@ func (e *Engine) memRead(home int, msg *protocol.Msg) {
 }
 
 // finishRead completes home-side read handling: record the requester as a
-// sharer, release the entry and send the data.
+// sharer, release the entry and send the data. The request becomes the
+// reply.
 func (e *Engine) finishRead(home int, msg *protocol.Msg, version uint64) {
 	now := e.m.Kernel.Now()
-	ep, ok := e.dirs[home].Lookup(msg.Addr)
+	addr := msg.Addr
+	ep, ok := e.dirs[home].Lookup(addr)
 	if !ok {
 		// The entry was evicted while the data access was in flight;
 		// reallocate (or retry later if the set is saturated).
@@ -300,38 +316,40 @@ func (e *Engine) finishRead(home int, msg *protocol.Msg, version uint64) {
 	}
 	ep.sharers |= bit(msg.Requester)
 	ep.busy = false
-	reply := &protocol.Msg{Type: protocol.RdReply, Addr: msg.Addr, Requester: msg.Requester,
-		Version: version, IssuedAt: msg.IssuedAt, DeadlockCycles: msg.DeadlockCycles,
-		Attempt: msg.Attempt}
-	e.send(home, msg.Requester, reply, now)
-	e.drainQueue(home, msg.Addr, ep)
+	msg.Become(protocol.RdReply, version)
+	e.send(home, msg.Requester, msg, now)
+	e.drainQueue(home, addr, ep)
 }
 
 // grantWrite gives msg.Requester exclusive ownership. Requirement 3: any
-// valid copy in the home's local L2 (the victim cache) is invalidated.
+// valid copy in the home's local L2 (the victim cache) is invalidated. The
+// request becomes the reply.
 func (e *Engine) grantWrite(home int, msg *protocol.Msg, ep *dirEntry) {
 	now := e.m.Kernel.Now()
+	addr := msg.Addr
 	if home != msg.Requester {
-		e.m.InvalidateLine(home, msg.Addr, now)
+		e.m.InvalidateLine(home, addr, now)
 	}
 	ep.sharers = bit(msg.Requester)
 	ep.owner = msg.Requester
 	ep.modified = true
 	ep.busy = false
 	ep.pendingWr = nil
-	reply := &protocol.Msg{Type: protocol.WrReply, Addr: msg.Addr, Requester: msg.Requester,
-		IssuedAt: msg.IssuedAt, DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
-	e.send(home, msg.Requester, reply, now)
-	e.drainQueue(home, msg.Addr, ep)
+	msg.Become(protocol.WrReply, 0)
+	e.send(home, msg.Requester, msg, now)
+	e.drainQueue(home, addr, ep)
 }
 
 // handleFwd runs at a sharer/owner asked to supply data to msg.Requester.
+// The forward becomes the miss notice to home, or the reply to the
+// requester beside a fresh completion notice to home.
 func (e *Engine) handleFwd(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	home := e.m.Home(msg.Addr)
 	line, ok := e.m.PeekLine(node, msg.Addr)
 	if !ok {
-		e.send(node, home, &protocol.Msg{Type: protocol.FwdMiss, Addr: msg.Addr, Requester: msg.Requester, Attempt: msg.Attempt}, now)
+		msg.Type = protocol.FwdMiss
+		e.send(node, home, msg, now)
 		return
 	}
 	if line.State == protocol.Modified {
@@ -340,28 +358,31 @@ func (e *Engine) handleFwd(node int, msg *protocol.Msg) {
 		line.State = protocol.Shared
 	}
 	e.m.Check.SampleRead(msg.Addr, line.Version, e.m.Mem.Peek(msg.Addr), msg.Requester, now)
-	e.send(node, msg.Requester, &protocol.Msg{Type: protocol.RdReply, Addr: msg.Addr,
-		Requester: msg.Requester, Version: line.Version, IssuedAt: msg.IssuedAt,
-		Attempt: msg.Attempt}, now)
-	e.send(node, home, &protocol.Msg{Type: protocol.FwdDone, Addr: msg.Addr, Requester: msg.Requester}, now)
+	done := e.m.NewMsg(protocol.Msg{Type: protocol.FwdDone, Addr: msg.Addr, Requester: msg.Requester})
+	msg.Become(protocol.RdReply, line.Version)
+	e.send(node, msg.Requester, msg, now)
+	e.send(node, home, done, now)
 }
 
 // handleFwdDone runs at home when a forwarded read was served by src.
 func (e *Engine) handleFwdDone(home int, msg *protocol.Msg, src int) {
-	ep, ok := e.dirs[home].Lookup(msg.Addr)
+	addr, requester := msg.Addr, msg.Requester
+	e.m.FreeMsg(msg)
+	ep, ok := e.dirs[home].Lookup(addr)
 	if !ok {
 		return
 	}
 	if ep.modified && ep.owner == src {
 		ep.modified = false
 	}
-	ep.sharers |= bit(src) | bit(msg.Requester)
+	ep.sharers |= bit(src) | bit(requester)
 	ep.busy = false
-	e.drainQueue(home, msg.Addr, ep)
+	e.drainQueue(home, addr, ep)
 }
 
 // handleFwdMiss runs at home when the forwarded-to node had silently
-// evicted the line: drop the stale sharer and retry the read.
+// evicted the line: drop the stale sharer and retry the read. The notice
+// becomes the retried request.
 func (e *Engine) handleFwdMiss(home int, msg *protocol.Msg, src int) {
 	e.m.Counters.Inc(stats.DirFwdMisses, 1)
 	ep, ok := e.dirs[home].Lookup(msg.Addr)
@@ -372,45 +393,48 @@ func (e *Engine) handleFwdMiss(home int, msg *protocol.Msg, src int) {
 		}
 		ep.busy = false
 	}
-	retry := &protocol.Msg{Type: protocol.RdReq, Addr: msg.Addr, Requester: msg.Requester, IssuedAt: msg.IssuedAt, DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
-	e.handleReq(home, retry)
+	msg.Become(protocol.RdReq, 0)
+	e.handleReq(home, msg)
 }
 
-// handleInv runs at a sharer told to invalidate.
+// handleInv runs at a sharer told to invalidate. The invalidation becomes
+// the acknowledgment.
 func (e *Engine) handleInv(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	home := e.m.Home(msg.Addr)
-	ack := &protocol.Msg{Type: protocol.InvAck, Addr: msg.Addr, Requester: msg.Requester}
+	msg.Become(protocol.InvAck, 0)
 	if line, ok := e.m.InvalidateLine(node, msg.Addr, now); ok {
-		ack.Version = line.Version
-		ack.HasData = true
+		msg.Version = line.Version
+		msg.HasData = true
 	} else if a, w, pend := e.m.OutstandingAddr(node); pend && a == msg.Addr && !w {
 		// Invalidation raced the node's own in-flight read: use the
 		// returning data once, do not cache it.
 		e.pendingInval[node][msg.Addr] = true
 	}
-	e.send(node, home, ack, now)
+	e.send(node, home, msg, now)
 }
 
 // handleInvAck runs at home collecting invalidation acknowledgments for a
 // write grant or a directory-entry eviction.
 func (e *Engine) handleInvAck(home int, msg *protocol.Msg) {
-	ep, ok := e.dirs[home].Lookup(msg.Addr)
+	addr, hasData, version := msg.Addr, msg.HasData, msg.Version
+	e.m.FreeMsg(msg)
+	ep, ok := e.dirs[home].Lookup(addr)
 	if !ok {
 		return
 	}
 	if ep.pendingAcks > 0 {
 		ep.pendingAcks--
 	}
-	if ep.evicting && msg.HasData && e.m.Cfg.VictimCaching {
+	if ep.evicting && hasData && e.m.Cfg.VictimCaching {
 		// Victim-cache the displaced data at the home node.
-		e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version, e.m.Kernel.Now())
+		e.m.InstallLine(home, addr, protocol.Shared, version, e.m.Kernel.Now())
 	}
 	if ep.pendingAcks > 0 {
 		return
 	}
 	if ep.evicting {
-		e.removeEntry(home, msg.Addr, ep)
+		e.removeEntry(home, addr, ep)
 		return
 	}
 	if ep.pendingWr != nil {
@@ -420,21 +444,24 @@ func (e *Engine) handleInvAck(home int, msg *protocol.Msg) {
 
 // handleWbNotice runs at home when an owner evicted its dirty line.
 func (e *Engine) handleWbNotice(home int, msg *protocol.Msg) {
-	ep, ok := e.dirs[home].Lookup(msg.Addr)
+	addr, owner, version := msg.Addr, msg.Requester, msg.Version
+	e.m.FreeMsg(msg)
+	ep, ok := e.dirs[home].Lookup(addr)
 	if !ok {
 		return
 	}
-	if ep.modified && ep.owner == msg.Requester {
+	if ep.modified && ep.owner == owner {
 		ep.modified = false
-		ep.sharers &^= bit(msg.Requester)
+		ep.sharers &^= bit(owner)
 		if e.m.Cfg.VictimCaching && !ep.busy && !ep.evicting {
-			e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version, e.m.Kernel.Now())
+			e.m.InstallLine(home, addr, protocol.Shared, version, e.m.Kernel.Now())
 		}
 	}
 }
 
-// handleRdReply completes a read at the requester.
+// handleRdReply completes a read at the requester and frees the reply.
 func (e *Engine) handleRdReply(node int, msg *protocol.Msg) {
+	defer e.m.FreeMsg(msg)
 	if e.m.DropStaleReply(node, msg) {
 		return // reply of an abandoned reissue epoch; the live one completes
 	}
@@ -450,8 +477,9 @@ func (e *Engine) handleRdReply(node int, msg *protocol.Msg) {
 }
 
 // handleWrReply completes a write at the requester: the write serializes
-// here, after all invalidations were acknowledged.
+// here, after all invalidations were acknowledged. It frees the reply.
 func (e *Engine) handleWrReply(node int, msg *protocol.Msg) {
+	defer e.m.FreeMsg(msg)
 	if e.m.DropStaleReply(node, msg) {
 		return // must not CommitWrite twice: each access commits exactly once
 	}
@@ -513,34 +541,25 @@ func (e *Engine) allocEntry(home int, msg *protocol.Msg) *dirEntry {
 // removeEntry deletes a directory entry, re-dispatches requests serialized
 // on it and retries parked allocations.
 func (e *Engine) removeEntry(home int, addr uint64, ep *dirEntry) {
-	waiters := ep.queue
-	ep.queue = nil
+	e.drainQueue(home, addr, ep)
 	e.dirs[home].Invalidate(addr)
-	for _, w := range waiters {
-		e.queued--
-		e.m.Kernel.ScheduleCall(1, e.onReq, home, w)
-	}
-	if len(e.parked[home]) > 0 {
-		parked := e.parked[home]
-		e.parked[home] = nil
-		for _, pmsg := range parked {
-			e.queued--
-			e.m.Kernel.ScheduleCall(1, e.onReq, home, pmsg)
-		}
-	}
+	e.parked[home] = e.redispatch(home, e.parked[home])
 }
 
 // drainQueue re-dispatches requests that serialized behind a busy entry.
 func (e *Engine) drainQueue(home int, addr uint64, ep *dirEntry) {
-	if len(ep.queue) == 0 {
-		return
-	}
-	waiters := ep.queue
-	ep.queue = nil
-	for _, w := range waiters {
+	ep.queue = e.redispatch(home, ep.queue)
+}
+
+// redispatch hands each waiting request back to handleReq at home one
+// cycle out and returns the emptied slice for reuse.
+func (e *Engine) redispatch(home int, waiters []*protocol.Msg) []*protocol.Msg {
+	for i, w := range waiters {
 		e.queued--
 		e.m.Kernel.ScheduleCall(1, e.onReq, home, w)
+		waiters[i] = nil
 	}
+	return waiters[:0]
 }
 
 // OnL2Evict implements protocol.Engine: dirty owners notify home (the
@@ -550,7 +569,7 @@ func (e *Engine) OnL2Evict(node int, addr uint64, line protocol.DataLine, now in
 		return
 	}
 	home := e.m.Home(addr)
-	e.send(node, home, &protocol.Msg{Type: protocol.WbNotice, Addr: addr, Requester: node, Version: line.Version}, now)
+	e.send(node, home, e.m.NewMsg(protocol.Msg{Type: protocol.WbNotice, Addr: addr, Requester: node, Version: line.Version}), now)
 }
 
 // Quiesced implements protocol.Engine.

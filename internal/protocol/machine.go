@@ -159,6 +159,11 @@ type Machine struct {
 	fatal        error
 	probeStarted bool
 	faultsFolded bool
+
+	// msgFree is the message pool's free list and msgsMade the messages
+	// allocated in all (see msgpool.go).
+	msgFree  []*Msg
+	msgsMade int
 }
 
 // netAcc is the per-outstanding-access network time attribution: total
@@ -548,7 +553,11 @@ func (m *Machine) NICCall(node int, service int64, call func(int, any), arg any)
 // the message as its operand. Engines bind their handlers through it once,
 // at construction.
 func MsgCall(h func(int, *Msg)) func(int, any) {
-	return func(node int, arg any) { h(node, arg.(*Msg)) }
+	return func(node int, arg any) {
+		msg := arg.(*Msg)
+		mustBeLive(msg)
+		h(node, msg)
+	}
 }
 
 // nicDelay occupies node's network interface for service cycles after any
@@ -623,6 +632,7 @@ func (m *Machine) PeekLine(node int, addr uint64) (*DataLine, bool) {
 // NewPacket builds a network packet for msg from src to dst, sizing it by
 // whether the message carries data.
 func (m *Machine) NewPacket(src, dst int, msg *Msg) *network.Packet {
+	mustBeLive(msg)
 	flits := m.Cfg.CtrlFlits
 	if msg.Type.IsData() {
 		flits = m.Cfg.DataFlits

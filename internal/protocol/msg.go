@@ -54,6 +54,8 @@ func (t MsgType) String() string {
 		return "TEARDOWN"
 	case TdAck:
 		return "TD_ACK"
+	case freedMsg:
+		return "FREED"
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
@@ -61,19 +63,6 @@ func (t MsgType) String() string {
 // IsData reports whether messages of this type carry a data cache line and
 // therefore occupy a multi-flit packet.
 func (t MsgType) IsData() bool { return t == RdReply || t == Fwd }
-
-// CloneMsg is the payload deep-copy hook engines hand the network layer
-// (network.Config.Clone) for hardware-multicast forks: each fork gets its
-// own *Msg so per-copy mutation at the receivers (latency accounting,
-// forced-direction rewrites) cannot alias across branches. Non-Msg payloads
-// pass through shared, which is what test harness payloads want.
-func CloneMsg(payload interface{}) interface{} {
-	if m, ok := payload.(*Msg); ok {
-		c := *m
-		return &c
-	}
-	return payload
-}
 
 // Msg is the protocol payload of a network packet.
 type Msg struct {
@@ -152,4 +141,13 @@ type Msg struct {
 	// message arrived (the link the reply had built toward a node where
 	// it then failed to allocate) before normal teardown processing.
 	ClearArrival bool
+}
+
+// Become rewrites msg in place as type t carrying version, the next message
+// of its access's chain: the address, requester, issue cycle, recovery
+// cycles and attempt are kept, and every other field is zeroed, exactly as
+// a fresh message built from those fields would be.
+func (msg *Msg) Become(t MsgType, version uint64) {
+	*msg = Msg{Type: t, Addr: msg.Addr, Requester: msg.Requester, Version: version,
+		IssuedAt: msg.IssuedAt, DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
 }

@@ -53,12 +53,9 @@ type Engine struct {
 	// global counter.
 	genCounters []uint64
 
-	// hopFree is the free list of teardown and acknowledgment messages
-	// (see spawnHop). A hop message lives exactly as long as its pool
-	// packet: the next router's routeHop consumes it, and the mesh's
-	// recycle hook (recycleHop) returns it here when the packet dies.
-	// Nothing may keep a hop message past that point; nothing queues one.
-	hopFree []*protocol.Msg
+	// queueFree holds emptied homeQueue and pending waiter slices for
+	// reuse; releasePending and teardownComplete refill it.
+	queueFree [][]*protocol.Msg
 
 	// Kernel callbacks bound once in New: each runs a handler on (node,
 	// message), so the per-message NIC dispatches, memory fetches and
@@ -113,7 +110,6 @@ func New(m *protocol.Machine) *Engine {
 		Topo:     e.topo,
 		Pipeline: pipeline,
 		Policy:   e,
-		Clone:    protocol.CloneMsg,
 	})
 	mesh.RecycleFn = e.recycleHop
 	m.AttachEngine(e, mesh)
@@ -168,8 +164,8 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 	// the teardown ack-hold it gates must cover only the bounded
 	// above-network completion window — holding for a request that is
 	// still traveling could make a teardown wait on itself.
-	msg := &protocol.Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now,
-		Attempt: e.m.CurrentAttempt(node)}
+	msg := e.m.NewMsg(protocol.Msg{Type: t, Addr: addr, Requester: node, IssuedAt: now,
+		Attempt: e.m.CurrentAttempt(node)})
 	e.m.Mesh.Inject(node, e.packet(node, msg), now)
 }
 
@@ -208,7 +204,7 @@ func (e *Engine) serviceTime(node int, addr uint64) int64 {
 
 // serveRead runs at a node whose router steered a read request to the local
 // ejection port: either a tree node holding valid data, or the home node of
-// a line with no tree.
+// a line with no tree. A request served here becomes its reply.
 func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	addr := msg.Addr
@@ -239,10 +235,8 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 			e.m.Metrics.Add(stats.MetricHopsSaved, saved)
 			e.m.Metrics.Event(now, metrics.EvSharerServe, int16(node), addr, saved)
 		}
-		reply := &protocol.Msg{Type: protocol.RdReply, Addr: addr, Requester: msg.Requester,
-			Version: dl.Version, IssuedAt: msg.IssuedAt, DeadlockCycles: msg.DeadlockCycles,
-			Attempt: msg.Attempt}
-		e.m.Mesh.Spawn(node, e.packet(node, reply), now)
+		msg.Become(protocol.RdReply, dl.Version)
+		e.m.Mesh.Spawn(node, e.packet(node, msg), now)
 		return
 	}
 	if !msg.HomeServe {
@@ -290,22 +284,23 @@ func (e *Engine) grantWrite(node int, msg *protocol.Msg) {
 	e.injectHomeReply(node, msg, protocol.WrReply, 0)
 }
 
-// injectHomeReply sends a home-generated reply (fresh tree: the requester
-// becomes root). The pending marker stays set until the reply actually
-// constructs the home node's tree line (or gives up), so no other request
-// can slip into the home-serve path before the new tree is anchored.
+// injectHomeReply rewrites req as a home-generated reply (fresh tree: the
+// requester becomes root) and sends it. The pending marker stays set until
+// the reply actually constructs the home node's tree line (or gives up), so
+// no other request can slip into the home-serve path before the new tree
+// is anchored.
 func (e *Engine) injectHomeReply(home int, req *protocol.Msg, t protocol.MsgType, version uint64) {
-	now := e.m.Kernel.Now()
-	reply := &protocol.Msg{Type: t, Addr: req.Addr, Requester: req.Requester, Version: version,
-		RequesterIsRoot: true, IssuedAt: req.IssuedAt, DeadlockCycles: req.DeadlockCycles,
-		Attempt: req.Attempt}
-	e.m.Mesh.Spawn(home, e.packet(home, reply), now)
+	req.Become(t, version)
+	req.RequesterIsRoot = true
+	e.m.Mesh.Spawn(home, e.packet(home, req), e.m.Kernel.Now())
 }
 
 // finishRead completes a read at the requesting node: install the data and
 // mark the tree line valid. If the line's tree was torn down while the
-// reply was in its final hop, the data is used once and not cached.
+// reply was in its final hop, the data is used once and not cached. It
+// frees the reply.
 func (e *Engine) finishRead(node int, msg *protocol.Msg) {
+	defer e.m.FreeMsg(msg)
 	now := e.m.Kernel.Now()
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
@@ -358,8 +353,10 @@ func (e *Engine) releaseHeldAck(node int, addr uint64) {
 }
 
 // finishWrite completes a write at the requesting node: the write
-// serializes here, after the grant that followed the full teardown.
+// serializes here, after the grant that followed the full teardown. It
+// frees the reply.
 func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
+	defer e.m.FreeMsg(msg)
 	now := e.m.Kernel.Now()
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
@@ -428,7 +425,7 @@ func (e *Engine) setPending(addr uint64) {
 
 func (e *Engine) queueOnPending(addr uint64, msg *protocol.Msg) {
 	p := e.pending[e.home(addr)]
-	p[addr] = append(p[addr], msg)
+	p[addr] = append(e.waiters(p[addr]), msg)
 	e.queued++
 }
 
@@ -444,12 +441,13 @@ func (e *Engine) releasePending(addr uint64, home int) {
 		e.queued--
 		e.m.Mesh.Spawn(home, e.packet(home, w), now)
 	}
+	e.freeWaiters(waiters)
 }
 
 func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 	home := e.home(addr)
 	q := e.homeQueue[home]
-	q[addr] = append(q[addr], msg)
+	q[addr] = append(e.waiters(q[addr]), msg)
 	e.queued++
 	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvHomeQueued, int16(home), addr, int64(msg.Requester))
 }
@@ -490,6 +488,30 @@ func (e *Engine) teardownComplete(addr uint64) {
 		e.queued--
 		e.queueOnPending(addr, w)
 	}
+	e.freeWaiters(waiters)
+}
+
+// waiters returns q, or when q is nil an emptied waiter slice from the free
+// list, to append a queued request to.
+func (e *Engine) waiters(q []*protocol.Msg) []*protocol.Msg {
+	if q != nil {
+		return q
+	}
+	if n := len(e.queueFree); n > 0 {
+		q = e.queueFree[n-1]
+		e.queueFree = e.queueFree[:n-1]
+	}
+	return q
+}
+
+// freeWaiters returns a released waiter slice to the free list, cleared so
+// it keeps no message alive.
+func (e *Engine) freeWaiters(q []*protocol.Msg) {
+	if cap(q) == 0 {
+		return
+	}
+	clear(q)
+	e.queueFree = append(e.queueFree, q[:0])
 }
 
 // homeServe runs a request released from the home queue at its home.

@@ -366,13 +366,12 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 }
 
 // revertToRequest turns an unanchorable read reply back into a read request
-// spawned at node n; the data will be re-fetched along a coherent path.
+// spawned at node n; the data will be re-fetched along a coherent path. The
+// reply message becomes the request and moves to the new packet.
 func (e *Engine) revertToRequest(n int, msg *protocol.Msg) network.Steer {
 	e.m.Counters.Inc(stats.TreeReplyReverts, 1)
-	req := &protocol.Msg{Type: protocol.RdReq, Addr: msg.Addr,
-		Requester: msg.Requester, IssuedAt: msg.IssuedAt,
-		DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
-	e.m.Mesh.Spawn(n, e.packet(n, req), e.m.Kernel.Now())
+	msg.Become(protocol.RdReq, 0)
+	e.m.Mesh.Spawn(n, e.packet(n, msg), e.m.Kernel.Now())
 	return network.Steer{Consume: true}
 }
 
@@ -486,7 +485,7 @@ func (e *Engine) stallReply(r *network.Router, p *network.Packet, msg *protocol.
 // abortReply is the timeout path: tear down the partial tree behind the
 // reply (clearing the dangling link it created at the previous node) and
 // regenerate the original request, to be held at the home node for a random
-// backoff.
+// backoff. The reply message becomes that request.
 func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
 	e.m.Counters.Inc(stats.TreeDeadlockAborts, 1)
 	e.m.Metrics.Event(now, metrics.EvDeadlockAbort, int16(n), msg.Addr, int64(msg.Requester))
@@ -509,11 +508,10 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 	if msg.Type == protocol.WrReply {
 		t = protocol.WrReq
 	}
-	req := &protocol.Msg{Type: t, Addr: msg.Addr, Requester: msg.Requester,
-		IssuedAt: msg.IssuedAt, Backoff: true,
-		DeadlockCycles: msg.DeadlockCycles + e.m.Cfg.TimeoutCycles,
-		Attempt:        msg.Attempt}
-	reqPkt := e.ctrlPacket(n, req)
+	msg.Become(t, 0)
+	msg.Backoff = true
+	msg.DeadlockCycles += e.m.Cfg.TimeoutCycles
+	reqPkt := e.ctrlPacket(n, msg)
 	reqPkt.Retryable = true
 	e.m.Mesh.Spawn(n, reqPkt, now)
 	return network.Steer{Consume: true}

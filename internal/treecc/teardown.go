@@ -29,10 +29,10 @@ import (
 // edge, erasing the sender's dangling bit while its line is still live, so
 // teardown accounting always runs over a clean tree.
 //
-// Hop messages are the one payload the engine recycles. hopPacket takes
-// them from the engine's free list and recycleHop, the mesh's recycle
-// hook, puts them back when their packet dies, so in steady state a
-// teardown wave allocates nothing.
+// A hop message lives exactly as long as its pool packet. hopPacket takes
+// it from the machine's message pool and recycleHop, the mesh's recycle
+// hook, frees it when the packet dies, so in steady state a teardown wave
+// allocates nothing. Nothing queues a hop message.
 
 // spawnHop sends hop message m (a Teardown or TdAck) from node's router.
 func (e *Engine) spawnHop(node int, m protocol.Msg) {
@@ -40,19 +40,11 @@ func (e *Engine) spawnHop(node int, m protocol.Msg) {
 }
 
 // hopPacket builds the expedited control packet carrying a copy of hop
-// message m from node's packet pool; the copy comes from the free list.
+// message m from node's packet pool; the copy comes from the message pool.
 // Packet ids come from the node's router-local sequence, so route-phase
 // construction needs no shared counter.
 func (e *Engine) hopPacket(node int, m protocol.Msg) *network.Packet {
-	var msg *protocol.Msg
-	if n := len(e.hopFree); n > 0 {
-		msg = e.hopFree[n-1]
-		e.hopFree = e.hopFree[:n-1]
-	} else {
-		msg = new(protocol.Msg)
-	}
-	*msg = m
-	p := e.ctrlPacket(node, msg)
+	p := e.ctrlPacket(node, e.m.NewMsg(m))
 	p.Expedited = true
 	return p
 }
@@ -63,11 +55,13 @@ func (e *Engine) sendHop(node int, t protocol.MsgType, addr uint64, out network.
 }
 
 // recycleHop is the mesh's RecycleFn: the hop message of a dying packet
-// returns to the free list. Every other payload is left to the collector.
+// returns to the message pool. A request or reply has left its packet for
+// a new owner (an ejection handler, a home queue, a reissued packet) and is
+// not touched here.
 func (e *Engine) recycleHop(p *network.Packet) {
 	if msg, ok := p.Payload.(*protocol.Msg); ok &&
 		(msg.Type == protocol.Teardown || msg.Type == protocol.TdAck) {
-		e.hopFree = append(e.hopFree, msg)
+		e.m.FreeMsg(msg)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository check, in order: gofmt, build and vet; a build and vet of the
 # perfbench module; a no-printing guard over the simulator packages;
-# race-enabled tests; fuzz smokes over the trace-file and fault-spec
+# race-enabled tests; the allocation guards, which skip under -race, in a
+# plain build; fuzz smokes over the trace-file and fault-spec
 # parsers, the cache reference model and the latency histogram's
 # sorted-sample reference; race-enabled litmus campaigns
 # (clean, under a drop plan, and a seeded defect that must be caught and
@@ -53,6 +54,11 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
 fi
 
 go test -race ./...
+
+# Allocation guards: the mallocs-per-packet tests of both engines skip
+# under the race detector (it allocates on its own account), so they run
+# here without it.
+go test -run 'MallocsPerPacket' ./internal/exec
 
 # Fuzz smoke: a short randomized session over the trace-file parser on top
 # of the committed regression corpus (testdata/fuzz/FuzzRead).
