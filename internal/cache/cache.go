@@ -57,6 +57,9 @@ type Cache[V any] struct {
 	numSets int
 	clock   uint64
 	live    int // valid lines, so Len is O(1)
+	// scan is ScanAll's list of occupied sets, kept between calls so a
+	// repeated scan allocates nothing.
+	scan []entry
 }
 
 type line[V any] struct {
@@ -294,9 +297,12 @@ func (c *Cache[V]) scanChain(s int32, fn func(lineAddr uint64, v *V) bool) bool 
 // ScanAll calls fn for every valid line in the cache, in set order and way
 // order within a set, until fn returns false. It is used by structural
 // invariant checks at quiescence and by state digests. fn must not insert
-// or invalidate lines.
+// or invalidate lines. The sorted list of occupied sets is kept for the
+// next call, so only a cache's first scan, or one over more sets than any
+// before it, allocates.
 func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
-	sets := make([]entry, 0, c.heads.n)
+	sets := c.scan[:0]
+	c.scan = nil // a ScanAll nested in fn sorts into its own list
 	for _, e := range c.heads.ents {
 		if e.slot != 0 {
 			sets = append(sets, e)
@@ -305,9 +311,10 @@ func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
 	slices.SortFunc(sets, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	for _, e := range sets {
 		if !c.scanChain(e.slot-1, fn) {
-			return
+			break
 		}
 	}
+	c.scan = sets
 }
 
 // Len returns the number of valid lines currently held.

@@ -68,7 +68,8 @@ func (d *Digest) Sum() uint64 {
 }
 
 // State exposes the RNG's internal word for state digests, making the
-// generator's position part of the digested state.
+// generator's position part of the digested state. The word is never zero,
+// and NewRNG(r.State()) draws exactly what r draws next.
 func (r *RNG) State() uint64 { return r.state }
 
 // DigestState folds the kernel's core state into d: the clock, the

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,4 +86,50 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzGenerateMatchesEager holds Generate to generateEager, which builds
+// every line up front: the two must emit identical streams for every
+// profile, node count (square or not, 1 to 300), length (0 to 400
+// accesses per node) and seed. The seed corpus covers every profile at
+// 1, 16, 32, 64 and 256 nodes, so plain go test runs that sweep.
+func FuzzGenerateMatchesEager(f *testing.F) {
+	profiles := Benchmarks()
+	for i := range profiles {
+		for _, nodes := range []int{1, 16, 32, 64, 256} {
+			f.Add(uint8(i), uint16(nodes), uint16(40+i*20), uint64(i*nodes+7))
+		}
+	}
+	f.Add(uint8(3), uint16(300), uint16(400), uint64(42))
+	f.Add(uint8(5), uint16(7), uint16(0), uint64(0))
+	f.Fuzz(func(t *testing.T, profile uint8, nodes, accesses uint16, seed uint64) {
+		p := profiles[int(profile)%len(profiles)]
+		matchEager(t, p, 1+int(nodes)%300, int(accesses)%401, seed)
+	})
+}
+
+// On a 64x64 mesh some nodes are in no group the working window reaches,
+// so Generate fills their streams with top-up draws, which replay only a
+// line's home from its checkpoint. Up to 300 nodes, the fuzzer's range,
+// no stream needs them.
+func TestGenerateMatchesEagerOnTopUps(t *testing.T) {
+	for _, name := range []string{"lu", "wsp"} {
+		p, _ := ProfileByName(name)
+		matchEager(t, p, 4096, 2, 1)
+	}
+}
+
+// matchEager fails t unless Generate and generateEager emit the same
+// streams for p on nodes nodes, accesses per node and seed.
+func matchEager(t *testing.T, p Profile, nodes, accesses int, seed uint64) {
+	t.Helper()
+	got, want := Generate(p, nodes, accesses, seed), generateEager(p, nodes, accesses, seed)
+	if len(got.PerNode) != len(want.PerNode) {
+		t.Fatalf("%s/%d/%d seed %d: %d streams, want %d", p.Name, nodes, accesses, seed, len(got.PerNode), len(want.PerNode))
+	}
+	for node := range want.PerNode {
+		if !slices.Equal(got.PerNode[node], want.PerNode[node]) {
+			t.Fatalf("%s/%d/%d seed %d: node %d's stream differs from the eager generator's", p.Name, nodes, accesses, seed, node)
+		}
+	}
 }

@@ -36,10 +36,12 @@ func traceHash(t *trace.Trace) uint64 {
 
 // TestGenerateGolden pins Generate's output for every profile at 16, 32
 // (non-square, as on an 8x4 mesh, where clusterNeighbor falls back to
-// uniform draws) and 64 nodes. Any change to the generator's RNG draw
-// sequence or line population moves these hashes, and with them every
-// simulated figure, so re-recording them bumps exec.SpecVersion and
-// re-pins goldenGeneratePin.
+// uniform draws) and 64 nodes. What they pin is the generator's RNG draw
+// sequence and what each draw decides, not when a line's group is built:
+// Generate builds groups on first touch by replaying a line's draws, and
+// an eager build gives the same hashes. Any change to the draw sequence
+// moves them, and with them every simulated figure, so re-recording them
+// bumps exec.SpecVersion and re-pins goldenGeneratePin.
 func TestGenerateGolden(t *testing.T) {
 	checkPin(t, "goldenGenerate", goldenGenerate, goldenGeneratePin)
 	for _, nodes := range []int{16, 32, 64} {

@@ -28,6 +28,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"innetcc/internal/sim"
 )
@@ -165,15 +166,64 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("trace: unknown benchmark %q", name)
 }
 
-// lineInfo is the generator's per-line metadata. The nodes that access
-// the line (one node = private) are arena[lo:hi] of the population's
-// shared group arena: one slice for every line's group instead of a slice
-// per line. Line i homed at node home has address i*nodes+home, so the
-// home is all that is kept of the address.
+// lineInfo is a built line: its address, its read-only flag and its
+// group, the nodes that access it (one node = private). Generate keeps
+// one per working-window slot, built from the line's RNG checkpoint when
+// the line enters the slot; the group lives in the slot's own stretch of
+// one shared array, so rebuilding a slot allocates nothing.
 type lineInfo struct {
-	home     int32
-	lo, hi   int32
+	addr     uint64
+	group    []int32
 	readOnly bool
+}
+
+// population is what Generate keeps of every line of the working set:
+// ckpt[i] is the generator's RNG state at the start of line i's draws, from
+// which drawLine replays the line. The other fields are the trace's draw
+// parameters.
+type population struct {
+	ckpt   []uint64
+	nodes  int
+	side   int // meshSide(nodes): 0 when nodes is not a square
+	radius int
+	// groupDraw is the range of a shared line's group size draw: a group
+	// has 2 + Intn(groupDraw) members, so at most groupDraw+1.
+	groupDraw                           int
+	privateFrac, readOnlyFrac, homeSkew float64
+}
+
+// drawLine makes one line's draws from rng, in order: its home, its
+// anchor, whether it is shared, the group with its duplicate retries, and
+// whether it is read-only. It appends the group to group and returns it.
+// The draw pass calls it on the generator's RNG for every line; build
+// replays it on a line's checkpoint, so both see the same draws.
+func (p *population) drawLine(rng *sim.RNG, group []int32) (int32, []int32, bool) {
+	home := int32(skewedHome(rng, p.nodes, p.homeSkew))
+	anchor := rng.Intn(p.nodes)
+	group = append(group, int32(anchor))
+	if rng.Float64() >= p.privateFrac {
+		g := 2 + rng.Intn(p.groupDraw) // mean ~= groupSize
+		var ax, ay int
+		if p.side > 0 {
+			ax, ay = anchor%p.side, anchor/p.side
+		}
+		for len(group) < g {
+			cand := int32(clusterNeighbor(rng, p.nodes, p.side, ax, ay, p.radius))
+			if !slices.Contains(group, cand) {
+				group = append(group, cand)
+			} else if rng.Float64() < 0.3 {
+				break // small groups stay small
+			}
+		}
+	}
+	return home, group, rng.Float64() < p.readOnlyFrac
+}
+
+// build rebuilds li as line, replaying the line's draws from its
+// checkpoint into li's group storage.
+func (p *population) build(li *lineInfo, line int) {
+	home, group, readOnly := p.drawLine(sim.NewRNG(p.ckpt[line]), li.group[:0])
+	*li = lineInfo{addr: lineAddr(line, p.nodes, home), group: group, readOnly: readOnly}
 }
 
 // MaxAccesses caps a generated trace's total accesses, nodes times
@@ -206,6 +256,14 @@ func CheckSize(nodes, accessesPerNode int) error {
 // accessesPerNode references per node, deterministically from seed. It
 // panics with a *SizeError, before allocating, when the trace would exceed
 // MaxAccesses; callers that take sizes from users check CheckSize first.
+//
+// The trace is a function of the generator's RNG draw sequence: a draw
+// pass makes every line's draws (drawLine) before any access is drawn, and
+// the episodes and top-ups that follow draw from where it ends. The draw
+// pass keeps only each line's starting RNG state; a line's group is built
+// by replaying its draws from that state when the line enters the working
+// window, and a top-up replays only the home draw. When a group is built
+// changes no draw of the main sequence, so it changes no access.
 func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 	if err := CheckSize(nodes, accessesPerNode); err != nil {
 		panic(err)
@@ -228,32 +286,21 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 		groupSize *= 2
 		radius = 2
 	}
-	side := meshSide(nodes)
-	pop := make([]lineInfo, lines)
-	arena := make([]int32, 0, lines+int(float64(lines)*(1-p.PrivateFrac))*groupSize)
-	for i := range pop {
-		home := skewedHome(rng, nodes, p.HomeSkew)
-		anchor := rng.Intn(nodes)
-		lo := len(arena)
-		arena = append(arena, int32(anchor))
-		if rng.Float64() >= p.PrivateFrac {
-			g := 2 + rng.Intn(maxInt(1, 2*groupSize-3)) // mean ~= groupSize
-			for len(arena)-lo < g {
-				cand := int32(clusterNeighbor(rng, nodes, side, anchor, radius))
-				dup := false
-				for _, x := range arena[lo:] {
-					if x == cand {
-						dup = true
-					}
-				}
-				if !dup {
-					arena = append(arena, cand)
-				} else if rng.Float64() < 0.3 {
-					break // small groups stay small
-				}
-			}
-		}
-		pop[i] = lineInfo{home: int32(home), lo: int32(lo), hi: int32(len(arena)), readOnly: rng.Float64() < p.ReadOnlyFrac}
+	pop := &population{
+		ckpt:         make([]uint64, lines),
+		nodes:        nodes,
+		side:         meshSide(nodes),
+		radius:       radius,
+		groupDraw:    maxInt(1, 2*groupSize-3),
+		privateFrac:  p.PrivateFrac,
+		readOnlyFrac: p.ReadOnlyFrac,
+		homeSkew:     p.HomeSkew,
+	}
+	maxGroup := pop.groupDraw + 1
+	scratch := make([]int32, 0, maxGroup)
+	for i := range pop.ckpt {
+		pop.ckpt[i] = rng.State()
+		pop.drawLine(rng, scratch[:0])
 	}
 
 	tr := &Trace{Name: p.Name, PerNode: make([][]Access, nodes)}
@@ -271,20 +318,20 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 	}
 
 	// The working window of hot lines; episodes run over window members
-	// and slots are gradually replaced, giving temporal locality.
-	win := make([]int, window)
+	// and slots are gradually replaced, giving temporal locality. Each
+	// slot holds its built line, with room for the largest group.
+	win := make([]lineInfo, window)
+	groups := make([]int32, window*maxGroup)
 	for i := range win {
-		win[i] = rng.Intn(lines)
+		win[i].group = groups[i*maxGroup : i*maxGroup : (i+1)*maxGroup]
+		pop.build(&win[i], rng.Intn(lines))
 	}
 	for guard := 0; emitted < need && guard < 50*need; guard++ {
-		slot := rng.Intn(window)
+		li := &win[rng.Intn(window)]
 		if rng.Float64() < 0.02 {
-			win[slot] = rng.Intn(lines) // refresh slot
+			pop.build(li, rng.Intn(lines)) // refresh slot
 		}
-		line := win[slot]
-		li := &pop[line]
-		addr := lineAddr(line, nodes, li.home)
-		group := arena[li.lo:li.hi]
+		addr, group := li.addr, li.group
 		if li.readOnly {
 			// Read-only episode: group members (or the owner) read;
 			// the tree persists until capacity-evicted.
@@ -329,7 +376,8 @@ func Generate(p Profile, nodes, accessesPerNode int, seed uint64) *Trace {
 	for n := range tr.PerNode {
 		for len(tr.PerNode[n]) < accessesPerNode {
 			line := rng.Intn(lines)
-			addr := lineAddr(line, nodes, pop[line].home)
+			home := skewedHome(sim.NewRNG(pop.ckpt[line]), nodes, pop.homeSkew)
+			addr := lineAddr(line, nodes, int32(home))
 			tr.PerNode[n] = append(tr.PerNode[n], NewAccess(addr, rng.Float64() < p.WriteFrac))
 		}
 	}
@@ -377,17 +425,17 @@ func skewedHome(rng *sim.RNG, nodes int, skew float64) int {
 	return rng.Intn(nodes)
 }
 
-// clusterNeighbor picks a node within radius of anchor on the mesh
-// (assumed square, w = meshSide(nodes) nodes a side), falling back to
-// uniform for odd shapes (w == 0).
-func clusterNeighbor(rng *sim.RNG, nodes, w, anchor, radius int) int {
+// clusterNeighbor picks a node within radius of the anchor at (ax, ay) on
+// the mesh (assumed square, w = meshSide(nodes) nodes a side), falling
+// back to uniform for odd shapes (w == 0).
+func clusterNeighbor(rng *sim.RNG, nodes, w, ax, ay, radius int) int {
 	if w == 0 {
 		return rng.Intn(nodes)
 	}
 	span := 2*radius + 1
 	dx, dy := rng.Intn(span)-radius, rng.Intn(span)-radius
-	x, y := anchor%w+dx, anchor/w+dy
-	if x < 0 || x >= w || y < 0 || y >= nodes/w {
+	x, y := ax+dx, ay+dy
+	if x < 0 || x >= w || y < 0 || y >= w {
 		return rng.Intn(nodes)
 	}
 	return y*w + x

@@ -36,21 +36,47 @@ func TestAccessPacking(t *testing.T) {
 	NewAccess(MaxAddr+1, false)
 }
 
-// Generating a 16-node wsp trace of 30,000 accesses per node allocates
-// the 3.84 MB of its 8-byte accesses plus the 16-byte-per-line population
-// and its group arena; 16-byte accesses alone would be 7.68 MB.
+// Generate allocates its 8-byte accesses plus a population of at most 9
+// bytes per working-set line (an 8-byte RNG checkpoint each) and 40 KiB
+// for the working window's built lines. Building every line's 16-byte
+// record and sharer group up front took 28-33 bytes per line: 214 kB
+// beyond the accesses for wsp, 610 kB for rad, the largest Figure 9
+// population. The accesses' own cost is measured by allocating streams of
+// the same size, so the bound holds whatever size classes they round to.
 func TestGenerateAllocation(t *testing.T) {
-	p, _ := ProfileByName("wsp")
+	for _, c := range []struct {
+		profile         string
+		nodes, accesses int
+	}{
+		{"wsp", 16, 30000},
+		{"rad", 64, 120},
+	} {
+		p, _ := ProfileByName(c.profile)
+		streams := allocated(func() {
+			s := make([][]Access, c.nodes)
+			for n := range s {
+				s[n] = make([]Access, 0, c.accesses)
+			}
+		})
+		var tr *Trace
+		got := allocated(func() { tr = Generate(p, c.nodes, c.accesses, 42) })
+		if limit := streams + 9*uint64(p.Lines) + 40<<10; got > limit {
+			t.Errorf("Generate(%s, %d, %d) allocated %d bytes, want at most %d (%d for the accesses)",
+				c.profile, c.nodes, c.accesses, got, limit, streams)
+		}
+		if tr.TotalAccesses() != c.nodes*c.accesses {
+			t.Errorf("%s: %d accesses, want %d", c.profile, tr.TotalAccesses(), c.nodes*c.accesses)
+		}
+	}
+}
+
+// allocated returns the bytes the heap allocated while fn ran.
+func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tr := Generate(p, 16, 30000, 42)
+	fn()
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 5<<20 {
-		t.Fatalf("Generate(wsp, 16, 30000) allocated %d bytes, want under %d", got, 5<<20)
-	}
-	if tr.TotalAccesses() != 16*30000 {
-		t.Fatalf("%d accesses, want %d", tr.TotalAccesses(), 16*30000)
-	}
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestBenchmarksCoverPaperSet(t *testing.T) {

@@ -3,8 +3,8 @@
 # perfbench module; a no-printing guard over the simulator packages;
 # race-enabled tests; the allocation guards, which skip under -race, in a
 # plain build; fuzz smokes over the trace-file and fault-spec
-# parsers, the cache reference model and the latency histogram's
-# sorted-sample reference; race-enabled litmus campaigns
+# parsers, the trace generator's eager reference, the cache reference model
+# and the latency histogram's sorted-sample reference; race-enabled litmus campaigns
 # (clean, under a drop plan, and a seeded defect that must be caught and
 # replayed) and a litmus-program fuzz smoke; race-enabled fault smokes
 # (drop-plan recovery per engine, the watchdog hang post-mortem, stall and
@@ -63,6 +63,11 @@ go test -run 'MallocsPerPacket' ./internal/exec
 # Fuzz smoke: a short randomized session over the trace-file parser on top
 # of the committed regression corpus (testdata/fuzz/FuzzRead).
 go test ./internal/trace -fuzz '^FuzzRead$' -fuzztime 10s
+
+# Generator fuzz smoke: Generate, which builds each line from its RNG
+# checkpoint on first touch, against generateEager, which builds every line
+# up front, on fuzzed profile, node count, length and seed.
+go test ./internal/trace -fuzz '^FuzzGenerateMatchesEager$' -fuzztime 5s
 
 # Fault-spec fuzz smoke: parse/canonicalize round-trip and plan determinism
 # over the committed corpus (internal/fault/testdata/fuzz/FuzzParseSpec).
